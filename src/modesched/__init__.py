@@ -35,6 +35,7 @@ from .latency import (
     max_period_bound,
 )
 from .offline import (
+    BigMError,
     InfeasibleModeError,
     MilpDocument,
     OptimizationResult,

@@ -7,7 +7,8 @@ Commands:
     export-milp     <system.json> --mode <id> [--hv <value>] -o <file.lp>
 
 Exit codes: 0 analysis passed, 1 analysis failed (deadline, feasibility or
-simulated deadline miss), 2 input or scenario error.
+simulated deadline miss), 2 input or scenario error.  Any other exception is
+a bug in modesched and propagates with its traceback.
 
 Reports are deterministic: identical input files produce byte-identical
 output, with every number carried both as an exact fraction string and as a
@@ -31,7 +32,7 @@ from .model import (
     worst_predecessor_latency,
 )
 from .latency import analyze_allocation
-from .offline import InfeasibleModeError, export_milp, solve_optimal
+from .offline import BigMError, InfeasibleModeError, export_milp, solve_optimal
 from .online import lopez_test, transition_bound_detail
 from .sim import (
     ScenarioError,
@@ -355,7 +356,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_export_milp(args)
-    except (SystemValidationError, ScenarioError, SimulationError, ValueError, OSError) as exc:
+    except (
+        SystemValidationError, InfeasibleModeError, BigMError, ScenarioError, SimulationError, OSError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
 

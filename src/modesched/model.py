@@ -64,11 +64,6 @@ def as_time(value, *, what: str = "time value") -> Fraction:
     return result
 
 
-def format_time(value: Optional[Fraction]) -> str:
-    """Render a rational as ``p/q`` (or a plain integer when q == 1)."""
-    return "--" if value is None else str(value)
-
-
 @dataclass(frozen=True)
 class Task:
     """One recurrent sporadic task with implicit deadline.

@@ -26,6 +26,10 @@ from .latency import analyze_allocation, busy_period
 from .online import transition_bound_detail
 
 
+class BigMError(ValueError):
+    """A big-M constant does not strictly exceed every attainable latency."""
+
+
 class InfeasibleModeError(ValueError):
     """No utilization-feasible assignment of the mode's MD tasks exists."""
 
@@ -311,7 +315,7 @@ def export_milp(system: ModeSystem, mode_id: str, big_m=None) -> MilpDocument:
     hv = default_big_m(system, mode_id) if big_m is None else as_time(big_m, what="big_m")
     attainable = _max_attainable_latency(system, mode_id)
     if hv <= attainable:
-        raise ValueError(
+        raise BigMError(
             f"big_m {hv} does not strictly dominate attainable latency {attainable}"
         )
 

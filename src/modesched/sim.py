@@ -349,11 +349,19 @@ class _Job:
         self.key = (self.deadline, state.task.id, index)
 
 
+def _copy_slots(obj):
+    twin = object.__new__(type(obj))
+    for name in obj.__slots__:
+        setattr(twin, name, getattr(obj, name))
+    return twin
+
+
 class _Engine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         system = scenario.system
         self.system = system
+        self.processors = system.processors
 
         denominators = [scenario.horizon.denominator]
         for task in system.mi_tasks + system.md_tasks:
@@ -367,21 +375,20 @@ class _Engine:
             denominators.extend(v.denominator for v in offsets)
         self.scale = math.lcm(*denominators)
 
-        def scaled(value: Fraction) -> int:
-            return int(value * self.scale)
-
-        self.horizon = scaled(scenario.horizon)
+        self.horizon = self.scaled(scenario.horizon)
         self.states: dict[str, _TaskState] = {}
         for task in system.mi_tasks + system.md_tasks:
-            offsets = tuple(scaled(v) for v in scenario.release_offsets.get(task.id, ()))
-            self.states[task.id] = _TaskState(task, scaled(task.wcet), scaled(task.period), offsets)
+            offsets = tuple(self.scaled(v) for v in scenario.release_offsets.get(task.id, ()))
+            self.states[task.id] = _TaskState(task, self.scaled(task.wcet), self.scaled(task.period), offsets)
 
+        self.time = 0
         self.heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
-        self.ready: dict[int, list] = {p: [] for p in system.processors}
-        self.running: dict[int, Optional[_Job]] = {p: None for p in system.processors}
+        self.ready: dict[int, list] = {p: [] for p in self.processors}
+        self.running: dict[int, Optional[_Job]] = {p: None for p in self.processors}
         self.incomplete: set[_Job] = set()
         self.old_pending: set[_Job] = set()
+        self.job_misses = 0
 
         self.current_mode = scenario.initial_mode
         self.in_transition = False
@@ -394,6 +401,9 @@ class _Engine:
         self._check_by_task_job: dict[tuple[str, int], dict] = {}
 
     # -- helpers ------------------------------------------------------------
+
+    def scaled(self, value: Fraction) -> int:
+        return int(value * self.scale)
 
     def _push(self, time: int, phase: int, payload: object) -> None:
         self._seq += 1
@@ -417,13 +427,23 @@ class _Engine:
                 task_id=exc.task_id,
             ) from exc
 
+    def check_outcome(self, record: dict) -> Optional[bool]:
+        completion = record["completion"]
+        if completion is not None:
+            return completion <= record["absolute"]
+        if record["absolute"] < self.horizon:
+            return False  # the deadline passed inside the window without a completion
+        return None
+
     # -- protocol actions ---------------------------------------------------
 
-    def enable_mi(self) -> None:
+    def start(self) -> None:
+        """Enable the MI tasks and the initial mode at time 0."""
         for task in self.system.mi_tasks:
             state = self.states[task.id]
             state.releasing = True
             self._schedule_first_release(state, 0)
+        self.enable_mode(self.scenario.initial_mode, 0, from_transition=False)
 
     def enable_mode(self, mode_id: str, time: int, from_transition: bool) -> None:
         allocation = self.allocation_for(mode_id, time)
@@ -440,7 +460,7 @@ class _Engine:
                 record = {
                     "task_id": task.id,
                     "mcr": self.mcr_time,
-                    "absolute": self.mcr_time + int(task.transition_deadline * self.scale),
+                    "absolute": self.mcr_time + self.scaled(task.transition_deadline),
                     "completion": None,
                 }
                 self.checks.append(record)
@@ -513,7 +533,7 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def dispatch(self, time: int) -> None:
-        for p in self.system.processors:
+        for p in self.processors:
             queue = self.ready[p]
             current = self.running[p]
             if not queue:
@@ -529,8 +549,10 @@ class _Engine:
             best.started = True
             self.running[p] = best
 
-    def process_instant(self, time: int) -> None:
-        for p in self.system.processors:
+    def settle(self, time: int) -> None:
+        """Everything of instant ``time`` before dispatch: completions, the
+        transition-end check, then the queued deadline, release and MCR phases."""
+        for p in self.processors:
             job = self.running[p]
             if job is not None and job.remaining == 0:
                 self.running[p] = None
@@ -542,6 +564,7 @@ class _Engine:
                 job = payload
                 if job.remaining > 0 and not job.missed:
                     job.missed = True
+                    self.job_misses += 1
                     self._emit(time, job.processor, "deadline-miss", job.state.task.id, job.index)
             elif phase == _PHASE_RELEASE:
                 state, activation, release_time = payload
@@ -549,39 +572,46 @@ class _Engine:
                     self.do_release(state, release_time)
             else:
                 self.do_mcr(time, payload)
+
+    def process_instant(self, time: int) -> None:
+        self.settle(time)
         self.dispatch(time)
+
+    def elapse(self, time: int) -> None:
+        """Move the clock to ``time``, executing every running job meanwhile."""
+        delta = time - self.time
+        for p in self.processors:
+            job = self.running[p]
+            if job is not None:
+                job.remaining -= delta
+        self.time = time
+
+    def advance(self, limit: int) -> None:
+        """Process every instant after the current one and before ``limit``."""
+        while True:
+            next_time = self.heap[0][0] if self.heap else None
+            for p in self.processors:
+                job = self.running[p]
+                if job is not None:
+                    candidate = self.time + job.remaining
+                    if next_time is None or candidate < next_time:
+                        next_time = candidate
+            if next_time is None or next_time >= limit:
+                return
+            self.elapse(next_time)
+            self.process_instant(next_time)
 
     def execute(self) -> SimTrace:
         if self.horizon > 0:
-            self.enable_mi()
-            self.enable_mode(self.scenario.initial_mode, 0, from_transition=False)
+            self.start()
             for mcr_time, destination in self.scenario.mcr_schedule:
-                self._push(int(mcr_time * self.scale), _PHASE_MCR, destination)
-            time = 0
+                self._push(self.scaled(mcr_time), _PHASE_MCR, destination)
             self.process_instant(0)
-            while True:
-                next_heap = self.heap[0][0] if self.heap else None
-                next_completion = None
-                for p in self.system.processors:
-                    job = self.running[p]
-                    if job is not None:
-                        candidate = time + job.remaining
-                        if next_completion is None or candidate < next_completion:
-                            next_completion = candidate
-                candidates = [t for t in (next_heap, next_completion) if t is not None]
-                if not candidates:
-                    break
-                next_time = min(candidates)
-                if next_time >= self.horizon:
-                    break
-                delta = next_time - time
-                for p in self.system.processors:
-                    job = self.running[p]
-                    if job is not None:
-                        job.remaining -= delta
-                time = next_time
-                self.process_instant(time)
+            self.advance(self.horizon)
+        return self.trace()
 
+    def trace(self) -> SimTrace:
+        """Materialize the integer run as an exact trace."""
         events = tuple(
             SimEvent(
                 time=self._frac(t),
@@ -592,31 +622,88 @@ class _Engine:
             )
             for t, proc, kind, task, job in self.events
         )
-        checks = []
-        for record in self.checks:
-            completion = record["completion"]
-            if completion is not None:
-                ok = completion <= record["absolute"]
-            elif record["absolute"] < self.horizon:
-                ok = False  # the deadline passed inside the window without a completion
-            else:
-                ok = None
-            checks.append(
-                TransitionCheck(
-                    task_id=record["task_id"],
-                    mcr_time=self._frac(record["mcr"]),
-                    absolute_deadline=self._frac(record["absolute"]),
-                    first_completion=None if completion is None else self._frac(completion),
-                    ok=ok,
-                )
+        checks = tuple(
+            TransitionCheck(
+                task_id=record["task_id"],
+                mcr_time=self._frac(record["mcr"]),
+                absolute_deadline=self._frac(record["absolute"]),
+                first_completion=None if record["completion"] is None else self._frac(record["completion"]),
+                ok=self.check_outcome(record),
             )
+            for record in self.checks
+        )
         return SimTrace(
             events=events,
             observed_latencies=tuple(
                 (self._frac(at), self._frac(latency)) for at, latency in self.latencies
             ),
-            transition_checks=tuple(checks),
+            transition_checks=checks,
         )
+
+
+class _SourceRun(_Engine):
+    """The one source-mode simulation of a sweep, without horizon or MCR.
+
+    It stays paused at ``time`` after that instant's deadline and release
+    phases; each grid point forks it there and runs only the suffix.  Neither
+    it nor its forks record events: a sweep reads the integer fields.  What
+    it queues past a fork's horizon is inert, because the fork's loop stops
+    at that horizon, just as a per-point run never queued it.
+    """
+
+    def __init__(self, scenario: Scenario):
+        super().__init__(scenario)
+        self.horizon = math.inf
+        self.start()
+        self.settle(0)
+
+    def _emit(self, time, processor, kind, task, job) -> None:
+        pass
+
+    def reaches(self, time: Fraction) -> bool:
+        scaled = time * self.scale
+        return scaled.denominator == 1 and scaled >= self.time
+
+    def request(self, time: int, destination: str, horizon: int) -> "_SourceRun":
+        """Fork at instant ``time``, request ``destination`` there and run the
+        fork up to ``horizon``; this run moves on to ``time`` if it is not there."""
+        if time > self.time:
+            self.dispatch(self.time)
+            self.advance(time)
+            self.elapse(time)
+            self.settle(time)
+        fork = self._fork()
+        fork.horizon = horizon
+        fork.do_mcr(time, destination)
+        fork.process_instant(time)
+        fork.advance(horizon)
+        return fork
+
+    def _fork(self) -> "_SourceRun":
+        # Everything the suffix can mutate is copied slot by slot.  Completed
+        # jobs never change again and are shared, and a job reads only the
+        # immutable task fields of the state it keeps pointing to.
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        states = {state: _copy_slots(state) for state in self.states.values()}
+        jobs = {job: _copy_slots(job) for job in self.incomplete}
+        twin.states = {task_id: states[state] for task_id, state in self.states.items()}
+        twin.incomplete = set(jobs.values())
+        twin.ready = {p: [(key, jobs[job]) for key, job in queue] for p, queue in self.ready.items()}
+        twin.running = {p: None if job is None else jobs[job] for p, job in self.running.items()}
+        heap = []
+        for time, phase, seq, payload in self.heap:
+            if phase == _PHASE_RELEASE:
+                payload = (states[payload[0]],) + payload[1:]
+            else:
+                payload = jobs.get(payload, payload)
+            heap.append((time, phase, seq, payload))
+        twin.heap = heap
+        twin.old_pending = set()
+        twin.latencies = []
+        twin.checks = []
+        twin._check_by_task_job = {}
+        return twin
 
 
 def run(scenario: Scenario) -> SimTrace:
@@ -630,12 +717,17 @@ def sweep_mcr(
     mode_pair: tuple[str, str],
     mcr_time_grid: Iterable,
 ) -> SweepResult:
-    """Run one scenario per grid point (single MCR source -> destination) and
+    """Request the transition source -> destination once per grid point and
     report the maximum observed transition latency and where it occurred.
 
-    The per-run horizon is derived from the applicable analytical bound, with
-    margin; a transition outlasting it would itself disprove the bound and is
-    reported as an error.
+    Every point's outcome is that of its own scenario, a single MCR from the
+    source mode simulated from time 0 up to a horizon derived from the
+    applicable analytical bound, with margin; a transition outlasting it would
+    itself disprove the bound and is reported as an error.  The source mode
+    is simulated once, in grid order: each point forks that simulation at its
+    request instant and runs only the suffix up to its horizon.  Job deadline
+    misses before the request therefore count at every point, as they would
+    in the point's own scenario.
     """
     source, destination = mode_pair
     if (source, destination) not in system.mode_graph.edges:
@@ -655,24 +747,32 @@ def sweep_mcr(
     points = 0
     job_misses = 0
     transition_misses = 0
+    source_run: Optional[_SourceRun] = None
     for raw_time in mcr_time_grid:
         mcr_time = as_time(raw_time, what="sweep grid point")
-        scenario = make_scenario(
-            system,
-            initial_mode=source,
-            allocation_source=allocation_source,
-            mcrs=[(mcr_time, destination)],
-            horizon=mcr_time + bound + margin,
-            static_tables=tables,
+        horizon = mcr_time + bound + margin
+        if source_run is None or not source_run.reaches(mcr_time):
+            # (re)start from time 0 on the time base of this point's scenario
+            source_run = _SourceRun(
+                Scenario(
+                    system=system,
+                    initial_mode=source,
+                    allocation_source=allocation_source,
+                    mcr_schedule=((mcr_time, destination),),
+                    horizon=horizon,
+                    static_tables=tables,
+                )
+            )
+        fork = source_run.request(
+            source_run.scaled(mcr_time), destination, source_run.scaled(horizon)
         )
-        trace = run(scenario)
-        if not trace.observed_latencies:
+        if not fork.latencies:
             raise SimulationError(
                 f"transition requested at {mcr_time} did not complete within the analytical bound"
             )
-        latency = trace.observed_latencies[0][1]
-        job_misses += trace.job_deadline_misses
-        transition_misses += sum(1 for c in trace.transition_checks if c.ok is False)
+        latency = fork._frac(fork.latencies[0][1])
+        job_misses += fork.job_misses
+        transition_misses += sum(1 for record in fork.checks if fork.check_outcome(record) is False)
         points += 1
         if best is None or latency > best[0]:
             best = (latency, mcr_time)

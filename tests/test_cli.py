@@ -232,3 +232,18 @@ def test_offline_report_marks_infeasible_mode(tmp_path, capsys):
     assert m1["feasible"] is False and m1["unplaceable_task"] == "big"
     # m2 depends on the infeasible predecessor: no entry latency available
     assert m2["entry_latency"] is None and m2["passed"] is False
+
+
+def test_export_milp_small_big_m_exit_2(case_study_file, tmp_path, capsys):
+    code = main(["export-milp", case_study_file, "--mode", "mode1", "--hv", "50", "-o", str(tmp_path / "x.lp")])
+    assert code == 2
+    assert "does not strictly dominate" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_an_input_error(monkeypatch, tmp_path):
+    def broken_sweep(system, spec):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr("modesched.cli.run_sweep", broken_sweep)
+    with pytest.raises(ValueError, match="internal inconsistency"):
+        main(["simulate", str(SAMPLES / "case_study.json"), str(SAMPLES / "case_study_sweep.json")])

@@ -450,3 +450,177 @@ def test_observed_latency_never_exceeds_static_bound_randomized():
             assert sweep.max_latency <= result_bound
             swept += 1
     assert swept >= 8
+
+
+# ---------------------------------------------------------------------------
+# the forked sweep against one scenario per grid point
+# ---------------------------------------------------------------------------
+
+def per_point_sweep(system, allocation_source, mode_pair, mcr_time_grid):
+    """Reference sweep: each grid point is its own scenario, run from t=0."""
+    source, destination = mode_pair
+    if (source, destination) not in system.mode_graph.edges:
+        raise ms.ScenarioError(f"no transition from mode {source!r} to {destination!r}")
+    tables = None
+    if allocation_source == "offline-table":
+        tables = {m: ms.solve_optimal(system, m).best_allocation for m in (source, destination)}
+        bound = ms.analyze_allocation(system, source, tables[source]).platform_bound
+    else:
+        bound = ms.latency_upper_bound(system, source)
+    active = system.mi_tasks + system.md_tasks_of(source) + system.md_tasks_of(destination)
+    margin = max((t.period for t in active), default=Fraction(1)) + 1
+    best = None
+    points = job_misses = transition_misses = 0
+    for raw_time in mcr_time_grid:
+        mcr_time = ms.as_time(raw_time, what="sweep grid point")
+        scenario = ms.make_scenario(
+            system, source, allocation_source, [(mcr_time, destination)],
+            horizon=mcr_time + bound + margin, static_tables=tables,
+        )
+        trace = ms.run(scenario)
+        if not trace.observed_latencies:
+            raise ms.SimulationError(
+                f"transition requested at {mcr_time} did not complete within the analytical bound"
+            )
+        latency = trace.observed_latencies[0][1]
+        job_misses += trace.job_deadline_misses
+        transition_misses += sum(1 for c in trace.transition_checks if c.ok is False)
+        points += 1
+        if best is None or latency > best[0]:
+            best = (latency, mcr_time)
+    if best is None:
+        raise ms.ScenarioError("empty MCR time grid")
+    return ms.SweepResult(best[0], best[1], points, job_misses, transition_misses)
+
+
+def sweep_outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except (ValueError, ms.SimulationError) as exc:
+        return type(exc), str(exc), getattr(exc, "time", None), getattr(exc, "task_id", None)
+
+
+def with_transition_deadlines(rng, base):
+    """``base`` with a transition deadline, often a tight one, on most MD tasks."""
+    tasks = [
+        {"id": t.id, "kind": "MI", "wcet": str(t.wcet), "period": str(t.period),
+         "processor": t.home_processor}
+        for t in base.mi_tasks
+    ]
+    for t in base.md_tasks:
+        raw = {"id": t.id, "kind": "MD", "wcet": str(t.wcet), "period": str(t.period)}
+        if rng.random() < 0.7:
+            raw["transition_deadline"] = str(t.period + rng.randint(0, 12))
+        tasks.append(raw)
+    return ms.build_system(
+        {
+            "processors": base.processor_count,
+            "tasks": tasks,
+            "modes": [{"id": m, "md_tasks": list(base.mode(m).md_tasks)} for m in base.mode_ids()],
+            "transitions": [["alpha", "beta"], ["beta", "alpha"]],
+        }
+    )
+
+
+def saturated_handover(rng):
+    """One or two processors whose MI load plus either mode's MD load is close
+    to 1, so the jobs of the two modes overlap into job deadline misses."""
+    processors = rng.randint(1, 2)
+    tasks = []
+    modes = {"alpha": [], "beta": []}
+    for p in range(1, processors + 1):
+        period = rng.choice((15, 20, 24, 30))
+        wcet = rng.randint(period // 4, period // 2)
+        tasks.append({"id": f"mi{p}", "kind": "MI", "wcet": wcet, "period": period, "processor": p})
+        for mode_id, ids in modes.items():
+            room = 1 - Fraction(wcet, period)
+            for _ in range(rng.randint(1, 2)):
+                md_period = rng.choice((4, 5, 6, 8, 10, 12))
+                top = int(room * md_period)
+                if top < 1:
+                    continue
+                md_wcet = rng.randint(max(1, top - 1), top)
+                room -= Fraction(md_wcet, md_period)
+                ids.append(f"{mode_id}{len(ids)}")
+                task = {"id": ids[-1], "kind": "MD", "wcet": md_wcet, "period": md_period}
+                if rng.random() < 0.5:
+                    task["transition_deadline"] = md_period + rng.randint(0, 12)
+                tasks.append(task)
+    return ms.build_system(
+        {
+            "processors": processors,
+            "tasks": tasks,
+            "modes": [{"id": m, "md_tasks": ids} for m, ids in modes.items()],
+            "transitions": [["alpha", "beta"], ["beta", "alpha"]],
+        }
+    )
+
+
+def test_forked_sweep_matches_per_point_runs_randomized():
+    rng = random.Random(4242)
+    steps = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3))
+    errors = job_missing = transition_missing = 0
+    for case in range(160):
+        if case % 4 == 3:
+            system = saturated_handover(rng)
+        else:
+            base = random_system(rng, max_tasks=7, md_heavy=case % 2 == 0, ff_mi=case % 3 == 0)
+            system = with_transition_deadlines(rng, base)
+        mode_pair = rng.choice((("alpha", "beta"), ("beta", "alpha")))
+        allocation_source = rng.choice(("offline-table", "online-ffd"))
+        step = steps[case % len(steps)]
+        grid = [k * step for k in range(rng.randint(1, 14))]
+        if case % 3 == 1:  # out of order, with repeated points
+            grid += rng.choices(grid, k=rng.randint(1, 4))
+            rng.shuffle(grid)
+        args = (system, allocation_source, mode_pair, grid)
+        expected = sweep_outcome(per_point_sweep, *args)
+        assert sweep_outcome(ms.sweep_mcr, *args) == expected, (case, grid)
+        if isinstance(expected, tuple):
+            errors += 1
+        else:
+            job_missing += expected.job_misses > 0
+            transition_missing += expected.transition_misses > 0
+    # the draws reach every kind of outcome
+    assert errors >= 20 and job_missing >= 5 and transition_missing >= 10, (
+        errors, job_missing, transition_missing,
+    )
+
+
+def test_forked_sweep_edge_cases(case_study):
+    for sweep in (ms.sweep_mcr, per_point_sweep):
+        with pytest.raises(ms.ScenarioError, match="empty MCR time grid"):
+            sweep(case_study, "offline-table", ("mode1", "mode2"), [])
+    quiet = ms.build_system(
+        {
+            "processors": 2,
+            "tasks": [
+                {"id": "a", "kind": "MI", "wcet": 2, "period": 5, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 3, "period": 4, "transition_deadline": 4},
+                {"id": "y", "kind": "MD", "wcet": 3, "period": 6, "transition_deadline": 9},
+            ],
+            "modes": [{"id": "quiet", "md_tasks": []}, {"id": "busy", "md_tasks": ["x", "y"]}],
+            "transitions": [["quiet", "busy"]],
+        }
+    )
+    grid = [Fraction(k, 3) for k in (5, 0, 5, 14, 2, 2)]
+    for allocation_source in ("offline-table", "online-ffd"):
+        args = (quiet, allocation_source, ("quiet", "busy"), grid)
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+    storm = ms.build_system(
+        {
+            "processors": 2,
+            "tasks": [
+                {"id": "mi1", "kind": "MI", "wcet": 3, "period": 10, "processor": 1},
+                {"id": "mi2", "kind": "MI", "wcet": 2, "period": 12, "processor": 2},
+                {"id": "md1", "kind": "MD", "wcet": 10, "period": 10},
+            ],
+            "modes": [{"id": "calm", "md_tasks": []}, {"id": "storm", "md_tasks": ["md1"]}],
+            "transitions": [["calm", "storm"]],
+        }
+    )
+    # a failed destination placement is reported for the first grid point
+    args = (storm, "online-ffd", ("calm", "storm"), [7, 3, 3])
+    outcome = sweep_outcome(ms.sweep_mcr, *args)
+    assert outcome == sweep_outcome(per_point_sweep, *args)
+    assert outcome[0] is ms.SimulationError and outcome[2] == 7
