@@ -15,11 +15,14 @@ from .model import (
     Mode,
     ModeGraph,
     ModeSystem,
+    ModeVerdict,
+    SchemeVerdict,
     SystemValidationError,
     Task,
     UtilizationSummary,
     as_time,
     build_system,
+    certify_modes,
     check_transition_deadline,
     load_system,
     parse_system,
@@ -43,12 +46,14 @@ from .offline import (
     export_milp,
     incumbent_values,
     solve_optimal,
+    validate_offline_scheme,
 )
 from .online import (
     FeasibilityVerdict,
     KnapsackResult,
-    OnlineValidation,
+    OnlineEvidence,
     PlacementError,
+    ProcessorBound,
     first_fit_decreasing,
     latency_upper_bound,
     lopez_test,

@@ -7,8 +7,12 @@ Commands:
     export-milp     <system.json> --mode <id> [--hv <value>] -o <file.lp>
 
 Exit codes: 0 analysis passed, 1 analysis failed (deadline, feasibility or
-simulated deadline miss), 2 input or scenario error.  Any other exception is
-a bug in modesched and propagates with its traceback.
+simulated deadline miss), 2 input or scenario error, 3 internal error.  Any
+exception other than an input or scenario error is a bug in modesched: its
+traceback goes to stderr and the exit code is 3.
+
+The analyses themselves live in the library (``validate_offline_scheme``,
+``validate_online_scheme``); this module only serializes their verdicts.
 
 Reports are deterministic: identical input files produce byte-identical
 output, with every number carried both as an exact fraction string and as a
@@ -20,20 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .model import (
-    ModeSystem,
-    SystemValidationError,
-    check_transition_deadline,
-    load_system,
-    utilization_summary,
-    worst_predecessor_latency,
-)
-from .latency import analyze_allocation
-from .offline import BigMError, InfeasibleModeError, export_milp, solve_optimal
-from .online import lopez_test, transition_bound_detail
+from .model import ModeSystem, ModeVerdict, SchemeVerdict, SystemValidationError, load_system
+from .offline import BigMError, InfeasibleModeError, export_milp, validate_offline_scheme
+from .online import validate_online_scheme
 from .sim import (
     ScenarioError,
     SimulationError,
@@ -46,6 +43,7 @@ from .sim import (
 PASS = 0
 FAIL = 1
 INPUT_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _num(value: Optional[Fraction]):
@@ -62,118 +60,87 @@ def _fmt(value: Optional[Fraction]) -> str:
     return f"{value} (~{float(value):.6g})"
 
 
-def _deadline_check_rows(system: ModeSystem, mode_id: str, entry_latency: Fraction) -> list[dict]:
-    rows = []
-    for task in system.md_tasks_of(mode_id):
-        verdict = check_transition_deadline(task, entry_latency)
-        rows.append(
-            {
-                "task": task.id,
-                "period": _num(task.period),
-                "transition_deadline": _num(task.transition_deadline),
-                "latency": _num(entry_latency),
-                "checked": verdict.checked,
-                "passed": verdict.passed,
-                "slack": _num(verdict.slack),
-            }
-        )
-    return rows
+def _mode_section(system: ModeSystem, verdict: ModeVerdict, detail: dict) -> dict:
+    """A mode's report section: utilization, the scheme's ``detail``, then the verdicts.
 
-
-def _mode_header(system: ModeSystem, mode_id: str) -> dict:
-    summary = utilization_summary(system, mode_id)
-    return {
-        "mode": mode_id,
+    A mode without a bound (an infeasible offline mode) reports no latency
+    or deadline checks.
+    """
+    summary = verdict.utilization
+    section = {
+        "mode": verdict.mode_id,
         "u_sum": _num(summary.u_sum),
         "u_max": _num(summary.u_max),
         "per_processor_mi": [_num(u) for u in summary.per_processor_mi],
+        **detail,
+    }
+    if verdict.bound is not None:
+        section["platform_bound"] = _num(verdict.bound)
+        section["entry_latency"] = _num(verdict.entry_latency)
+        section["deadline_checks"] = [
+            {
+                "task": check.task_id,
+                "period": _num(system.task(check.task_id).period),
+                "transition_deadline": _num(system.task(check.task_id).transition_deadline),
+                "latency": _num(check.latency),
+                "checked": check.checked,
+                "passed": check.passed,
+                "slack": _num(check.slack),
+            }
+            for check in verdict.deadline_checks
+        ]
+    section["passed"] = verdict.passed
+    return section
+
+
+def _report(
+    analysis: str, system: ModeSystem, verdict: SchemeVerdict, detail: Callable[[ModeVerdict], dict]
+) -> dict:
+    return {
+        "analysis": analysis,
+        "processors": system.processor_count,
+        "modes": [_mode_section(system, mode, detail(mode)) for mode in verdict.modes],
+        "passed": verdict.passed,
     }
 
 
-def build_offline_report(system: ModeSystem) -> dict:
-    """Per-mode optimal allocations, latency bounds and deadline verdicts."""
-    latency_by_mode: dict[str, Optional[Fraction]] = {}
-    solutions = {}
-    unplaceable = {}
-    for mode_id in system.mode_ids():
-        try:
-            result = solve_optimal(system, mode_id)
-            solutions[mode_id] = result
-            latency_by_mode[mode_id] = result.optimal_latency
-        except InfeasibleModeError as exc:
-            unplaceable[mode_id] = exc.task_id
-            latency_by_mode[mode_id] = None
-
-    modes = []
-    for mode_id in system.mode_ids():
-        section = _mode_header(system, mode_id)
-        if mode_id in unplaceable:
-            section["feasible"] = False
-            section["unplaceable_task"] = unplaceable[mode_id]
-            section["passed"] = False
-            modes.append(section)
-            continue
-        result = solutions[mode_id]
-        report = analyze_allocation(system, mode_id, result.best_allocation)
-        section["feasible"] = True
-        section["allocation"] = {
-            tid: result.best_allocation.assignment[tid]
-            for tid in sorted(result.best_allocation.assignment)
-        }
-        section["explored_nodes"] = result.explored_nodes
-        section["per_processor"] = [
+def _offline_detail(verdict: ModeVerdict) -> dict:
+    if not verdict.feasible:
+        return {"feasible": False, "unplaceable_task": verdict.evidence.task_id}
+    result = verdict.evidence
+    assignment = result.best_allocation.assignment
+    return {
+        "feasible": True,
+        "allocation": {tid: assignment[tid] for tid in sorted(assignment)},
+        "explored_nodes": result.explored_nodes,
+        "per_processor": [
             {
                 "processor": row.processor,
                 "max_period_bound": _num(row.period_bound),
                 "busy_period_bound": _num(row.busy_bound),
                 "effective": _num(row.effective),
             }
-            for row in report.per_processor
-        ]
-        section["platform_bound"] = _num(report.platform_bound)
-
-        predecessors = system.mode_graph.predecessors(mode_id)
-        if any(latency_by_mode[p] is None for p in predecessors):
-            section["entry_latency"] = None
-            section["deadline_checks"] = []
-            section["passed"] = False
-        else:
-            entry = worst_predecessor_latency(system, mode_id, latency_by_mode)
-            section["entry_latency"] = _num(entry)
-            section["deadline_checks"] = _deadline_check_rows(system, mode_id, entry)
-            section["passed"] = all(c["passed"] for c in section["deadline_checks"])
-        modes.append(section)
-
-    return {
-        "analysis": "offline",
-        "processors": system.processor_count,
-        "modes": modes,
-        "passed": all(m["passed"] for m in modes),
+            for row in result.latency_report.per_processor
+        ],
     }
 
 
-def build_online_report(system: ModeSystem) -> dict:
-    """Per-mode First-Fit certification: feasibility test, worst-case latency
-    bound (valid for any runtime placement) and deadline verdicts."""
-    bounds: dict[str, Fraction] = {}
-    details = {}
-    for mode_id in system.mode_ids():
-        detail = transition_bound_detail(system, mode_id)
-        details[mode_id] = detail
-        bounds[mode_id] = max((row.latency for row in detail), default=Fraction(0))
+def build_offline_report(system: ModeSystem) -> dict:
+    """Per-mode optimal allocations, latency bounds and deadline verdicts."""
+    return _report("offline", system, validate_offline_scheme(system), _offline_detail)
 
-    modes = []
-    for mode_id in system.mode_ids():
-        section = _mode_header(system, mode_id)
-        verdict = lopez_test(system, mode_id)
-        section["lopez"] = {
-            "beta": verdict.beta,
-            "bound": _num(verdict.bound),
-            "u_sum": _num(verdict.u_sum),
-            "feasible": verdict.feasible,
-            "margin": _num(verdict.margin),
-        }
-        section["per_processor"] = [
+
+def _online_detail(verdict: ModeVerdict) -> dict:
+    lopez = verdict.evidence.feasibility
+    return {
+        "lopez": {
+            "beta": lopez.beta,
+            "bound": _num(lopez.bound),
+            "u_sum": _num(lopez.u_sum),
+            "feasible": lopez.feasible,
+            "margin": _num(lopez.margin),
+        },
+        "per_processor": [
             {
                 "processor": row.processor,
                 "capacity": _num(row.selection.capacity),
@@ -181,21 +148,15 @@ def build_online_report(system: ModeSystem) -> dict:
                 "packed_wcet": _num(row.selection.packed_wcet),
                 "latency": _num(row.latency),
             }
-            for row in details[mode_id]
-        ]
-        section["platform_bound"] = _num(bounds[mode_id])
-        entry = worst_predecessor_latency(system, mode_id, bounds)
-        section["entry_latency"] = _num(entry)
-        section["deadline_checks"] = _deadline_check_rows(system, mode_id, entry)
-        section["passed"] = verdict.feasible and all(c["passed"] for c in section["deadline_checks"])
-        modes.append(section)
-
-    return {
-        "analysis": "online",
-        "processors": system.processor_count,
-        "modes": modes,
-        "passed": all(m["passed"] for m in modes),
+            for row in verdict.evidence.per_processor
+        ],
     }
+
+
+def build_online_report(system: ModeSystem) -> dict:
+    """Per-mode First-Fit certification: feasibility test, worst-case latency
+    bound (valid for any runtime placement) and deadline verdicts."""
+    return _report("online", system, validate_online_scheme(system), _online_detail)
 
 
 def _render_exact(entry) -> str:
@@ -361,6 +322,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 MI = "MI"
 MD = "MD"
@@ -235,6 +235,35 @@ class DeadlineVerdict:
     checked: bool
 
 
+@dataclass(frozen=True)
+class ModeVerdict:
+    """One mode's outcome under an allocation scheme.
+
+    ``bound`` is the scheme's transition-latency bound out of the mode (None
+    when the mode is infeasible), ``feasible`` whether the scheme can run the
+    mode on its own, and ``evidence`` the scheme's record of both.
+    ``entry_latency`` is the worst bound over the predecessor modes; it is
+    None, with no deadline checks, when some predecessor is infeasible.
+    """
+
+    mode_id: str
+    utilization: UtilizationSummary
+    bound: Optional[Fraction]
+    feasible: bool
+    evidence: Any
+    entry_latency: Optional[Fraction]
+    deadline_checks: tuple[DeadlineVerdict, ...]
+    passed: bool
+
+
+@dataclass(frozen=True)
+class SchemeVerdict:
+    """Per-mode verdicts of one allocation scheme; it passes when every mode does."""
+
+    modes: tuple[ModeVerdict, ...]
+    passed: bool
+
+
 def _parse_task(raw: Mapping, index: int) -> Task:
     if not isinstance(raw, Mapping):
         raise SystemValidationError(f"tasks[{index}]: expected an object")
@@ -417,6 +446,40 @@ def worst_predecessor_latency(
             raise ValueError(f"no latency provided for predecessor mode {pred!r}")
         worst = max(worst, as_time(latency_by_mode[pred], what=f"latency of mode {pred}"))
     return worst
+
+
+def certify_modes(
+    system: ModeSystem, analyze: Callable[[str], tuple[Optional[Fraction], bool, Any]]
+) -> SchemeVerdict:
+    """Certify every mode under the synchronous transition protocol.
+
+    ``analyze(mode_id)`` returns the scheme's latency bound for transitions
+    out of the mode (None when the mode is infeasible), whether the mode is
+    feasible on its own, and the scheme's evidence.  A mode passes when it is
+    feasible, all its predecessors are, and every MD task meets
+    ``entry latency + period <= transition deadline``.
+    """
+    analyzed = {mode_id: analyze(mode_id) for mode_id in system.mode_ids()}
+    bounds = {mode_id: bound for mode_id, (bound, _, _) in analyzed.items()}
+    verdicts = []
+    for mode_id, (bound, feasible, evidence) in analyzed.items():
+        entry, checks = None, ()
+        if all(bounds[pred] is not None for pred in system.mode_graph.predecessors(mode_id)):
+            entry = worst_predecessor_latency(system, mode_id, bounds)
+            checks = tuple(check_transition_deadline(t, entry) for t in system.md_tasks_of(mode_id))
+        verdicts.append(
+            ModeVerdict(
+                mode_id=mode_id,
+                utilization=utilization_summary(system, mode_id),
+                bound=bound,
+                feasible=feasible,
+                evidence=evidence,
+                entry_latency=entry,
+                deadline_checks=checks,
+                passed=feasible and entry is not None and all(c.passed for c in checks),
+            )
+        )
+    return SchemeVerdict(modes=tuple(verdicts), passed=all(v.passed for v in verdicts))
 
 
 def validate_allocation(system: ModeSystem, allocation: Allocation) -> None:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .model import Allocation, ModeSystem, as_time
-from .latency import analyze_allocation, busy_period
+from .model import Allocation, ModeSystem, SchemeVerdict, as_time, certify_modes
+from .latency import LatencyReport, analyze_allocation, busy_period
 from .online import transition_bound_detail
 
 
@@ -43,13 +43,18 @@ class InfeasibleModeError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of the exact allocation search for one mode."""
+    """Outcome of the exact allocation search for one mode, with the latency
+    bounds of the optimal allocation."""
 
     mode_id: str
     best_allocation: Allocation
-    optimal_latency: Fraction
+    latency_report: LatencyReport
     explored_nodes: int
     proof_of_optimality: bool
+
+    @property
+    def optimal_latency(self) -> Fraction:
+        return self.latency_report.platform_bound
 
 
 class _SearchState:
@@ -105,11 +110,10 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     md_tasks = system.md_tasks_of(mode_id)
     if not md_tasks:
         allocation = Allocation(mode_id=mode_id, assignment={})
-        report = analyze_allocation(system, mode_id, allocation)
         return OptimizationResult(
             mode_id=mode_id,
             best_allocation=allocation,
-            optimal_latency=report.platform_bound,
+            latency_report=analyze_allocation(system, mode_id, allocation),
             explored_nodes=1,
             proof_of_optimality=True,
         )
@@ -189,14 +193,31 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
             raise AssertionError("optimal value was proven attainable")
 
     allocation = Allocation(mode_id=mode_id, assignment=assignment)
-    report = analyze_allocation(system, mode_id, allocation)
     return OptimizationResult(
         mode_id=mode_id,
         best_allocation=allocation,
-        optimal_latency=report.platform_bound,
+        latency_report=analyze_allocation(system, mode_id, allocation),
         explored_nodes=explored,
         proof_of_optimality=True,
     )
+
+
+def validate_offline_scheme(system: ModeSystem) -> SchemeVerdict:
+    """Certify every mode under its optimal static allocation.
+
+    A mode's bound is its optimal platform latency and its evidence the
+    ``OptimizationResult``; a mode with no feasible allocation has no bound,
+    and its evidence is the ``InfeasibleModeError`` naming the stuck task.
+    """
+
+    def analyze(mode_id: str):
+        try:
+            result = solve_optimal(system, mode_id)
+        except InfeasibleModeError as exc:
+            return None, False, exc
+        return result.optimal_latency, True, result
+
+    return certify_modes(system, analyze)
 
 
 # --------------------------------------------------------------------------

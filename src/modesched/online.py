@@ -24,12 +24,11 @@ from typing import Iterable, Sequence
 
 from .model import (
     Allocation,
-    DeadlineVerdict,
     ModeSystem,
+    SchemeVerdict,
     Task,
-    check_transition_deadline,
+    certify_modes,
     utilization_summary,
-    worst_predecessor_latency,
 )
 from .latency import busy_period
 
@@ -85,20 +84,12 @@ class ProcessorBound:
 
 
 @dataclass(frozen=True)
-class ModeOnlineVerdict:
-    """Per-mode outcome of the whole online certification."""
+class OnlineEvidence:
+    """Why a mode's online verdict holds: the utilization feasibility test and
+    the per-processor worst-case packings behind its latency bound."""
 
-    mode_id: str
     feasibility: FeasibilityVerdict
-    entry_latency: Fraction
-    deadline_checks: tuple[DeadlineVerdict, ...]
-    passed: bool
-
-
-@dataclass(frozen=True)
-class OnlineValidation:
-    modes: tuple[ModeOnlineVerdict, ...]
-    passed: bool
+    per_processor: tuple[ProcessorBound, ...]
 
 
 def lopez_test(system: ModeSystem, mode_id: str) -> FeasibilityVerdict:
@@ -237,26 +228,18 @@ def latency_upper_bound(system: ModeSystem, mode_id: str) -> Fraction:
     return max((row.latency for row in detail), default=Fraction(0))
 
 
-def validate_online_scheme(system: ModeSystem) -> OnlineValidation:
+def validate_online_scheme(system: ModeSystem) -> SchemeVerdict:
     """Certify every mode: utilization feasibility plus all transition deadlines.
 
-    Each mode's entry latency is the worst latency bound over its predecessor
-    modes; every MD task of the mode is checked against it.
+    A mode's bound is ``latency_upper_bound`` and its evidence an
+    ``OnlineEvidence``; the bound holds for any runtime placement, so every
+    mode has one, and a mode failing the feasibility test fails on its own.
     """
-    bounds = {mode_id: latency_upper_bound(system, mode_id) for mode_id in system.mode_ids()}
-    verdicts = []
-    for mode_id in system.mode_ids():
+
+    def analyze(mode_id: str):
+        detail = transition_bound_detail(system, mode_id)
         feasibility = lopez_test(system, mode_id)
-        entry = worst_predecessor_latency(system, mode_id, bounds)
-        checks = tuple(check_transition_deadline(t, entry) for t in system.md_tasks_of(mode_id))
-        passed = feasibility.feasible and all(c.passed for c in checks)
-        verdicts.append(
-            ModeOnlineVerdict(
-                mode_id=mode_id,
-                feasibility=feasibility,
-                entry_latency=entry,
-                deadline_checks=checks,
-                passed=passed,
-            )
-        )
-    return OnlineValidation(modes=tuple(verdicts), passed=all(v.passed for v in verdicts))
+        bound = max((row.latency for row in detail), default=Fraction(0))
+        return bound, feasibility.feasible, OnlineEvidence(feasibility, detail)
+
+    return certify_modes(system, analyze)

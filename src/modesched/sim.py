@@ -35,7 +35,6 @@ from .model import (
     as_time,
     validate_allocation,
 )
-from .latency import analyze_allocation
 from .offline import InfeasibleModeError, solve_optimal
 from .online import first_fit_decreasing, latency_upper_bound, PlacementError
 
@@ -735,9 +734,9 @@ def sweep_mcr(
 
     tables = None
     if allocation_source == OFFLINE_TABLE:
-        tables = {mode_id: solve_optimal(system, mode_id).best_allocation
-                  for mode_id in (source, destination)}
-        bound = analyze_allocation(system, source, tables[source]).platform_bound
+        results = {mode_id: solve_optimal(system, mode_id) for mode_id in (source, destination)}
+        tables = {mode_id: result.best_allocation for mode_id, result in results.items()}
+        bound = results[source].optimal_latency
     else:
         bound = latency_upper_bound(system, source)
     active = system.mi_tasks + system.md_tasks_of(source) + system.md_tasks_of(destination)

@@ -33,7 +33,7 @@ CASE_STUDY = {
 }
 
 
-def case_study_raw(deadline_tau10=150):
+def case_study_raw(deadline_tau10=150, wcet_tau10=50):
     raw = {
         "processors": 2,
         "tasks": [dict(t) for t in CASE_STUDY["tasks"]],
@@ -43,7 +43,24 @@ def case_study_raw(deadline_tau10=150):
     for task in raw["tasks"]:
         if task["id"] == "tau10":
             task["transition_deadline"] = deadline_tau10
+            task["wcet"] = wcet_tau10
     return raw
+
+
+def infeasible_mode_raw():
+    """Two modes on two half-loaded processors: m1's task "big" fits nowhere,
+    so m1 is infeasible and m2, entered only from m1, has no entry latency."""
+    return {
+        "processors": 2,
+        "tasks": [
+            {"id": "a", "kind": "MI", "wcet": 3, "period": 5, "processor": 1},
+            {"id": "b", "kind": "MI", "wcet": 3, "period": 5, "processor": 2},
+            {"id": "big", "kind": "MD", "wcet": 1, "period": 2},
+            {"id": "ok", "kind": "MD", "wcet": 1, "period": 10},
+        ],
+        "modes": [{"id": "m1", "md_tasks": ["big"]}, {"id": "m2", "md_tasks": ["ok"]}],
+        "transitions": [["m1", "m2"], ["m2", "m1"]],
+    }
 
 
 @pytest.fixture(scope="session")

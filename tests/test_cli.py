@@ -5,7 +5,7 @@ import pytest
 
 import modesched as ms
 from modesched.cli import main
-from conftest import SAMPLES, case_study_raw
+from conftest import SAMPLES, case_study_raw, infeasible_mode_raw
 
 
 def write_json(path, payload):
@@ -210,18 +210,7 @@ def test_input_errors_exit_2(tmp_path, capsys):
 
 
 def test_offline_report_marks_infeasible_mode(tmp_path, capsys):
-    raw = {
-        "processors": 2,
-        "tasks": [
-            {"id": "a", "kind": "MI", "wcet": 3, "period": 5, "processor": 1},
-            {"id": "b", "kind": "MI", "wcet": 3, "period": 5, "processor": 2},
-            {"id": "big", "kind": "MD", "wcet": 1, "period": 2},
-            {"id": "ok", "kind": "MD", "wcet": 1, "period": 10},
-        ],
-        "modes": [{"id": "m1", "md_tasks": ["big"]}, {"id": "m2", "md_tasks": ["ok"]}],
-        "transitions": [["m1", "m2"], ["m2", "m1"]],
-    }
-    system_file = write_json(tmp_path / "s.json", raw)
+    system_file = write_json(tmp_path / "s.json", infeasible_mode_raw())
     report_path = tmp_path / "r.json"
     code = main(["analyze-offline", system_file, "--report", str(report_path)])
     out = capsys.readouterr().out
@@ -240,10 +229,12 @@ def test_export_milp_small_big_m_exit_2(case_study_file, tmp_path, capsys):
     assert "does not strictly dominate" in capsys.readouterr().err
 
 
-def test_internal_error_is_not_an_input_error(monkeypatch, tmp_path):
+def test_internal_error_is_not_an_input_error(monkeypatch, tmp_path, capsys):
     def broken_sweep(system, spec):
         raise ValueError("internal inconsistency")
 
     monkeypatch.setattr("modesched.cli.run_sweep", broken_sweep)
-    with pytest.raises(ValueError, match="internal inconsistency"):
-        main(["simulate", str(SAMPLES / "case_study.json"), str(SAMPLES / "case_study_sweep.json")])
+    code = main(["simulate", str(SAMPLES / "case_study.json"), str(SAMPLES / "case_study_sweep.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal inconsistency" in err

@@ -17,41 +17,18 @@ from pathlib import Path
 import pytest
 
 from modesched.cli import main
-from conftest import SAMPLES, case_study_raw
+from conftest import SAMPLES, case_study_raw, infeasible_mode_raw
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = ("analyze-offline", "analyze-online")
 
 
-def _tau10_wcet90():
-    # mode2's utilization exceeds the First-Fit guarantee bound
-    raw = case_study_raw()
-    for task in raw["tasks"]:
-        if task["id"] == "tau10":
-            task["wcet"] = 90
-    return raw
-
-
-def _infeasible_mode():
-    # task "big" fits on no processor, so m2's only predecessor is infeasible
-    return {
-        "processors": 2,
-        "tasks": [
-            {"id": "a", "kind": "MI", "wcet": 3, "period": 5, "processor": 1},
-            {"id": "b", "kind": "MI", "wcet": 3, "period": 5, "processor": 2},
-            {"id": "big", "kind": "MD", "wcet": 1, "period": 2},
-            {"id": "ok", "kind": "MD", "wcet": 1, "period": 10},
-        ],
-        "modes": [{"id": "m1", "md_tasks": ["big"]}, {"id": "m2", "md_tasks": ["ok"]}],
-        "transitions": [["m1", "m2"], ["m2", "m1"]],
-    }
-
-
 CASES = {
     "case_study": None,
     "deadline_tau10_149": lambda: case_study_raw(deadline_tau10=149),
-    "infeasible_mode": _infeasible_mode,
-    "tau10_wcet90": _tau10_wcet90,
+    "infeasible_mode": infeasible_mode_raw,
+    # mode2's utilization exceeds the First-Fit guarantee bound
+    "tau10_wcet90": lambda: case_study_raw(wcet_tau10=90),
 }
 
 

@@ -235,3 +235,36 @@ def test_tasks_are_immutable(case_study):
     task = case_study.task("tau5")
     with pytest.raises(AttributeError):
         task.wcet = Fraction(1)
+
+
+def test_certify_modes_entry_latency_and_pass_flags(case_study):
+    bounds = {"mode1": Fraction(30), "mode2": None}
+
+    def analyze(mode_id):
+        return bounds[mode_id], bounds[mode_id] is not None, f"evidence of {mode_id}"
+
+    verdict = ms.certify_modes(case_study, analyze)
+    mode1, mode2 = verdict.modes
+    assert [m.evidence for m in verdict.modes] == ["evidence of mode1", "evidence of mode2"]
+    # mode1 is entered only from the infeasible mode2: no entry latency, no checks
+    assert mode1.feasible and mode1.entry_latency is None and mode1.deadline_checks == ()
+    assert not mode1.passed
+    # mode2 is entered from mode1 at latency 30: tau10 meets 30 + 100 <= 150
+    assert mode2.entry_latency == 30 and mode2.deadline_checks[0].slack == 20
+    assert not mode2.feasible and not mode2.passed and not verdict.passed
+    assert mode2.utilization == ms.utilization_summary(case_study, "mode2")
+
+
+def test_certify_modes_source_mode_entered_at_zero():
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [{"id": "x", "kind": "MD", "wcet": 1, "period": 5, "transition_deadline": 5}],
+            "modes": [{"id": "m", "md_tasks": ["x"]}],
+            "transitions": [],
+        }
+    )
+    verdict = ms.certify_modes(system, lambda mode_id: (Fraction(7), True, None))
+    (mode,) = verdict.modes
+    assert mode.bound == 7 and mode.entry_latency == 0 and mode.deadline_checks[0].slack == 0
+    assert mode.passed and verdict.passed

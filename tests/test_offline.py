@@ -6,7 +6,7 @@ import pytest
 
 import modesched as ms
 from modesched.offline import default_big_m, incumbent_values
-from conftest import brute_force_optimal, parse_lp_rows, random_system
+from conftest import brute_force_optimal, infeasible_mode_raw, parse_lp_rows, random_system
 
 
 def test_solve_mode1_optimum(case_study):
@@ -78,6 +78,37 @@ def test_infeasible_mode_names_task():
         ms.solve_optimal(ms.build_system(raw), "m")
     assert excinfo.value.task_id == "lone"
     assert excinfo.value.mode_id == "m"
+
+
+def test_validate_offline_scheme_case_study(case_study):
+    verdict = ms.validate_offline_scheme(case_study)
+    assert verdict.passed
+    mode1, mode2 = verdict.modes
+    assert (mode1.bound, mode2.bound) == (40, 85)
+    assert (mode1.entry_latency, mode2.entry_latency) == (85, 40)
+    assert mode1.utilization == ms.utilization_summary(case_study, "mode1")
+    (tau10,) = mode2.deadline_checks
+    assert tau10.task_id == "tau10" and tau10.passed and tau10.slack == 10
+    for mode in verdict.modes:
+        result = mode.evidence
+        assert isinstance(result, ms.OptimizationResult) and mode.feasible
+        # the search's own latency report is the one for its allocation
+        assert result.latency_report == ms.analyze_allocation(case_study, mode.mode_id, result.best_allocation)
+        assert result.optimal_latency == result.latency_report.platform_bound == mode.bound
+
+
+def test_validate_offline_scheme_infeasible_mode():
+    system = ms.build_system(infeasible_mode_raw())
+    verdict = ms.validate_offline_scheme(system)
+    assert not verdict.passed
+    m1, m2 = verdict.modes
+    assert m1.bound is None and not m1.feasible and not m1.passed
+    assert isinstance(m1.evidence, ms.InfeasibleModeError) and m1.evidence.task_id == "big"
+    # m1's only predecessor (m2) is feasible, so m1 still gets an entry latency
+    assert m1.entry_latency == m2.bound == 4
+    # m2 is feasible on its own, but its only predecessor is not
+    assert m2.feasible and m2.entry_latency is None and m2.deadline_checks == ()
+    assert m2.passed is False
 
 
 def test_lexicographic_tie_break():

@@ -314,3 +314,19 @@ def test_validate_online_scheme_single_mode():
     validation = ms.validate_online_scheme(system)
     assert validation.passed
     assert validation.modes[0].entry_latency == 0
+
+
+def test_validate_online_scheme_evidence(case_study):
+    for mode in ms.validate_online_scheme(case_study).modes:
+        assert mode.bound == ms.latency_upper_bound(case_study, mode.mode_id)
+        assert mode.evidence.per_processor == ms.transition_bound_detail(case_study, mode.mode_id)
+        assert mode.evidence.feasibility == ms.lopez_test(case_study, mode.mode_id)
+        assert mode.feasible and mode.utilization == ms.utilization_summary(case_study, mode.mode_id)
+
+
+def test_validate_online_scheme_infeasible_mode_keeps_its_bound():
+    validation = ms.validate_online_scheme(ms.build_system(case_study_raw(wcet_tau10=90)))
+    mode1, mode2 = validation.modes
+    # mode2 fails the utilization test; its bound still holds, so mode1 is checked against it
+    assert not mode2.feasible and not mode2.passed and mode2.evidence.feasibility.margin < 0
+    assert mode1.entry_latency == mode2.bound and mode1.deadline_checks
