@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     MD,
@@ -69,11 +69,11 @@ def max_period_bound(md_tasks: Iterable[Task]) -> Optional[Fraction]:
 def busy_period(md_wcet_sum, mi_tasks: Iterable[Task]) -> Optional[Fraction]:
     """Least fixed point of ``L = z + sum_j ceil(L / T_j) * C_j`` over the MI tasks.
 
-    ``z`` is the summed execution demand of the MD jobs to drain.  Iteration
-    starts at ``L = z`` and, because all values are exact rationals, terminates
-    on exact equality.  Returns 0 for ``z = 0`` (nothing to drain) and None
-    when the recurrence diverges, which happens exactly when the MI tasks
-    alone saturate the processor (utilization >= 1) and ``z > 0``.
+    ``z`` is the summed execution demand of the MD jobs to drain.  Returns 0
+    for ``z = 0`` (nothing to drain) and None when the recurrence diverges,
+    which happens exactly when the MI tasks alone saturate the processor
+    (utilization >= 1) and ``z > 0``.  The iteration runs on integers: every
+    time is scaled by the lcm of the denominators, so the result is exact.
     """
     z = as_time(md_wcet_sum, what="md_wcet_sum")
     tasks = list(mi_tasks)
@@ -84,9 +84,29 @@ def busy_period(md_wcet_sum, mi_tasks: Iterable[Task]) -> Optional[Fraction]:
         return Fraction(0)
     if sum((t.utilization for t in tasks), Fraction(0)) >= 1:
         return None
+    scale = math.lcm(z.denominator, *(v.denominator for t in tasks for v in (t.wcet, t.period)))
+    value = _scaled_busy_period(
+        _scaled(z, scale), [(_scaled(t.wcet, scale), _scaled(t.period, scale)) for t in tasks]
+    )
+    return Fraction(value, scale)
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an int; ``scale`` is a multiple of the denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _scaled_busy_period(z: int, mi: Sequence[tuple[int, int]]) -> int:
+    """``busy_period`` on an integer time base: ``mi`` holds (wcet, period) pairs.
+
+    Iteration starts at ``L = z`` and ends on exact equality; the caller
+    guarantees convergence (MI utilization below 1, or ``z = 0``).
+    """
     current = z
     while True:
-        nxt = z + sum((math.ceil(current / t.period) * t.wcet for t in tasks), Fraction(0))
+        nxt = z
+        for wcet, period in mi:
+            nxt += -(-current // period) * wcet
         if nxt == current:
             return current
         current = nxt

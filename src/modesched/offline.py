@@ -6,7 +6,11 @@ each node is bounded from below by the platform latency of the tasks placed so
 far (the per-processor bounds only grow as more tasks are added, so that value
 never overestimates a completion).  The search proves optimality; among
 equally optimal allocations the assignment vector that is lexicographically
-smallest in task-id order is returned, so results are reproducible.
+smallest in task-id order is returned, so results are reproducible.  The
+search runs on an integer time base: times are scaled by the lcm of their
+denominators and utilizations by the lcm of the scaled periods, so every
+utilization test, demand sum and busy-period iteration is exact integer
+arithmetic with no epsilon, and rationals are built only for the result.
 
 ``export_milp`` emits the same optimization as a mixed-integer linear program
 in CPLEX LP text format, for independent verification with any external
@@ -22,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .model import Allocation, ModeSystem, SchemeVerdict, as_time, certify_modes
-from .latency import LatencyReport, analyze_allocation, busy_period
+from .latency import LatencyReport, _scaled, _scaled_busy_period, analyze_allocation
 from .online import transition_bound_detail
 
 
@@ -58,46 +62,72 @@ class OptimizationResult:
 
 
 class _SearchState:
-    """Mutable per-processor accumulators shared by the two search phases."""
+    """Per-processor accumulators of the search, on an exact integer time base.
 
-    def __init__(self, system: ModeSystem):
-        self.system = system
+    Every time (wcet, period, demand, busy period) is scaled by ``scale``, the
+    lcm of the wcet and period denominators of the MI tasks and the mode's MD
+    tasks, and every utilization by ``capacity``, the lcm of the scaled
+    periods, so a full processor holds ``capacity``.  Scaling by a positive
+    constant keeps every comparison, so the search takes the same branches it
+    would take on the rationals.
+    """
+
+    def __init__(self, system: ModeSystem, md_tasks):
+        tasks = system.mi_tasks + tuple(md_tasks)
+        self.scale = math.lcm(*(v.denominator for t in tasks for v in (t.wcet, t.period)))
+        self.capacity = math.lcm(*(self.time(t.period) for t in tasks))
         self.processors = list(system.processors)
-        self.mi_sets = {p: system.mi_on(p) for p in self.processors}
-        self.util = {p: system.mi_utilization(p) for p in self.processors}
-        self.demand = {p: Fraction(0) for p in self.processors}
-        self.max_period = {p: Fraction(0) for p in self.processors}
-        self.effective = {p: Fraction(0) for p in self.processors}
-        self.signature = {
-            p: tuple(sorted((t.wcet, t.period) for t in self.mi_sets[p])) for p in self.processors
+        self.mi_sets = {
+            p: tuple((self.time(t.wcet), self.time(t.period)) for t in system.mi_on(p))
+            for p in self.processors
         }
-        self._busy_cache: dict[tuple[int, Fraction], Fraction] = {}
+        self.util = {
+            p: sum(wcet * (self.capacity // period) for wcet, period in self.mi_sets[p])
+            for p in self.processors
+        }
+        self.demand = dict.fromkeys(self.processors, 0)
+        self.max_period = dict.fromkeys(self.processors, 0)
+        self.effective = dict.fromkeys(self.processors, 0)
+        self.signature = {p: tuple(sorted(self.mi_sets[p])) for p in self.processors}
+        self._busy_cache: dict[tuple[int, int], int] = {}
 
-    def busy(self, processor: int, demand: Fraction) -> Fraction:
+    def time(self, value: Fraction) -> int:
+        return _scaled(value, self.scale)
+
+    def item(self, task) -> tuple[int, int, int]:
+        """The task's scaled (utilization, wcet, period)."""
+        wcet, period = self.time(task.wcet), self.time(task.period)
+        return wcet * (self.capacity // period), wcet, period
+
+    def fits(self, item: tuple[int, int, int], processor: int) -> bool:
+        return self.util[processor] + item[0] <= self.capacity
+
+    def busy(self, processor: int, demand: int) -> int:
         key = (processor, demand)
         value = self._busy_cache.get(key)
         if value is None:
-            value = busy_period(demand, self.mi_sets[processor])
             # utilization feasibility guarantees convergence whenever demand > 0
+            value = _scaled_busy_period(demand, self.mi_sets[processor])
             self._busy_cache[key] = value
         return value
 
-    def place(self, task, processor: int) -> tuple[Fraction, Fraction]:
+    def place(self, item: tuple[int, int, int], processor: int) -> tuple[int, int]:
+        utilization, wcet, period = item
         saved = (self.max_period[processor], self.effective[processor])
-        self.util[processor] += task.utilization
-        self.demand[processor] += task.wcet
-        self.max_period[processor] = max(self.max_period[processor], task.period)
+        self.util[processor] += utilization
+        self.demand[processor] += wcet
+        self.max_period[processor] = max(self.max_period[processor], period)
         self.effective[processor] = min(
             self.max_period[processor], self.busy(processor, self.demand[processor])
         )
         return saved
 
-    def unplace(self, task, processor: int, saved: tuple[Fraction, Fraction]) -> None:
-        self.util[processor] -= task.utilization
-        self.demand[processor] -= task.wcet
+    def unplace(self, item: tuple[int, int, int], processor: int, saved: tuple[int, int]) -> None:
+        self.util[processor] -= item[0]
+        self.demand[processor] -= item[1]
         self.max_period[processor], self.effective[processor] = saved
 
-    def bound(self) -> Fraction:
+    def bound(self) -> int:
         return max(self.effective.values())
 
 
@@ -119,34 +149,36 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
         )
 
     order = sorted(md_tasks, key=lambda t: (-t.utilization, t.id))
-    state = _SearchState(system)
+    state = _SearchState(system, md_tasks)
+    items = {t.id: state.item(t) for t in md_tasks}
+    order_items = [items[t.id] for t in order]
     explored = 0
-    best: Optional[Fraction] = None
+    best: Optional[int] = None
     deepest = 0
 
     def search(index: int) -> None:
         nonlocal explored, best, deepest
         deepest = max(deepest, index)
-        if index == len(order):
+        if index == len(order_items):
             value = state.bound()
             if best is None or value < best:
                 best = value
             return
-        task = order[index]
+        item = order_items[index]
         tried_empty_signatures = set()
         for p in state.processors:
-            if state.util[p] + task.utilization > 1:
+            if not state.fits(item, p):
                 continue
             if state.demand[p] == 0:
                 # identical-MI processors with no MD yet are interchangeable
                 if state.signature[p] in tried_empty_signatures:
                     continue
                 tried_empty_signatures.add(state.signature[p])
-            saved = state.place(task, p)
+            saved = state.place(item, p)
             explored += 1
             if best is None or state.bound() < best:
                 search(index + 1)
-            state.unplace(task, p, saved)
+            state.unplace(item, p, saved)
 
     search(0)
     if best is None:
@@ -154,10 +186,9 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
 
     # Reconstruct the lexicographically smallest witness in task-id order:
     # fix each task on the lowest processor index from which the optimum is
-    # still reachable.
+    # still reachable.  The search left ``state`` empty again, and its busy
+    # periods stay cached.
     limit = best
-    id_order = sorted(md_tasks, key=lambda t: t.id)
-    state = _SearchState(system)
 
     def completable(remaining: list) -> bool:
         nonlocal explored
@@ -165,30 +196,32 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
             return False
         if not remaining:
             return True
-        task = remaining[0]
+        item = remaining[0]
         for p in state.processors:
-            if state.util[p] + task.utilization > 1:
+            if not state.fits(item, p):
                 continue
-            saved = state.place(task, p)
+            saved = state.place(item, p)
             explored += 1
             ok = state.bound() <= limit and completable(remaining[1:])
-            state.unplace(task, p, saved)
+            state.unplace(item, p, saved)
             if ok:
                 return True
         return False
 
     assignment: dict[str, int] = {}
-    for i, task in enumerate(id_order):
-        rest = sorted(id_order[i + 1:], key=lambda t: (-t.utilization, t.id))
+    for task in sorted(md_tasks, key=lambda t: t.id):
+        # the tasks after this one in id order, in branching order
+        rest = [items[t.id] for t in order if t.id > task.id]
+        item = items[task.id]
         for p in state.processors:
-            if state.util[p] + task.utilization > 1:
+            if not state.fits(item, p):
                 continue
-            saved = state.place(task, p)
+            saved = state.place(item, p)
             explored += 1
             if state.bound() <= limit and completable(rest):
                 assignment[task.id] = p
                 break
-            state.unplace(task, p, saved)
+            state.unplace(item, p, saved)
         else:
             raise AssertionError("optimal value was proven attainable")
 

@@ -129,6 +129,24 @@ def busy_period_oracle(z, mi_tasks, upper):
     return None
 
 
+def fraction_busy_period(z, mi_tasks):
+    """``busy_period`` iterated on rationals: the reference for its integer core.
+
+    0 for z = 0, None when the MI utilization is at least 1, otherwise the
+    fixed point reached from L = z.
+    """
+    if z == 0:
+        return Fraction(0)
+    if sum((t.utilization for t in mi_tasks), Fraction(0)) >= 1:
+        return None
+    current = z
+    while True:
+        nxt = z + sum((math.ceil(current / t.period) * t.wcet for t in mi_tasks), Fraction(0))
+        if nxt == current:
+            return current
+        current = nxt
+
+
 def execution_intervals(trace, processor=None, task=None, job=None):
     """(begin, end) execution intervals reconstructed from start/resume/preempt/complete events."""
     intervals = []

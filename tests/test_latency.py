@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modesched as ms
-from conftest import busy_period_oracle
+from conftest import busy_period_oracle, fraction_busy_period
 
 
 def mi(tid, wcet, period, processor=1):
@@ -79,6 +79,36 @@ def test_busy_period_is_least_fixed_point():
             (math.ceil(value / t.period) * t.wcet for t in tasks), Fraction(0)
         )
         assert busy_period_oracle(demand, tasks, value) == value
+
+
+def test_busy_period_matches_rational_recurrence():
+    # times are multiples of 1/3, 7/2, 1/10 and 2/7, so the integer time base
+    # of one call mixes denominators
+    units = (Fraction(1, 3), Fraction(7, 2), Fraction("0.1"), Fraction(2, 7))
+    rng = random.Random(20261018)
+    outcomes = {"zero": 0, "diverges": 0, "converges": 0}
+    for _ in range(300):
+        tasks = []
+        for i in range(rng.randint(0, 3)):
+            period = rng.choice(units) * rng.randint(2, 30)
+            tasks.append(mi(f"i{i}", min(period, rng.choice(units) * rng.randint(1, 12)), period))
+        demand = rng.choice(units) * rng.randint(0, 20)
+        expected = fraction_busy_period(demand, tasks)
+        value = ms.busy_period(demand, tasks)
+        if expected is None:
+            assert value is None
+            outcomes["diverges"] += 1
+        else:
+            assert value == expected
+            outcomes["zero" if demand == 0 else "converges"] += 1
+    assert min(outcomes.values()) >= 10
+    # MI utilization exactly 1 over denominators 3 and 7: 1/3 + 2/3
+    saturated = (mi("a", Fraction(1, 3), 1), mi("b", Fraction(4, 7), Fraction(6, 7)))
+    assert ms.busy_period(Fraction(2, 7), saturated) is None
+    assert ms.busy_period(Fraction(0), saturated) == 0
+    # one part in 126 below 1 converges to the rational fixed point
+    below = (mi("a", Fraction(1, 3), 1), mi("b", Fraction(83, 147), Fraction(6, 7)))
+    assert ms.busy_period(Fraction(2, 7), below) == fraction_busy_period(Fraction(2, 7), below)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,13 @@ import pytest
 
 import modesched as ms
 from modesched.offline import default_big_m, incumbent_values
-from conftest import brute_force_optimal, infeasible_mode_raw, parse_lp_rows, random_system
+from conftest import (
+    brute_force_optimal,
+    fraction_busy_period,
+    infeasible_mode_raw,
+    parse_lp_rows,
+    random_system,
+)
 
 
 def test_solve_mode1_optimum(case_study):
@@ -169,6 +176,244 @@ def test_random_systems_match_brute_force():
                 assert result.optimal_latency == expected
                 solved += 1
     assert solved > 30
+
+
+# ---------------------------------------------------------------------------
+# integer time base: equivalence with the search on rationals
+# ---------------------------------------------------------------------------
+
+class _FractionSearchState:
+    """The search's per-processor accumulators on rationals (reference)."""
+
+    def __init__(self, system):
+        self.processors = list(system.processors)
+        self.mi_sets = {p: system.mi_on(p) for p in self.processors}
+        self.util = {p: system.mi_utilization(p) for p in self.processors}
+        self.demand = {p: Fraction(0) for p in self.processors}
+        self.max_period = {p: Fraction(0) for p in self.processors}
+        self.effective = {p: Fraction(0) for p in self.processors}
+        self.signature = {
+            p: tuple(sorted((t.wcet, t.period) for t in self.mi_sets[p])) for p in self.processors
+        }
+        self._busy_cache = {}
+
+    def busy(self, processor, demand):
+        key = (processor, demand)
+        if key not in self._busy_cache:
+            self._busy_cache[key] = fraction_busy_period(demand, self.mi_sets[processor])
+        return self._busy_cache[key]
+
+    def place(self, task, processor):
+        saved = (self.max_period[processor], self.effective[processor])
+        self.util[processor] += task.utilization
+        self.demand[processor] += task.wcet
+        self.max_period[processor] = max(self.max_period[processor], task.period)
+        self.effective[processor] = min(
+            self.max_period[processor], self.busy(processor, self.demand[processor])
+        )
+        return saved
+
+    def unplace(self, task, processor, saved):
+        self.util[processor] -= task.utilization
+        self.demand[processor] -= task.wcet
+        self.max_period[processor], self.effective[processor] = saved
+
+    def bound(self):
+        return max(self.effective.values())
+
+
+def fraction_solve_optimal(system, mode_id):
+    """Reference search on rationals: (optimum, witness, explored nodes).
+
+    Same branching order, symmetry rule, pruning and witness phase as
+    ``solve_optimal``, with a fresh state for the witness phase; raises
+    ``InfeasibleModeError`` naming the task the search got stuck on.
+    """
+    md_tasks = system.md_tasks_of(mode_id)
+    if not md_tasks:
+        return Fraction(0), {}, 1
+    order = sorted(md_tasks, key=lambda t: (-t.utilization, t.id))
+    state = _FractionSearchState(system)
+    explored = 0
+    best = None
+    deepest = 0
+
+    def search(index):
+        nonlocal explored, best, deepest
+        deepest = max(deepest, index)
+        if index == len(order):
+            value = state.bound()
+            if best is None or value < best:
+                best = value
+            return
+        task = order[index]
+        tried_empty_signatures = set()
+        for p in state.processors:
+            if state.util[p] + task.utilization > 1:
+                continue
+            if state.demand[p] == 0:
+                if state.signature[p] in tried_empty_signatures:
+                    continue
+                tried_empty_signatures.add(state.signature[p])
+            saved = state.place(task, p)
+            explored += 1
+            if best is None or state.bound() < best:
+                search(index + 1)
+            state.unplace(task, p, saved)
+
+    search(0)
+    if best is None:
+        raise ms.InfeasibleModeError(mode_id, order[deepest].id)
+
+    limit = best
+    id_order = sorted(md_tasks, key=lambda t: t.id)
+    state = _FractionSearchState(system)
+
+    def completable(remaining):
+        nonlocal explored
+        if state.bound() > limit:
+            return False
+        if not remaining:
+            return True
+        task = remaining[0]
+        for p in state.processors:
+            if state.util[p] + task.utilization > 1:
+                continue
+            saved = state.place(task, p)
+            explored += 1
+            ok = state.bound() <= limit and completable(remaining[1:])
+            state.unplace(task, p, saved)
+            if ok:
+                return True
+        return False
+
+    assignment = {}
+    for i, task in enumerate(id_order):
+        rest = sorted(id_order[i + 1:], key=lambda t: (-t.utilization, t.id))
+        for p in state.processors:
+            if state.util[p] + task.utilization > 1:
+                continue
+            saved = state.place(task, p)
+            explored += 1
+            if state.bound() <= limit and completable(rest):
+                assignment[task.id] = p
+                break
+            state.unplace(task, p, saved)
+    return best, assignment, explored
+
+
+# time units with denominators 3, 2, 10 and 7, so a system mixes all four
+MIXED_UNITS = (Fraction(1, 3), Fraction(7, 2), Fraction("0.1"), Fraction(2, 7))
+
+
+def _time_text(value):
+    """Input text of a time: a one-digit decimal such as "3.5" where one is exact, else "p/q"."""
+    if (value * 10).denominator == 1 and value.denominator != 1:
+        tenths = int(value * 10)
+        return f"{tenths // 10}.{tenths % 10}"
+    return str(value)
+
+
+def mixed_denominator_system(rng):
+    """A random two-mode system whose times are multiples of the MIXED_UNITS."""
+
+    def draw(share):
+        period = rng.choice(MIXED_UNITS) * rng.randint(5, 40)
+        unit = rng.choice(MIXED_UNITS)
+        top = math.floor(period * share / unit)
+        if top < 1:
+            return None
+        return unit * rng.randint(1, top), period
+
+    processors = rng.randint(1, 3)
+    tasks = []
+    for p in range(1, processors + 1):
+        spare = Fraction(1)
+        for k in range(rng.randint(0, 2)):
+            drawn = draw(min(spare, Fraction(1, 2)))
+            if drawn is None:
+                continue
+            wcet, period = drawn
+            spare -= wcet / period
+            tasks.append(
+                {"id": f"mi{p}_{k}", "kind": "MI", "wcet": _time_text(wcet),
+                 "period": _time_text(period), "processor": p}
+            )
+    modes = []
+    for mode in ("alpha", "beta"):
+        share = rng.choice((Fraction(1, 8), Fraction(1, 3), Fraction(2, 3)))
+        ids = []
+        for i in range(rng.randint(1, 5)):
+            drawn = draw(share)
+            if drawn is None:
+                continue
+            wcet, period = drawn
+            ids.append(f"{mode}{i}")
+            tasks.append(
+                {"id": ids[-1], "kind": "MD", "wcet": _time_text(wcet), "period": _time_text(period)}
+            )
+        modes.append({"id": mode, "md_tasks": ids})
+    return ms.build_system(
+        {
+            "processors": processors,
+            "tasks": tasks,
+            "modes": modes,
+            "transitions": [["alpha", "beta"], ["beta", "alpha"]],
+        }
+    )
+
+
+def test_integer_search_matches_fraction_search():
+    rng = random.Random(20261018)
+    feasible = infeasible = 0
+    denominators = set()
+    for _ in range(150):
+        system = mixed_denominator_system(rng)
+        denominators.update(
+            v.denominator for t in system.mi_tasks + system.md_tasks for v in (t.wcet, t.period)
+        )
+        for mode_id in system.mode_ids():
+            try:
+                optimum, witness, explored = fraction_solve_optimal(system, mode_id)
+            except ms.InfeasibleModeError as expected:
+                with pytest.raises(ms.InfeasibleModeError) as excinfo:
+                    ms.solve_optimal(system, mode_id)
+                assert excinfo.value.task_id == expected.task_id
+                infeasible += 1
+                continue
+            result = ms.solve_optimal(system, mode_id)
+            assert result.optimal_latency == optimum
+            assert result.best_allocation.assignment == witness
+            assert result.explored_nodes == explored
+            feasible += 1
+    assert feasible > 150 and infeasible > 20
+    assert {2, 3, 7, 10} <= denominators
+
+
+@pytest.mark.parametrize("wcet, feasible", [("4/7", True), ("85/147", False)])
+def test_utilization_bound_is_exact(wcet, feasible):
+    # MI utilization 1/3; the MD task adds 2/3 (sum exactly 1, so it fits) or
+    # 85/126 (sum 127/126, one part in 126 above 1, so it does not)
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "i", "kind": "MI", "wcet": "1/3", "period": 1, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": wcet, "period": "6/7"},
+            ],
+            "modes": [{"id": "m", "md_tasks": ["x"]}],
+            "transitions": [],
+        }
+    )
+    if feasible:
+        result = ms.solve_optimal(system, "m")
+        assert result.best_allocation.assignment == {"x": 1}
+        # busy period 4/7 + 1/3 = 19/21 against the period 6/7 = 18/21
+        assert result.optimal_latency == Fraction(6, 7)
+    else:
+        with pytest.raises(ms.InfeasibleModeError) as excinfo:
+            ms.solve_optimal(system, "m")
+        assert excinfo.value.task_id == "x"
 
 
 # ---------------------------------------------------------------------------
