@@ -112,7 +112,6 @@ def _offline_detail(verdict: ModeVerdict) -> dict:
     return {
         "feasible": True,
         "allocation": {tid: assignment[tid] for tid in sorted(assignment)},
-        "explored_nodes": result.explored_nodes,
         "per_processor": [
             {
                 "processor": row.processor,
