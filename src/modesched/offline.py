@@ -1,16 +1,20 @@
 """Latency-optimal static allocation of a mode's MD tasks, plus MILP export.
 
-``solve_optimal`` performs an exact branch-and-bound search over task-to-
-processor assignments: tasks are branched in decreasing-utilization order, and
-each node is bounded from below by the platform latency of the tasks placed so
-far (the per-processor bounds only grow as more tasks are added, so that value
-never overestimates a completion).  The search proves optimality; among
-equally optimal allocations the assignment vector that is lexicographically
-smallest in task-id order is returned, so results are reproducible.  The
-search runs on an integer time base: times are scaled by the lcm of their
-denominators and utilizations by the lcm of the scaled periods, so every
-utilization test, demand sum and busy-period iteration is exact integer
-arithmetic with no epsilon, and rationals are built only for the result.
+``solve_optimal`` finds the exact optimum with one decision oracle: a
+depth-first search that places the MD tasks in decreasing-utilization order
+and answers whether some allocation keeps every processor's utilization at
+most 1 and, given a limit, every processor's latency bound at most that
+limit.  The optimum comes by descent: the bound of a utilization-feasible
+allocation, then the bound of an allocation below it, until none exists.  The
+witness is the assignment vector that is lexicographically smallest in
+task-id order among the optimal ones, so results are reproducible.  When no
+utilization-feasible allocation exists, the mode is reported stuck on the
+first task in branching order that cannot be placed together with the tasks
+before it.  The oracle runs on an integer time base: times are scaled by the
+lcm of their denominators and utilizations by the lcm of the scaled periods,
+so every utilization test, demand sum and busy-period iteration is exact
+integer arithmetic with no epsilon, and rationals are built only for the
+result.
 
 ``export_milp`` emits the same optimization as a mixed-integer linear program
 in CPLEX LP text format, for independent verification with any external
@@ -48,7 +52,8 @@ class InfeasibleModeError(ValueError):
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of the exact allocation search for one mode, with the latency
-    bounds of the optimal allocation."""
+    bounds of the optimal allocation.  ``explored_nodes`` counts the
+    placements the allocation oracle tried over all of its calls."""
 
     mode_id: str
     best_allocation: Allocation
@@ -62,14 +67,14 @@ class OptimizationResult:
 
 
 class _SearchState:
-    """Per-processor accumulators of the search, on an exact integer time base.
+    """The allocation oracle of one mode, on an exact integer time base.
 
     Every time (wcet, period, demand, busy period) is scaled by ``scale``, the
     lcm of the wcet and period denominators of the MI tasks and the mode's MD
     tasks, and every utilization by ``capacity``, the lcm of the scaled
     periods, so a full processor holds ``capacity``.  Scaling by a positive
-    constant keeps every comparison, so the search takes the same branches it
-    would take on the rationals.
+    constant keeps every comparison, so the oracle decides exactly what it
+    would decide on the rationals.
     """
 
     def __init__(self, system: ModeSystem, md_tasks):
@@ -85,11 +90,10 @@ class _SearchState:
             p: sum(wcet * (self.capacity // period) for wcet, period in self.mi_sets[p])
             for p in self.processors
         }
-        self.demand = dict.fromkeys(self.processors, 0)
-        self.max_period = dict.fromkeys(self.processors, 0)
-        self.effective = dict.fromkeys(self.processors, 0)
         self.signature = {p: tuple(sorted(self.mi_sets[p])) for p in self.processors}
         self._busy_cache: dict[tuple[int, int], int] = {}
+        self.explored = 0
+        self.deepest = 0
 
     def time(self, value: Fraction) -> int:
         return _scaled(value, self.scale)
@@ -98,9 +102,6 @@ class _SearchState:
         """The task's scaled (utilization, wcet, period)."""
         wcet, period = self.time(task.wcet), self.time(task.period)
         return wcet * (self.capacity // period), wcet, period
-
-    def fits(self, item: tuple[int, int, int], processor: int) -> bool:
-        return self.util[processor] + item[0] <= self.capacity
 
     def busy(self, processor: int, demand: int) -> int:
         key = (processor, demand)
@@ -111,31 +112,82 @@ class _SearchState:
             self._busy_cache[key] = value
         return value
 
-    def place(self, item: tuple[int, int, int], processor: int) -> tuple[int, int]:
-        utilization, wcet, period = item
-        saved = (self.max_period[processor], self.effective[processor])
-        self.util[processor] += utilization
-        self.demand[processor] += wcet
-        self.max_period[processor] = max(self.max_period[processor], period)
-        self.effective[processor] = min(
-            self.max_period[processor], self.busy(processor, self.demand[processor])
-        )
-        return saved
+    def bound(self, items, placement) -> int:
+        """Platform latency bound of the items placed on the given processors."""
+        demand: dict[int, int] = {}
+        longest: dict[int, int] = {}
+        for (_, wcet, period), p in zip(items, placement):
+            demand[p] = demand.get(p, 0) + wcet
+            longest[p] = max(longest.get(p, 0), period)
+        return max(min(longest[p], self.busy(p, demand[p])) for p in demand)
 
-    def unplace(self, item: tuple[int, int, int], processor: int, saved: tuple[int, int]) -> None:
-        self.util[processor] -= item[0]
-        self.demand[processor] -= item[1]
-        self.max_period[processor], self.effective[processor] = saved
+    def allocate(self, fixed, rest, limit: Optional[int]) -> Optional[tuple[int, ...]]:
+        """Processors for the items of ``fixed`` (each pinned to its processor)
+        and then of ``rest``, or None when no such placement exists.
 
-    def bound(self) -> int:
-        return max(self.effective.values())
+        A processor admits an item when its utilization still fits and, for a
+        finite ``limit``, its latency bound stays at most ``limit``: either
+        every MD period on it is at most ``limit``, or the busy period of its
+        summed MD demand is.  Both only grow as items are added, so a refused
+        item stays refused in every completion.  Processors in the same state
+        (MI tasks, utilization, demand, and whether they hold a period above
+        ``limit``) are interchangeable, so only the first of them is tried.
+        ``deepest`` is left at the most items any branch placed.
+        """
+        steps = [(item, (p,)) for item, p in fixed] + [(item, self.processors) for item in rest]
+        util = dict(self.util)
+        demand = dict.fromkeys(self.processors, 0)
+        long = dict.fromkeys(self.processors, False)
+        placement: list[int] = []
+        self.deepest = 0
+
+        def place(index: int) -> bool:
+            self.deepest = max(self.deepest, index)
+            if index == len(steps):
+                return True
+            (utilization, wcet, period), candidates = steps[index]
+            tried = set()
+            for p in candidates:
+                if util[p] + utilization > self.capacity:
+                    continue
+                now_long = long[p] or (limit is not None and period > limit)
+                if now_long and self.busy(p, demand[p] + wcet) > limit:
+                    continue
+                state = (self.signature[p], util[p], demand[p], long[p])
+                if state in tried:
+                    continue
+                tried.add(state)
+                self.explored += 1
+                was_long = long[p]
+                util[p] += utilization
+                demand[p] += wcet
+                long[p] = now_long
+                placement.append(p)
+                if place(index + 1):
+                    return True
+                placement.pop()
+                util[p] -= utilization
+                demand[p] -= wcet
+                long[p] = was_long
+            return False
+
+        return tuple(placement) if place(0) else None
 
 
 def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     """Allocation of the mode's MD tasks minimizing the platform latency bound.
 
-    Raises InfeasibleModeError when some MD task fits on no processor in any
-    completion, naming the first task at which the search got stuck.
+    The optimum comes by descent on the allocation oracle: the bound of a
+    utilization-feasible allocation, then the bound of one below it, until no
+    allocation below the current bound exists.  The witness is the
+    lexicographically smallest optimal assignment in task-id order: each task
+    in id order is fixed on the lowest processor from which an allocation
+    within the optimum still exists.
+
+    Raises InfeasibleModeError when no utilization-feasible allocation
+    exists, naming the stuck task: the first task, in decreasing-utilization
+    order (ties by id), such that the tasks before it and it cannot all be
+    placed.
     """
     md_tasks = system.md_tasks_of(mode_id)
     if not md_tasks:
@@ -144,7 +196,7 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
             mode_id=mode_id,
             best_allocation=allocation,
             latency_report=analyze_allocation(system, mode_id, allocation),
-            explored_nodes=1,
+            explored_nodes=0,
             proof_of_optimality=True,
         )
 
@@ -152,85 +204,31 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     state = _SearchState(system, md_tasks)
     items = {t.id: state.item(t) for t in md_tasks}
     order_items = [items[t.id] for t in order]
-    explored = 0
-    best: Optional[int] = None
-    deepest = 0
 
-    def search(index: int) -> None:
-        nonlocal explored, best, deepest
-        deepest = max(deepest, index)
-        if index == len(order_items):
-            value = state.bound()
-            if best is None or value < best:
-                best = value
-            return
-        item = order_items[index]
-        tried_empty_signatures = set()
-        for p in state.processors:
-            if not state.fits(item, p):
-                continue
-            if state.demand[p] == 0:
-                # identical-MI processors with no MD yet are interchangeable
-                if state.signature[p] in tried_empty_signatures:
-                    continue
-                tried_empty_signatures.add(state.signature[p])
-            saved = state.place(item, p)
-            explored += 1
-            if best is None or state.bound() < best:
-                search(index + 1)
-            state.unplace(item, p, saved)
-
-    search(0)
-    if best is None:
-        raise InfeasibleModeError(mode_id, order[deepest].id)
-
-    # Reconstruct the lexicographically smallest witness in task-id order:
-    # fix each task on the lowest processor index from which the optimum is
-    # still reachable.  The search left ``state`` empty again, and its busy
-    # periods stay cached.
-    limit = best
-
-    def completable(remaining: list) -> bool:
-        nonlocal explored
-        if state.bound() > limit:
-            return False
-        if not remaining:
-            return True
-        item = remaining[0]
-        for p in state.processors:
-            if not state.fits(item, p):
-                continue
-            saved = state.place(item, p)
-            explored += 1
-            ok = state.bound() <= limit and completable(remaining[1:])
-            state.unplace(item, p, saved)
-            if ok:
-                return True
-        return False
+    found = state.allocate([], order_items, None)
+    if found is None:
+        raise InfeasibleModeError(mode_id, order[state.deepest].id)
+    while found is not None:
+        best = state.bound(order_items, found)
+        found = state.allocate([], order_items, best - 1)
 
     assignment: dict[str, int] = {}
+    fixed: list[tuple[tuple[int, int, int], int]] = []
     for task in sorted(md_tasks, key=lambda t: t.id):
         # the tasks after this one in id order, in branching order
         rest = [items[t.id] for t in order if t.id > task.id]
         item = items[task.id]
-        for p in state.processors:
-            if not state.fits(item, p):
-                continue
-            saved = state.place(item, p)
-            explored += 1
-            if state.bound() <= limit and completable(rest):
-                assignment[task.id] = p
-                break
-            state.unplace(item, p, saved)
-        else:
-            raise AssertionError("optimal value was proven attainable")
+        assignment[task.id] = next(
+            p for p in state.processors if state.allocate(fixed + [(item, p)], rest, best) is not None
+        )
+        fixed.append((item, assignment[task.id]))
 
     allocation = Allocation(mode_id=mode_id, assignment=assignment)
     return OptimizationResult(
         mode_id=mode_id,
         best_allocation=allocation,
         latency_report=analyze_allocation(system, mode_id, allocation),
-        explored_nodes=explored,
+        explored_nodes=state.explored,
         proof_of_optimality=True,
     )
 

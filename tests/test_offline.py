@@ -159,9 +159,85 @@ def test_symmetry_of_identical_processors():
     assert first.optimal_latency == second.optimal_latency
 
 
+def _utilization_feasible(system, tasks, combo):
+    load = {p: system.mi_utilization(p) for p in system.processors}
+    for task, p in zip(tasks, combo):
+        load[p] += task.utilization
+    return all(value <= 1 for value in load.values())
+
+
+def brute_force_witness(system, mode_id):
+    """First optimal assignment in ``itertools.product`` order over the
+    id-ordered tasks, which is the lexicographically smallest one."""
+    md = sorted(system.md_tasks_of(mode_id), key=lambda t: t.id)
+    optimum = brute_force_optimal(system, mode_id)
+    for combo in itertools.product(system.processors, repeat=len(md)):
+        if not _utilization_feasible(system, md, combo):
+            continue
+        allocation = ms.Allocation(mode_id=mode_id, assignment={t.id: p for t, p in zip(md, combo)})
+        if ms.analyze_allocation(system, mode_id, allocation).platform_bound == optimum:
+            return allocation.assignment
+    raise AssertionError("the optimum is attained by some assignment")
+
+
+def brute_force_stuck_task(system, mode_id):
+    """``order[k]`` for the longest prefix ``order[:k]`` of the (-utilization,
+    id) order that some assignment places within every processor's utilization."""
+    order = sorted(system.md_tasks_of(mode_id), key=lambda t: (-t.utilization, t.id))
+    k = max(
+        k
+        for k in range(len(order))
+        if any(
+            _utilization_feasible(system, order[:k], combo)
+            for combo in itertools.product(system.processors, repeat=k)
+        )
+    )
+    return order[k].id
+
+
+def _two_processor_system(md, mi=()):
+    tasks = [
+        {"id": f"i{p}", "kind": "MI", "wcet": wcet, "period": period, "processor": p}
+        for p, (wcet, period) in enumerate(mi, start=1)
+    ]
+    tasks += [{"id": f"t{i}", "kind": "MD", "wcet": w, "period": t} for i, (w, t) in enumerate(md)]
+    return ms.build_system(
+        {
+            "processors": 2,
+            "tasks": tasks,
+            "modes": [{"id": "m", "md_tasks": [f"t{i}" for i in range(len(md))]}],
+            "transitions": [],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "system, optimum",
+    [
+        # two processors reach equal utilization with different MD demand
+        (_two_processor_system([(3, 8), (6, 16), (1, 4), (1, 3), (1, 2)]), 7),
+        # ... and equal MD demand with different utilization
+        (_two_processor_system([(1, 3), (5, 16), (1, 4), (2, 8), (1, 2), (1, 3)]), 7),
+        # equal utilization and demand, but only one holds a period above the limit
+        (
+            _two_processor_system(
+                [(4, 31), (4, 20), (8, "1240/51"), (2, 25), (1, 12)], mi=[(4, 7), (4, 7)]
+            ),
+            25,
+        ),
+        # equal MI utilization, but the MI tasks interfere differently
+        (_two_processor_system([(1, 2), (1, 3)], mi=[(1, 2), (2, 4)]), 2),
+    ],
+)
+def test_processors_are_interchangeable_only_in_equal_states(system, optimum):
+    result = ms.solve_optimal(system, "m")
+    assert result.optimal_latency == optimum == brute_force_optimal(system, "m")
+    assert result.best_allocation.assignment == brute_force_witness(system, "m")
+
+
 def test_random_systems_match_brute_force():
     rng = random.Random(424242)
-    solved = 0
+    solved = stuck = 0
     for _ in range(40):
         system = random_system(rng, md_heavy=True)
         for mode_id in system.mode_ids():
@@ -169,13 +245,16 @@ def test_random_systems_match_brute_force():
                 continue
             expected = brute_force_optimal(system, mode_id)
             if expected is None:
-                with pytest.raises(ms.InfeasibleModeError):
+                with pytest.raises(ms.InfeasibleModeError) as excinfo:
                     ms.solve_optimal(system, mode_id)
+                assert excinfo.value.task_id == brute_force_stuck_task(system, mode_id)
+                stuck += 1
             else:
                 result = ms.solve_optimal(system, mode_id)
                 assert result.optimal_latency == expected
+                assert result.best_allocation.assignment == brute_force_witness(system, mode_id)
                 solved += 1
-    assert solved > 30
+    assert solved > 30 and stuck > 20
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +442,25 @@ def mixed_denominator_system(rng):
     )
 
 
-def test_integer_search_matches_fraction_search():
+def _equivalence_corpus():
     rng = random.Random(20261018)
+    for _ in range(150):
+        yield mixed_denominator_system(rng)
+    rng = random.Random(7)
+    for _ in range(200):
+        yield random_system(rng, md_heavy=True)
+
+
+def test_integer_search_matches_fraction_search():
     feasible = infeasible = 0
     denominators = set()
-    for _ in range(150):
-        system = mixed_denominator_system(rng)
+    for system in _equivalence_corpus():
         denominators.update(
             v.denominator for t in system.mi_tasks + system.md_tasks for v in (t.wcet, t.period)
         )
         for mode_id in system.mode_ids():
             try:
-                optimum, witness, explored = fraction_solve_optimal(system, mode_id)
+                optimum, witness, _ = fraction_solve_optimal(system, mode_id)
             except ms.InfeasibleModeError as expected:
                 with pytest.raises(ms.InfeasibleModeError) as excinfo:
                     ms.solve_optimal(system, mode_id)
@@ -384,9 +470,9 @@ def test_integer_search_matches_fraction_search():
             result = ms.solve_optimal(system, mode_id)
             assert result.optimal_latency == optimum
             assert result.best_allocation.assignment == witness
-            assert result.explored_nodes == explored
             feasible += 1
-    assert feasible > 150 and infeasible > 20
+    assert feasible + infeasible == 700
+    assert feasible > 450 and infeasible > 150
     assert {2, 3, 7, 10} <= denominators
 
 
