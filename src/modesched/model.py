@@ -64,6 +64,17 @@ def as_time(value, *, what: str = "time value") -> Fraction:
     return result
 
 
+def as_array(value, *, what: str, error: type[ValueError] = SystemValidationError) -> Sequence:
+    """Return ``value`` if it is an array (a list or tuple); raise ``error`` otherwise.
+
+    A string, an object or a number is never read as a sequence of its
+    characters, keys or digits.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{what}: expected an array, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Task:
     """One recurrent sporadic task with implicit deadline.
@@ -314,7 +325,7 @@ def build_system(raw: Mapping) -> ModeSystem:
     if isinstance(processor_count, bool) or not isinstance(processor_count, int) or processor_count < 1:
         raise SystemValidationError(f"processors: expected a positive integer, got {processor_count!r}")
 
-    tasks: list[Task] = [_parse_task(t, i) for i, t in enumerate(raw_tasks)]
+    tasks: list[Task] = [_parse_task(t, i) for i, t in enumerate(as_array(raw_tasks, what="tasks"))]
     seen_ids: set[str] = set()
     for task in tasks:
         if task.id in seen_ids:
@@ -333,7 +344,7 @@ def build_system(raw: Mapping) -> ModeSystem:
     modes: list[Mode] = []
     mode_ids: set[str] = set()
     owner: dict[str, str] = {}
-    for i, raw_mode in enumerate(raw_modes):
+    for i, raw_mode in enumerate(as_array(raw_modes, what="modes")):
         if not isinstance(raw_mode, Mapping) or set(raw_mode) - {"id", "md_tasks"}:
             raise SystemValidationError(f"modes[{i}]: expected an object with keys id, md_tasks")
         mode_id = raw_mode.get("id")
@@ -342,8 +353,10 @@ def build_system(raw: Mapping) -> ModeSystem:
         if mode_id in mode_ids:
             raise SystemValidationError(f"duplicate mode id {mode_id!r}")
         mode_ids.add(mode_id)
-        members = raw_mode.get("md_tasks", [])
+        members = as_array(raw_mode.get("md_tasks", []), what=f"mode {mode_id}: md_tasks")
         for tid in members:
+            if not isinstance(tid, str):
+                raise SystemValidationError(f"mode {mode_id}: md_tasks must hold task ids, got {tid!r}")
             if tid not in by_id:
                 raise SystemValidationError(f"mode {mode_id}: unknown task {tid!r}")
             if by_id[tid].kind != MD:
@@ -362,9 +375,13 @@ def build_system(raw: Mapping) -> ModeSystem:
         raise SystemValidationError(f"MD tasks {orphans} belong to no mode")
 
     edges: list[tuple[str, str]] = []
-    for i, raw_edge in enumerate(raw_transitions):
-        if not isinstance(raw_edge, Sequence) or isinstance(raw_edge, str) or len(raw_edge) != 2:
-            raise SystemValidationError(f"transitions[{i}]: expected a [source, destination] pair")
+    for i, raw_edge in enumerate(as_array(raw_transitions, what="transitions")):
+        if (
+            not isinstance(raw_edge, (list, tuple))
+            or len(raw_edge) != 2
+            or not all(isinstance(end, str) for end in raw_edge)
+        ):
+            raise SystemValidationError(f"transitions[{i}]: expected a [source, destination] pair of mode ids")
         src, dst = raw_edge
         if src not in mode_ids or dst not in mode_ids:
             raise SystemValidationError(f"transitions[{i}]: unknown mode in {raw_edge!r}")

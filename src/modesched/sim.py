@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .model import (
     Allocation,
     ModeSystem,
+    as_array,
     as_time,
     validate_allocation,
 )
@@ -203,9 +204,14 @@ def make_scenario(
         previous = time
         active = dest
 
+    if release_offsets is not None and not isinstance(release_offsets, Mapping):
+        raise ScenarioError(
+            f"release_offsets: expected an object of task ids, got {type(release_offsets).__name__}"
+        )
     offsets: dict[str, tuple[Fraction, ...]] = {}
     for task_id, raw_list in (release_offsets or {}).items():
         task = system.task(task_id)
+        raw_list = as_array(raw_list, what=f"release offsets of {task_id}", error=ScenarioError)
         values = tuple(as_time(v, what=f"release offset of {task_id}") for v in raw_list)
         for earlier, later in zip(values, values[1:]):
             if later - earlier < task.period:
@@ -281,7 +287,7 @@ def parse_scenario(text: str, system: ModeSystem) -> Union[Scenario, SweepSpec]:
         if key not in raw:
             raise ScenarioError(f"missing scenario key {key!r}")
     mcrs = []
-    for i, entry in enumerate(raw.get("mcrs", [])):
+    for i, entry in enumerate(as_array(raw.get("mcrs", []), what="mcrs", error=ScenarioError)):
         if not isinstance(entry, Mapping) or set(entry) != {"time", "to"}:
             raise ScenarioError(f"mcrs[{i}]: expected an object with keys time, to")
         mcrs.append((entry["time"], entry["to"]))

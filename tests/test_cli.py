@@ -238,3 +238,59 @@ def test_internal_error_is_not_an_input_error(monkeypatch, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal inconsistency" in err
+
+
+def _with(raw, key, value):
+    raw[key] = value
+    return raw
+
+
+def _with_md_tasks(value):
+    raw = case_study_raw()
+    raw["modes"][0]["md_tasks"] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_with(case_study_raw(), "tasks", 5), "tasks: expected an array"),
+        (_with(case_study_raw(), "modes", {"id": "mode1"}), "modes: expected an array"),
+        (_with(case_study_raw(), "transitions", 3), "transitions: expected an array"),
+        (_with(case_study_raw(), "transitions", [["mode1", ["mode2"]]]), "pair of mode ids"),
+        (_with_md_tasks([["tau5"]]), "md_tasks must hold task ids"),
+        (_with_md_tasks(None), "md_tasks: expected an array"),
+        # a string is not read as the list of its characters
+        (
+            {
+                "processors": 1,
+                "tasks": [{"id": "a", "kind": "MD", "wcet": 1, "period": 4}],
+                "modes": [{"id": "m", "md_tasks": "a"}],
+                "transitions": [],
+            },
+            "md_tasks: expected an array",
+        ),
+    ],
+)
+def test_malformed_system_containers_exit_2(raw, message, tmp_path, capsys):
+    code = main(["analyze-offline", write_json(tmp_path / "s.json", raw)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"mcrs": 5}, "mcrs: expected an array"),
+        ({"release_offsets": {"tau1": 5}}, "release offsets of tau1: expected an array"),
+        ({"release_offsets": {"tau5": "12"}}, "release offsets of tau5: expected an array"),
+        ({"release_offsets": [1]}, "release_offsets: expected an object"),
+    ],
+)
+def test_malformed_scenario_containers_exit_2(patch, message, case_study_file, tmp_path, capsys):
+    scenario = {"initial_mode": "mode1", "horizon": 100, "mcrs": [{"time": 7, "to": "mode2"}], **patch}
+    code = main(["simulate", case_study_file, write_json(tmp_path / "sc.json", scenario)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
