@@ -476,7 +476,16 @@ def certify_modes(
     feasible, all its predecessors are, and every MD task meets
     ``entry latency + period <= transition deadline``.
     """
-    analyzed = {mode_id: analyze(mode_id) for mode_id in system.mode_ids()}
+    return _certify_summaries(system, lambda summary: analyze(summary.mode_id))
+
+
+def _certify_summaries(
+    system: ModeSystem, analyze: Callable[[UtilizationSummary], tuple[Optional[Fraction], bool, Any]]
+) -> SchemeVerdict:
+    """``certify_modes`` with ``analyze`` given the mode's utilization summary,
+    which is built once per mode and also goes into the verdict."""
+    summaries = {mode_id: utilization_summary(system, mode_id) for mode_id in system.mode_ids()}
+    analyzed = {mode_id: analyze(summary) for mode_id, summary in summaries.items()}
     bounds = {mode_id: bound for mode_id, (bound, _, _) in analyzed.items()}
     verdicts = []
     for mode_id, (bound, feasible, evidence) in analyzed.items():
@@ -487,7 +496,7 @@ def certify_modes(
         verdicts.append(
             ModeVerdict(
                 mode_id=mode_id,
-                utilization=utilization_summary(system, mode_id),
+                utilization=summaries[mode_id],
                 bound=bound,
                 feasible=feasible,
                 evidence=evidence,

@@ -11,6 +11,13 @@ Decreasing.  Two questions are settled offline:
   mode's MD tasks (an exact 0-1 knapsack maximizing summed execution time)
   and running the busy-period recurrence on the packed demand.
 
+The knapsack runs on an integer base: execution times are scaled by the lcm
+of their denominators and utilizations by the lcm of the utilization and
+spare-capacity denominators, so branch and bound, with the floor of the
+Dantzig fractional bound as its prune, is exact integer arithmetic with no
+epsilon.  A mode's pool is put on that base and sorted by density once, and
+solved once per distinct spare capacity.
+
 The feasibility bound presumes the combined MI + MD placement is one some
 First-Fit ordering could have produced; hand placements of MI tasks that no
 such ordering reaches void that premise.
@@ -18,6 +25,9 @@ such ordering reaches void that premise.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,10 +37,11 @@ from .model import (
     ModeSystem,
     SchemeVerdict,
     Task,
-    certify_modes,
+    UtilizationSummary,
+    _certify_summaries,
     utilization_summary,
 )
-from .latency import busy_period
+from .latency import _scaled, busy_period
 
 
 class PlacementError(ValueError):
@@ -98,17 +109,21 @@ def lopez_test(system: ModeSystem, mode_id: str) -> FeasibilityVerdict:
     ``u_max`` ranges over every task active in the mode (MI and MD alike).  An
     empty mode is trivially feasible and reported with ``beta = 0``, bound 1.
     """
-    summary = utilization_summary(system, mode_id)
+    return _lopez_verdict(utilization_summary(system, mode_id), system.processor_count)
+
+
+def _lopez_verdict(summary: UtilizationSummary, processor_count: int) -> FeasibilityVerdict:
+    """``lopez_test`` on a mode's utilization summary."""
     if summary.u_max == 0:
         bound = Fraction(1)
         return FeasibilityVerdict(
-            mode_id=mode_id, beta=0, bound=bound, u_sum=summary.u_sum,
+            mode_id=summary.mode_id, beta=0, bound=bound, u_sum=summary.u_sum,
             feasible=True, margin=bound - summary.u_sum,
         )
     beta = int(1 / summary.u_max)
-    bound = Fraction(beta * system.processor_count + 1, beta + 1)
+    bound = Fraction(beta * processor_count + 1, beta + 1)
     return FeasibilityVerdict(
-        mode_id=mode_id,
+        mode_id=summary.mode_id,
         beta=beta,
         bound=bound,
         u_sum=summary.u_sum,
@@ -138,41 +153,120 @@ def first_fit_decreasing(system: ModeSystem, mode_id: str) -> Allocation:
     return Allocation(mode_id=mode_id, assignment=assignment)
 
 
-def _max_packed_wcet(items: Sequence[tuple[Fraction, Fraction]], capacity: Fraction) -> Fraction:
-    """Exact 0-1 knapsack value: max sum of wcet with sum of utilization <= capacity.
+class _Knapsack:
+    """One pool of MD tasks on an exact integer base, for the worst-case packing.
 
-    Branch and bound over items in non-increasing wcet/utilization density
-    order, pruned with the fractional-relaxation bound.  All arithmetic is
-    exact, so desk-scale pools solve instantly and ties are never blurred.
+    Execution times are scaled by the lcm of their denominators, and
+    utilizations by ``scale``, the lcm of the reduced utilization
+    denominators and of the denominators of the capacities to be packed, so
+    every fit test and every packed value is an int.  Scaling by a positive
+    constant keeps every comparison, so each packing decides exactly what it
+    would decide on the rationals; rationals are built only for the result.
     """
-    order = sorted(items, key=lambda cu: (-(cu[0] / cu[1]), -cu[0]))
-    best = Fraction(0)
 
-    def explore(index: int, room: Fraction, value: Fraction) -> None:
-        nonlocal best
-        if value > best:
-            best = value
-        if index == len(order):
-            return
-        bound = value
-        free = room
-        for i in range(index, len(order)):
-            wcet, util = order[i]
-            if util <= free:
-                free -= util
-                bound += wcet
-            else:
-                bound += wcet * free / util
-                break
-        if bound <= best:
-            return
-        wcet, util = order[index]
-        if util <= room:
-            explore(index + 1, room - util, value + wcet)
-        explore(index + 1, room, value)
+    def __init__(self, pool: Iterable[Task], capacities: Iterable[Fraction]):
+        self.pool = sorted(pool, key=lambda t: t.id)
+        self.time_scale = math.lcm(*(t.wcet.denominator for t in self.pool))
+        self.scale = math.lcm(
+            *(t.utilization.denominator for t in self.pool), *(c.denominator for c in capacities)
+        )
+        self.items = [
+            (_scaled(t.wcet, self.time_scale), _scaled(t.utilization, self.scale)) for t in self.pool
+        ]
+        # density wcet/utilization is the period; ties by larger wcet
+        self.density_order = sorted(
+            range(len(self.pool)), key=lambda i: (-self.pool[i].period, -self.pool[i].wcet)
+        )
+        self._suffixes: dict[int, _Packing] = {}
 
-    explore(0, capacity, Fraction(0))
-    return best
+    def suffix(self, first: int) -> "_Packing":
+        """The tasks from the ``first``-th in id order onwards, as a ``_Packing``."""
+        packing = self._suffixes.get(first)
+        if packing is None:
+            packing = _Packing([self.items[i] for i in self.density_order if i >= first])
+            self._suffixes[first] = packing
+        return packing
+
+    def solve(self, capacity: Fraction) -> tuple[tuple[str, ...], Fraction]:
+        """The heaviest selection within ``capacity`` whose inclusion vector in
+        id order is lexicographically smallest, and its summed execution time.
+
+        The optimum comes first; then one depth-first search in id order,
+        leaving each task out before taking it, stops at the first selection
+        that packs the optimum, pruning where the remaining tasks' bound falls
+        short of what is still needed.
+        """
+        room = _scaled(capacity, self.scale)
+        target = self.suffix(0).max_packed(room)
+        items, count = self.items, len(self.items)
+        chosen: list[int] = []
+
+        def complete(index: int, room: int, need: int) -> bool:
+            if need == 0:
+                return True
+            if index == count or self.suffix(index).bound(0, room) < need:
+                return False
+            if complete(index + 1, room, need):
+                return True
+            wcet, util = items[index]
+            if util <= room:
+                chosen.append(index)
+                if complete(index + 1, room - util, need - wcet):
+                    return True
+                chosen.pop()
+            return False
+
+        complete(0, room, target)
+        return tuple(self.pool[i].id for i in chosen), Fraction(target, self.time_scale)
+
+
+class _Packing:
+    """Integer (wcet, utilization) items in non-increasing density order, which
+    is non-increasing period, with prefix sums for the fractional bound."""
+
+    def __init__(self, items: Sequence[tuple[int, int]]):
+        self.items = items
+        self.wcet_sums = list(itertools.accumulate((w for w, _ in items), initial=0))
+        self.util_sums = list(itertools.accumulate((u for _, u in items), initial=0))
+
+    def bound(self, index: int, room: int) -> int:
+        """Floor of the Dantzig fractional bound over ``items[index:]`` within ``room``.
+
+        Items are taken whole in density order until one does not fit, and a
+        fraction of that one fills the rest.  Packed values are integers, so
+        the floor still bounds every packing.
+        """
+        util_sums = self.util_sums
+        base = util_sums[index]
+        last = bisect.bisect_right(util_sums, base + room, index) - 1
+        value = self.wcet_sums[last] - self.wcet_sums[index]
+        if last < len(self.items):
+            wcet, util = self.items[last]
+            value += wcet * (room - (util_sums[last] - base)) // util
+        return value
+
+    def max_packed(self, room: int) -> int:
+        """Largest summed wcet of a subset whose summed utilization fits ``room``.
+
+        Branch and bound in density order, taking each item before leaving it
+        out, pruned where the bound cannot beat the best packing found.
+        """
+        items, count, bound = self.items, len(self.items), self.bound
+        best = 0
+
+        def explore(index: int, room: int, value: int) -> None:
+            nonlocal best
+            if value > best:
+                best = value
+            if index == count or value + bound(index, room) <= best:
+                return
+            wcet, util = items[index]
+            if util <= room:
+                explore(index + 1, room - util, value + wcet)
+            explore(index + 1, room, value)
+
+        explore(0, room, 0)
+        return best
 
 
 def worst_case_selection(system: ModeSystem, processor: int, md_task_pool: Iterable[Task]) -> KnapsackResult:
@@ -180,40 +274,34 @@ def worst_case_selection(system: ModeSystem, processor: int, md_task_pool: Itera
 
     Among equally heavy optima the selection vector is made lexicographically
     smallest in task-id order (a task is left out whenever the optimum remains
-    reachable without it), so results are deterministic.
+    reachable without it), so results are deterministic.  The pool need not
+    belong to ``system``: only the processor's spare capacity is read there.
     """
     if processor not in system.processors:
         raise ValueError(f"processor {processor} outside 1..{system.processor_count}")
-    pool = sorted(md_task_pool, key=lambda t: t.id)
     capacity = 1 - system.mi_utilization(processor)
-    target = _max_packed_wcet([(t.wcet, t.utilization) for t in pool], capacity)
-
-    selected: list[str] = []
-    room = capacity
-    need = target
-    for i, task in enumerate(pool):
-        rest = [(t.wcet, t.utilization) for t in pool[i + 1:]]
-        if _max_packed_wcet(rest, room) >= need:
-            continue
-        selected.append(task.id)
-        room -= task.utilization
-        need -= task.wcet
-    return KnapsackResult(
-        processor=processor, selected=tuple(selected), packed_wcet=target, capacity=capacity
-    )
+    selected, packed = _Knapsack(md_task_pool, (capacity,)).solve(capacity)
+    return KnapsackResult(processor=processor, selected=selected, packed_wcet=packed, capacity=capacity)
 
 
 def transition_bound_detail(system: ModeSystem, mode_id: str) -> tuple[ProcessorBound, ...]:
     """Per-processor worst-case selections and latencies for transitions out of a mode.
 
     The selection pool on every processor is the mode's full MD set, which is
-    what makes the resulting bound valid for any runtime placement.
+    what makes the resulting bound valid for any runtime placement.  The pool
+    is put on its integer base once, and solved once per distinct spare
+    capacity: processors with equal capacity get the same selection.
     """
-    pool = system.md_tasks_of(mode_id)
+    capacities = {p: 1 - system.mi_utilization(p) for p in system.processors}
+    knapsack = _Knapsack(system.md_tasks_of(mode_id), capacities.values())
+    solved: dict[Fraction, tuple[tuple[str, ...], Fraction]] = {}
     rows = []
-    for p in system.processors:
-        selection = worst_case_selection(system, p, pool)
-        latency = busy_period(selection.packed_wcet, system.mi_on(p))
+    for p, capacity in capacities.items():
+        if capacity not in solved:
+            solved[capacity] = knapsack.solve(capacity)
+        selected, packed = solved[capacity]
+        selection = KnapsackResult(processor=p, selected=selected, packed_wcet=packed, capacity=capacity)
+        latency = busy_period(packed, system.mi_on(p))
         if latency is None:
             raise ArithmeticError(
                 f"mode {mode_id}: busy-period recurrence diverges on processor {p}"
@@ -236,10 +324,10 @@ def validate_online_scheme(system: ModeSystem) -> SchemeVerdict:
     mode has one, and a mode failing the feasibility test fails on its own.
     """
 
-    def analyze(mode_id: str):
-        detail = transition_bound_detail(system, mode_id)
-        feasibility = lopez_test(system, mode_id)
+    def analyze(summary: UtilizationSummary):
+        detail = transition_bound_detail(system, summary.mode_id)
+        feasibility = _lopez_verdict(summary, system.processor_count)
         bound = max((row.latency for row in detail), default=Fraction(0))
         return bound, feasibility.feasible, OnlineEvidence(feasibility, detail)
 
-    return certify_modes(system, analyze)
+    return _certify_summaries(system, analyze)

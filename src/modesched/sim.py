@@ -395,6 +395,9 @@ class _Engine:
         self.old_pending: set[_Job] = set()
         self.job_misses = 0
 
+        # First-Fit placements by mode: a pure function of the system and the
+        # mode, so forks share them
+        self.placements: dict[str, Allocation] = {}
         self.current_mode = scenario.initial_mode
         self.in_transition = False
         self.mcr_time = 0
@@ -423,14 +426,18 @@ class _Engine:
     def allocation_for(self, mode_id: str, time: int) -> Allocation:
         if self.scenario.allocation_source == OFFLINE_TABLE:
             return self.scenario.static_tables[mode_id]
-        try:
-            return first_fit_decreasing(self.system, mode_id)
-        except PlacementError as exc:
-            raise SimulationError(
-                f"online placement failed at time {self._frac(time)}: {exc}",
-                time=self._frac(time),
-                task_id=exc.task_id,
-            ) from exc
+        allocation = self.placements.get(mode_id)
+        if allocation is None:
+            try:
+                allocation = first_fit_decreasing(self.system, mode_id)
+            except PlacementError as exc:
+                raise SimulationError(
+                    f"online placement failed at time {self._frac(time)}: {exc}",
+                    time=self._frac(time),
+                    task_id=exc.task_id,
+                ) from exc
+            self.placements[mode_id] = allocation
+        return allocation
 
     def check_outcome(self, record: dict) -> Optional[bool]:
         completion = record["completion"]

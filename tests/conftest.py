@@ -110,6 +110,92 @@ def knapsack_brute(items, capacity):
     return skip
 
 
+def knapsack_lex_brute(pool, capacity):
+    """Exhaustive worst-case selection: (packed wcet, ids) of the heaviest subset
+    of ``pool`` within ``capacity`` whose inclusion vector in id order is
+    lexicographically smallest among the heaviest.
+
+    Subsets are walked in lexicographic order of their inclusion vectors
+    (leaving a task out before taking it), and only a strictly heavier one
+    replaces the first optimum found.  Prefixes already over capacity are cut,
+    since utilizations are positive.
+    """
+    pool = sorted(pool, key=lambda t: t.id)
+    best = None
+
+    def walk(index, util, wcet, chosen):
+        nonlocal best
+        if util > capacity:
+            return
+        if index == len(pool):
+            if best is None or wcet > best[0]:
+                best = (wcet, tuple(chosen))
+            return
+        walk(index + 1, util, wcet, chosen)
+        task = pool[index]
+        walk(index + 1, util + task.utilization, wcet + task.wcet, chosen + [task.id])
+
+    walk(0, Fraction(0), Fraction(0), [])
+    return best
+
+
+def fraction_max_packed_wcet(items, capacity):
+    """The knapsack value on rationals: the reference for the integer search.
+
+    Branch and bound over (wcet, utilization) pairs in non-increasing density
+    order, pruned with the unrounded fractional-relaxation bound.
+    """
+    order = sorted(items, key=lambda cu: (-(cu[0] / cu[1]), -cu[0]))
+    best = Fraction(0)
+
+    def explore(index, room, value):
+        nonlocal best
+        if value > best:
+            best = value
+        if index == len(order):
+            return
+        bound = value
+        free = room
+        for i in range(index, len(order)):
+            wcet, util = order[i]
+            if util <= free:
+                free -= util
+                bound += wcet
+            else:
+                bound += wcet * free / util
+                break
+        if bound <= best:
+            return
+        wcet, util = order[index]
+        if util <= room:
+            explore(index + 1, room - util, value + wcet)
+        explore(index + 1, room, value)
+
+    explore(0, capacity, Fraction(0))
+    return best
+
+
+def fraction_worst_case_selection(system, processor, pool):
+    """``worst_case_selection`` on rationals, by n + 1 knapsack solves: a task
+    is left out whenever the optimum stays reachable from the tasks after it."""
+    pool = sorted(pool, key=lambda t: t.id)
+    capacity = 1 - system.mi_utilization(processor)
+    target = fraction_max_packed_wcet([(t.wcet, t.utilization) for t in pool], capacity)
+    selected = []
+    room = capacity
+    need = target
+    for i, task in enumerate(pool):
+        rest = [(t.wcet, t.utilization) for t in pool[i + 1:]]
+        if fraction_max_packed_wcet(rest, room) >= need:
+            continue
+        selected.append(task.id)
+        room -= task.utilization
+        need -= task.wcet
+    return ms.KnapsackResult(
+        processor=processor, selected=tuple(selected), packed_wcet=target, capacity=capacity
+    )
+
+
 def busy_period_candidates(z, mi_tasks, upper):
     """All points z + sum(k_j * C_j) with k_j in 0..ceil(upper/T_j)+1, sorted."""
     ranges = [range(0, math.ceil(upper / t.period) + 2) for t in mi_tasks]

@@ -1,11 +1,19 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import modesched as ms
-from conftest import case_study_raw, knapsack_brute, random_system
+from conftest import (
+    case_study_raw,
+    fraction_worst_case_selection,
+    knapsack_brute,
+    knapsack_lex_brute,
+    random_system,
+)
+from modesched.online import _Knapsack
 
 
 def test_lopez_mode1(case_study):
@@ -198,6 +206,163 @@ def test_knapsack_matches_brute_force():
         chosen = [system.task(tid) for tid in result.selected]
         assert sum((t.utilization for t in chosen), Fraction(0)) <= result.capacity
         assert sum((t.wcet for t in chosen), Fraction(0)) == result.packed_wcet
+        if size <= 12:
+            assert knapsack_lex_brute(pool, result.capacity) == (result.packed_wcet, result.selected)
+
+
+# time units of the mixed-denominator pools: every wcet and period is a multiple of one
+MIXED_UNITS = (Fraction(1, 3), Fraction(7, 2), Fraction(1, 10), Fraction(2, 7))
+
+
+def _mixed_times(rng, max_share=3):
+    """(wcet, period), both multiples of one of ``MIXED_UNITS``, with wcet at
+    most about 1/``max_share`` of the period."""
+    unit = rng.choice(MIXED_UNITS)
+    steps = rng.randint(2, 30)
+    return rng.randint(1, max(1, steps // max_share)) * unit, steps * unit
+
+
+def _mixed_task(rng, task_id):
+    return ms.Task(task_id, "MD", *_mixed_times(rng))
+
+
+def _pool_system(pool, pads):
+    """One mode ``m`` holding the MD tasks ``pool``; processor p carries one MI
+    task per (wcet, period) pair in ``pads[p - 1]``."""
+    tasks = [{"id": t.id, "kind": "MD", "wcet": t.wcet, "period": t.period} for t in pool]
+    for p, pad in enumerate(pads, start=1):
+        tasks.extend(
+            {"id": f"mi{p}_{k}", "kind": "MI", "wcet": wcet, "period": period, "processor": p}
+            for k, (wcet, period) in enumerate(pad)
+        )
+    return ms.build_system(
+        {
+            "processors": len(pads),
+            "tasks": tasks,
+            "modes": [{"id": "m", "md_tasks": [t.id for t in pool]}],
+            "transitions": [],
+        }
+    )
+
+
+def _assert_matches_rational_reference(system):
+    pool = system.md_tasks_of("m")
+    for row in ms.transition_bound_detail(system, "m"):
+        expected = fraction_worst_case_selection(system, row.processor, pool)
+        assert row.selection == expected
+        assert ms.worst_case_selection(system, row.processor, pool) == expected
+        assert row.latency == ms.busy_period(expected.packed_wcet, system.mi_on(row.processor))
+
+
+def test_knapsack_matches_rational_reference_on_mixed_denominators():
+    rng = random.Random(31337)
+    for _ in range(40):
+        pool = [_mixed_task(rng, f"k{i:02d}") for i in range(rng.randint(1, 10))]
+        pads = [
+            [_mixed_times(rng, max_share=4) for _ in range(rng.randint(0, 2))]
+            for _ in range(rng.randint(1, 4))
+        ]
+        _assert_matches_rational_reference(_pool_system(pool, pads))
+
+
+def test_knapsack_equal_capacities_share_one_solution():
+    # processors 1-3 have spare capacity 3/4 from differently scaled MI tasks,
+    # processor 4 has 2/3, processor 5 again 3/4 from two MI tasks
+    pads = [
+        [(Fraction(1), Fraction(4))],
+        [(Fraction(7, 2), Fraction(14))],
+        [(Fraction(2, 7), Fraction(8, 7))],
+        [(Fraction(1, 3), Fraction(1))],
+        [(Fraction(1, 10), Fraction(4, 5)), (Fraction(1, 3), Fraction(8, 3))],
+    ]
+    rng = random.Random(4711)
+    for _ in range(15):
+        pool = [_mixed_task(rng, f"k{i:02d}") for i in range(rng.randint(1, 10))]
+        system = _pool_system(pool, pads)
+        _assert_matches_rational_reference(system)
+        rows = ms.transition_bound_detail(system, "m")
+        shared = {(row.selection.selected, row.selection.packed_wcet) for i, row in enumerate(rows) if i != 3}
+        assert len(shared) == 1
+        assert [row.selection.processor for row in rows] == [1, 2, 3, 4, 5]
+        assert all(row.selection.capacity == Fraction(3, 4) for i, row in enumerate(rows) if i != 3)
+
+
+def test_knapsack_edge_pools_match_rational_reference():
+    full = [(Fraction(7, 2), Fraction(7, 2))]
+    pool = [ms.Task("a", "MD", Fraction(1, 3), Fraction(1)), ms.Task("b", "MD", Fraction(1, 10), Fraction(2, 5))]
+    # zero capacity: nothing fits
+    system = _pool_system(pool, [full])
+    _assert_matches_rational_reference(system)
+    result = ms.worst_case_selection(system, 1, pool)
+    assert result.selected == () and result.packed_wcet == 0 and result.capacity == 0
+    # every task fits: all are taken
+    system = _pool_system(pool, [[]])
+    _assert_matches_rational_reference(system)
+    result = ms.worst_case_selection(system, 1, pool)
+    assert result.selected == ("a", "b") and result.packed_wcet == Fraction(13, 30)
+    # tied optima: four equal tasks of utilization 1/4, room for two; the
+    # lexicographically smallest inclusion vector 0011 takes the last two ids
+    tied = [
+        ms.Task("t1", "MD", Fraction(1), Fraction(4)),
+        ms.Task("t2", "MD", Fraction(1), Fraction(4)),
+        ms.Task("t3", "MD", Fraction(1), Fraction(4)),
+        ms.Task("t4", "MD", Fraction(1), Fraction(4)),
+    ]
+    half = [(Fraction(7, 2), Fraction(7))]
+    system = _pool_system(tied, [half])
+    _assert_matches_rational_reference(system)
+    result = ms.worst_case_selection(system, 1, tied)
+    assert result.selected == ("t3", "t4") and result.packed_wcet == 2
+
+
+def test_knapsack_selection_is_lexicographically_smallest_optimum():
+    # small period and wcet sets make tied optima and exact fills common
+    rng = random.Random(424242)
+    for round_no in range(80):
+        pool = []
+        for i in range(rng.randint(1, 12)):
+            period = rng.choice((2, 4, 5, 10, 20))
+            pool.append(ms.Task(f"k{i:02d}", "MD", Fraction(rng.randint(1, max(1, period // 2))), Fraction(period)))
+        rng.shuffle(pool)
+        pads = []
+        for p in range(1, 4):
+            spare = Fraction(rng.randint(0, 20), 20)
+            pads.append([] if spare == 1 else [(1 - spare, Fraction(1))])
+        system = _pool_system(pool, pads)
+        for row in ms.transition_bound_detail(system, "m"):
+            packed, selected = knapsack_lex_brute(pool, row.selection.capacity)
+            assert (row.selection.packed_wcet, row.selection.selected) == (packed, selected)
+            result = ms.worst_case_selection(system, row.processor, pool)
+            assert (result.packed_wcet, result.selected) == (packed, selected)
+
+
+def _fractional_relaxation(tasks, capacity):
+    """Dantzig bound on rationals: whole tasks by decreasing wcet/utilization,
+    then the fitting fraction of the first that does not fit."""
+    value = Fraction(0)
+    room = capacity
+    for task in sorted(tasks, key=lambda t: -(t.wcet / t.utilization)):
+        if task.utilization <= room:
+            room -= task.utilization
+            value += task.wcet
+        else:
+            value += task.wcet * room / task.utilization
+            break
+    return value
+
+
+def test_knapsack_prune_bound_is_floor_of_fractional_relaxation():
+    rng = random.Random(2718)
+    for _ in range(60):
+        pool = sorted((_mixed_task(rng, f"k{i:02d}") for i in range(rng.randint(1, 10))), key=lambda t: t.id)
+        capacity = Fraction(rng.randint(0, 30), rng.choice((30, 7, 10)))
+        knapsack = _Knapsack(pool, (capacity,))
+        room = capacity * knapsack.scale
+        assert room.denominator == 1
+        for first in range(len(pool) + 1):
+            relaxation = _fractional_relaxation(pool[first:], capacity)
+            bound = knapsack.suffix(first).bound(0, int(room))
+            assert bound == math.floor(relaxation * knapsack.time_scale)
 
 
 def test_latency_upper_bound_case_study(case_study):
@@ -322,6 +487,23 @@ def test_validate_online_scheme_evidence(case_study):
         assert mode.evidence.per_processor == ms.transition_bound_detail(case_study, mode.mode_id)
         assert mode.evidence.feasibility == ms.lopez_test(case_study, mode.mode_id)
         assert mode.feasible and mode.utilization == ms.utilization_summary(case_study, mode.mode_id)
+
+
+def test_validate_online_scheme_builds_each_summary_once(case_study, monkeypatch):
+    built = []
+    summary_of = ms.utilization_summary
+
+    def counting(system, mode_id):
+        built.append(mode_id)
+        return summary_of(system, mode_id)
+
+    for module in ("modesched.model", "modesched.online"):
+        monkeypatch.setattr(f"{module}.utilization_summary", counting)
+    validation = ms.validate_online_scheme(case_study)
+    assert built == ["mode1", "mode2"]
+    assert [mode.utilization for mode in validation.modes] == [
+        summary_of(case_study, mode_id) for mode_id in built
+    ]
 
 
 def test_validate_online_scheme_infeasible_mode_keeps_its_bound():

@@ -388,6 +388,29 @@ def test_consecutive_transitions(case_study):
     assert all(check.ok for check in trace.transition_checks)
 
 
+def test_online_placement_computed_once_per_mode(case_study, monkeypatch):
+    calls = []
+    first_fit = ms.first_fit_decreasing
+
+    def counting(system, mode_id):
+        calls.append(mode_id)
+        return first_fit(system, mode_id)
+
+    monkeypatch.setattr("modesched.sim.first_fit_decreasing", counting)
+    trace = ms.run(
+        ms.make_scenario(
+            case_study, "mode1", "online-ffd",
+            [(10, "mode2"), (300, "mode1"), (600, "mode2"), (900, "mode1")], horizon=1200,
+        )
+    )
+    assert len(trace.observed_latencies) == 4
+    assert calls == ["mode1", "mode2"]
+    calls.clear()
+    result = ms.sweep_mcr(case_study, "online-ffd", ("mode1", "mode2"), range(0, 120, 10))
+    assert result.points == 12
+    assert calls == ["mode1", "mode2"]
+
+
 def test_transient_overload_can_miss_job_deadlines_but_not_certified_verdicts():
     """Per-mode feasibility does not extend to the transition window itself.
 
