@@ -1,9 +1,11 @@
-"""Golden analysis reports: the exact bytes the CLI writes.
+"""Golden analysis reports and simulator traces: the exact bytes the CLI writes.
 
 For each system below, ``analyze-offline`` and ``analyze-online`` must
 reproduce the pinned JSON report, the pinned stdout and the pinned exit code
-byte for byte.  The goldens live in ``tests/golden/``; after a deliberate
-change to the report format, rewrite them with
+byte for byte; for each scenario below, ``simulate --trace`` must reproduce
+the pinned trace file, stdout and exit code.  The goldens live in
+``tests/golden/``; after a deliberate change to the report or trace format,
+rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -60,6 +62,81 @@ def test_report_bytes_match_golden(case, command, tmp_path):
     assert stdout == (GOLDEN / f"{case}.{command}.stdout").read_bytes()
 
 
+# scenarios for ``simulate --trace``: (system, scenario), each a samples/ file
+# name or a builder of its JSON document
+MIXED_DENOMINATORS_SYSTEM = {
+    "processors": 2,
+    "tasks": [
+        {"id": "mi1", "kind": "MI", "wcet": "7/2", "period": "7", "processor": 1},
+        {"id": "mi2", "kind": "MI", "wcet": "2", "period": "10/3", "processor": 2},
+        {"id": "md1", "kind": "MD", "wcet": "7/3", "period": "14/3", "transition_deadline": "35/3"},
+        {"id": "md2", "kind": "MD", "wcet": "1/3", "period": "7/2"},
+        {"id": "md3", "kind": "MD", "wcet": "7/2", "period": "7", "transition_deadline": "21/2"},
+        {"id": "md4", "kind": "MD", "wcet": "4/3", "period": "10/3", "transition_deadline": "20/3"},
+    ],
+    "modes": [{"id": "alpha", "md_tasks": ["md1", "md2"]}, {"id": "beta", "md_tasks": ["md3", "md4"]}],
+    "transitions": [["alpha", "beta"], ["beta", "alpha"]],
+}
+
+
+def _alternating(gap: int, horizon: int) -> dict:
+    """The case study with an MCR every ``gap``, alternately to mode2 and back."""
+    targets = ("mode2", "mode1")
+    mcrs = [{"time": time, "to": targets[i % 2]} for i, time in enumerate(range(gap, horizon, gap))]
+    return {"initial_mode": "mode1", "allocation": "offline-table", "horizon": horizon, "mcrs": mcrs}
+
+
+SIM_CASES = {
+    "handover_mcr7": ("two_proc_handover.json", "handover_mcr7.json"),
+    "case_study_alternating": ("case_study.json", lambda: _alternating(331, 5000)),
+    # times in units of 1/3 and 7/2; the transient overload after the
+    # request at 5 makes mi1 miss a job deadline
+    "mixed_denominators": (
+        lambda: MIXED_DENOMINATORS_SYSTEM,
+        lambda: {
+            "initial_mode": "alpha",
+            "allocation": "online-ffd",
+            "horizon": "70/3",
+            "mcrs": [{"time": 5, "to": "beta"}, {"time": "35/3", "to": "alpha"}],
+            "release_offsets": {"mi1": ["1/3", "31/3"], "md3": ["7/6"], "md2": ["1/2", "13/3"]},
+        },
+    ),
+}
+
+
+def _input_file(source, path: Path) -> str:
+    if isinstance(source, str):
+        return str(SAMPLES / source)
+    path.write_text(json.dumps(source(), indent=1), encoding="utf-8")
+    return str(path)
+
+
+def _simulate(case: str, workdir: Path) -> tuple[int, bytes, bytes]:
+    """Exit code, trace bytes and stdout bytes of one ``simulate --trace`` run."""
+    system, scenario = SIM_CASES[case]
+    trace = workdir / f"{case}.simulate.trace.tsv"
+    argv = [
+        "simulate",
+        _input_file(system, workdir / f"{case}.system.json"),
+        _input_file(scenario, workdir / f"{case}.scenario.json"),
+        "--trace",
+        str(trace),
+    ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, trace.read_bytes(), stdout.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES))
+def test_trace_bytes_match_golden(case, tmp_path):
+    code, trace, stdout = _simulate(case, tmp_path)
+    exit_codes = json.loads((GOLDEN / "simulate_exit_codes.json").read_text(encoding="utf-8"))
+    assert code == exit_codes[case]
+    assert trace == (GOLDEN / f"{case}.simulate.tsv").read_bytes()
+    assert stdout == (GOLDEN / f"{case}.simulate.stdout").read_bytes()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     exit_codes = {}
@@ -70,7 +147,16 @@ def regenerate() -> None:
                 exit_codes[f"{case}.{command}"] = code
                 (GOLDEN / f"{case}.{command}.json").write_bytes(report)
                 (GOLDEN / f"{case}.{command}.stdout").write_bytes(stdout)
+        sim_exit_codes = {}
+        for case in sorted(SIM_CASES):
+            code, trace, stdout = _simulate(case, Path(tmp))
+            sim_exit_codes[case] = code
+            (GOLDEN / f"{case}.simulate.tsv").write_bytes(trace)
+            (GOLDEN / f"{case}.simulate.stdout").write_bytes(stdout)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(exit_codes, indent=2) + "\n", encoding="utf-8")
+    (GOLDEN / "simulate_exit_codes.json").write_text(
+        json.dumps(sim_exit_codes, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 if __name__ == "__main__":
