@@ -248,7 +248,7 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario, system)
     if isinstance(scenario, SweepSpec):
         result = run_sweep(system, scenario)
-        text = (
+        text = summary = (
             f"# sweep\t{scenario.from_mode}\t{scenario.to_mode}\tstep\t{scenario.step}"
             f"\tpoints\t{result.points}\n"
             f"# max-latency\t{result.max_latency}\tat\t{result.at_time}\n"
@@ -258,12 +258,12 @@ def _cmd_simulate(args) -> int:
     else:
         trace = run(scenario)
         text = trace.to_text()
+        summary = trace.footer()
         misses = trace.deadline_miss_count
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(text)
-        summary = [line for line in text.splitlines() if line.startswith("#")]
-        sys.stdout.write("\n".join(summary) + "\n")
+        sys.stdout.write(summary)
     else:
         sys.stdout.write(text)
     return FAIL if misses else PASS

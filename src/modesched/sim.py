@@ -9,8 +9,9 @@ throughout, undisturbed.
 
 All timestamps are exact: every release, deadline, preemption and completion
 instant is a rational combination of the input parameters, so the engine
-rescales the whole scenario to a common integer time base, simulates in
-integers, and converts back only when the trace is materialized.
+rescales the whole scenario to a common integer time base and simulates in
+integers.  The trace keeps the integer rows; the text output formats them
+directly, and only ``SimTrace.events`` turns them back into rationals.
 
 Deterministic tie rules (they fix the trace byte-for-byte):
   * equal absolute deadlines are broken by task id, then job index;
@@ -22,6 +23,7 @@ Deterministic tie rules (they fix the trace byte-for-byte):
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -114,45 +116,57 @@ class TransitionCheck:
 
 @dataclass(frozen=True)
 class SimTrace:
-    events: tuple[SimEvent, ...]
+    """One run's trace: the engine's integer event rows and their time base.
+
+    A row is ``(time, processor, kind, task, job)`` with ``time`` in units of
+    ``1/scale``.  ``events``, the rows as exact ``SimEvent``s, is built on
+    first access; ``to_text()`` formats the rows directly.  Equality compares
+    the rows and the scale, not the events.
+    """
+
+    rows: tuple[tuple[int, Optional[int], str, Optional[str], Optional[int]], ...]
+    scale: int
     observed_latencies: tuple[tuple[Fraction, Fraction], ...]
     transition_checks: tuple[TransitionCheck, ...]
+    job_deadline_misses: int
 
-    @property
-    def job_deadline_misses(self) -> int:
-        return sum(1 for e in self.events if e.kind == "deadline-miss")
+    @functools.cached_property
+    def events(self) -> tuple[SimEvent, ...]:
+        return tuple(SimEvent(Fraction(t, self.scale), *rest) for t, *rest in self.rows)
 
     @property
     def deadline_miss_count(self) -> int:
         """Job deadline misses plus violated transition deadlines."""
         return self.job_deadline_misses + sum(1 for c in self.transition_checks if c.ok is False)
 
-    def to_text(self) -> str:
-        """Line-oriented trace: tab-separated event rows then a summary footer."""
-        lines = []
-        for e in self.events:
-            lines.append(
-                "\t".join(
-                    (
-                        str(e.time),
-                        "-" if e.processor is None else str(e.processor),
-                        e.kind,
-                        "-" if e.task is None else e.task,
-                        "-" if e.job is None else str(e.job),
-                    )
-                )
-            )
-        for mcr_time, latency in self.observed_latencies:
-            lines.append(f"# latency\t{mcr_time}\t{latency}")
+    def footer(self) -> str:
+        """The ``#`` summary lines that end ``to_text()``."""
+        lines = [f"# latency\t{mcr_time}\t{latency}\n" for mcr_time, latency in self.observed_latencies]
         for check in self.transition_checks:
             outcome = "-" if check.ok is None else ("ok" if check.ok else "MISS")
-            completion = "-" if check.first_completion is None else str(check.first_completion)
+            completion = "-" if check.first_completion is None else check.first_completion
             lines.append(
                 f"# transition-deadline\t{check.task_id}\t{check.mcr_time}"
-                f"\t{check.absolute_deadline}\t{completion}\t{outcome}"
+                f"\t{check.absolute_deadline}\t{completion}\t{outcome}\n"
             )
-        lines.append(f"# deadline-misses\t{self.deadline_miss_count}")
-        return "\n".join(lines) + "\n"
+        lines.append(f"# deadline-misses\t{self.deadline_miss_count}\n")
+        return "".join(lines)
+
+    def to_text(self) -> str:
+        """Tab-separated event rows, then the footer.  Rows come in time order,
+        so each instant is formatted once, as ``str`` of its reduced fraction."""
+        scale = self.scale
+        lines = []
+        instant = stamp = None
+        for t, processor, kind, task, job in self.rows:
+            if t != instant:
+                instant, divisor = t, math.gcd(t, scale)
+                stamp = str(t // scale) if divisor == scale else f"{t // divisor}/{scale // divisor}"
+            lines.append(
+                f"{stamp}\t{'-' if processor is None else processor}\t{kind}"
+                f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
+            )
+        return "".join(lines) + self.footer()
 
 
 @dataclass(frozen=True)
@@ -623,33 +637,24 @@ class _Engine:
         return self.trace()
 
     def trace(self) -> SimTrace:
-        """Materialize the integer run as an exact trace."""
-        events = tuple(
-            SimEvent(
-                time=self._frac(t),
-                processor=proc,
-                kind=kind,
-                task=task,
-                job=job,
-            )
-            for t, proc, kind, task, job in self.events
-        )
+        """The run's trace; only latencies and transition checks become rationals."""
+        frac = self._frac
         checks = tuple(
             TransitionCheck(
                 task_id=record["task_id"],
-                mcr_time=self._frac(record["mcr"]),
-                absolute_deadline=self._frac(record["absolute"]),
-                first_completion=None if record["completion"] is None else self._frac(record["completion"]),
+                mcr_time=frac(record["mcr"]),
+                absolute_deadline=frac(record["absolute"]),
+                first_completion=None if record["completion"] is None else frac(record["completion"]),
                 ok=self.check_outcome(record),
             )
             for record in self.checks
         )
         return SimTrace(
-            events=events,
-            observed_latencies=tuple(
-                (self._frac(at), self._frac(latency)) for at, latency in self.latencies
-            ),
+            rows=tuple(self.events),
+            scale=self.scale,
+            observed_latencies=tuple((frac(at), frac(latency)) for at, latency in self.latencies),
             transition_checks=checks,
+            job_deadline_misses=self.job_misses,
         )
 
 

@@ -233,6 +233,58 @@ def fraction_busy_period(z, mi_tasks):
         current = nxt
 
 
+def rational_trace(engine):
+    """The trace of an executed simulator engine, materialized on rationals.
+
+    One ``Fraction`` and one ``SimEvent`` per event row, and the text
+    formatted from those events: the reference for ``SimTrace``, which keeps
+    the integer rows.  Returns the events, the text, the job deadline misses
+    and the deadline miss count.
+    """
+    frac = lambda value: Fraction(value, engine.scale)  # noqa: E731
+    events = tuple(
+        ms.SimEvent(time=frac(t), processor=proc, kind=kind, task=task, job=job)
+        for t, proc, kind, task, job in engine.events
+    )
+    latencies = tuple((frac(at), frac(latency)) for at, latency in engine.latencies)
+    checks = tuple(
+        ms.sim.TransitionCheck(
+            task_id=record["task_id"],
+            mcr_time=frac(record["mcr"]),
+            absolute_deadline=frac(record["absolute"]),
+            first_completion=None if record["completion"] is None else frac(record["completion"]),
+            ok=engine.check_outcome(record),
+        )
+        for record in engine.checks
+    )
+    job_misses = sum(1 for e in events if e.kind == "deadline-miss")
+    miss_count = job_misses + sum(1 for c in checks if c.ok is False)
+    lines = []
+    for e in events:
+        lines.append(
+            "\t".join(
+                (
+                    str(e.time),
+                    "-" if e.processor is None else str(e.processor),
+                    e.kind,
+                    "-" if e.task is None else e.task,
+                    "-" if e.job is None else str(e.job),
+                )
+            )
+        )
+    for mcr_time, latency in latencies:
+        lines.append(f"# latency\t{mcr_time}\t{latency}")
+    for check in checks:
+        outcome = "-" if check.ok is None else ("ok" if check.ok else "MISS")
+        completion = "-" if check.first_completion is None else str(check.first_completion)
+        lines.append(
+            f"# transition-deadline\t{check.task_id}\t{check.mcr_time}"
+            f"\t{check.absolute_deadline}\t{completion}\t{outcome}"
+        )
+    lines.append(f"# deadline-misses\t{miss_count}")
+    return events, "\n".join(lines) + "\n", job_misses, miss_count
+
+
 def execution_intervals(trace, processor=None, task=None, job=None):
     """(begin, end) execution intervals reconstructed from start/resume/preempt/complete events."""
     intervals = []

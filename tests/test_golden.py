@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from modesched import sim
 from modesched.cli import main
 from conftest import SAMPLES, case_study_raw, infeasible_mode_raw
 
@@ -133,6 +134,21 @@ def test_trace_bytes_match_golden(case, tmp_path):
     code, trace, stdout = _simulate(case, tmp_path)
     exit_codes = json.loads((GOLDEN / "simulate_exit_codes.json").read_text(encoding="utf-8"))
     assert code == exit_codes[case]
+    assert trace == (GOLDEN / f"{case}.simulate.tsv").read_bytes()
+    assert stdout == (GOLDEN / f"{case}.simulate.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES))
+def test_trace_written_without_simevents(case, tmp_path, monkeypatch):
+    """The trace file is formatted from the engine's integer rows: the CLI
+    builds no ``SimEvent``."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SimEvent built")
+
+    monkeypatch.setattr(sim, "SimEvent", refuse)
+    code, trace, stdout = _simulate(case, tmp_path)
+    assert code == json.loads((GOLDEN / "simulate_exit_codes.json").read_text(encoding="utf-8"))[case]
     assert trace == (GOLDEN / f"{case}.simulate.tsv").read_bytes()
     assert stdout == (GOLDEN / f"{case}.simulate.stdout").read_bytes()
 

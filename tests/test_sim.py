@@ -9,6 +9,7 @@ from conftest import (
     drain_instant,
     execution_intervals,
     random_system,
+    rational_trace,
 )
 
 
@@ -647,3 +648,84 @@ def test_forked_sweep_edge_cases(case_study):
     outcome = sweep_outcome(ms.sweep_mcr, *args)
     assert outcome == sweep_outcome(per_point_sweep, *args)
     assert outcome[0] is ms.SimulationError and outcome[2] == 7
+
+
+# ---------------------------------------------------------------------------
+# the integer trace against its rational materialization
+# ---------------------------------------------------------------------------
+
+FACTORS = (Fraction(1), Fraction(1, 3), Fraction(7, 2), Fraction(2, 3), Fraction(5, 4))
+
+
+def rescaled(rng, base):
+    """``base`` with every task's times multiplied by a factor of its own:
+    utilizations and feasibility stay, the time base gets mixed denominators."""
+    tasks = []
+    for t in base.mi_tasks + base.md_tasks:
+        factor = rng.choice(FACTORS)
+        raw = {"id": t.id, "kind": t.kind, "wcet": str(t.wcet * factor), "period": str(t.period * factor)}
+        if t.home_processor is not None:
+            raw["processor"] = t.home_processor
+        if t.transition_deadline is not None:
+            raw["transition_deadline"] = str(t.transition_deadline * factor)
+        tasks.append(raw)
+    return ms.build_system(
+        {
+            "processors": base.processor_count,
+            "tasks": tasks,
+            "modes": [{"id": m, "md_tasks": list(base.mode(m).md_tasks)} for m in base.mode_ids()],
+            "transitions": [list(edge) for edge in base.mode_graph.edges],
+        }
+    )
+
+
+def random_replay(rng, system):
+    """A scenario with a few MCRs alternating between the two modes, sometimes
+    with release offsets, and now and then a zero horizon."""
+    initial, other = rng.choice((("alpha", "beta"), ("beta", "alpha")))
+    unit = rng.choice(FACTORS)
+    if rng.random() < 0.1:
+        return initial, [], 0, None
+    mcrs, time = [], 0
+    for i in range(rng.randint(0, 4)):
+        time += unit * rng.randint(3, 40)
+        mcrs.append((time, (other, initial)[i % 2]))
+    horizon = time + unit * rng.randint(1, 60)
+    tasks = system.mi_tasks + system.md_tasks
+    offsets = {}
+    for task in rng.sample(tasks, k=min(2, len(tasks))):
+        first = unit * rng.randint(0, 6)
+        offsets[task.id] = [first, first + task.period + unit * rng.randint(0, 3)]
+    return initial, mcrs, horizon, offsets if rng.random() < 0.6 else None
+
+
+def test_trace_matches_rational_materialization_randomized():
+    rng = random.Random(2718)
+    seen = {"mixed": 0, "mcrs": 0, "offsets": 0, "job_miss": 0, "transition_miss": 0, "zero": 0}
+    for case in range(120):
+        if case % 3 != 0:
+            base = saturated_handover(rng)
+        else:
+            base = with_transition_deadlines(rng, random_system(rng, max_tasks=7, md_heavy=case % 2 == 0))
+        system = rescaled(rng, base)
+        initial, mcrs, horizon, offsets = random_replay(rng, system)
+        allocation_source = rng.choice(("offline-table", "online-ffd"))
+        try:
+            scenario = ms.make_scenario(system, initial, allocation_source, mcrs, horizon, offsets)
+            engine = ms.sim._Engine(scenario)
+            trace = engine.execute()
+        except (ms.ScenarioError, ms.SimulationError):
+            continue
+        events, text, job_misses, miss_count = rational_trace(engine)
+        assert trace.to_text() == text, case
+        assert trace.events == events, case
+        assert trace.job_deadline_misses == job_misses, case
+        assert trace.deadline_miss_count == miss_count, case
+        seen["mixed"] += len({t.period.denominator for t in system.mi_tasks + system.md_tasks} - {1}) >= 2
+        seen["mcrs"] += len(trace.observed_latencies) >= 2
+        seen["offsets"] += bool(offsets)
+        seen["job_miss"] += job_misses > 0
+        seen["transition_miss"] += miss_count > job_misses
+        seen["zero"] += horizon == 0
+    # the draws reach every kind of trace
+    assert min(seen.values()) >= 5, seen
