@@ -807,10 +807,5 @@ def sweep_mcr(
 def run_sweep(system: ModeSystem, spec: SweepSpec) -> SweepResult:
     """Sweep with step ``spec.step`` over one hyperperiod of the source mode's tasks."""
     active = system.mi_tasks + system.md_tasks_of(spec.from_mode)
-    end = hyperperiod(active)
-    grid = []
-    point = Fraction(0)
-    while point < end:
-        grid.append(point)
-        point += spec.step
+    grid = map(spec.step.__mul__, range(math.ceil(hyperperiod(active) / spec.step)))
     return sweep_mcr(system, spec.allocation_source, (spec.from_mode, spec.to_mode), grid)

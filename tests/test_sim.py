@@ -374,6 +374,26 @@ def test_run_sweep_spec_covers_source_hyperperiod():
     assert result.max_latency <= ms.latency_upper_bound(system, "m1")
 
 
+def test_run_sweep_streams_its_grid(case_study, monkeypatch):
+    """The grid reaches ``sweep_mcr`` as an iterator, never as a list of points."""
+    received = []
+    sweep = ms.sweep_mcr
+
+    def spy(system, allocation_source, mode_pair, mcr_time_grid):
+        received.append(mcr_time_grid)
+        return sweep(system, allocation_source, mode_pair, mcr_time_grid)
+
+    monkeypatch.setattr("modesched.sim.sweep_mcr", spy)
+    result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(1), "offline-table"))
+    (grid,) = received
+    assert iter(grid) is grid
+    assert (result.points, result.max_latency, result.at_time) == (1800, 35, 80)
+    # a step that does not divide the hyperperiod: ceil(1800 / (7/3)) points
+    result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(7, 3), "online-ffd"))
+    grid = [k * Fraction(7, 3) for k in range(772)]
+    assert result == sweep(case_study, "online-ffd", ("mode1", "mode2"), grid)
+
+
 def test_consecutive_transitions(case_study):
     scenario = ms.make_scenario(
         case_study, "mode1", "offline-table",
