@@ -199,25 +199,24 @@ class _Knapsack:
         room = _scaled(capacity, self.scale)
         target = self.suffix(0).max_packed(room)
         items, count = self.items, len(self.items)
-        chosen: list[int] = []
-
-        def complete(index: int, room: int, need: int) -> bool:
+        # nodes (index, room, need, chosen), chosen a linked list (index, rest);
+        # the leave-out child is pushed last, so it is explored first
+        stack = [(0, room, target, None)]
+        while True:  # the optimum is reachable, so the search ends at a node that packs it
+            index, room, need, chosen = stack.pop()
             if need == 0:
-                return True
+                break
             if index == count or self.suffix(index).bound(0, room) < need:
-                return False
-            if complete(index + 1, room, need):
-                return True
+                continue
             wcet, util = items[index]
             if util <= room:
-                chosen.append(index)
-                if complete(index + 1, room - util, need - wcet):
-                    return True
-                chosen.pop()
-            return False
-
-        complete(0, room, target)
-        return tuple(self.pool[i].id for i in chosen), Fraction(target, self.time_scale)
+                stack.append((index + 1, room - util, need - wcet, (index, chosen)))
+            stack.append((index + 1, room, need, chosen))
+        selected = []
+        while chosen is not None:
+            index, chosen = chosen
+            selected.append(self.pool[index].id)
+        return tuple(reversed(selected)), Fraction(target, self.time_scale)
 
 
 class _Packing:
@@ -249,23 +248,23 @@ class _Packing:
         """Largest summed wcet of a subset whose summed utilization fits ``room``.
 
         Branch and bound in density order, taking each item before leaving it
-        out, pruned where the bound cannot beat the best packing found.
+        out, pruned where the bound cannot beat the best packing found.  The
+        depth-first walk keeps its own stack, so it goes as deep as there are
+        items.
         """
         items, count, bound = self.items, len(self.items), self.bound
         best = 0
-
-        def explore(index: int, room: int, value: int) -> None:
-            nonlocal best
+        stack = [(0, room, 0)]
+        while stack:
+            index, room, value = stack.pop()
             if value > best:
                 best = value
             if index == count or value + bound(index, room) <= best:
-                return
+                continue
             wcet, util = items[index]
+            stack.append((index + 1, room, value))
             if util <= room:
-                explore(index + 1, room - util, value + wcet)
-            explore(index + 1, room, value)
-
-        explore(0, room, 0)
+                stack.append((index + 1, room - util, value + wcet))
         return best
 
 

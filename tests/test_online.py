@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import modesched as ms
+from modesched.cli import main
 from conftest import (
     case_study_raw,
     fraction_worst_case_selection,
@@ -363,6 +365,39 @@ def test_knapsack_prune_bound_is_floor_of_fractional_relaxation():
             relaxation = _fractional_relaxation(pool[first:], capacity)
             bound = knapsack.suffix(first).bound(0, int(room))
             assert bound == math.floor(relaxation * knapsack.time_scale)
+
+
+def deep_pool_raw(mi_wcet=None):
+    """One processor and one mode of 1,200 MD tasks (wcet 1, period 2000), more
+    than the interpreter's recursion limit; optionally an MI task of period
+    2000 that takes ``mi_wcet`` of the processor."""
+    tasks = [{"id": f"t{i:04d}", "kind": "MD", "wcet": 1, "period": 2000} for i in range(1200)]
+    mode = {"id": "m", "md_tasks": [t["id"] for t in tasks]}
+    if mi_wcet is not None:
+        tasks.append({"id": "mi", "kind": "MI", "wcet": mi_wcet, "period": 2000, "processor": 1})
+    return {"processors": 1, "tasks": tasks, "modes": [mode], "transitions": []}
+
+
+def test_knapsack_searches_pools_deeper_than_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(deep_pool_raw()), encoding="utf-8")
+    assert main(["analyze-online", str(path)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    system = ms.build_system(deep_pool_raw())
+    pool = system.md_tasks_of("m")
+    ids = tuple(sorted(t.id for t in pool))
+    result = ms.worst_case_selection(system, 1, pool)
+    assert (result.selected, result.packed_wcet) == (ids, 1200)
+    # with half the processor taken, 1,000 tasks fit: the lexicographically
+    # smallest optimum leaves the first 200 ids out
+    half = ms.build_system(deep_pool_raw(mi_wcet=1000))
+    result = ms.worst_case_selection(half, 1, half.md_tasks_of("m"))
+    assert (result.selected, result.packed_wcet) == (ids[200:], 1000)
+    prefix = sorted(pool, key=lambda t: t.id)[:12]
+    for units in (0, 5, 12):
+        capacity = Fraction(units, 2000)
+        selected, packed = _Knapsack(prefix, (capacity,)).solve(capacity)
+        assert knapsack_lex_brute(prefix, capacity) == (packed, selected)
 
 
 def test_latency_upper_bound_case_study(case_study):
