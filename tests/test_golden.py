@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from modesched import sim
 from modesched.cli import main
 from conftest import SAMPLES, case_study_raw, infeasible_mode_raw
 
@@ -27,7 +26,7 @@ COMMANDS = ("analyze-offline", "analyze-online")
 
 
 CASES = {
-    "case_study": None,
+    "case_study": "case_study.json",
     "deadline_tau10_149": lambda: case_study_raw(deadline_tau10=149),
     "infeasible_mode": infeasible_mode_raw,
     # mode2's utilization exceeds the First-Fit guarantee bound
@@ -35,13 +34,16 @@ CASES = {
 }
 
 
-def _system_file(case: str, workdir: Path) -> str:
-    build = CASES[case]
-    if build is None:
-        return str(SAMPLES / "case_study.json")
-    path = workdir / f"{case}.json"
-    path.write_text(json.dumps(build(), indent=1), encoding="utf-8")
+def _input_file(source, path: Path) -> str:
+    """``source`` is a samples/ file name or a builder of the JSON document."""
+    if isinstance(source, str):
+        return str(SAMPLES / source)
+    path.write_text(json.dumps(source(), indent=1), encoding="utf-8")
     return str(path)
+
+
+def _system_file(case: str, workdir: Path) -> str:
+    return _input_file(CASES[case], workdir / f"{case}.json")
 
 
 def _analyze(case: str, command: str, workdir: Path) -> tuple[int, bytes, bytes]:
@@ -63,8 +65,7 @@ def test_report_bytes_match_golden(case, command, tmp_path):
     assert stdout == (GOLDEN / f"{case}.{command}.stdout").read_bytes()
 
 
-# scenarios for ``simulate --trace``: (system, scenario), each a samples/ file
-# name or a builder of its JSON document
+# scenarios for ``simulate --trace``: (system, scenario), inputs as for _input_file
 MIXED_DENOMINATORS_SYSTEM = {
     "processors": 2,
     "tasks": [
@@ -105,13 +106,6 @@ SIM_CASES = {
 }
 
 
-def _input_file(source, path: Path) -> str:
-    if isinstance(source, str):
-        return str(SAMPLES / source)
-    path.write_text(json.dumps(source(), indent=1), encoding="utf-8")
-    return str(path)
-
-
 def _simulate(case: str, workdir: Path) -> tuple[int, bytes, bytes]:
     """Exit code, trace bytes and stdout bytes of one ``simulate --trace`` run."""
     system, scenario = SIM_CASES[case]
@@ -129,13 +123,17 @@ def _simulate(case: str, workdir: Path) -> tuple[int, bytes, bytes]:
     return code, trace.read_bytes(), stdout.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("case", sorted(SIM_CASES))
-def test_trace_bytes_match_golden(case, tmp_path):
-    code, trace, stdout = _simulate(case, tmp_path)
+def _assert_trace_matches_golden(case: str, workdir: Path) -> None:
+    code, trace, stdout = _simulate(case, workdir)
     exit_codes = json.loads((GOLDEN / "simulate_exit_codes.json").read_text(encoding="utf-8"))
     assert code == exit_codes[case]
     assert trace == (GOLDEN / f"{case}.simulate.tsv").read_bytes()
     assert stdout == (GOLDEN / f"{case}.simulate.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES))
+def test_trace_bytes_match_golden(case, tmp_path):
+    _assert_trace_matches_golden(case, tmp_path)
 
 
 @pytest.mark.parametrize("case", sorted(SIM_CASES))
@@ -146,11 +144,8 @@ def test_trace_written_without_simevents(case, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("SimEvent built")
 
-    monkeypatch.setattr(sim, "SimEvent", refuse)
-    code, trace, stdout = _simulate(case, tmp_path)
-    assert code == json.loads((GOLDEN / "simulate_exit_codes.json").read_text(encoding="utf-8"))[case]
-    assert trace == (GOLDEN / f"{case}.simulate.tsv").read_bytes()
-    assert stdout == (GOLDEN / f"{case}.simulate.stdout").read_bytes()
+    monkeypatch.setattr("modesched.sim.SimEvent", refuse)
+    _assert_trace_matches_golden(case, tmp_path)
 
 
 def regenerate() -> None:
