@@ -11,12 +11,11 @@ Decreasing.  Two questions are settled offline:
   mode's MD tasks (an exact 0-1 knapsack maximizing summed execution time)
   and running the busy-period recurrence on the packed demand.
 
-The knapsack runs on an integer base: execution times are scaled by the lcm
-of their denominators and utilizations by the lcm of the utilization and
-spare-capacity denominators, so branch and bound, with the floor of the
-Dantzig fractional bound as its prune, is exact integer arithmetic with no
-epsilon.  A mode's pool is put on that base and sorted by density once, and
-solved once per distinct spare capacity.
+The knapsack runs on an exact integer base (see ``_Knapsack``): one branch
+and bound on tie-broken integer values, pruned with the floor of the Dantzig
+fractional bound, finds the heaviest selection and, among those, the
+lexicographically smallest in id order, with no epsilon.  A mode's pool is
+sorted by density once and solved once per distinct spare capacity.
 
 The feasibility bound presumes the combined MI + MD placement is one some
 First-Fit ordering could have produced; hand placements of MI tasks that no
@@ -30,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
     Allocation,
@@ -156,77 +155,32 @@ def first_fit_decreasing(system: ModeSystem, mode_id: str) -> Allocation:
 class _Knapsack:
     """One pool of MD tasks on an exact integer base, for the worst-case packing.
 
-    Execution times are scaled by the lcm of their denominators, and
-    utilizations by ``scale``, the lcm of the reduced utilization
-    denominators and of the denominators of the capacities to be packed, so
-    every fit test and every packed value is an int.  Scaling by a positive
-    constant keeps every comparison, so each packing decides exactly what it
-    would decide on the rationals; rationals are built only for the result.
+    Execution times are scaled by the lcm of their denominators and
+    utilizations by ``scale``, the lcm of the utilization and capacity
+    denominators, so every fit test and packed value is an int; rationals are
+    built only for the result.  The tie rule is folded into the values: in id
+    order, task ``i`` of ``n`` is worth its scaled wcet times ``2**n`` less
+    ``2**(n-1-i)``.  A subset's penalties sum to less than ``2**n``, so the
+    most valuable subset is the heaviest and, among those, the one whose
+    inclusion vector in id order is lexicographically smallest; no two
+    subsets are worth the same.  Items are kept in non-increasing
+    value/utilization order, with prefix sums for the fractional bound.
     """
 
     def __init__(self, pool: Iterable[Task], capacities: Iterable[Fraction]):
-        self.pool = sorted(pool, key=lambda t: t.id)
-        self.time_scale = math.lcm(*(t.wcet.denominator for t in self.pool))
-        self.scale = math.lcm(
-            *(t.utilization.denominator for t in self.pool), *(c.denominator for c in capacities)
-        )
-        self.items = [
-            (_scaled(t.wcet, self.time_scale), _scaled(t.utilization, self.scale)) for t in self.pool
-        ]
-        # density wcet/utilization is the period; ties by larger wcet
-        self.density_order = sorted(
-            range(len(self.pool)), key=lambda i: (-self.pool[i].period, -self.pool[i].wcet)
-        )
-        self._suffixes: dict[int, _Packing] = {}
-
-    def suffix(self, first: int) -> "_Packing":
-        """The tasks from the ``first``-th in id order onwards, as a ``_Packing``."""
-        packing = self._suffixes.get(first)
-        if packing is None:
-            packing = _Packing([self.items[i] for i in self.density_order if i >= first])
-            self._suffixes[first] = packing
-        return packing
-
-    def solve(self, capacity: Fraction) -> tuple[tuple[str, ...], Fraction]:
-        """The heaviest selection within ``capacity`` whose inclusion vector in
-        id order is lexicographically smallest, and its summed execution time.
-
-        The optimum comes first; then one depth-first search in id order,
-        leaving each task out before taking it, stops at the first selection
-        that packs the optimum, pruning where the remaining tasks' bound falls
-        short of what is still needed.
-        """
-        room = _scaled(capacity, self.scale)
-        target = self.suffix(0).max_packed(room)
-        items, count = self.items, len(self.items)
-        # nodes (index, room, need, chosen), chosen a linked list (index, rest);
-        # the leave-out child is pushed last, so it is explored first
-        stack = [(0, room, target, None)]
-        while True:  # the optimum is reachable, so the search ends at a node that packs it
-            index, room, need, chosen = stack.pop()
-            if need == 0:
-                break
-            if index == count or self.suffix(index).bound(0, room) < need:
-                continue
-            wcet, util = items[index]
-            if util <= room:
-                stack.append((index + 1, room - util, need - wcet, (index, chosen)))
-            stack.append((index + 1, room, need, chosen))
-        selected = []
-        while chosen is not None:
-            index, chosen = chosen
-            selected.append(self.pool[index].id)
-        return tuple(reversed(selected)), Fraction(target, self.time_scale)
-
-
-class _Packing:
-    """Integer (wcet, utilization) items in non-increasing density order, which
-    is non-increasing period, with prefix sums for the fractional bound."""
-
-    def __init__(self, items: Sequence[tuple[int, int]]):
-        self.items = items
-        self.wcet_sums = list(itertools.accumulate((w for w, _ in items), initial=0))
-        self.util_sums = list(itertools.accumulate((u for _, u in items), initial=0))
+        pool = sorted(pool, key=lambda t: t.id)
+        count = len(pool)
+        self.time_scale = math.lcm(*(t.wcet.denominator for t in pool))
+        self.scale = math.lcm(*(t.utilization.denominator for t in pool), *(c.denominator for c in capacities))
+        wcets = (_scaled(t.wcet, self.time_scale) for t in pool)
+        values = [(wcet << count) - (1 << (count - 1 - i)) for i, wcet in enumerate(wcets)]
+        utils = [_scaled(t.utilization, self.scale) for t in pool]
+        # any order among equal densities gives the same (unique) optimum
+        order = sorted(range(count), key=lambda i: Fraction(values[i], utils[i]), reverse=True)
+        self.ids = [pool[i].id for i in order]
+        self.items = [(values[i], utils[i]) for i in order]
+        self.value_sums = list(itertools.accumulate((v for v, _ in self.items), initial=0))
+        self.util_sums = list(itertools.accumulate((u for _, u in self.items), initial=0))
 
     def bound(self, index: int, room: int) -> int:
         """Floor of the Dantzig fractional bound over ``items[index:]`` within ``room``.
@@ -238,34 +192,40 @@ class _Packing:
         util_sums = self.util_sums
         base = util_sums[index]
         last = bisect.bisect_right(util_sums, base + room, index) - 1
-        value = self.wcet_sums[last] - self.wcet_sums[index]
+        value = self.value_sums[last] - self.value_sums[index]
         if last < len(self.items):
-            wcet, util = self.items[last]
-            value += wcet * (room - (util_sums[last] - base)) // util
+            item_value, util = self.items[last]
+            value += item_value * (room - (util_sums[last] - base)) // util
         return value
 
-    def max_packed(self, room: int) -> int:
-        """Largest summed wcet of a subset whose summed utilization fits ``room``.
+    def solve(self, capacity: Fraction) -> tuple[tuple[str, ...], Fraction]:
+        """The heaviest selection within ``capacity`` whose inclusion vector in
+        id order is lexicographically smallest, and its summed execution time.
 
-        Branch and bound in density order, taking each item before leaving it
-        out, pruned where the bound cannot beat the best packing found.  The
-        depth-first walk keeps its own stack, so it goes as deep as there are
-        items.
+        Branch and bound on the tie-broken values in density order, taking
+        each item before leaving it out, pruned where the bound cannot beat
+        the best found; its own stack goes as deep as there are items.
         """
         items, count, bound = self.items, len(self.items), self.bound
-        best = 0
-        stack = [(0, room, 0)]
+        best, best_chosen = 0, None
+        # nodes (index, room, value, chosen), chosen a linked list (index, rest)
+        stack = [(0, _scaled(capacity, self.scale), 0, None)]
         while stack:
-            index, room, value = stack.pop()
+            index, room, value, chosen = stack.pop()
             if value > best:
-                best = value
+                best, best_chosen = value, chosen
             if index == count or value + bound(index, room) <= best:
                 continue
-            wcet, util = items[index]
-            stack.append((index + 1, room, value))
+            item_value, util = items[index]
+            stack.append((index + 1, room, value, chosen))
             if util <= room:
-                stack.append((index + 1, room - util, value + wcet))
-        return best
+                stack.append((index + 1, room - util, value + item_value, (index, chosen)))
+        selected = []
+        while best_chosen is not None:
+            index, best_chosen = best_chosen
+            selected.append(self.ids[index])
+        # best is the packed scaled wcet times 2**count less penalties below 2**count
+        return tuple(sorted(selected)), Fraction(-(-best >> count), self.time_scale)
 
 
 def worst_case_selection(system: ModeSystem, processor: int, md_task_pool: Iterable[Task]) -> KnapsackResult:

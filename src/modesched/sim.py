@@ -273,8 +273,10 @@ def parse_scenario(text: str, system: ModeSystem) -> Union[Scenario, SweepSpec]:
     allocation_source = raw.get("allocation", OFFLINE_TABLE)
 
     if "sweep" in raw:
-        if "mcrs" in raw:
-            raise ScenarioError("a scenario may carry either 'sweep' or 'mcrs', not both")
+        replaced = sorted(set(raw) & {"initial_mode", "horizon", "mcrs", "release_offsets"})
+        if replaced:
+            names = ", ".join(map(repr, replaced))
+            raise ScenarioError(f"a scenario may carry either 'sweep' or {names}, not both")
         sweep = raw["sweep"]
         if not isinstance(sweep, Mapping) or set(sweep) - {"from_mode", "to_mode", "step"}:
             raise ScenarioError("sweep: expected an object with keys from_mode, to_mode, step")

@@ -338,17 +338,18 @@ def test_knapsack_selection_is_lexicographically_smallest_optimum():
             assert (result.packed_wcet, result.selected) == (packed, selected)
 
 
-def _fractional_relaxation(tasks, capacity):
-    """Dantzig bound on rationals: whole tasks by decreasing wcet/utilization,
-    then the fitting fraction of the first that does not fit."""
+def _fractional_relaxation(items, capacity):
+    """Dantzig bound on rationals over (value, utilization) pairs: whole items
+    by decreasing value/utilization, then the fitting fraction of the first
+    that does not fit."""
     value = Fraction(0)
     room = capacity
-    for task in sorted(tasks, key=lambda t: -(t.wcet / t.utilization)):
-        if task.utilization <= room:
-            room -= task.utilization
-            value += task.wcet
+    for item_value, utilization in sorted(items, key=lambda item: -(item[0] / item[1])):
+        if utilization <= room:
+            room -= utilization
+            value += item_value
         else:
-            value += task.wcet * room / task.utilization
+            value += item_value * room / utilization
             break
     return value
 
@@ -361,10 +362,15 @@ def test_knapsack_prune_bound_is_floor_of_fractional_relaxation():
         knapsack = _Knapsack(pool, (capacity,))
         room = capacity * knapsack.scale
         assert room.denominator == 1
-        for first in range(len(pool) + 1):
-            relaxation = _fractional_relaxation(pool[first:], capacity)
-            bound = knapsack.suffix(first).bound(0, int(room))
-            assert bound == math.floor(relaxation * knapsack.time_scale)
+        # tie-broken values: scaled wcet times 2**n, less 2**(n-1-i) for the i-th id
+        n = len(pool)
+        items = {
+            t.id: (t.wcet * knapsack.time_scale * 2**n - 2 ** (n - 1 - i), t.utilization) for i, t in enumerate(pool)
+        }
+        assert sorted(knapsack.ids) == [t.id for t in pool]
+        for index in range(n + 1):
+            relaxation = _fractional_relaxation([items[tid] for tid in knapsack.ids[index:]], capacity)
+            assert knapsack.bound(index, int(room)) == math.floor(relaxation)
 
 
 def deep_pool_raw(mi_wcet=None):

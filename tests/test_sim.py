@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -249,11 +250,16 @@ def test_parse_scenario_sweep_and_errors(case_study):
         case_study,
     )
     assert isinstance(spec, ms.SweepSpec) and spec.step == 1
-    with pytest.raises(ms.ScenarioError, match="not both"):
-        ms.parse_scenario(
-            '{"sweep": {"from_mode": "mode1", "to_mode": "mode2", "step": 1}, "mcrs": []}',
-            case_study,
-        )
+    sweep = {"from_mode": "mode1", "to_mode": "mode2", "step": 1}
+    for extra in (
+        {"mcrs": []},
+        {"initial_mode": "nope"},
+        {"horizon": 5},
+        {"release_offsets": {"zzz": ["abc"]}},
+        {"initial_mode": "nope", "horizon": 5, "release_offsets": {"zzz": ["abc"]}},
+    ):
+        with pytest.raises(ms.ScenarioError, match="not both"):
+            ms.parse_scenario(json.dumps({"sweep": sweep, **extra}), case_study)
     with pytest.raises(ms.ScenarioError, match="invalid JSON"):
         ms.parse_scenario("{", case_study)
     with pytest.raises(ms.ScenarioError, match="missing scenario key"):
