@@ -11,6 +11,11 @@ drain time exist:
 
 The platform-wide bound is the maximum over processors of the smaller of the
 two bounds.
+
+Every exact kernel of the package (the busy period here, the allocation
+search, the First-Fit knapsack and the simulator) runs on integers: it takes
+an integer time base from ``_time_base`` and scales its rationals to it with
+``_scaled``.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def busy_period(md_wcet_sum, mi_tasks: Iterable[Task]) -> Optional[Fraction]:
     for ``z = 0`` (nothing to drain) and None when the recurrence diverges,
     which happens exactly when the MI tasks alone saturate the processor
     (utilization >= 1) and ``z > 0``.  The iteration runs on integers: every
-    time is scaled by the lcm of the denominators, so the result is exact.
+    time is scaled to one ``_time_base``, so the result is exact.
     """
     z = as_time(md_wcet_sum, what="md_wcet_sum")
     tasks = list(mi_tasks)
@@ -84,11 +89,17 @@ def busy_period(md_wcet_sum, mi_tasks: Iterable[Task]) -> Optional[Fraction]:
         return Fraction(0)
     if sum((t.utilization for t in tasks), Fraction(0)) >= 1:
         return None
-    scale = math.lcm(z.denominator, *(v.denominator for t in tasks for v in (t.wcet, t.period)))
+    scale = _time_base([z, *(v for t in tasks for v in (t.wcet, t.period))])
     value = _scaled_busy_period(
         _scaled(z, scale), [(_scaled(t.wcet, scale), _scaled(t.period, scale)) for t in tasks]
     )
     return Fraction(value, scale)
+
+
+def _time_base(values: Iterable[Fraction]) -> int:
+    """The least integer base on which every value is an integer: the lcm of
+    the denominators, 1 for no values."""
+    return math.lcm(*(value.denominator for value in values))
 
 
 def _scaled(value: Fraction, scale: int) -> int:

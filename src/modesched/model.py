@@ -161,10 +161,6 @@ class ModeGraph:
         self.mode(mode_id)
         return tuple(sorted({src for src, dst in self.edges if dst == mode_id}))
 
-    def successors(self, mode_id: str) -> tuple[str, ...]:
-        self.mode(mode_id)
-        return tuple(sorted({dst for src, dst in self.edges if src == mode_id}))
-
 
 @dataclass(frozen=True)
 class ModeSystem:
@@ -466,24 +462,18 @@ def worst_predecessor_latency(
 
 
 def certify_modes(
-    system: ModeSystem, analyze: Callable[[str], tuple[Optional[Fraction], bool, Any]]
+    system: ModeSystem, analyze: Callable[[UtilizationSummary], tuple[Optional[Fraction], bool, Any]]
 ) -> SchemeVerdict:
     """Certify every mode under the synchronous transition protocol.
 
-    ``analyze(mode_id)`` returns the scheme's latency bound for transitions
-    out of the mode (None when the mode is infeasible), whether the mode is
-    feasible on its own, and the scheme's evidence.  A mode passes when it is
+    ``analyze(summary)`` is given the mode's ``UtilizationSummary`` (built
+    once per mode; it names the mode in ``mode_id`` and also goes into the
+    verdict) and returns the scheme's latency bound for transitions out of
+    the mode (None when the mode is infeasible), whether the mode is feasible
+    on its own, and the scheme's evidence.  A mode passes when it is
     feasible, all its predecessors are, and every MD task meets
     ``entry latency + period <= transition deadline``.
     """
-    return _certify_summaries(system, lambda summary: analyze(summary.mode_id))
-
-
-def _certify_summaries(
-    system: ModeSystem, analyze: Callable[[UtilizationSummary], tuple[Optional[Fraction], bool, Any]]
-) -> SchemeVerdict:
-    """``certify_modes`` with ``analyze`` given the mode's utilization summary,
-    which is built once per mode and also goes into the verdict."""
     summaries = {mode_id: utilization_summary(system, mode_id) for mode_id in system.mode_ids()}
     analyzed = {mode_id: analyze(summary) for mode_id, summary in summaries.items()}
     bounds = {mode_id: bound for mode_id, (bound, _, _) in analyzed.items()}

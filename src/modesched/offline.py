@@ -10,8 +10,8 @@ witness is the assignment vector that is lexicographically smallest in
 task-id order among the optimal ones, so results are reproducible.  When no
 utilization-feasible allocation exists, the mode is reported stuck on the
 first task in branching order that cannot be placed together with the tasks
-before it.  The oracle runs on an integer time base: times are scaled by the
-lcm of their denominators and utilizations by the lcm of the scaled periods,
+before it.  The oracle runs on an integer time base: times are scaled to
+their ``_time_base`` and utilizations by the lcm of the scaled periods,
 so every utilization test, demand sum and busy-period iteration is exact
 integer arithmetic with no epsilon, and rationals are built only for the
 result.
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .model import Allocation, ModeSystem, SchemeVerdict, as_time, certify_modes
-from .latency import LatencyReport, _scaled, _scaled_busy_period, analyze_allocation
+from .model import Allocation, ModeSystem, SchemeVerdict, UtilizationSummary, as_time, certify_modes
+from .latency import LatencyReport, _scaled, _scaled_busy_period, _time_base, analyze_allocation
 from .online import transition_bound_detail
 
 
@@ -70,7 +70,7 @@ class _SearchState:
     """The allocation oracle of one mode, on an exact integer time base.
 
     Every time (wcet, period, demand, busy period) is scaled by ``scale``, the
-    lcm of the wcet and period denominators of the MI tasks and the mode's MD
+    ``_time_base`` of the wcets and periods of the MI tasks and the mode's MD
     tasks, and every utilization by ``capacity``, the lcm of the scaled
     periods, so a full processor holds ``capacity``.  Scaling by a positive
     constant keeps every comparison, so the oracle decides exactly what it
@@ -79,7 +79,7 @@ class _SearchState:
 
     def __init__(self, system: ModeSystem, md_tasks):
         tasks = system.mi_tasks + tuple(md_tasks)
-        self.scale = math.lcm(*(v.denominator for t in tasks for v in (t.wcet, t.period)))
+        self.scale = _time_base(v for t in tasks for v in (t.wcet, t.period))
         self.capacity = math.lcm(*(self.time(t.period) for t in tasks))
         self.processors = list(system.processors)
         self.mi_sets = {
@@ -241,9 +241,9 @@ def validate_offline_scheme(system: ModeSystem) -> SchemeVerdict:
     and its evidence is the ``InfeasibleModeError`` naming the stuck task.
     """
 
-    def analyze(mode_id: str):
+    def analyze(summary: UtilizationSummary):
         try:
-            result = solve_optimal(system, mode_id)
+            result = solve_optimal(system, summary.mode_id)
         except InfeasibleModeError as exc:
             return None, False, exc
         return result.optimal_latency, True, result

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -37,10 +36,10 @@ from .model import (
     SchemeVerdict,
     Task,
     UtilizationSummary,
-    _certify_summaries,
+    certify_modes,
     utilization_summary,
 )
-from .latency import _scaled, busy_period
+from .latency import _scaled, _time_base, busy_period
 
 
 class PlacementError(ValueError):
@@ -155,12 +154,11 @@ def first_fit_decreasing(system: ModeSystem, mode_id: str) -> Allocation:
 class _Knapsack:
     """One pool of MD tasks on an exact integer base, for the worst-case packing.
 
-    Execution times are scaled by the lcm of their denominators and
-    utilizations by ``scale``, the lcm of the utilization and capacity
-    denominators, so every fit test and packed value is an int; rationals are
-    built only for the result.  The tie rule is folded into the values: in id
-    order, task ``i`` of ``n`` is worth its scaled wcet times ``2**n`` less
-    ``2**(n-1-i)``.  A subset's penalties sum to less than ``2**n``, so the
+    Execution times are scaled to their own ``_time_base`` and utilizations
+    to ``scale``, the time base of the utilizations and capacities, so every
+    fit test and packed value is an int; rationals are built only for the
+    result.  The tie rule is folded into the values: in id order, task ``i``
+    of ``n`` is worth its scaled wcet times ``2**n`` less ``2**(n-1-i)``.  A subset's penalties sum to less than ``2**n``, so the
     most valuable subset is the heaviest and, among those, the one whose
     inclusion vector in id order is lexicographically smallest; no two
     subsets are worth the same.  Items are kept in non-increasing
@@ -170,8 +168,8 @@ class _Knapsack:
     def __init__(self, pool: Iterable[Task], capacities: Iterable[Fraction]):
         pool = sorted(pool, key=lambda t: t.id)
         count = len(pool)
-        self.time_scale = math.lcm(*(t.wcet.denominator for t in pool))
-        self.scale = math.lcm(*(t.utilization.denominator for t in pool), *(c.denominator for c in capacities))
+        self.time_scale = _time_base(t.wcet for t in pool)
+        self.scale = _time_base(itertools.chain((t.utilization for t in pool), capacities))
         wcets = (_scaled(t.wcet, self.time_scale) for t in pool)
         values = [(wcet << count) - (1 << (count - 1 - i)) for i, wcet in enumerate(wcets)]
         utils = [_scaled(t.utilization, self.scale) for t in pool]
@@ -289,4 +287,4 @@ def validate_online_scheme(system: ModeSystem) -> SchemeVerdict:
         bound = max((row.latency for row in detail), default=Fraction(0))
         return bound, feasibility.feasible, OnlineEvidence(feasibility, detail)
 
-    return _certify_summaries(system, analyze)
+    return certify_modes(system, analyze)

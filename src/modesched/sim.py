@@ -9,8 +9,9 @@ throughout, undisturbed.
 
 All timestamps are exact: every release, deadline, preemption and completion
 instant is a rational combination of the input parameters, so the engine
-rescales the whole scenario to a common integer time base and simulates in
-integers.  The trace keeps the integer rows; the text output formats them
+rescales the whole scenario to one integer time base (``latency._time_base``
+of the horizon, the task parameters, the MCR times and the release offsets)
+and simulates in integers.  The trace keeps the integer rows; the text output formats them
 directly, and only ``SimTrace.events`` turns them back into rationals.
 
 Deterministic tie rules (they fix the trace byte-for-byte):
@@ -29,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     Allocation,
@@ -38,6 +39,7 @@ from .model import (
     as_time,
     validate_allocation,
 )
+from .latency import _scaled, _time_base
 from .offline import InfeasibleModeError, solve_optimal
 from .online import first_fit_decreasing, latency_upper_bound, PlacementError
 
@@ -325,17 +327,14 @@ def load_scenario(path, system: ModeSystem) -> Union[Scenario, SweepSpec]:
 def hyperperiod(tasks) -> Fraction:
     """Least common multiple of the tasks' periods (exact, works for rationals)."""
     periods = [t.period for t in tasks]
-    if not periods:
-        return Fraction(1)
-    denom = math.lcm(*(p.denominator for p in periods))
-    scaled = [int(p * denom) for p in periods]
-    return Fraction(math.lcm(*scaled), denom)
+    scale = _time_base(periods)
+    return Fraction(math.lcm(*(_scaled(p, scale) for p in periods)), scale)
 
 
 class _TaskState:
     __slots__ = (
         "task", "wcet", "period", "offsets", "processor", "releasing",
-        "activation", "enable_time", "offset_index", "last_release", "job_count",
+        "activation", "enable_time", "offset_index", "job_count",
     )
 
     def __init__(self, task, wcet: int, period: int, offsets: tuple[int, ...]):
@@ -348,14 +347,13 @@ class _TaskState:
         self.activation = 0
         self.enable_time = 0
         self.offset_index = 0
-        self.last_release: Optional[int] = None
         self.job_count = 0
 
 
 class _Job:
     __slots__ = (
         "state", "index", "release", "deadline", "remaining",
-        "processor", "started", "missed", "key",
+        "processor", "started", "key",
     )
 
     def __init__(self, state: _TaskState, index: int, release: int):
@@ -366,7 +364,6 @@ class _Job:
         self.remaining = state.wcet
         self.processor = state.processor  # pinned at release; later re-placements do not move it
         self.started = False
-        self.missed = False
         self.key = (self.deadline, state.task.id, index)
 
 
@@ -384,21 +381,15 @@ class _Engine:
         self.system = system
         self.processors = system.processors
 
-        denominators = [scenario.horizon.denominator]
-        for task in system.mi_tasks + system.md_tasks:
-            denominators.append(task.wcet.denominator)
-            denominators.append(task.period.denominator)
-            if task.transition_deadline is not None:
-                denominators.append(task.transition_deadline.denominator)
-        for time, _ in scenario.mcr_schedule:
-            denominators.append(time.denominator)
-        for offsets in scenario.release_offsets.values():
-            denominators.extend(v.denominator for v in offsets)
-        self.scale = math.lcm(*denominators)
+        tasks = system.mi_tasks + system.md_tasks
+        times = [scenario.horizon, *(time for time, _ in scenario.mcr_schedule)]
+        times += (v for t in tasks for v in (t.wcet, t.period, t.transition_deadline) if v is not None)
+        times += (v for offsets in scenario.release_offsets.values() for v in offsets)
+        self.scale = _time_base(times)
 
         self.horizon = self.scaled(scenario.horizon)
         self.states: dict[str, _TaskState] = {}
-        for task in system.mi_tasks + system.md_tasks:
+        for task in tasks:
             offsets = tuple(self.scaled(v) for v in scenario.release_offsets.get(task.id, ()))
             self.states[task.id] = _TaskState(task, self.scaled(task.wcet), self.scaled(task.period), offsets)
 
@@ -407,7 +398,6 @@ class _Engine:
         self._seq = 0
         self.ready: dict[int, list] = {p: [] for p in self.processors}
         self.running: dict[int, Optional[_Job]] = {p: None for p in self.processors}
-        self.incomplete: set[_Job] = set()
         self.old_pending: set[_Job] = set()
         self.job_misses = 0
 
@@ -415,9 +405,8 @@ class _Engine:
         # mode, so forks share them
         self.placements: dict[str, Allocation] = {}
         self.current_mode = scenario.initial_mode
-        self.in_transition = False
         self.mcr_time = 0
-        self.destination: Optional[str] = None
+        self.destination: Optional[str] = None  # set only during a transition
 
         self.events: list[tuple[int, Optional[int], str, Optional[str], Optional[int]]] = []
         self.latencies: list[tuple[int, int]] = []
@@ -427,7 +416,7 @@ class _Engine:
     # -- helpers ------------------------------------------------------------
 
     def scaled(self, value: Fraction) -> int:
-        return int(value * self.scale)
+        return _scaled(value, self.scale)
 
     def _push(self, time: int, phase: int, payload: object) -> None:
         self._seq += 1
@@ -438,6 +427,12 @@ class _Engine:
 
     def _frac(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
+
+    def pending_jobs(self) -> Iterator[_Job]:
+        """Every released job not yet complete: the running ones, then the ready queues."""
+        yield from (job for job in self.running.values() if job is not None)
+        for queue in self.ready.values():
+            yield from (job for _, job in queue)
 
     def allocation_for(self, mode_id: str, time: int) -> Allocation:
         if self.scenario.allocation_source == OFFLINE_TABLE:
@@ -482,7 +477,6 @@ class _Engine:
             state.releasing = True
             state.enable_time = time
             state.offset_index = 0
-            state.last_release = None
             self._emit(time, state.processor, "enable", task.id, None)
             if from_transition and task.transition_deadline is not None:
                 record = {
@@ -513,8 +507,6 @@ class _Engine:
     def do_release(self, state: _TaskState, time: int) -> None:
         job = _Job(state, state.job_count, time)
         state.job_count += 1
-        state.last_release = time
-        self.incomplete.add(job)
         self._emit(time, job.processor, "release", state.task.id, job.index)
         heapq.heappush(self.ready[job.processor], (job.key, job))
         if job.deadline < self.horizon:
@@ -522,13 +514,12 @@ class _Engine:
         self._schedule_next_release(state, time)
 
     def do_mcr(self, time: int, destination: str) -> None:
-        if self.in_transition:
+        if self.destination is not None:
             raise SimulationError(
                 f"mode-change request at {self._frac(time)} arrived during an ongoing transition",
                 time=self._frac(time),
             )
         self._emit(time, None, "MCR", destination, None)
-        self.in_transition = True
         self.mcr_time = time
         self.destination = destination
         old_ids = set(self.system.mode(self.current_mode).md_tasks)
@@ -536,23 +527,21 @@ class _Engine:
             state = self.states[task_id]
             state.releasing = False
             self._emit(time, state.processor, "MD-disabled", task_id, None)
-        self.old_pending = {j for j in self.incomplete if j.state.task.id in old_ids}
+        self.old_pending = {j for j in self.pending_jobs() if j.state.task.id in old_ids}
         self.maybe_end_transition(time)
 
     def maybe_end_transition(self, time: int) -> None:
-        if not self.in_transition or self.old_pending:
+        if self.destination is None or self.old_pending:
             return
         self._emit(time, None, "transition-end", None, None)
         self.latencies.append((self.mcr_time, time - self.mcr_time))
         destination = self.destination
-        self.in_transition = False
         self.destination = None
         self.enable_mode(destination, time, from_transition=True)
         self.current_mode = destination
 
     def complete_job(self, processor: int, job: _Job, time: int) -> None:
         self._emit(time, processor, "complete", job.state.task.id, job.index)
-        self.incomplete.discard(job)
         self.old_pending.discard(job)
         record = self._check_by_task_job.get((job.state.task.id, job.index))
         if record is not None and record["completion"] is None:
@@ -590,8 +579,7 @@ class _Engine:
             _, phase, _, payload = heapq.heappop(self.heap)
             if phase == _PHASE_DEADLINE:
                 job = payload
-                if job.remaining > 0 and not job.missed:
-                    job.missed = True
+                if job.remaining > 0:  # each job's deadline is queued once
                     self.job_misses += 1
                     self._emit(time, job.processor, "deadline-miss", job.state.task.id, job.index)
             elif phase == _PHASE_RELEASE:
@@ -680,8 +668,7 @@ class _SourceRun(_Engine):
         pass
 
     def reaches(self, time: Fraction) -> bool:
-        scaled = time * self.scale
-        return scaled.denominator == 1 and scaled >= self.time
+        return self.scale % time.denominator == 0 and self.scaled(time) >= self.time
 
     def request(self, time: int, destination: str, horizon: int) -> "_SourceRun":
         """Fork at instant ``time``, request ``destination`` there and run the
@@ -705,9 +692,8 @@ class _SourceRun(_Engine):
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         states = {state: _copy_slots(state) for state in self.states.values()}
-        jobs = {job: _copy_slots(job) for job in self.incomplete}
+        jobs = {job: _copy_slots(job) for job in self.pending_jobs()}
         twin.states = {task_id: states[state] for task_id, state in self.states.items()}
-        twin.incomplete = set(jobs.values())
         twin.ready = {p: [(key, jobs[job]) for key, job in queue] for p, queue in self.ready.items()}
         twin.running = {p: None if job is None else jobs[job] for p, job in self.running.items()}
         heap = []
@@ -773,12 +759,8 @@ def sweep_mcr(
         if source_run is None or not source_run.reaches(mcr_time):
             # (re)start from time 0 on the time base of this point's scenario
             source_run = _SourceRun(
-                Scenario(
-                    system=system,
-                    initial_mode=source,
-                    allocation_source=allocation_source,
-                    mcr_schedule=((mcr_time, destination),),
-                    horizon=horizon,
+                make_scenario(
+                    system, source, allocation_source, [(mcr_time, destination)], horizon,
                     static_tables=tables,
                 )
             )

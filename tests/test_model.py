@@ -240,7 +240,8 @@ def test_tasks_are_immutable(case_study):
 def test_certify_modes_entry_latency_and_pass_flags(case_study):
     bounds = {"mode1": Fraction(30), "mode2": None}
 
-    def analyze(mode_id):
+    def analyze(summary):
+        mode_id = summary.mode_id
         return bounds[mode_id], bounds[mode_id] is not None, f"evidence of {mode_id}"
 
     verdict = ms.certify_modes(case_study, analyze)
@@ -264,7 +265,7 @@ def test_certify_modes_source_mode_entered_at_zero():
             "transitions": [],
         }
     )
-    verdict = ms.certify_modes(system, lambda mode_id: (Fraction(7), True, None))
+    verdict = ms.certify_modes(system, lambda summary: (Fraction(7), True, None))
     (mode,) = verdict.modes
     assert mode.bound == 7 and mode.entry_latency == 0 and mode.deadline_checks[0].slack == 0
     assert mode.passed and verdict.passed

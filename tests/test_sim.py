@@ -378,6 +378,7 @@ def test_run_sweep_spec_covers_source_hyperperiod():
     result = ms.run_sweep(system, spec)
     assert result.points == 12  # lcm(4, 6)
     assert result.max_latency <= ms.latency_upper_bound(system, "m1")
+    assert ms.hyperperiod(system.mi_tasks + system.md_tasks) == 24 and ms.hyperperiod([]) == 1
 
 
 def test_run_sweep_streams_its_grid(case_study, monkeypatch):
@@ -641,6 +642,9 @@ def test_forked_sweep_edge_cases(case_study):
     for sweep in (ms.sweep_mcr, per_point_sweep):
         with pytest.raises(ms.ScenarioError, match="empty MCR time grid"):
             sweep(case_study, "offline-table", ("mode1", "mode2"), [])
+        # an unknown allocation source is refused, not simulated as online-ffd
+        with pytest.raises(ms.ScenarioError, match="allocation must be"):
+            sweep(case_study, "bogus", ("mode1", "mode2"), range(5))
     quiet = ms.build_system(
         {
             "processors": 2,
