@@ -17,6 +17,9 @@ The analyses themselves live in the library (``validate_offline_scheme``,
 Reports are deterministic: identical input files produce byte-identical
 output, with every number carried both as an exact fraction string and as a
 clearly marked decimal approximation.
+
+Each command imports only the layers it runs (``simulate`` alone loads the
+simulator), so start-up stays a small part of a one-system command.
 """
 
 from __future__ import annotations
@@ -24,20 +27,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .model import ModeSystem, ModeVerdict, SchemeVerdict, SystemValidationError, load_system
-from .offline import BigMError, InfeasibleModeError, export_milp, validate_offline_scheme
-from .online import validate_online_scheme
-from .sim import (
+from .model import (
+    BigMError,
+    InfeasibleModeError,
+    ModeSystem,
+    ModeVerdict,
     ScenarioError,
+    SchemeVerdict,
     SimulationError,
-    SweepSpec,
-    load_scenario,
-    run,
-    run_sweep,
+    SystemValidationError,
+    load_system,
 )
 
 PASS = 0
@@ -126,6 +128,8 @@ def _offline_detail(verdict: ModeVerdict) -> dict:
 
 def build_offline_report(system: ModeSystem) -> dict:
     """Per-mode optimal allocations, latency bounds and deadline verdicts."""
+    from .offline import validate_offline_scheme
+
     return _report("offline", system, validate_offline_scheme(system), _offline_detail)
 
 
@@ -155,6 +159,8 @@ def _online_detail(verdict: ModeVerdict) -> dict:
 def build_online_report(system: ModeSystem) -> dict:
     """Per-mode First-Fit certification: feasibility test, worst-case latency
     bound (valid for any runtime placement) and deadline verdicts."""
+    from .online import validate_online_scheme
+
     return _report("online", system, validate_online_scheme(system), _online_detail)
 
 
@@ -244,6 +250,8 @@ def _cmd_analyze(args, builder) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import SweepSpec, load_scenario, run, run_sweep
+
     system = load_system(args.system)
     scenario = load_scenario(args.scenario, system)
     if isinstance(scenario, SweepSpec):
@@ -270,6 +278,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_export_milp(args) -> int:
+    from .offline import export_milp
+
     system = load_system(args.system)
     document = export_milp(system, args.mode, big_m=args.hv)
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -322,6 +332,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return INTERNAL_ERROR
 

@@ -21,9 +21,8 @@ an integer time base from ``_time_base`` and scales its rationals to it with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
     MD,
@@ -36,8 +35,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ProcessorLatency:
+class ProcessorLatency(NamedTuple):
     """Per-processor latency bounds.
 
     ``period_bound`` and ``busy_bound`` are absent for a processor hosting no
@@ -52,8 +50,7 @@ class ProcessorLatency:
     effective: Fraction
 
 
-@dataclass(frozen=True)
-class LatencyReport:
+class LatencyReport(NamedTuple):
     """Latency bounds for one mode under one allocation, over all processors."""
 
     mode_id: str

@@ -15,10 +15,10 @@ Mode transitions follow a directed graph with no self-loops.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 MI = "MI"
 MD = "MD"
@@ -30,6 +30,38 @@ class SystemValidationError(ValueError):
 
 class AllocationError(ValueError):
     """Raised when an MD-task-to-processor assignment is invalid for a mode."""
+
+
+# The offline and simulator errors live here, beside the input errors, so the
+# CLI can catch them without importing those layers; ``modesched.offline`` and
+# ``modesched.sim`` re-export them.
+
+class BigMError(ValueError):
+    """A big-M constant does not strictly exceed every attainable latency."""
+
+
+class InfeasibleModeError(ValueError):
+    """No utilization-feasible assignment of the mode's MD tasks exists."""
+
+    def __init__(self, mode_id: str, task_id: str):
+        super().__init__(
+            f"mode {mode_id}: no feasible allocation; search stuck placing task {task_id}"
+        )
+        self.mode_id = mode_id
+        self.task_id = task_id
+
+
+class ScenarioError(ValueError):
+    """Raised when a scenario description is inconsistent with its system."""
+
+
+class SimulationError(RuntimeError):
+    """Raised when a scenario cannot be executed (nested MCR, failed online placement)."""
+
+    def __init__(self, message: str, time: Optional[Fraction] = None, task_id: Optional[str] = None):
+        super().__init__(message)
+        self.time = time
+        self.task_id = task_id
 
 
 def parse_exact(value, *, what: str = "value") -> Fraction:
@@ -75,8 +107,16 @@ def as_array(value, *, what: str, error: type[ValueError] = SystemValidationErro
     return value
 
 
-@dataclass(frozen=True)
-class Task:
+class _TaskFields(NamedTuple):
+    id: str
+    kind: str
+    wcet: Fraction
+    period: Fraction
+    transition_deadline: Optional[Fraction] = None
+    home_processor: Optional[int] = None
+
+
+class Task(_TaskFields):
     """One recurrent sporadic task with implicit deadline.
 
     Attributes:
@@ -91,14 +131,10 @@ class Task:
         home_processor: for MI tasks only, the 1-based static processor binding.
     """
 
-    id: str
-    kind: str
-    wcet: Fraction
-    period: Fraction
-    transition_deadline: Optional[Fraction] = None
-    home_processor: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.id, str) or not self.id:
             raise SystemValidationError(f"task id must be a non-empty string, got {self.id!r}")
         if self.kind not in (MI, MD):
@@ -121,6 +157,12 @@ class Task:
                 raise SystemValidationError(
                     f"task {self.id}: MD tasks must not carry a static processor; allocation is computed"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Task:
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
 
     @property
     def utilization(self) -> Fraction:
@@ -128,16 +170,14 @@ class Task:
         return self.wcet / self.period
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(NamedTuple):
     """A mode: an identifier plus the set of MD tasks it runs."""
 
     id: str
     md_tasks: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ModeGraph:
+class ModeGraph(NamedTuple):
     """Directed mode-transition graph.
 
     Edge labels (worst-case transition delays) are never stored: the delay of a
@@ -162,22 +202,28 @@ class ModeGraph:
         return tuple(sorted({src for src, dst in self.edges if dst == mode_id}))
 
 
-@dataclass(frozen=True)
-class ModeSystem:
-    """A validated multimode system on ``processor_count`` identical processors.
-
-    Immutable after construction; every derived accessor is a pure function,
-    so instances may be shared freely across threads.
-    """
-
+class _ModeSystemFields(NamedTuple):
     processor_count: int
     mi_tasks: tuple[Task, ...]
     md_tasks: tuple[Task, ...]
     mode_graph: ModeGraph
-    _by_id: Mapping[str, Task] = field(repr=False, hash=False, compare=False, default=None)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_id", {t.id: t for t in self.mi_tasks + self.md_tasks})
+
+class ModeSystem(_ModeSystemFields):
+    """A validated multimode system on ``processor_count`` identical processors.
+
+    Immutable after construction; every derived accessor is a pure function,
+    so instances may be shared freely across threads.  The task index behind
+    ``task()`` is built on first use and kept in the instance dict, outside
+    equality and hash.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: ModeSystem is immutable")
+
+    @functools.cached_property
+    def _by_id(self) -> dict[str, Task]:
+        return {t.id: t for t in self.mi_tasks + self.md_tasks}
 
     @property
     def processors(self) -> range:
@@ -206,8 +252,7 @@ class ModeSystem:
         return sum((t.utilization for t in self.mi_on(processor)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """An assignment of one mode's MD tasks to processors (1-based indices)."""
 
     mode_id: str
@@ -217,8 +262,7 @@ class Allocation:
         return tuple(sorted(tid for tid, p in self.assignment.items() if p == processor))
 
 
-@dataclass(frozen=True)
-class UtilizationSummary:
+class UtilizationSummary(NamedTuple):
     """Aggregate utilization figures for one mode (MI tasks plus the mode's MD tasks)."""
 
     mode_id: str
@@ -227,8 +271,7 @@ class UtilizationSummary:
     per_processor_mi: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class DeadlineVerdict:
+class DeadlineVerdict(NamedTuple):
     """Outcome of a transition-deadline check for one MD task.
 
     ``checked`` is False when the task has no transition deadline; such a
@@ -242,8 +285,7 @@ class DeadlineVerdict:
     checked: bool
 
 
-@dataclass(frozen=True)
-class ModeVerdict:
+class ModeVerdict(NamedTuple):
     """One mode's outcome under an allocation scheme.
 
     ``bound`` is the scheme's transition-latency bound out of the mode (None
@@ -263,8 +305,7 @@ class ModeVerdict:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SchemeVerdict:
+class SchemeVerdict(NamedTuple):
     """Per-mode verdicts of one allocation scheme; it passes when every mode does."""
 
     modes: tuple[ModeVerdict, ...]

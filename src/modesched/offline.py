@@ -25,32 +25,24 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .model import Allocation, ModeSystem, SchemeVerdict, UtilizationSummary, as_time, certify_modes
+from .model import (
+    Allocation,
+    BigMError,
+    InfeasibleModeError,
+    ModeSystem,
+    SchemeVerdict,
+    UtilizationSummary,
+    as_time,
+    certify_modes,
+)
 from .latency import LatencyReport, _scaled, _scaled_busy_period, _time_base, analyze_allocation
 from .online import transition_bound_detail
 
 
-class BigMError(ValueError):
-    """A big-M constant does not strictly exceed every attainable latency."""
-
-
-class InfeasibleModeError(ValueError):
-    """No utilization-feasible assignment of the mode's MD tasks exists."""
-
-    def __init__(self, mode_id: str, task_id: str):
-        super().__init__(
-            f"mode {mode_id}: no feasible allocation; search stuck placing task {task_id}"
-        )
-        self.mode_id = mode_id
-        self.task_id = task_id
-
-
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     """Outcome of the exact allocation search for one mode, with the latency
     bounds of the optimal allocation.  ``explored_nodes`` counts the
     placements the allocation oracle tried over all of its calls."""
@@ -255,8 +247,7 @@ def validate_offline_scheme(system: ModeSystem) -> SchemeVerdict:
 # MILP document and LP-format export
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(NamedTuple):
     """One linear row: sum of (variable, coefficient) terms, a sense, and a constant."""
 
     name: str
@@ -269,8 +260,7 @@ class ConstraintRow:
         return total == self.rhs if self.sense == "=" else total <= self.rhs
 
 
-@dataclass(frozen=True)
-class MilpDocument:
+class MilpDocument(NamedTuple):
     """The allocation optimization as a mixed-integer linear program.
 
     Variables follow the fixed naming protocol ``y_<processor>_<task>``

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import (
     Allocation,
@@ -51,8 +50,7 @@ class PlacementError(ValueError):
         self.task_id = task_id
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     """Outcome of the utilization feasibility test for one mode.
 
     ``beta`` is the largest number of maximum-utilization tasks a single
@@ -69,8 +67,7 @@ class FeasibilityVerdict:
     margin: Fraction
 
 
-@dataclass(frozen=True)
-class KnapsackResult:
+class KnapsackResult(NamedTuple):
     """Worst-case MD-task subset for one processor.
 
     ``packed_wcet`` is the maximal summed execution time over subsets of the
@@ -83,8 +80,7 @@ class KnapsackResult:
     capacity: Fraction
 
 
-@dataclass(frozen=True)
-class ProcessorBound:
+class ProcessorBound(NamedTuple):
     """Knapsack selection and resulting busy-period latency for one processor."""
 
     processor: int
@@ -92,8 +88,7 @@ class ProcessorBound:
     latency: Fraction
 
 
-@dataclass(frozen=True)
-class OnlineEvidence:
+class OnlineEvidence(NamedTuple):
     """Why a mode's online verdict holds: the utilization feasibility test and
     the per-processor worst-case packings behind its latency bound."""
 

@@ -24,17 +24,18 @@ Deterministic tie rules (they fix the trace byte-for-byte):
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     Allocation,
     ModeSystem,
+    ScenarioError,
+    SimulationError,
     as_array,
     as_time,
     validate_allocation,
@@ -52,21 +53,7 @@ _PHASE_RELEASE = 1
 _PHASE_MCR = 2
 
 
-class ScenarioError(ValueError):
-    """Raised when a scenario description is inconsistent with its system."""
-
-
-class SimulationError(RuntimeError):
-    """Raised when a scenario cannot be executed (nested MCR, failed online placement)."""
-
-    def __init__(self, message: str, time: Optional[Fraction] = None, task_id: Optional[str] = None):
-        super().__init__(message)
-        self.time = time
-        self.task_id = task_id
-
-
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One executable simulation scenario.
 
     ``release_offsets`` maps task ids to release instants relative to each
@@ -82,12 +69,11 @@ class Scenario:
     allocation_source: str
     mcr_schedule: tuple[tuple[Fraction, str], ...]
     horizon: Fraction
-    release_offsets: Mapping[str, tuple[Fraction, ...]] = field(default_factory=dict)
+    release_offsets: Mapping[str, tuple[Fraction, ...]] = MappingProxyType({})
     static_tables: Optional[Mapping[str, Allocation]] = None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """Directive to sweep a single MCR over a grid of request times."""
 
     from_mode: str
@@ -96,8 +82,7 @@ class SweepSpec:
     allocation_source: str
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: Fraction
     processor: Optional[int]
     kind: str
@@ -105,8 +90,7 @@ class SimEvent:
     job: Optional[int]
 
 
-@dataclass(frozen=True)
-class TransitionCheck:
+class TransitionCheck(NamedTuple):
     """First-job transition-deadline record for one newly enabled MD task."""
 
     task_id: str
@@ -116,14 +100,12 @@ class TransitionCheck:
     ok: Optional[bool]
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class SimTrace(NamedTuple):
     """One run's trace: the engine's integer event rows and their time base.
 
     A row is ``(time, processor, kind, task, job)`` with ``time`` in units of
-    ``1/scale``.  ``events``, the rows as exact ``SimEvent``s, is built on
-    first access; ``to_text()`` formats the rows directly.  Equality compares
-    the rows and the scale, not the events.
+    ``1/scale``.  ``events``, the rows as exact ``SimEvent``s, is built anew
+    on each access; ``to_text()`` formats the rows directly.
     """
 
     rows: tuple[tuple[int, Optional[int], str, Optional[str], Optional[int]], ...]
@@ -132,7 +114,7 @@ class SimTrace:
     transition_checks: tuple[TransitionCheck, ...]
     job_deadline_misses: int
 
-    @functools.cached_property
+    @property
     def events(self) -> tuple[SimEvent, ...]:
         return tuple(SimEvent(Fraction(t, self.scale), *rest) for t, *rest in self.rows)
 
@@ -171,8 +153,7 @@ class SimTrace:
         return "".join(lines) + self.footer()
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     max_latency: Fraction
     at_time: Fraction
     points: int
@@ -182,6 +163,14 @@ class SweepResult:
     @property
     def deadline_misses(self) -> int:
         return self.job_misses + self.transition_misses
+
+
+def _check_allocation_source(allocation_source: str) -> None:
+    """Refuse an allocation source other than the two the simulator knows."""
+    if allocation_source not in (OFFLINE_TABLE, ONLINE_FFD):
+        raise ScenarioError(
+            f"allocation must be {OFFLINE_TABLE!r} or {ONLINE_FFD!r}, got {allocation_source!r}"
+        )
 
 
 def make_scenario(
@@ -199,10 +188,7 @@ def make_scenario(
     MCR schedule actually enters.
     """
     system.mode(initial_mode)
-    if allocation_source not in (OFFLINE_TABLE, ONLINE_FFD):
-        raise ScenarioError(
-            f"allocation must be {OFFLINE_TABLE!r} or {ONLINE_FFD!r}, got {allocation_source!r}"
-        )
+    _check_allocation_source(allocation_source)
     horizon = as_time(horizon, what="horizon")
 
     schedule: list[tuple[Fraction, str]] = []
@@ -292,8 +278,7 @@ def parse_scenario(text: str, system: ModeSystem) -> Union[Scenario, SweepSpec]:
             raise ScenarioError(
                 f"sweep: no transition from mode {sweep['from_mode']!r} to {sweep['to_mode']!r}"
             )
-        if allocation_source not in (OFFLINE_TABLE, ONLINE_FFD):
-            raise ScenarioError(f"allocation must be {OFFLINE_TABLE!r} or {ONLINE_FFD!r}")
+        _check_allocation_source(allocation_source)
         return SweepSpec(
             from_mode=sweep["from_mode"],
             to_mode=sweep["to_mode"],
@@ -734,6 +719,7 @@ def sweep_mcr(
     misses before the request therefore count at every point, as they would
     in the point's own scenario.
     """
+    _check_allocation_source(allocation_source)
     source, destination = mode_pair
     if (source, destination) not in system.mode_graph.edges:
         raise ScenarioError(f"no transition from mode {source!r} to {destination!r}")

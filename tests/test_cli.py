@@ -233,7 +233,7 @@ def test_internal_error_is_not_an_input_error(monkeypatch, tmp_path, capsys):
     def broken_sweep(system, spec):
         raise ValueError("internal inconsistency")
 
-    monkeypatch.setattr("modesched.cli.run_sweep", broken_sweep)
+    monkeypatch.setattr("modesched.sim.run_sweep", broken_sweep)
     code = main(["simulate", str(SAMPLES / "case_study.json"), str(SAMPLES / "case_study_sweep.json")])
     assert code == 3
     err = capsys.readouterr().err

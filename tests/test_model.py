@@ -235,6 +235,55 @@ def test_tasks_are_immutable(case_study):
     task = case_study.task("tau5")
     with pytest.raises(AttributeError):
         task.wcet = Fraction(1)
+    # every public record type is immutable too
+    offline_mode = ms.validate_offline_scheme(case_study).modes[0]
+    optimum = offline_mode.evidence
+    online = ms.validate_online_scheme(case_study)
+    evidence = online.modes[0].evidence
+    milp = ms.export_milp(case_study, "mode1")
+    scenario = ms.make_scenario(case_study, "mode1", "online-ffd", [(5, "mode2")], horizon=200)
+    trace = ms.run(scenario)
+    spec = ms.SweepSpec("mode1", "mode2", Fraction(1), "online-ffd")
+    records = [
+        task, case_study.mode("mode1"), case_study.mode_graph, case_study,
+        optimum.best_allocation, offline_mode.utilization, offline_mode.deadline_checks[0],
+        offline_mode, online, optimum.latency_report.per_processor[0], optimum.latency_report,
+        optimum, milp.constraints[0], milp, evidence.feasibility,
+        evidence.per_processor[0].selection, evidence.per_processor[0], evidence, scenario, spec,
+        trace.events[0], trace.transition_checks[0], trace,
+        ms.sweep_mcr(case_study, "online-ffd", ("mode1", "mode2"), [0, 1]),
+    ]
+    assert [type(record).__name__ for record in records] == [
+        "Task", "Mode", "ModeGraph", "ModeSystem", "Allocation", "UtilizationSummary",
+        "DeadlineVerdict", "ModeVerdict", "SchemeVerdict", "ProcessorLatency", "LatencyReport",
+        "OptimizationResult", "ConstraintRow", "MilpDocument", "FeasibilityVerdict",
+        "KnapsackResult", "ProcessorBound", "OnlineEvidence", "Scenario", "SweepSpec", "SimEvent",
+        "TransitionCheck", "SimTrace", "SweepResult",
+    ]
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        case_study.extra = 1
+
+
+def test_equal_systems_are_equal_records_with_equal_hashes():
+    first, second = ms.build_system(case_study_raw()), ms.build_system(case_study_raw())
+    assert first is not second and first == second and hash(first) == hash(second)
+    # the task index is built on one side only: it takes no part in equality or hash
+    assert first.task("tau5").wcet == 7
+    assert first == second and hash(first) == hash(second)
+    assert first != ms.build_system(case_study_raw(deadline_tau10=149))
+
+
+def test_task_constructor_still_validates():
+    with pytest.raises(ms.SystemValidationError, match="kind must be"):
+        ms.Task("x", "XX", 1, 2)
+    with pytest.raises(ms.SystemValidationError, match="exceeds period"):
+        ms.Task(id="x", kind="MD", wcet=Fraction(3), period=Fraction(2))
+    with pytest.raises(ms.SystemValidationError, match="wcet must be positive"):
+        ms.Task("x", "MD", 1, 2)._replace(wcet=0)
 
 
 def test_certify_modes_entry_latency_and_pass_flags(case_study):

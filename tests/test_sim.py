@@ -260,6 +260,8 @@ def test_parse_scenario_sweep_and_errors(case_study):
     ):
         with pytest.raises(ms.ScenarioError, match="not both"):
             ms.parse_scenario(json.dumps({"sweep": sweep, **extra}), case_study)
+    with pytest.raises(ms.ScenarioError, match="got 'bogus'"):
+        ms.parse_scenario(json.dumps({"allocation": "bogus", "sweep": sweep}), case_study)
     with pytest.raises(ms.ScenarioError, match="invalid JSON"):
         ms.parse_scenario("{", case_study)
     with pytest.raises(ms.ScenarioError, match="missing scenario key"):
@@ -627,11 +629,11 @@ def test_forked_sweep_matches_per_point_runs_randomized():
         args = (system, allocation_source, mode_pair, grid)
         expected = sweep_outcome(per_point_sweep, *args)
         assert sweep_outcome(ms.sweep_mcr, *args) == expected, (case, grid)
-        if isinstance(expected, tuple):
-            errors += 1
-        else:
+        if isinstance(expected, ms.SweepResult):
             job_missing += expected.job_misses > 0
             transition_missing += expected.transition_misses > 0
+        else:
+            errors += 1
     # the draws reach every kind of outcome
     assert errors >= 20 and job_missing >= 5 and transition_missing >= 10, (
         errors, job_missing, transition_missing,
@@ -645,6 +647,9 @@ def test_forked_sweep_edge_cases(case_study):
         # an unknown allocation source is refused, not simulated as online-ffd
         with pytest.raises(ms.ScenarioError, match="allocation must be"):
             sweep(case_study, "bogus", ("mode1", "mode2"), range(5))
+    # the source is checked first: before the grid is read or a bound computed
+    with pytest.raises(ms.ScenarioError, match="got 'bogus'"):
+        ms.sweep_mcr(case_study, "bogus", ("mode1", "mode2"), [])
     quiet = ms.build_system(
         {
             "processors": 2,
