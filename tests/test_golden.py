@@ -3,7 +3,8 @@
 For each system below, ``analyze-offline`` and ``analyze-online`` must
 reproduce the pinned JSON report, the pinned stdout and the pinned exit code
 byte for byte; for each scenario below, ``simulate --trace`` must reproduce
-the pinned trace file, stdout and exit code.  The goldens live in
+the pinned trace file, stdout and exit code, and for each sweep below,
+``simulate`` must reproduce the pinned stdout and exit code.  The goldens live in
 ``tests/golden/``; after a deliberate change to the report or trace format,
 rewrite them with
 
@@ -148,6 +149,66 @@ def test_trace_written_without_simevents(case, tmp_path, monkeypatch):
     _assert_trace_matches_golden(case, tmp_path)
 
 
+# sweeps for ``simulate``: (system, sweep scenario), inputs as for _input_file
+SATURATED_SYSTEM = {
+    "processors": 2,
+    "tasks": [
+        {"id": "mi1", "kind": "MI", "wcet": 4, "period": 15, "processor": 1},
+        {"id": "mi2", "kind": "MI", "wcet": 5, "period": 15, "processor": 2},
+        {"id": "alpha0", "kind": "MD", "wcet": 3, "period": 5, "transition_deadline": 7},
+        {"id": "alpha1", "kind": "MD", "wcet": 5, "period": 8, "transition_deadline": 14},
+        {"id": "beta0", "kind": "MD", "wcet": 8, "period": 12, "transition_deadline": 15},
+        {"id": "beta1", "kind": "MD", "wcet": 7, "period": 12},
+        {"id": "beta2", "kind": "MD", "wcet": 1, "period": 12, "transition_deadline": 14},
+    ],
+    "modes": [
+        {"id": "alpha", "md_tasks": ["alpha0", "alpha1"]},
+        {"id": "beta", "md_tasks": ["beta0", "beta1", "beta2"]},
+    ],
+    "transitions": [["alpha", "beta"], ["beta", "alpha"]],
+}
+
+
+def _sweep(source: str, destination: str, step, allocation: str):
+    return lambda: {"allocation": allocation, "sweep": {"from_mode": source, "to_mode": destination, "step": step}}
+
+
+SWEEP_CASES = {
+    "case_study_sweep": ("case_study.json", "case_study_sweep.json"),
+    "case_study_mode2_online": ("case_study.json", _sweep("mode2", "mode1", 1, "online-ffd")),
+    # a step off the system's time base of 1/6: the sweep restarts its source
+    # run once on a finer base
+    "mixed_denominators_fifth": (
+        lambda: MIXED_DENOMINATORS_SYSTEM, _sweep("alpha", "beta", "1/5", "online-ffd"),
+    ),
+    # each processor's MI load plus either mode's MD load is close to 1, so
+    # the sweep counts job deadline misses and missed transition deadlines
+    "saturated": (lambda: SATURATED_SYSTEM, _sweep("alpha", "beta", 1, "offline-table")),
+}
+
+
+def _simulate_sweep(case: str, workdir: Path) -> tuple[int, bytes]:
+    """Exit code and stdout bytes of one ``simulate`` run of a sweep."""
+    system, scenario = SWEEP_CASES[case]
+    argv = [
+        "simulate",
+        _input_file(system, workdir / f"{case}.system.json"),
+        _input_file(scenario, workdir / f"{case}.scenario.json"),
+    ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_output_matches_golden(case, tmp_path):
+    code, stdout = _simulate_sweep(case, tmp_path)
+    exit_codes = json.loads((GOLDEN / "sweep_exit_codes.json").read_text(encoding="utf-8"))
+    assert code == exit_codes[case]
+    assert stdout == (GOLDEN / f"{case}.sweep.stdout").read_bytes()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     exit_codes = {}
@@ -164,9 +225,17 @@ def regenerate() -> None:
             sim_exit_codes[case] = code
             (GOLDEN / f"{case}.simulate.tsv").write_bytes(trace)
             (GOLDEN / f"{case}.simulate.stdout").write_bytes(stdout)
+        sweep_exit_codes = {}
+        for case in sorted(SWEEP_CASES):
+            code, stdout = _simulate_sweep(case, Path(tmp))
+            sweep_exit_codes[case] = code
+            (GOLDEN / f"{case}.sweep.stdout").write_bytes(stdout)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(exit_codes, indent=2) + "\n", encoding="utf-8")
     (GOLDEN / "simulate_exit_codes.json").write_text(
         json.dumps(sim_exit_codes, indent=2) + "\n", encoding="utf-8"
+    )
+    (GOLDEN / "sweep_exit_codes.json").write_text(
+        json.dumps(sweep_exit_codes, indent=2) + "\n", encoding="utf-8"
     )
 
 
