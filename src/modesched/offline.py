@@ -127,43 +127,55 @@ class _SearchState:
         ``deepest`` is left at the most items any branch placed.
         """
         steps = [(item, (p,)) for item, p in fixed] + [(item, self.processors) for item in rest]
+        capacity, signature, busy = self.capacity, self.signature, self.busy
         util = dict(self.util)
         demand = dict.fromkeys(self.processors, 0)
         long = dict.fromkeys(self.processors, False)
         placement: list[int] = []
-        self.deepest = 0
-
-        def place(index: int) -> bool:
-            self.deepest = max(self.deepest, index)
-            if index == len(steps):
-                return True
-            (utilization, wcet, period), candidates = steps[index]
-            tried = set()
+        was_long: list[bool] = []
+        explored = deepest = depth = 0
+        # depth-first on an explicit stack, one frame per step being placed:
+        # its candidates not yet tried and the processor states it tried
+        frames = [(iter(steps[0][1]), set())] if steps else []
+        while frames:
+            candidates, tried = frames[-1]
+            utilization, wcet, period = steps[depth][0]
             for p in candidates:
-                if util[p] + utilization > self.capacity:
+                if util[p] + utilization > capacity:
                     continue
                 now_long = long[p] or (limit is not None and period > limit)
-                if now_long and self.busy(p, demand[p] + wcet) > limit:
+                if now_long and busy(p, demand[p] + wcet) > limit:
                     continue
-                state = (self.signature[p], util[p], demand[p], long[p])
+                state = (signature[p], util[p], demand[p], long[p])
                 if state in tried:
                     continue
                 tried.add(state)
-                self.explored += 1
-                was_long = long[p]
+                explored += 1
+                was_long.append(long[p])
                 util[p] += utilization
                 demand[p] += wcet
                 long[p] = now_long
                 placement.append(p)
-                if place(index + 1):
-                    return True
-                placement.pop()
-                util[p] -= utilization
-                demand[p] -= wcet
-                long[p] = was_long
-            return False
-
-        return tuple(placement) if place(0) else None
+                break
+            else:
+                frames.pop()
+                if depth:
+                    depth -= 1
+                    p = placement.pop()
+                    utilization, wcet, _ = steps[depth][0]
+                    util[p] -= utilization
+                    demand[p] -= wcet
+                    long[p] = was_long.pop()
+                continue
+            depth += 1
+            if depth > deepest:
+                deepest = depth
+            if depth == len(steps):
+                break
+            frames.append((iter(steps[depth][1]), set()))
+        self.explored += explored
+        self.deepest = deepest
+        return tuple(placement) if depth == len(steps) else None
 
 
 def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,29 @@ def test_infeasible_mode_names_task():
         ms.solve_optimal(ms.build_system(raw), "m")
     assert excinfo.value.task_id == "lone"
     assert excinfo.value.mode_id == "m"
+
+
+def test_search_places_more_tasks_than_the_recursion_limit():
+    """One processor and one mode of 300 MD tasks of wcet 1: the search goes
+    one level deeper per task, past a recursion limit of 200."""
+
+    def deep_mode(period):
+        tasks = [{"id": f"t{i:03d}", "kind": "MD", "wcet": 1, "period": period} for i in range(300)]
+        modes = [{"id": "m", "md_tasks": [t["id"] for t in tasks]}]
+        return ms.build_system({"processors": 1, "tasks": tasks, "modes": modes, "transitions": []})
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        result = ms.solve_optimal(deep_mode(2000), "m")
+        # 1.5 of utilization: the 201st task in id order is the stuck one
+        with pytest.raises(ms.InfeasibleModeError) as excinfo:
+            ms.solve_optimal(deep_mode(200), "m")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.optimal_latency == 300
+    assert set(result.best_allocation.assignment.values()) == {1}
+    assert excinfo.value.task_id == "t200"
 
 
 def test_validate_offline_scheme_case_study(case_study):
