@@ -20,6 +20,14 @@ Deterministic tie rules (they fix the trace byte-for-byte):
     is processed before the request);
   * simultaneous trace events are ordered completion, transition bookkeeping,
     deadline check, release, MCR, then scheduler switches.
+
+An MCR sweep (``sweep_mcr``) simulates the source mode once and forks it at
+request instants.  It costs one fork per interval between two instants the
+source run processes, not one suffix per grid point: until the next such
+instant the pending source-mode jobs stay the same, and so do the transition
+end and the suffix schedule.  The exception is a request with nothing pending,
+whose destination mode starts at the request itself; such a point gets its
+own fork.
 """
 
 from __future__ import annotations
@@ -435,11 +443,15 @@ class _Engine:
             self.placements[mode_id] = allocation
         return allocation
 
-    def check_outcome(self, record: dict) -> Optional[bool]:
+    @staticmethod
+    def check_outcome(record: dict, horizon, shift: int) -> Optional[bool]:
+        """The verdict of a transition check in a run up to ``horizon``, its
+        absolute deadline moved ``shift`` later."""
+        deadline = record["absolute"] + shift
         completion = record["completion"]
         if completion is not None:
-            return completion <= record["absolute"]
-        if record["absolute"] < self.horizon:
+            return completion <= deadline
+        if deadline < horizon:
             return False  # the deadline passed inside the window without a completion
         return None
 
@@ -587,8 +599,10 @@ class _Engine:
                 job.remaining -= delta
         self.time = time
 
-    def advance(self, limit: int) -> None:
-        """Process every instant after the current one and before ``limit``."""
+    def advance(self, limit: int) -> Optional[int]:
+        """Process every instant after the current one and before ``limit``;
+        return the first instant left with a completion or a queued entry
+        due, None if there is none."""
         while True:
             next_time = self.heap[0][0] if self.heap else None
             for p in self.processors:
@@ -598,7 +612,7 @@ class _Engine:
                     if next_time is None or candidate < next_time:
                         next_time = candidate
             if next_time is None or next_time >= limit:
-                return
+                return next_time
             self.elapse(next_time)
             self.process_instant(next_time)
 
@@ -620,7 +634,7 @@ class _Engine:
                 mcr_time=frac(record["mcr"]),
                 absolute_deadline=frac(record["absolute"]),
                 first_completion=None if record["completion"] is None else frac(record["completion"]),
-                ok=self.check_outcome(record),
+                ok=self.check_outcome(record, self.horizon, 0),
             )
             for record in self.checks
         )
@@ -637,15 +651,23 @@ class _SourceRun(_Engine):
     """The one source-mode simulation of a sweep, without horizon or MCR.
 
     It stays paused at ``time`` after that instant's deadline and release
-    phases; each grid point forks it there and runs only the suffix.  Neither
-    it nor its forks record events: a sweep reads the integer fields.  What
-    it queues past a fork's horizon is inert, because the fork's loop stops
-    at that horizon, just as a per-point run never queued it.
+    phases; a grid point forks it there and runs only the suffix.  Neither
+    it nor its forks record events or have a horizon of their own: a sweep
+    reads the integer fields of a fork advanced up to the point's horizon.
+    What a fork queues past that horizon is inert, because its loop stops
+    there, just as a per-point run never queued it.
+
+    One fork serves every point up to the next instant this run processes:
+    until then the pending source-mode jobs stay the same, and so do the
+    transition end and the suffix schedule.  The exception is a request with
+    nothing pending: the destination mode then starts at the request itself,
+    so the suffix moves with it and each such point gets its own fork.
     """
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self.horizon = math.inf
+        self.serving: Optional[_SourceRun] = None
         self.start()
         self.settle(0)
 
@@ -655,19 +677,24 @@ class _SourceRun(_Engine):
     def reaches(self, time: Fraction) -> bool:
         return self.scale % time.denominator == 0 and self.scaled(time) >= self.time
 
-    def request(self, time: int, destination: str, horizon: int) -> "_SourceRun":
-        """Fork at instant ``time``, request ``destination`` there and run the
-        fork up to ``horizon``; this run moves on to ``time`` if it is not there."""
+    def request(self, time: int, destination: str) -> "_SourceRun":
+        """A fork that requested ``destination`` at instant ``time``, or the
+        one made for an earlier point if it serves ``time`` too; this run
+        moves on to ``time`` first if it is not there."""
         if time > self.time:
-            self.dispatch(self.time)
-            self.advance(time)
+            start = self.time
+            self.dispatch(start)
+            if self.advance(time) == time or self.time > start:  # an instant in (start, time]
+                self.serving = None
             self.elapse(time)
             self.settle(time)
+        if self.serving is not None:
+            return self.serving
         fork = self._fork()
-        fork.horizon = horizon
         fork.do_mcr(time, destination)
         fork.process_instant(time)
-        fork.advance(horizon)
+        if fork.destination is not None:  # the transition waits for pending jobs
+            self.serving = fork
         return fork
 
     def _fork(self) -> "_SourceRun":
@@ -690,6 +717,7 @@ class _SourceRun(_Engine):
             heap.append((time, phase, seq, payload))
         twin.heap = heap
         twin.old_pending = set()
+        twin.serving = None
         twin.latencies = []
         twin.checks = []
         twin._check_by_task_job = {}
@@ -714,10 +742,15 @@ def sweep_mcr(
     source mode simulated from time 0 up to a horizon derived from the
     applicable analytical bound, with margin; a transition outlasting it would
     itself disprove the bound and is reported as an error.  The source mode
-    is simulated once, in grid order: each point forks that simulation at its
-    request instant and runs only the suffix up to its horizon.  Job deadline
-    misses before the request therefore count at every point, as they would
-    in the point's own scenario.
+    is simulated once, in grid order, and forked at request instants: the
+    sweep costs one fork per interval between two instants the source run
+    processes, not one suffix per point.  A fork made at ``t0`` serves a later
+    point ``t`` in its interval by running on to ``t``'s horizon: the latency
+    is the transition end less ``t``, and each transition deadline moves
+    ``t - t0`` later.  A point with no source-mode job pending gets its own
+    fork, since its destination mode starts at ``t`` itself.  Job deadline
+    misses before the request count at every point, as they would in the
+    point's own scenario.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair
@@ -750,16 +783,20 @@ def sweep_mcr(
                     static_tables=tables,
                 )
             )
-        fork = source_run.request(
-            source_run.scaled(mcr_time), destination, source_run.scaled(horizon)
-        )
+        time, limit = source_run.scaled(mcr_time), source_run.scaled(horizon)
+        fork = source_run.request(time, destination)
+        fork.advance(limit)
         if not fork.latencies:
             raise SimulationError(
                 f"transition requested at {mcr_time} did not complete within the analytical bound"
             )
-        latency = fork._frac(fork.latencies[0][1])
+        ((requested, latency),) = fork.latencies
+        shift = time - requested  # the fork may serve an earlier point too
+        latency = fork._frac(latency - shift)
         job_misses += fork.job_misses
-        transition_misses += sum(1 for record in fork.checks if fork.check_outcome(record) is False)
+        transition_misses += sum(
+            1 for record in fork.checks if fork.check_outcome(record, limit, shift) is False
+        )
         points += 1
         if best is None or latency > best[0]:
             best = (latency, mcr_time)

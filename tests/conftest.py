@@ -253,7 +253,7 @@ def rational_trace(engine):
             mcr_time=frac(record["mcr"]),
             absolute_deadline=frac(record["absolute"]),
             first_completion=None if record["completion"] is None else frac(record["completion"]),
-            ok=engine.check_outcome(record),
+            ok=engine.check_outcome(record, engine.horizon, 0),
         )
         for record in engine.checks
     )

@@ -686,6 +686,141 @@ def test_forked_sweep_edge_cases(case_study):
 
 
 # ---------------------------------------------------------------------------
+# one fork per interval between two instants the source run processes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The source-run instant of every fork a sweep makes, in order."""
+    made = []
+    fork = ms.sim._SourceRun._fork
+
+    def recording(self):
+        made.append(self.time)
+        return fork(self)
+
+    monkeypatch.setattr(ms.sim._SourceRun, "_fork", recording)
+    return made
+
+
+def backlogged_handover():
+    """One processor that the MI task ``a`` and the destination task ``y``
+    fill exactly.  Released at 6, ``a``'s second job waits for ``x`` to
+    finish at 8; ``y``'s first job, released at 8, then ties it at deadline
+    12, loses on task id and completes at 13.  The backlog never clears, so
+    ``y`` misses a deadline now and then for good.  Alpha processes the
+    instants 0, 3, 6, 8 and 10 first; nothing of it is pending in [8, 10)."""
+    return ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "a", "kind": "MI", "wcet": 3, "period": 6, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 5, "period": 10},
+                {"id": "y", "kind": "MD", "wcet": 2, "period": 4, "transition_deadline": 8},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+
+
+def one_point_each(system, grid):
+    return [per_point_sweep(system, "offline-table", ("alpha", "beta"), [t]) for t in grid]
+
+
+def test_reused_fork_moves_transition_deadlines(forks):
+    """Requests at 3, 4 and 5 all end the transition at 8, and ``y``'s first
+    job completes at 13: its transition deadline 8 after the request is
+    missed at 3 and 4 and met at 5."""
+    system = backlogged_handover()
+    grid = [3, 4, 5]
+    assert [r.transition_misses for r in one_point_each(system, grid)] == [1, 1, 0]
+    args = (system, "offline-table", ("alpha", "beta"), grid)
+    result = ms.sweep_mcr(*args)
+    assert result == per_point_sweep(*args)
+    assert (result.max_latency, result.at_time, result.transition_misses) == (5, 3, 2)
+    assert forks == [3]
+
+
+def test_reused_fork_counts_job_misses_up_to_each_horizon(forks):
+    """``y`` misses its deadline 24, which lies between the horizons of the
+    requests at 3 and at 4 (the bound 10 and the margin 11 after each)."""
+    system = backlogged_handover()
+    assert ms.solve_optimal(system, "alpha").optimal_latency == 10
+    grid = [3, 4]
+    assert [r.job_misses for r in one_point_each(system, grid)] == [1, 2]
+    args = (system, "offline-table", ("alpha", "beta"), grid)
+    result = ms.sweep_mcr(*args)
+    assert result == per_point_sweep(*args)
+    assert result.job_misses == 3
+    assert forks == [3]
+
+
+def test_request_with_nothing_pending_gets_its_own_fork(forks):
+    """At 8 and 9 nothing of alpha is pending, so beta starts at the request:
+    at 8 ``y`` ties the waiting job of ``a`` and misses, at 9 it does not."""
+    system = backlogged_handover()
+    grid = [7, 8, 9]
+    points = one_point_each(system, grid)
+    assert [r.max_latency for r in points] == [1, 0, 0]
+    assert [r.job_misses for r in points] == [2, 2, 0]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+        assert forks == [7, 8, 9]
+
+
+def test_repeated_and_backward_points_in_one_interval(forks):
+    system = backlogged_handover()
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), [4, 4, 3, 5, 5, 3])
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+        # a point before the source run's instant restarts it from time 0
+        assert forks == [4, 3, 3]
+
+
+def test_committed_sweep_forks_once_per_source_interval(case_study, forks):
+    result = ms.run_sweep(case_study, ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study))
+    assert (result.points, result.max_latency, result.at_time) == (1800, 35, 80)
+    assert len(forks) <= 1019
+
+
+def test_interval_sweep_matches_per_point_runs_randomized():
+    rng = random.Random(9001)
+    steps = (Fraction(1), Fraction(1, 2), Fraction(1, 5), Fraction(3, 4), Fraction(7, 3))
+    errors = job_missing = transition_missing = 0
+    for case in range(200):
+        if case % 4 == 3:
+            system = saturated_handover(rng)
+        else:
+            base = random_system(rng, max_tasks=7, md_heavy=case % 2 == 0, ff_mi=case % 3 == 0)
+            system = with_transition_deadlines(rng, base)
+        if case % 5 == 4:  # mixed denominators
+            system = rescaled(rng, system)
+        mode_pair = rng.choice((("alpha", "beta"), ("beta", "alpha")))
+        allocation_source = rng.choice(("offline-table", "online-ffd"))
+        step = steps[case % len(steps)]
+        grid = [k * step for k in range(rng.randint(1, 60))]
+        if case % 3 == 1:  # out of order, with repeated points
+            grid += rng.choices(grid, k=rng.randint(1, 6))
+            rng.shuffle(grid)
+        args = (system, allocation_source, mode_pair, grid)
+        expected = sweep_outcome(per_point_sweep, *args)
+        assert sweep_outcome(ms.sweep_mcr, *args) == expected, (case, grid)
+        if isinstance(expected, ms.SweepResult):
+            job_missing += expected.job_misses > 0
+            transition_missing += expected.transition_misses > 0
+        else:
+            errors += 1
+    # the draws reach every kind of outcome
+    assert errors >= 40 and job_missing >= 8 and transition_missing >= 15, (
+        errors, job_missing, transition_missing,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the integer trace against its rational materialization
 # ---------------------------------------------------------------------------
 
