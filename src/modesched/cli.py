@@ -54,14 +54,6 @@ def _num(value: Optional[Fraction]):
     return {"exact": str(value), "approx": float(value)}
 
 
-def _fmt(value: Optional[Fraction]) -> str:
-    if value is None:
-        return "--"
-    if value.denominator == 1:
-        return str(value)
-    return f"{value} (~{float(value):.6g})"
-
-
 def _mode_section(system: ModeSystem, verdict: ModeVerdict, detail: dict) -> dict:
     """A mode's report section: utilization, the scheme's ``detail``, then the verdicts.
 
@@ -165,10 +157,13 @@ def build_online_report(system: ModeSystem) -> dict:
 
 
 def _render_exact(entry) -> str:
+    """A report number as text: its exact string, with the decimal
+    approximation added when that string is a fraction."""
     if entry is None:
         return "--"
-    value = Fraction(entry["exact"])
-    return _fmt(value)
+    if "/" not in entry["exact"]:
+        return entry["exact"]
+    return f"{entry['exact']} (~{entry['approx']:.6g})"
 
 
 def render_report(report: dict) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -68,7 +69,9 @@ def parse_exact(value, *, what: str = "value") -> Fraction:
     """Convert an integer, decimal string, or fraction string to an exact rational.
 
     Floats are rejected: a decimal written as a float has already been rounded
-    to binary and cannot be recovered exactly.  Use a string instead.
+    to binary and cannot be recovered exactly.  Use a string instead.  A string
+    too long to print is refused too: one whose numerator or denominator has
+    more digits than ``sys.get_int_max_str_digits()`` (0 lifts the limit).
     """
     if isinstance(value, bool):
         raise SystemValidationError(f"{what}: expected a number, got a boolean")
@@ -77,15 +80,42 @@ def parse_exact(value, *, what: str = "value") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
         try:
-            return Fraction(value)
+            # Fraction spends seconds expanding a huge decimal exponent, so an
+            # exponent past the limit is refused before it is expanded
+            exponent = value.lower().partition("e")[2]
+            result = None if limit and exponent and abs(int(exponent)) > limit else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SystemValidationError(f"{what}: cannot parse {value!r} as an exact number") from exc
+        big = None if result is None else max(abs(result.numerator), result.denominator)
+        # at least 10**limit means more than 3 * limit bits: short numbers skip the power
+        if big is not None and (not limit or big.bit_length() <= 3 * limit or big < 10 ** limit):
+            return result
+        raise SystemValidationError(f"{what}: a number with more than {limit} digits is too long to print")
     if isinstance(value, float):
         raise SystemValidationError(
             f"{what}: floating-point input {value!r} is inexact; pass an integer or a decimal string"
         )
     raise SystemValidationError(f"{what}: unsupported number type {type(value).__name__}")
+
+
+def _json_int(text: str):
+    """A JSON integer literal as an int; one with more digits than the
+    interpreter converts stays text, so the field reading it refuses it."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _decode_json(text: str, error: type[ValueError]):
+    """Decode a JSON document, decimal literals kept as text to be read
+    exactly (never as floats); ``error`` reports invalid JSON."""
+    try:
+        return json.loads(text, parse_float=str, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def as_time(value, *, what: str = "time value") -> Fraction:
@@ -445,11 +475,7 @@ def build_system(raw: Mapping) -> ModeSystem:
 
 def parse_system(text: str) -> ModeSystem:
     """Parse a JSON system file.  Decimal literals are read exactly (never as floats)."""
-    try:
-        raw = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise SystemValidationError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return build_system(raw)
+    return build_system(_decode_json(text, SystemValidationError))
 
 
 def load_system(path) -> ModeSystem:

@@ -39,7 +39,6 @@ from .model import (
     certify_modes,
 )
 from .latency import LatencyReport, _scaled, _scaled_busy_period, _time_base, analyze_allocation
-from .online import transition_bound_detail
 
 
 class OptimizationResult(NamedTuple):
@@ -111,7 +110,7 @@ class _SearchState:
         for (_, wcet, period), p in zip(items, placement):
             demand[p] = demand.get(p, 0) + wcet
             longest[p] = max(longest.get(p, 0), period)
-        return max(min(longest[p], self.busy(p, demand[p])) for p in demand)
+        return max((min(longest[p], self.busy(p, demand[p])) for p in demand), default=0)
 
     def allocate(self, fixed, rest, limit: Optional[int]) -> Optional[tuple[int, ...]]:
         """Processors for the items of ``fixed`` (each pinned to its processor)
@@ -186,7 +185,9 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     allocation below the current bound exists.  The witness is the
     lexicographically smallest optimal assignment in task-id order: each task
     in id order is fixed on the lowest processor from which an allocation
-    within the optimum still exists.
+    within the optimum still exists.  A mode with no MD tasks goes through
+    the same oracle: it places nothing, the bound is 0 and the descent stops
+    there, with no node explored.
 
     Raises InfeasibleModeError when no utilization-feasible allocation
     exists, naming the stuck task: the first task, in decreasing-utilization
@@ -194,16 +195,6 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     placed.
     """
     md_tasks = system.md_tasks_of(mode_id)
-    if not md_tasks:
-        allocation = Allocation(mode_id=mode_id, assignment={})
-        return OptimizationResult(
-            mode_id=mode_id,
-            best_allocation=allocation,
-            latency_report=analyze_allocation(system, mode_id, allocation),
-            explored_nodes=0,
-            proof_of_optimality=True,
-        )
-
     order = sorted(md_tasks, key=lambda t: (-t.utilization, t.id))
     state = _SearchState(system, md_tasks)
     items = {t.id: state.item(t) for t in md_tasks}
@@ -214,7 +205,8 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
         raise InfeasibleModeError(mode_id, order[state.deepest].id)
     while found is not None:
         best = state.bound(order_items, found)
-        found = state.allocate([], order_items, best - 1)
+        # only placing nothing gives a bound of 0, and no allocation is below it
+        found = state.allocate([], order_items, best - 1) if best else None
 
     assignment: dict[str, int] = {}
     fixed: list[tuple[tuple[int, int, int], int]] = []
@@ -346,12 +338,12 @@ def default_big_m(system: ModeSystem, mode_id: str) -> Fraction:
 
 
 def _max_attainable_latency(system: ModeSystem, mode_id: str) -> Fraction:
-    """Strict upper envelope of every latency value a feasible assignment can reach."""
-    md = system.md_tasks_of(mode_id)
-    worst = max((t.period for t in md), default=Fraction(0))
-    for row in transition_bound_detail(system, mode_id):
-        worst = max(worst, row.latency)
-    return worst
+    """Strict upper envelope of every latency value a feasible assignment can
+    reach: the larger of the largest MD period and the First-Fit bound, which
+    packs the worst subset of the mode's MD tasks on every processor."""
+    from .online import latency_upper_bound  # only the export needs the online layer
+
+    return max([latency_upper_bound(system, mode_id), *(t.period for t in system.md_tasks_of(mode_id))])
 
 
 def export_milp(system: ModeSystem, mode_id: str, big_m=None) -> MilpDocument:

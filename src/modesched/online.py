@@ -107,13 +107,7 @@ def lopez_test(system: ModeSystem, mode_id: str) -> FeasibilityVerdict:
 
 def _lopez_verdict(summary: UtilizationSummary, processor_count: int) -> FeasibilityVerdict:
     """``lopez_test`` on a mode's utilization summary."""
-    if summary.u_max == 0:
-        bound = Fraction(1)
-        return FeasibilityVerdict(
-            mode_id=summary.mode_id, beta=0, bound=bound, u_sum=summary.u_sum,
-            feasible=True, margin=bound - summary.u_sum,
-        )
-    beta = int(1 / summary.u_max)
+    beta = int(1 / summary.u_max) if summary.u_max else 0  # an empty mode: bound 1
     bound = Fraction(beta * processor_count + 1, beta + 1)
     return FeasibilityVerdict(
         mode_id=summary.mode_id,

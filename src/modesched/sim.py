@@ -33,7 +33,6 @@ own fork.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -44,6 +43,7 @@ from .model import (
     ModeSystem,
     ScenarioError,
     SimulationError,
+    _decode_json,
     as_array,
     as_time,
     validate_allocation,
@@ -256,10 +256,7 @@ def make_scenario(
 
 def parse_scenario(text: str, system: ModeSystem) -> Union[Scenario, SweepSpec]:
     """Parse a JSON scenario file (decimal literals read exactly)."""
-    try:
-        raw = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    raw = _decode_json(text, ScenarioError)
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario description must be an object")
     allowed = {"initial_mode", "allocation", "horizon", "mcrs", "release_offsets", "sweep"}
@@ -326,7 +323,7 @@ def hyperperiod(tasks) -> Fraction:
 
 class _TaskState:
     __slots__ = (
-        "task", "wcet", "period", "offsets", "processor", "releasing",
+        "task", "wcet", "period", "offsets", "processor",
         "activation", "enable_time", "offset_index", "job_count",
     )
 
@@ -336,8 +333,7 @@ class _TaskState:
         self.period = period
         self.offsets = offsets
         self.processor: Optional[int] = task.home_processor
-        self.releasing = False
-        self.activation = 0
+        self.activation = 0  # bumped at each enable and disable: queued releases go stale
         self.enable_time = 0
         self.offset_index = 0
         self.job_count = 0
@@ -346,7 +342,7 @@ class _TaskState:
 class _Job:
     __slots__ = (
         "state", "index", "release", "deadline", "remaining",
-        "processor", "started", "key",
+        "processor", "key",
     )
 
     def __init__(self, state: _TaskState, index: int, release: int):
@@ -356,7 +352,6 @@ class _Job:
         self.deadline = release + state.period
         self.remaining = state.wcet
         self.processor = state.processor  # pinned at release; later re-placements do not move it
-        self.started = False
         self.key = (self.deadline, state.task.id, index)
 
 
@@ -460,22 +455,21 @@ class _Engine:
     def start(self) -> None:
         """Enable the MI tasks and the initial mode at time 0."""
         for task in self.system.mi_tasks:
-            state = self.states[task.id]
-            state.releasing = True
-            self._schedule_first_release(state, 0)
-        self.enable_mode(self.scenario.initial_mode, 0, from_transition=False)
+            self._schedule_first_release(self.states[task.id], 0)
+        self.enable_mode(self.scenario.initial_mode, 0)
 
-    def enable_mode(self, mode_id: str, time: int, from_transition: bool) -> None:
+    def enable_mode(self, mode_id: str, time: int) -> None:
+        """Enable a mode's MD tasks; while a transition is under way
+        (``destination`` still set), also record their transition checks."""
         allocation = self.allocation_for(mode_id, time)
         for task in self.system.md_tasks_of(mode_id):
             state = self.states[task.id]
             state.processor = allocation.assignment[task.id]
             state.activation += 1
-            state.releasing = True
             state.enable_time = time
             state.offset_index = 0
             self._emit(time, state.processor, "enable", task.id, None)
-            if from_transition and task.transition_deadline is not None:
+            if self.destination is not None and task.transition_deadline is not None:
                 record = {
                     "task_id": task.id,
                     "mcr": self.mcr_time,
@@ -522,7 +516,7 @@ class _Engine:
         old_ids = set(self.system.mode(self.current_mode).md_tasks)
         for task_id in sorted(old_ids):
             state = self.states[task_id]
-            state.releasing = False
+            state.activation += 1
             self._emit(time, state.processor, "MD-disabled", task_id, None)
         self.old_pending = {j for j in self.pending_jobs() if j.state.task.id in old_ids}
         self.maybe_end_transition(time)
@@ -532,10 +526,8 @@ class _Engine:
             return
         self._emit(time, None, "transition-end", None, None)
         self.latencies.append((self.mcr_time, time - self.mcr_time))
-        destination = self.destination
-        self.destination = None
-        self.enable_mode(destination, time, from_transition=True)
-        self.current_mode = destination
+        self.enable_mode(self.destination, time)
+        self.current_mode, self.destination = self.destination, None
 
     def complete_job(self, processor: int, job: _Job, time: int) -> None:
         self._emit(time, processor, "complete", job.state.task.id, job.index)
@@ -559,8 +551,9 @@ class _Engine:
                 self._emit(time, p, "preempt", current.state.task.id, current.index)
                 heapq.heappush(queue, (current.key, current))
             heapq.heappop(queue)
-            self._emit(time, p, "start" if not best.started else "resume", best.state.task.id, best.index)
-            best.started = True
+            # a dispatched job runs before any later instant: it has run iff it was dispatched
+            kind = "resume" if best.remaining < best.state.wcet else "start"
+            self._emit(time, p, kind, best.state.task.id, best.index)
             self.running[p] = best
 
     def settle(self, time: int) -> None:
@@ -581,7 +574,7 @@ class _Engine:
                     self._emit(time, job.processor, "deadline-miss", job.state.task.id, job.index)
             elif phase == _PHASE_RELEASE:
                 state, activation, release_time = payload
-                if state.releasing and state.activation == activation:
+                if state.activation == activation:
                     self.do_release(state, release_time)
             else:
                 self.do_mcr(time, payload)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -294,3 +295,50 @@ def test_malformed_scenario_containers_exit_2(patch, message, case_study_file, t
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+LONG_INT = "9" * 5001  # one digit past the interpreter's default int-to-text limit
+
+
+def _system_text(key, literal):
+    """The case study as JSON text with ``literal`` written verbatim as the
+    processor count or as a field of its first task (tau1)."""
+    raw = case_study_raw()
+    if key == "processors":
+        raw["processors"] = "@"
+    else:
+        raw["tasks"][0][key] = "@"
+    return json.dumps(raw).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("command", ["analyze-offline", "analyze-online"])
+@pytest.mark.parametrize(
+    "key, literal, field",
+    [
+        ("period", "1e5000", "task tau1 period"),
+        ("wcet", '"1e-5000"', "task tau1 wcet"),
+        ("period", LONG_INT, "task tau1 period"),
+        ("processors", LONG_INT, "processors"),
+        ("period", '"1e1000000000"', "task tau1 period"),
+    ],
+    ids=["period-1e5000", "wcet-1e-5000", "period-5001-digits", "processors-5001-digits", "period-1e1000000000"],
+)
+def test_numbers_too_long_to_print_exit_2(command, key, literal, field, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(_system_text(key, literal), encoding="utf-8")
+    started = time.perf_counter()
+    code = main([command, str(path)])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {field}:") and "Traceback" not in err
+    assert elapsed < 1  # a huge exponent is refused before it is expanded
+
+
+def test_scenario_horizon_too_long_to_print_exits_2(case_study_file, tmp_path, capsys):
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(f'{{"initial_mode": "mode1", "horizon": {LONG_INT}}}', encoding="utf-8")
+    code = main(["simulate", case_study_file, str(scenario)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: horizon:") and "Traceback" not in err

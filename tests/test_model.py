@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,23 @@ def test_decimal_strings_parse_exactly():
     system = ms.build_system(raw)
     assert system.task("tau1").wcet == 10
     assert ms.utilization_summary(system, "mode1").u_sum == Fraction(309, 200)
+
+
+def test_numbers_past_the_digit_limit_are_refused():
+    limit = sys.get_int_max_str_digits()
+    assert ms.as_time(f"1e{limit - 1}") == 10 ** (limit - 1)  # exactly ``limit`` digits
+    assert ms.as_time(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    too_long = [f"1e{limit}", f"1e-{limit}", f"{10 ** (limit // 2)}e{limit // 2}", "1e1000000000"]
+    for value in too_long:
+        with pytest.raises(ms.SystemValidationError, match=f"^w: a number with more than {limit} digits"):
+            ms.as_time(value, what="w")
+    with pytest.raises(ms.SystemValidationError, match="^w: cannot parse"):
+        ms.as_time("9" * (limit + 1), what="w")  # refused by the interpreter's own conversion
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        assert ms.as_time(f"1e{limit}") == 10 ** limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_floats_rejected():

@@ -69,6 +69,8 @@ def test_empty_mode_trivial():
     )
     result = ms.solve_optimal(system, "m")
     assert result.optimal_latency == 0 and result.best_allocation.assignment == {}
+    assert result.explored_nodes == 0 and result.proof_of_optimality
+    assert result.latency_report == ms.analyze_allocation(system, "m", result.best_allocation)
 
 
 def test_infeasible_mode_names_task():

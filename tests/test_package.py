@@ -74,6 +74,28 @@ def test_commands_import_only_the_layers_they_run():
     assert "modesched.sim" not in seen["analyze-offline"] and "modesched.offline" in seen["analyze-offline"]
 
 
+OFFLINE_PROBE = """
+import json, sys
+import modesched.cli
+codes = [modesched.cli.main(["analyze-offline", sys.argv[1]])]
+seen = sorted(name for name in sys.modules if name.startswith("modesched."))
+codes.append(modesched.cli.main(["export-milp", sys.argv[1], "--mode", "mode1", "-o", sys.argv[2]]))
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_analyze_offline_alone_loads_neither_online_nor_sim(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", OFFLINE_PROBE, str(SAMPLES / "case_study.json"), str(tmp_path / "m.lp")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    # export-milp reads the First-Fit bound, so it loads the online layer itself
+    assert result["codes"] == [0, 0]
+    assert result["seen"] == ["modesched.cli", "modesched.latency", "modesched.model", "modesched.offline"]
+
+
 def test_public_names_resolve_to_their_layer_objects():
     names = [name for layer_names in PUBLIC.values() for name in layer_names]
     assert len(names) == 59 and set(ms.__all__) == set(names)
