@@ -40,6 +40,7 @@ from .model import (
     SimulationError,
     SystemValidationError,
     load_system,
+    printable,
 )
 
 PASS = 0
@@ -51,7 +52,7 @@ INTERNAL_ERROR = 3
 def _num(value: Optional[Fraction]):
     if value is None:
         return None
-    return {"exact": str(value), "approx": float(value)}
+    return {"exact": str(printable(value, what="derived value")), "approx": float(value)}
 
 
 def _mode_section(system: ModeSystem, verdict: ModeVerdict, detail: dict) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
@@ -70,8 +71,9 @@ def parse_exact(value, *, what: str = "value") -> Fraction:
 
     Floats are rejected: a decimal written as a float has already been rounded
     to binary and cannot be recovered exactly.  Use a string instead.  A string
-    too long to print is refused too: one whose numerator or denominator has
-    more digits than ``sys.get_int_max_str_digits()`` (0 lifts the limit).
+    too long to print is refused too: one with a run of more digits than
+    ``sys.get_int_max_str_digits()`` (0 lifts the limit), or whose value has
+    a longer numerator or denominator.
     """
     if isinstance(value, bool):
         raise SystemValidationError(f"{what}: expected a number, got a boolean")
@@ -81,23 +83,52 @@ def parse_exact(value, *, what: str = "value") -> Fraction:
         return value
     if isinstance(value, str):
         limit = sys.get_int_max_str_digits()
+        # The interpreter refuses to convert a longer run of digits, and
+        # Fraction spends seconds expanding a huge decimal exponent: both are
+        # refused before Fraction sees them
+        longest = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(value)), default=0)
         try:
-            # Fraction spends seconds expanding a huge decimal exponent, so an
-            # exponent past the limit is refused before it is expanded
             exponent = value.lower().partition("e")[2]
-            result = None if limit and exponent and abs(int(exponent)) > limit else Fraction(value)
+            too_long = limit and (longest > limit or exponent and abs(int(exponent)) > limit)
+            result = None if too_long else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SystemValidationError(f"{what}: cannot parse {value!r} as an exact number") from exc
-        big = None if result is None else max(abs(result.numerator), result.denominator)
-        # at least 10**limit means more than 3 * limit bits: short numbers skip the power
-        if big is not None and (not limit or big.bit_length() <= 3 * limit or big < 10 ** limit):
-            return result
-        raise SystemValidationError(f"{what}: a number with more than {limit} digits is too long to print")
+            raise SystemValidationError(f"{what}: cannot parse {_quote(value)} as an exact number") from exc
+        if result is None:
+            raise _too_long(what, limit)
+        return printable(result, what=what)
     if isinstance(value, float):
         raise SystemValidationError(
             f"{what}: floating-point input {value!r} is inexact; pass an integer or a decimal string"
         )
     raise SystemValidationError(f"{what}: unsupported number type {type(value).__name__}")
+
+
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+_QUOTED = 60  # characters of an input value an error message quotes
+
+
+def printable(value: Fraction, *, what: str) -> Fraction:
+    """``value``, if ``str`` can print it: its numerator and denominator have
+    at most ``sys.get_int_max_str_digits()`` digits (0 lifts the limit)."""
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(value.numerator), value.denominator)
+    # at least 10**limit means more than 3 * limit bits: short numbers skip the power
+    if not limit or big.bit_length() <= 3 * limit or big < 10 ** limit:
+        return value
+    raise _too_long(what, limit)
+
+
+def _too_long(what: str, limit: int) -> SystemValidationError:
+    return SystemValidationError(f"{what}: a number with more than {limit} digits is too long to print")
+
+
+def _quote(value) -> str:
+    """``repr(value)`` for an error message; past ``_QUOTED`` characters, its
+    start and the length of the value's text."""
+    text = repr(value)
+    if len(text) <= _QUOTED:
+        return text
+    return f"{text[:_QUOTED]}... ({len(value if isinstance(value, str) else text)} characters)"
 
 
 def _json_int(text: str):
@@ -390,7 +421,7 @@ def build_system(raw: Mapping) -> ModeSystem:
     except KeyError as exc:
         raise SystemValidationError(f"missing top-level key {exc.args[0]!r}") from None
     if isinstance(processor_count, bool) or not isinstance(processor_count, int) or processor_count < 1:
-        raise SystemValidationError(f"processors: expected a positive integer, got {processor_count!r}")
+        raise SystemValidationError(f"processors: expected a positive integer, got {_quote(processor_count)}")
 
     tasks: list[Task] = [_parse_task(t, i) for i, t in enumerate(as_array(raw_tasks, what="tasks"))]
     seen_ids: set[str] = set()
@@ -423,7 +454,7 @@ def build_system(raw: Mapping) -> ModeSystem:
         members = as_array(raw_mode.get("md_tasks", []), what=f"mode {mode_id}: md_tasks")
         for tid in members:
             if not isinstance(tid, str):
-                raise SystemValidationError(f"mode {mode_id}: md_tasks must hold task ids, got {tid!r}")
+                raise SystemValidationError(f"mode {mode_id}: md_tasks must hold task ids, got {_quote(tid)}")
             if tid not in by_id:
                 raise SystemValidationError(f"mode {mode_id}: unknown task {tid!r}")
             if by_id[tid].kind != MD:

@@ -27,7 +27,12 @@ source run processes, not one suffix per grid point: until the next such
 instant the pending source-mode jobs stay the same, and so do the transition
 end and the suffix schedule.  The exception is a request with nothing pending,
 whose destination mode starts at the request itself; such a point gets its
-own fork.
+own fork.  A fork stops once EDF can no longer change its outcome: its
+transition has ended, the destination allocation loads no processor above 1,
+and every processor has idled since the end.  With implicit deadlines and
+load at most 1, EDF then misses no deadline under any sporadic release
+pattern (Liu & Layland 1973; Baruah, Rosier & Howell 1990), and each
+transition check already has its completion.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, 
 
 from .model import (
     Allocation,
+    AllocationError,
     ModeSystem,
     ScenarioError,
     SimulationError,
@@ -655,17 +661,59 @@ class _SourceRun(_Engine):
     transition end and the suffix schedule.  The exception is a request with
     nothing pending: the destination mode then starts at the request itself,
     so the suffix moves with it and each such point gets its own fork.
+
+    A fork settles, and stops, once its transition has ended, the
+    destination allocation keeps every processor's load (its MI tasks plus
+    the destination MD tasks placed there) at most 1, and every processor
+    has been idle after a dispatch since the end.  An idle processor has
+    completed every job released before, the first jobs of the destination
+    mode included, so every transition check has its completion; from then
+    on EDF misses no deadline.  Settling empties the heap, the ready queues
+    and the processors, so ``advance`` returns at once, for later points of
+    the interval too: ``check_outcome`` only shifts deadlines already decided.
+    The load check is made once per destination mode, when a transition
+    first ends into it, so a failed online placement is still reported then.
     """
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self.horizon = math.inf
         self.serving: Optional[_SourceRun] = None
+        # Per destination mode: whether its allocation keeps every processor's
+        # load at most 1; like ``placements``, forks share it
+        self.underloaded: dict[str, bool] = {}
+        self.waiting: tuple[int, ...] = ()  # processors yet to idle since the transition end
         self.start()
         self.settle(0)
 
     def _emit(self, time, processor, kind, task, job) -> None:
         pass
+
+    def enable_mode(self, mode_id: str, time: int) -> None:
+        super().enable_mode(mode_id, time)
+        if self.destination is not None and self._underloaded(mode_id, time):
+            self.waiting = tuple(self.processors)
+
+    def _underloaded(self, mode_id: str, time: int) -> bool:
+        underloaded = self.underloaded.get(mode_id)
+        if underloaded is None:
+            try:
+                validate_allocation(self.system, self.allocation_for(mode_id, time))
+                underloaded = True
+            except AllocationError:
+                underloaded = False
+            self.underloaded[mode_id] = underloaded
+        return underloaded
+
+    def dispatch(self, time: int) -> None:
+        super().dispatch(time)
+        running = self.running
+        if self.waiting and None in running.values():
+            self.waiting = tuple(p for p in self.waiting if running[p] is not None)
+            if not self.waiting:  # settled: stop, leaving nothing to process
+                self.heap = []
+                self.ready = {p: [] for p in self.processors}
+                self.running = dict.fromkeys(self.processors)
 
     def reaches(self, time: Fraction) -> bool:
         return self.scale % time.denominator == 0 and self.scaled(time) >= self.time
@@ -743,7 +791,9 @@ def sweep_mcr(
     ``t - t0`` later.  A point with no source-mode job pending gets its own
     fork, since its destination mode starts at ``t`` itself.  Job deadline
     misses before the request count at every point, as they would in the
-    point's own scenario.
+    point's own scenario.  A fork stops early once EDF can no longer change
+    its outcome (see ``_SourceRun``): what it would simulate up to a later
+    horizon holds no job miss and no new transition-check verdict.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair

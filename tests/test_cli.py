@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -342,3 +343,39 @@ def test_scenario_horizon_too_long_to_print_exits_2(case_study_file, tmp_path, c
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: horizon:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze-offline", "analyze-online"])
+def test_derived_numbers_too_long_to_print_exit_2(command, tmp_path, capsys):
+    """Two MI periods of 2,501 digits each are within the limit, but their
+    utilization sum has a denominator of about 5,000 digits."""
+    raw = case_study_raw()
+    raw["tasks"][0].update(wcet=1, period=str(10 ** 2500 + 1))
+    raw["tasks"][1].update(wcet=1, period=str(10 ** 2500 + 3))
+    code = main([command, write_json(tmp_path / "s.json", raw)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: derived value: a number with more than {limit} digits is too long to print\n"
+
+
+@pytest.mark.parametrize("command", ["analyze-offline", "analyze-online"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("period", "1" + "0" * 5000, "task tau1 period: a number with more than 4300 digits is too long to print"),
+        ("period", "1/" + "x" * 5000, "task tau1 period: cannot parse '1/xxxxxxxxx"),
+        ("processors", "x" * 5000, "processors: expected a positive integer, got 'xxxxxxxxx"),
+        ("processors", LONG_INT, "processors: expected a positive integer, got '999999999"),
+    ],
+    ids=["period-5001-digit-string", "period-malformed", "processors-text", "processors-5001-digits"],
+)
+def test_errors_quote_at_most_the_start_of_a_long_value(command, key, value, message, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    literal = value if value == LONG_INT else json.dumps(value)
+    path.write_text(_system_text(key, literal), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {message}") and len(line) <= 200
+    if "too long" not in message:
+        assert f"... ({len(value)} characters)" in line

@@ -1,10 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import modesched as ms
+from modesched import sim
 from conftest import (
     SAMPLES,
     drain_instant,
@@ -693,13 +695,13 @@ def test_forked_sweep_edge_cases(case_study):
 def forks(monkeypatch):
     """The source-run instant of every fork a sweep makes, in order."""
     made = []
-    fork = ms.sim._SourceRun._fork
+    fork = sim._SourceRun._fork
 
     def recording(self):
         made.append(self.time)
         return fork(self)
 
-    monkeypatch.setattr(ms.sim._SourceRun, "_fork", recording)
+    monkeypatch.setattr(sim._SourceRun, "_fork", recording)
     return made
 
 
@@ -821,6 +823,218 @@ def test_interval_sweep_matches_per_point_runs_randomized():
 
 
 # ---------------------------------------------------------------------------
+# a fork stops once EDF can no longer change its outcome
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def instants(monkeypatch):
+    """How many instants the engines process: a one-item list that every
+    ``process_instant`` call, sweep forks' included, counts up."""
+    calls = [0]
+    process_instant = sim._Engine.process_instant
+
+    def counting(self, time):
+        calls[0] += 1
+        process_instant(self, time)
+
+    monkeypatch.setattr(sim._Engine, "process_instant", counting)
+    return calls
+
+
+@pytest.fixture
+def settlements(monkeypatch):
+    """The instant at which each settled fork stopped, in order."""
+    settled = []
+    dispatch = sim._SourceRun.dispatch
+
+    def recording(self, time):
+        waiting = self.waiting
+        dispatch(self, time)
+        if waiting and not self.waiting:
+            settled.append(time)
+
+    monkeypatch.setattr(sim._SourceRun, "dispatch", recording)
+    return settled
+
+
+def test_sweep_instant_totals(case_study, instants, settlements):
+    """A count of the simulated instants, not a timing, bounds the sweep cost."""
+    committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
+    assert ms.run_sweep(case_study, committed).points == 1800
+    assert instants[0] <= 13563
+    assert len(settlements) >= 981
+    instants[0] = 0
+    settlements.clear()
+    spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
+    assert ms.run_sweep(case_study, spec).points == 900
+    assert instants[0] <= 12904
+    assert len(settlements) == 467
+
+
+def idling_handover():
+    """``backlogged_handover`` with a lighter destination task ``y``: beta
+    loads the processor to 3/4.  A request at 3, 4 or 5 ends the transition
+    at 8, ``y``'s first job completes at 12, and the processor first idles
+    at 17, before the horizon of the request at 3 (3 + bound 10 + margin 11)."""
+    return ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "a", "kind": "MI", "wcet": 3, "period": 6, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 5, "period": 10},
+                {"id": "y", "kind": "MD", "wcet": 1, "period": 4, "transition_deadline": 8},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+
+
+def test_settled_fork_serves_later_points_of_its_interval(forks, instants, settlements):
+    """The fork made at 3 stops at 17 and still gives the points 4 and 5
+    their own outcomes: the transition deadline, 8 after each request, is
+    missed at 3 (12 > 11) and met at 4 and 5."""
+    system = idling_handover()
+    grid = [3, 4, 5]
+    points = one_point_each(system, grid)
+    assert [r.transition_misses for r in points] == [1, 0, 0]
+    assert [r.max_latency for r in points] == [5, 4, 3]
+    args = (system, "offline-table", ("alpha", "beta"), grid)
+    expected = per_point_sweep(*args)
+    instants[0] = 0
+    ms.sweep_mcr(system, "offline-table", ("alpha", "beta"), [3])
+    alone = instants[0]
+    forks.clear()
+    settlements.clear()
+    instants[0] = 0
+    result = ms.sweep_mcr(*args)
+    assert instants[0] == alone  # the later points process no instant
+    assert result == expected
+    assert (result.max_latency, result.at_time, result.transition_misses) == (5, 3, 1)
+    assert forks == [3] and settlements == [17]
+
+
+def test_overloaded_destination_never_settles(monkeypatch):
+    """A hand-made allocation loads the processor to 1/2 + 3/5.  Beta starts
+    at the request at 5; the processor idles at 8, yet ``y`` misses its
+    deadline 20, so a fork that stopped at 8 would miss that miss."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "a", "kind": "MI", "wcet": 5, "period": 10, "processor": 1},
+                {"id": "y", "kind": "MD", "wcet": 3, "period": 5},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": []}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+    scenario = ms.Scenario(
+        system, "alpha", "offline-table", ((Fraction(5), "beta"),), Fraction(30),
+        static_tables={"alpha": ms.Allocation("alpha", {}), "beta": ms.Allocation("beta", {"y": 1})},
+    )
+    trace = ms.run(scenario)
+    assert [e.time for e in events_of(trace, "complete", "y")][0] == 8
+    assert [e.time for e in events_of(trace, "deadline-miss")] == [20]
+
+    def suffix():
+        source = sim._SourceRun(scenario)
+        fork = source.request(source.scaled(Fraction(5)), "beta")
+        fork.advance(source.scaled(Fraction(30)))
+        return fork
+
+    fork = suffix()
+    assert fork.underloaded == {"beta": False}
+    assert fork.job_misses == trace.job_deadline_misses == 1
+    assert fork.heap  # still running: its next releases are queued
+    # without the load check the fork would stop at 8 and count no miss
+    monkeypatch.setattr(sim._SourceRun, "_underloaded", lambda self, mode_id, time: True)
+    assert suffix().job_misses == 0
+
+
+def exactly_saturated(rng):
+    """One or two processors, each with an MI task and, in either mode, MD
+    tasks that fill it to a utilization of exactly 1.  Any allocation of a
+    mode then loads every processor to 1 (online First-Fit may find none),
+    and the backlog a handover leaves can make jobs miss deadlines after the
+    transition end, for good."""
+    processors = rng.randint(1, 2)
+    tasks = []
+    modes = {"alpha": [], "beta": []}
+    for p in range(1, processors + 1):
+        period = rng.choice((4, 6, 8, 10, 12))
+        wcet = rng.randint(1, period - 2)
+        tasks.append({"id": f"mi{p}", "kind": "MI", "wcet": wcet, "period": period, "processor": p})
+        for mode_id, ids in modes.items():
+            md_period = period * rng.choice((1, 2))
+            room = md_period - wcet * (md_period // period)
+            parts = [room] if room < 2 or rng.random() < 0.5 else [rng.randint(1, room - 1)]
+            if parts[0] < room:
+                parts.append(room - parts[0])
+            for md_wcet in parts:
+                ids.append(f"{mode_id}{len(ids)}")
+                task = {"id": ids[-1], "kind": "MD", "wcet": md_wcet, "period": md_period}
+                if rng.random() < 0.5:
+                    task["transition_deadline"] = md_period + rng.randint(0, 8)
+                tasks.append(task)
+    return ms.build_system(
+        {
+            "processors": processors,
+            "tasks": tasks,
+            "modes": [{"id": m, "md_tasks": ids} for m, ids in modes.items()],
+            "transitions": [["alpha", "beta"], ["beta", "alpha"]],
+        }
+    )
+
+
+def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(settlements):
+    """Runs of consecutive grid points spread over the whole source
+    hyperperiod, so forks settle and serve later points across it."""
+    rng = random.Random(5150)
+    steps = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3))
+    errors = job_missing = transition_missing = saturated_missing = settling = 0
+    for case in range(200):
+        if case % 4 == 0:
+            system = exactly_saturated(rng)
+        elif case % 4 == 1:
+            system = saturated_handover(rng)
+        else:
+            base = random_system(rng, max_tasks=7, md_heavy=case % 2 == 0, ff_mi=case % 3 == 0)
+            system = with_transition_deadlines(rng, base)
+        if case % 3 == 2:  # mixed denominators
+            system = rescaled(rng, system)
+        mode_pair = rng.choice((("alpha", "beta"), ("beta", "alpha")))
+        allocation_source = rng.choice(("offline-table", "online-ffd"))
+        step = steps[case % len(steps)]
+        span = ms.hyperperiod(system.mi_tasks + system.md_tasks_of(mode_pair[0]))
+        count = math.ceil(span / step)
+        grid = []
+        for start in sorted(rng.sample(range(count), k=min(count, 4))):
+            grid += [k * step for k in range(start, min(count, start + rng.randint(1, 5)))]
+        if case % 5 == 1:  # out of order, with repeated points
+            grid += rng.choices(grid, k=rng.randint(1, 4))
+            rng.shuffle(grid)
+        args = (system, allocation_source, mode_pair, grid)
+        settlements.clear()
+        expected = sweep_outcome(per_point_sweep, *args)
+        assert sweep_outcome(ms.sweep_mcr, *args) == expected, (case, grid)
+        settling += bool(settlements)
+        if isinstance(expected, ms.SweepResult):
+            job_missing += expected.job_misses > 0
+            transition_missing += expected.transition_misses > 0
+            # a mode loading its processors to 1 misses nothing on its own:
+            # these misses come after the transition end
+            saturated_missing += case % 4 == 0 and expected.job_misses > 0
+        else:
+            errors += 1
+    # the draws reach every kind of outcome, and many have forks that settle
+    assert errors >= 30 and job_missing >= 15 and transition_missing >= 30, (
+        errors, job_missing, transition_missing,
+    )
+    assert saturated_missing >= 5 and settling >= 60, (saturated_missing, settling)
+
+
+# ---------------------------------------------------------------------------
 # the integer trace against its rational materialization
 # ---------------------------------------------------------------------------
 
@@ -882,7 +1096,7 @@ def test_trace_matches_rational_materialization_randomized():
         allocation_source = rng.choice(("offline-table", "online-ffd"))
         try:
             scenario = ms.make_scenario(system, initial, allocation_source, mcrs, horizon, offsets)
-            engine = ms.sim._Engine(scenario)
+            engine = sim._Engine(scenario)
             trace = engine.execute()
         except (ms.ScenarioError, ms.SimulationError):
             continue
