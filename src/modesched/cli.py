@@ -52,7 +52,14 @@ INTERNAL_ERROR = 3
 def _num(value: Optional[Fraction]):
     if value is None:
         return None
-    return {"exact": str(printable(value, what="derived value")), "approx": float(value)}
+    exact = str(printable(value, what="derived value"))
+    try:
+        approx = float(value)
+    except OverflowError:
+        raise SystemValidationError(
+            f"derived value: a number of magnitude above {sys.float_info.max:.1e} has no float approximation"
+        ) from None
+    return {"exact": exact, "approx": approx}
 
 
 def _mode_section(system: ModeSystem, verdict: ModeVerdict, detail: dict) -> dict:
@@ -278,8 +285,9 @@ def _cmd_export_milp(args) -> int:
 
     system = load_system(args.system)
     document = export_milp(system, args.mode, big_m=args.hv)
+    text = document.to_lp()
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(document.to_lp())
+        handle.write(text)
     sys.stdout.write(
         f"wrote {args.output}: {document.constraint_count} constraints, "
         f"{document.binary_count} binaries, {len(document.integer_variables)} integers\n"

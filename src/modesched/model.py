@@ -122,6 +122,15 @@ def _too_long(what: str, limit: int) -> SystemValidationError:
     return SystemValidationError(f"{what}: a number with more than {limit} digits is too long to print")
 
 
+def _exceeds_one(subject: str, load: Fraction) -> str:
+    """The message that ``subject``, of value ``load``, exceeds 1; the value
+    is left out if ``printable`` refuses it."""
+    try:
+        return f"{subject} {printable(load, what=subject)} exceeds 1"
+    except SystemValidationError:
+        return f"{subject} exceeds 1"
+
+
 def _quote(value) -> str:
     """``repr(value)`` for an error message; past ``_QUOTED`` characters, its
     start and the length of the value's text."""
@@ -498,9 +507,7 @@ def build_system(raw: Mapping) -> ModeSystem:
     for p in system.processors:
         load = system.mi_utilization(p)
         if load > 1:
-            raise SystemValidationError(
-                f"processor {p}: mode-independent utilization {load} exceeds 1"
-            )
+            raise SystemValidationError(_exceeds_one(f"processor {p}: mode-independent utilization", load))
     return system
 
 
@@ -620,5 +627,5 @@ def validate_allocation(system: ModeSystem, allocation: Allocation) -> None:
     for p, load in loads.items():
         if load > 1:
             raise AllocationError(
-                f"allocation for mode {allocation.mode_id}: processor {p} utilization {load} exceeds 1"
+                _exceeds_one(f"allocation for mode {allocation.mode_id}: processor {p} utilization", load)
             )

@@ -37,6 +37,7 @@ from .model import (
     UtilizationSummary,
     as_time,
     certify_modes,
+    printable,
 )
 from .latency import LatencyReport, _scaled, _scaled_busy_period, _time_base, analyze_allocation
 
@@ -301,10 +302,11 @@ class MilpDocument(NamedTuple):
 def _decimal_12(value: Fraction) -> tuple[str, bool]:
     """Render a rational as a decimal capped at 12 significant digits.
 
-    Returns the text and whether it is exact.  Integers are always exact.
+    Returns the text and whether it is exact.  Integers are always exact;
+    one too long to print is refused.
     """
     if value.denominator == 1:
-        return str(value.numerator), True
+        return str(printable(value, what="LP number").numerator), True
     with decimal.localcontext() as ctx:
         ctx.prec = 12
         approx = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
@@ -475,7 +477,7 @@ def _render_lp(doc: MilpDocument) -> str:
         body.append(f" {row.name}: {terms} {row.sense} {rhs}")
     body.append("Bounds")
     for var, upper in doc.integer_upper_bounds:
-        body.append(f" 0 <= {var} <= {upper}")
+        body.append(f" 0 <= {var} <= {_decimal_12(upper)[0]}")
     if doc.binary_variables:
         body.append("Binary")
         for var in doc.binary_variables:

@@ -14,6 +14,10 @@ of the horizon, the task parameters, the MCR times and the release offsets)
 and simulates in integers.  The trace keeps the integer rows; the text output formats them
 directly, and only ``SimTrace.events`` turns them back into rationals.
 
+A run ends only in ``advance(limit)``, which processes no instant at or past
+its limit.  Releases and deadlines are queued whatever their instant, so what
+falls at or past the horizon stays queued and never shows in the trace.
+
 Deterministic tie rules (they fix the trace byte-for-byte):
   * equal absolute deadlines are broken by task id, then job index;
   * a job released exactly at an MCR instant counts as pending (the release
@@ -347,14 +351,12 @@ class _TaskState:
 
 class _Job:
     __slots__ = (
-        "state", "index", "release", "deadline", "remaining",
-        "processor", "key",
+        "state", "index", "deadline", "remaining", "processor", "key",
     )
 
     def __init__(self, state: _TaskState, index: int, release: int):
         self.state = state
         self.index = index
-        self.release = release
         self.deadline = release + state.period
         self.remaining = state.wcet
         self.processor = state.processor  # pinned at release; later re-placements do not move it
@@ -461,7 +463,7 @@ class _Engine:
     def start(self) -> None:
         """Enable the MI tasks and the initial mode at time 0."""
         for task in self.system.mi_tasks:
-            self._schedule_first_release(self.states[task.id], 0)
+            self._schedule_release(self.states[task.id], None)
         self.enable_mode(self.scenario.initial_mode, 0)
 
     def enable_mode(self, mode_id: str, time: int) -> None:
@@ -484,31 +486,25 @@ class _Engine:
                 }
                 self.checks.append(record)
                 self._check_by_task_job[(task.id, state.job_count)] = record
-            self._schedule_first_release(state, time)
+            self._schedule_release(state, None)
 
-    def _schedule_first_release(self, state: _TaskState, enable_time: int) -> None:
-        first = enable_time + (state.offsets[0] if state.offsets else 0)
-        state.offset_index = 1 if state.offsets else 0
-        if first < self.horizon:
-            self._push(first, _PHASE_RELEASE, (state, state.activation, first))
-
-    def _schedule_next_release(self, state: _TaskState, current: int) -> None:
+    def _schedule_release(self, state: _TaskState, previous: Optional[int]) -> None:
+        """Queue the release after the one at ``previous``, or the first since
+        the task's last enable if ``previous`` is None."""
         if state.offset_index < len(state.offsets):
-            nxt = state.enable_time + state.offsets[state.offset_index]
+            time = state.enable_time + state.offsets[state.offset_index]
             state.offset_index += 1
         else:
-            nxt = current + state.period
-        if nxt < self.horizon:
-            self._push(nxt, _PHASE_RELEASE, (state, state.activation, nxt))
+            time = state.enable_time if previous is None else previous + state.period
+        self._push(time, _PHASE_RELEASE, (state, state.activation))
 
     def do_release(self, state: _TaskState, time: int) -> None:
         job = _Job(state, state.job_count, time)
         state.job_count += 1
         self._emit(time, job.processor, "release", state.task.id, job.index)
         heapq.heappush(self.ready[job.processor], (job.key, job))
-        if job.deadline < self.horizon:
-            self._push(job.deadline, _PHASE_DEADLINE, job)
-        self._schedule_next_release(state, time)
+        self._push(job.deadline, _PHASE_DEADLINE, job)
+        self._schedule_release(state, time)
 
     def do_mcr(self, time: int, destination: str) -> None:
         if self.destination is not None:
@@ -579,9 +575,9 @@ class _Engine:
                     self.job_misses += 1
                     self._emit(time, job.processor, "deadline-miss", job.state.task.id, job.index)
             elif phase == _PHASE_RELEASE:
-                state, activation, release_time = payload
+                state, activation = payload
                 if state.activation == activation:
-                    self.do_release(state, release_time)
+                    self.do_release(state, time)
             else:
                 self.do_mcr(time, payload)
 
@@ -647,14 +643,14 @@ class _Engine:
 
 
 class _SourceRun(_Engine):
-    """The one source-mode simulation of a sweep, without horizon or MCR.
+    """The one source-mode simulation of a sweep, with no MCR of its own.
 
     It stays paused at ``time`` after that instant's deadline and release
     phases; a grid point forks it there and runs only the suffix.  Neither
-    it nor its forks record events or have a horizon of their own: a sweep
-    reads the integer fields of a fork advanced up to the point's horizon.
-    What a fork queues past that horizon is inert, because its loop stops
-    there, just as a per-point run never queued it.
+    it nor its forks record events: a sweep reads the integer fields of a
+    fork advanced up to the point's horizon.  A fork queues what the point's
+    own run would queue, and ``advance`` processes neither's entries at or
+    past that horizon, so the fork has processed what that run would.
 
     One fork serves every point up to the next instant this run processes:
     until then the pending source-mode jobs stay the same, and so do the
@@ -677,7 +673,6 @@ class _SourceRun(_Engine):
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
-        self.horizon = math.inf
         self.serving: Optional[_SourceRun] = None
         # Per destination mode: whether its allocation keeps every processor's
         # load at most 1; like ``placements``, forks share it
@@ -752,7 +747,7 @@ class _SourceRun(_Engine):
         heap = []
         for time, phase, seq, payload in self.heap:
             if phase == _PHASE_RELEASE:
-                payload = (states[payload[0]],) + payload[1:]
+                payload = (states[payload[0]], payload[1])
             else:
                 payload = jobs.get(payload, payload)
             heap.append((time, phase, seq, payload))
@@ -786,14 +781,15 @@ def sweep_mcr(
     is simulated once, in grid order, and forked at request instants: the
     sweep costs one fork per interval between two instants the source run
     processes, not one suffix per point.  A fork made at ``t0`` serves a later
-    point ``t`` in its interval by running on to ``t``'s horizon: the latency
-    is the transition end less ``t``, and each transition deadline moves
-    ``t - t0`` later.  A point with no source-mode job pending gets its own
-    fork, since its destination mode starts at ``t`` itself.  Job deadline
-    misses before the request count at every point, as they would in the
-    point's own scenario.  A fork stops early once EDF can no longer change
-    its outcome (see ``_SourceRun``): what it would simulate up to a later
-    horizon holds no job miss and no new transition-check verdict.
+    point ``t`` in its interval by advancing to ``t``'s horizon, which it
+    stops short of as ``t``'s own run would: the latency is the transition
+    end less ``t``, and each transition deadline moves ``t - t0`` later.  A
+    point with no source-mode job pending gets its own fork, since its
+    destination mode starts at ``t`` itself.  Job deadline misses before the
+    request count at every point, as they would in the point's own scenario.
+    A fork stops early once EDF can no longer change its outcome (see
+    ``_SourceRun``): what it would simulate up to a later horizon holds no
+    job miss and no new transition-check verdict.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair

@@ -379,3 +379,99 @@ def test_errors_quote_at_most_the_start_of_a_long_value(command, key, value, mes
     assert line.startswith(f"error: {message}") and len(line) <= 200
     if "too long" not in message:
         assert f"... ({len(value)} characters)" in line
+
+
+def float_range_raw():
+    """The case study with tau5's period and transition deadline above the
+    float range."""
+    raw = case_study_raw()
+    next(t for t in raw["tasks"] if t["id"] == "tau5").update(period="1e400", transition_deadline="3e400")
+    return raw
+
+
+def long_digits_raw():
+    """An MI task on processor 1 and an MD task, each of wcet = period = 4,300
+    nines, and an MD task of utilization 1/2 in the same mode: latency bounds
+    above the float range and a default big-M of 4,301 digits."""
+    big = "9" * 4300
+    return {
+        "processors": 2,
+        "tasks": [
+            {"id": "a", "kind": "MI", "wcet": big, "period": big, "processor": 1},
+            {"id": "b", "kind": "MD", "wcet": big, "period": big},
+            {"id": "c", "kind": "MD", "wcet": 1, "period": 2},
+        ],
+        "modes": [{"id": "m", "md_tasks": ["b", "c"]}],
+        "transitions": [],
+    }
+
+
+def mi_overload_raw():
+    """Two MI tasks on one processor, of periods 10**2500 + 1 and 10**2500 + 3
+    and wcets of about three fifths of them: a load above 1 whose denominator
+    has about 5,000 digits."""
+    wcet = str(6 * 10 ** 2499)
+    return {
+        "processors": 1,
+        "tasks": [
+            {"id": "a", "kind": "MI", "wcet": wcet, "period": str(10 ** 2500 + 1), "processor": 1},
+            {"id": "b", "kind": "MI", "wcet": wcet, "period": str(10 ** 2500 + 3), "processor": 1},
+        ],
+        "modes": [{"id": "m", "md_tasks": []}],
+        "transitions": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "raw, command",
+    [
+        (float_range_raw, "analyze-offline"),
+        (float_range_raw, "analyze-online"),
+        (long_digits_raw, "analyze-online"),
+    ],
+    ids=["float-range-offline", "float-range-online", "4300-digits-online"],
+)
+def test_values_beyond_the_float_range_exit_2(raw, command, tmp_path, capsys):
+    code = main([command, write_json(tmp_path / "s.json", raw())])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: derived value: a number of magnitude above 1.8e+308 has no float approximation\n"
+
+
+@pytest.mark.parametrize("command", ["analyze-offline", "analyze-online"])
+def test_overload_too_long_to_print_keeps_its_primary_error(command, tmp_path, capsys):
+    code = main([command, write_json(tmp_path / "s.json", mi_overload_raw())])
+    assert code == 2
+    assert capsys.readouterr().err == "error: processor 1: mode-independent utilization exceeds 1\n"
+
+
+def test_export_milp_refuses_a_number_too_long_to_print(tmp_path, capsys):
+    """The default big-M sums two wcets of 4,300 digits."""
+    lp = tmp_path / "m.lp"
+    code = main(["export-milp", write_json(tmp_path / "s.json", long_digits_raw()), "--mode", "m", "-o", str(lp)])
+    assert code == 2 and not lp.exists()
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: LP number: a number with more than {limit} digits is too long to print\n"
+
+
+OVERSIZED = {  # reproducer: (system, a mode of it)
+    "float-range": (float_range_raw, "mode1"),
+    "4300-digits": (long_digits_raw, "m"),
+    "mi-overload": (mi_overload_raw, "m"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+@pytest.mark.parametrize("command", ["analyze-offline", "analyze-online", "export-milp", "simulate"])
+def test_oversized_numbers_never_exit_3(name, command, tmp_path, capsys):
+    raw, mode = OVERSIZED[name]
+    argv = [command, write_json(tmp_path / "s.json", raw())]
+    if command == "export-milp":
+        argv += ["--mode", mode, "-o", str(tmp_path / "m.lp")]
+    elif command == "simulate":
+        scenario = {"initial_mode": mode, "allocation": "online-ffd", "horizon": 200}
+        argv += [write_json(tmp_path / "sc.json", scenario), "--trace", str(tmp_path / "t.tsv")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and all(len(line) <= 300 for line in err.splitlines())

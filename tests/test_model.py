@@ -251,6 +251,30 @@ def test_validate_allocation(case_study):
         ms.validate_allocation(case_study, ms.Allocation("mode2", {"tau10": 1}))
 
 
+def test_overload_message_leaves_out_a_load_too_long_to_print(case_study):
+    """Two MD tasks of 2,501-digit periods load one processor above 1 by a
+    sum whose denominator has about 5,000 digits: the error names the
+    processor and leaves the load out."""
+    wcet = 6 * 10 ** 2499
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "a", "kind": "MD", "wcet": str(wcet), "period": str(10 ** 2500 + 1)},
+                {"id": "b", "kind": "MD", "wcet": str(wcet), "period": str(10 ** 2500 + 3)},
+            ],
+            "modes": [{"id": "m", "md_tasks": ["a", "b"]}],
+            "transitions": [],
+        }
+    )
+    with pytest.raises(ms.AllocationError) as caught:
+        ms.validate_allocation(system, ms.Allocation("m", {"a": 1, "b": 1}))
+    assert str(caught.value) == "allocation for mode m: processor 1 utilization exceeds 1"
+    # a printable load is still quoted: tau10 (U=1/2) on processor 1 (MI 2/3)
+    with pytest.raises(ms.AllocationError, match="processor 1 utilization 7/6 exceeds 1$"):
+        ms.validate_allocation(case_study, ms.Allocation("mode2", {"tau10": 1}))
+
+
 def test_tasks_are_immutable(case_study):
     task = case_study.task("tau5")
     with pytest.raises(AttributeError):

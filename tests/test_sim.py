@@ -1113,3 +1113,52 @@ def test_trace_matches_rational_materialization_randomized():
         seen["zero"] += horizon == 0
     # the draws reach every kind of trace
     assert min(seen.values()) >= 5, seen
+
+
+# ---------------------------------------------------------------------------
+# a run ends only in ``advance``, which never processes its limit
+# ---------------------------------------------------------------------------
+
+def test_nothing_at_the_horizon_is_processed():
+    """With a request at 3, ``y``'s job 3 misses its deadline 24, and ``a``'s
+    listed release offsets (its periodic releases) put a release there too.
+    A run up to 24 shows neither; a run up to 25 shows both."""
+    system = backlogged_handover()
+    offsets = {"a": [0, 6, 12, 18, 24]}
+
+    def run(horizon):
+        return ms.run(ms.make_scenario(system, "alpha", "offline-table", [(3, "beta")], horizon, offsets))
+
+    trace = run(24)
+    assert max(event.time for event in trace.events) < 24
+    assert trace.job_deadline_misses == 1
+    assert [(check.task_id, check.first_completion, check.ok) for check in trace.transition_checks] == [
+        ("y", 13, False)
+    ]
+    later = run(25)
+    at_24 = [(event.kind, event.task) for event in later.events if event.time == 24]
+    assert at_24[:3] == [("deadline-miss", "y"), ("release", "a"), ("release", "y")]
+    assert later.job_deadline_misses == 2
+
+
+def test_no_trace_row_reaches_the_horizon_randomized():
+    """The draws of ``test_trace_matches_rational_materialization_randomized``:
+    every row of every run lies strictly before its horizon."""
+    rng = random.Random(2718)
+    runs = 0
+    for case in range(120):
+        if case % 3 != 0:
+            base = saturated_handover(rng)
+        else:
+            base = with_transition_deadlines(rng, random_system(rng, max_tasks=7, md_heavy=case % 2 == 0))
+        system = rescaled(rng, base)
+        initial, mcrs, horizon, offsets = random_replay(rng, system)
+        allocation_source = rng.choice(("offline-table", "online-ffd"))
+        try:
+            engine = sim._Engine(ms.make_scenario(system, initial, allocation_source, mcrs, horizon, offsets))
+            trace = engine.execute()
+        except (ms.ScenarioError, ms.SimulationError):
+            continue
+        assert all(row[0] < engine.horizon for row in trace.rows), case
+        runs += 1
+    assert runs >= 60, runs
