@@ -7,7 +7,8 @@ most 1 and, given a limit, every processor's latency bound at most that
 limit.  The optimum comes by descent: the bound of a utilization-feasible
 allocation, then the bound of an allocation below it, until none exists.  The
 witness is the assignment vector that is lexicographically smallest in
-task-id order among the optimal ones, so results are reproducible.  When no
+task-id order among the optimal ones, so results are reproducible; it takes
+one oracle call per task.  When no
 utilization-feasible allocation exists, the mode is reported stuck on the
 first task in branching order that cannot be placed together with the tasks
 before it.  The oracle runs on an integer time base: times are scaled to
@@ -125,6 +126,11 @@ class _SearchState:
         (MI tasks, utilization, demand, and whether they hold a period above
         ``limit``) are interchangeable, so only the first of them is tried.
         ``deepest`` is left at the most items any branch placed.
+
+        Processors are tried in ascending order, and a skipped one is in the
+        state of one already tried at that step, whose subtrees all failed.
+        So the placement returned is the lexicographically smallest in step
+        order among all placements that exist.
         """
         steps = [(item, (p,)) for item, p in fixed] + [(item, self.processors) for item in rest]
         capacity, signature, busy = self.capacity, self.signature, self.busy
@@ -186,7 +192,8 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     allocation below the current bound exists.  The witness is the
     lexicographically smallest optimal assignment in task-id order: each task
     in id order is fixed on the lowest processor from which an allocation
-    within the optimum still exists.  A mode with no MD tasks goes through
+    within the optimum still exists, which is where the one oracle call that
+    places it first, after the tasks already fixed, puts it.  A mode with no MD tasks goes through
     the same oracle: it places nothing, the bound is 0 and the descent stops
     there, with no node explored.
 
@@ -212,13 +219,10 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     assignment: dict[str, int] = {}
     fixed: list[tuple[tuple[int, int, int], int]] = []
     for task in sorted(md_tasks, key=lambda t: t.id):
-        # the tasks after this one in id order, in branching order
+        # this task first, then the tasks after it in id order, in branching order
         rest = [items[t.id] for t in order if t.id > task.id]
-        item = items[task.id]
-        assignment[task.id] = next(
-            p for p in state.processors if state.allocate(fixed + [(item, p)], rest, best) is not None
-        )
-        fixed.append((item, assignment[task.id]))
+        assignment[task.id] = state.allocate(fixed, [items[task.id], *rest], best)[len(fixed)]
+        fixed.append((items[task.id], assignment[task.id]))
 
     allocation = Allocation(mode_id=mode_id, assignment=assignment)
     return OptimizationResult(

@@ -203,7 +203,8 @@ def make_scenario(
     """Validate scenario ingredients and, for static allocation, build the tables.
 
     Tables are computed (via the exact offline search) only for the modes the
-    MCR schedule actually enters.
+    MCR schedule actually enters; each entered mode's table is validated, if
+    the caller gave it, or computed once, however often the mode is entered.
     """
     system.mode(initial_mode)
     _check_allocation_source(allocation_source)
@@ -243,8 +244,7 @@ def make_scenario(
     tables: Optional[dict[str, Allocation]] = None
     if allocation_source == OFFLINE_TABLE:
         tables = dict(static_tables or {})
-        entered = [initial_mode] + [dest for _, dest in schedule]
-        for mode_id in entered:
+        for mode_id in dict.fromkeys([initial_mode, *(dest for _, dest in schedule)]):
             if mode_id in tables:
                 validate_allocation(system, tables[mode_id])
                 continue

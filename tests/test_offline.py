@@ -283,6 +283,39 @@ def test_random_systems_match_brute_force():
     assert solved > 30 and stuck > 20
 
 
+def test_witness_takes_one_oracle_call_per_task(case_study, monkeypatch):
+    """The descent ends with the call that finds nothing below the optimum;
+    after it the witness asks the oracle once per MD task, the k-th call
+    with the k tasks before it in id order fixed, and every call succeeds."""
+    from modesched import offline
+
+    calls = []
+    allocate = offline._SearchState.allocate
+
+    def counting(self, fixed, rest, limit):
+        found = allocate(self, fixed, rest, limit)
+        calls.append((len(fixed), found is not None))
+        return found
+
+    monkeypatch.setattr(offline._SearchState, "allocate", counting)
+    rng = random.Random(1606)
+    systems = [case_study] + [random_system(rng, md_heavy=True) for _ in range(40)]
+    solved = 0
+    for system in systems:
+        for mode_id in system.mode_ids():
+            calls.clear()
+            try:
+                ms.solve_optimal(system, mode_id)
+            except ms.InfeasibleModeError:
+                continue
+            n = len(system.md_tasks_of(mode_id))
+            # a mode with no MD tasks: one call places nothing, and the bound 0 ends the descent
+            descent = calls.index((0, False)) + 1 if n else 1
+            assert calls[descent:] == [(k, True) for k in range(n)], (system, mode_id)
+            solved += 1
+    assert solved > 30
+
+
 # ---------------------------------------------------------------------------
 # integer time base: equivalence with the search on rationals
 # ---------------------------------------------------------------------------

@@ -443,6 +443,38 @@ def test_online_placement_computed_once_per_mode(case_study, monkeypatch):
     assert calls == ["mode1", "mode2"]
 
 
+def test_each_entered_table_is_checked_once(case_study, monkeypatch):
+    """500 alternating MCRs enter each mode about 250 times: a caller-given
+    table is validated once and a computed one is solved once, never validated."""
+    validated, solved = [], []
+    validate, solve = sim.validate_allocation, sim.solve_optimal
+
+    def validating(system, allocation):
+        validated.append(allocation.mode_id)
+        validate(system, allocation)
+
+    def solving(system, mode_id):
+        solved.append(mode_id)
+        return solve(system, mode_id)
+
+    monkeypatch.setattr(sim, "validate_allocation", validating)
+    monkeypatch.setattr(sim, "solve_optimal", solving)
+    mcrs = [(397 * (i + 1), ("mode2", "mode1")[i % 2]) for i in range(500)]
+    tables = {mode_id: solve(case_study, mode_id).best_allocation for mode_id in ("mode1", "mode2")}
+    for given, expected_validated, expected_solved in (
+        ({}, [], ["mode1", "mode2"]),
+        ({"mode2": tables["mode2"]}, ["mode2"], ["mode1"]),
+        (tables, ["mode1", "mode2"], []),
+    ):
+        validated.clear()
+        solved.clear()
+        scenario = ms.make_scenario(
+            case_study, "mode1", "offline-table", mcrs, horizon=397 * 501, static_tables=given
+        )
+        assert (validated, solved) == (expected_validated, expected_solved)
+        assert scenario.static_tables == tables
+
+
 def test_transient_overload_can_miss_job_deadlines_but_not_certified_verdicts():
     """Per-mode feasibility does not extend to the transition window itself.
 
