@@ -131,6 +131,16 @@ def _exceeds_one(subject: str, load: Fraction) -> str:
         return f"{subject} exceeds 1"
 
 
+def _shown(value: Fraction) -> str:
+    """``str(value)`` for an error message: past ``_QUOTED`` characters, its
+    start and its length, and only a note if ``printable`` refuses it."""
+    try:
+        text = str(printable(value, what="value"))
+    except SystemValidationError:
+        return "(a number too long to print)"
+    return text if len(text) <= _QUOTED else f"{text[:_QUOTED]}... ({len(text)} characters)"
+
+
 def _quote(value) -> str:
     """``repr(value)`` for an error message; past ``_QUOTED`` characters, its
     start and the length of the value's text."""
@@ -470,11 +480,10 @@ def build_system(raw: Mapping) -> ModeSystem:
                 raise SystemValidationError(f"mode {mode_id}: task {tid} is mode-independent")
             if tid in owner:
                 raise SystemValidationError(
-                    f"task {tid} belongs to both mode {owner[tid]} and mode {mode_id}"
+                    f"mode {mode_id}: repeated task {tid} in md_tasks" if owner[tid] == mode_id
+                    else f"task {tid} belongs to both mode {owner[tid]} and mode {mode_id}"
                 )
             owner[tid] = mode_id
-        if len(set(members)) != len(members):
-            raise SystemValidationError(f"mode {mode_id}: repeated task in md_tasks")
         modes.append(Mode(id=mode_id, md_tasks=tuple(sorted(members))))
 
     orphans = sorted(t.id for t in md_tasks if t.id not in owner)

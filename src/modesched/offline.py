@@ -36,6 +36,7 @@ from .model import (
     ModeSystem,
     SchemeVerdict,
     UtilizationSummary,
+    _shown,
     as_time,
     certify_modes,
     printable,
@@ -369,7 +370,7 @@ def export_milp(system: ModeSystem, mode_id: str, big_m=None) -> MilpDocument:
     attainable = _max_attainable_latency(system, mode_id)
     if hv <= attainable:
         raise BigMError(
-            f"big_m {hv} does not strictly dominate attainable latency {attainable}"
+            f"big_m {_shown(hv)} does not strictly dominate attainable latency {_shown(attainable)}"
         )
 
     md = sorted(system.md_tasks_of(mode_id), key=lambda t: t.id)

@@ -54,8 +54,10 @@ from .model import (
     ScenarioError,
     SimulationError,
     _decode_json,
+    _shown,
     as_array,
     as_time,
+    printable,
     validate_allocation,
 )
 from .latency import _scaled, _time_base
@@ -142,28 +144,37 @@ class SimTrace(NamedTuple):
         return self.job_deadline_misses + sum(1 for c in self.transition_checks if c.ok is False)
 
     def footer(self) -> str:
-        """The ``#`` summary lines that end ``to_text()``."""
-        lines = [f"# latency\t{mcr_time}\t{latency}\n" for mcr_time, latency in self.observed_latencies]
+        """The ``#`` summary lines that end ``to_text()``; a time too long to
+        print is refused."""
+        def time(value: Fraction) -> Fraction:
+            return printable(value, what="trace time")
+
+        lines = [f"# latency\t{time(at)}\t{time(latency)}\n" for at, latency in self.observed_latencies]
         for check in self.transition_checks:
             outcome = "-" if check.ok is None else ("ok" if check.ok else "MISS")
-            completion = "-" if check.first_completion is None else check.first_completion
+            completion = "-" if check.first_completion is None else time(check.first_completion)
             lines.append(
-                f"# transition-deadline\t{check.task_id}\t{check.mcr_time}"
-                f"\t{check.absolute_deadline}\t{completion}\t{outcome}\n"
+                f"# transition-deadline\t{check.task_id}\t{time(check.mcr_time)}"
+                f"\t{time(check.absolute_deadline)}\t{completion}\t{outcome}\n"
             )
         lines.append(f"# deadline-misses\t{self.deadline_miss_count}\n")
         return "".join(lines)
 
     def to_text(self) -> str:
         """Tab-separated event rows, then the footer.  Rows come in time order,
-        so each instant is formatted once, as ``str`` of its reduced fraction."""
+        so each instant is formatted once, as ``str`` of its reduced fraction;
+        an instant too long to print is refused."""
         scale = self.scale
         lines = []
         instant = stamp = None
         for t, processor, kind, task, job in self.rows:
             if t != instant:
                 instant, divisor = t, math.gcd(t, scale)
-                stamp = str(t // scale) if divisor == scale else f"{t // divisor}/{scale // divisor}"
+                try:
+                    stamp = str(t // scale) if divisor == scale else f"{t // divisor}/{scale // divisor}"
+                except ValueError:  # ``str`` refuses what ``printable`` refuses: let it say so
+                    printable(Fraction(t, scale), what="trace time")
+                    raise
             lines.append(
                 f"{stamp}\t{'-' if processor is None else processor}\t{kind}"
                 f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
@@ -289,10 +300,6 @@ def parse_scenario(text: str, system: ModeSystem) -> Union[Scenario, SweepSpec]:
         step = as_time(sweep["step"], what="sweep.step")
         if step <= 0:
             raise ScenarioError("sweep.step must be positive")
-        if (sweep["from_mode"], sweep["to_mode"]) not in system.mode_graph.edges:
-            raise ScenarioError(
-                f"sweep: no transition from mode {sweep['from_mode']!r} to {sweep['to_mode']!r}"
-            )
         _check_allocation_source(allocation_source)
         return SweepSpec(
             from_mode=sweep["from_mode"],
@@ -439,7 +446,7 @@ class _Engine:
                 allocation = first_fit_decreasing(self.system, mode_id)
             except PlacementError as exc:
                 raise SimulationError(
-                    f"online placement failed at time {self._frac(time)}: {exc}",
+                    f"online placement failed at time {_shown(self._frac(time))}: {exc}",
                     time=self._frac(time),
                     task_id=exc.task_id,
                 ) from exc
@@ -509,7 +516,7 @@ class _Engine:
     def do_mcr(self, time: int, destination: str) -> None:
         if self.destination is not None:
             raise SimulationError(
-                f"mode-change request at {self._frac(time)} arrived during an ongoing transition",
+                f"mode-change request at {_shown(self._frac(time))} arrived during an ongoing transition",
                 time=self._frac(time),
             )
         self._emit(time, None, "MCR", destination, None)
@@ -827,7 +834,7 @@ def sweep_mcr(
         fork.advance(limit)
         if not fork.latencies:
             raise SimulationError(
-                f"transition requested at {mcr_time} did not complete within the analytical bound"
+                f"transition requested at {_shown(mcr_time)} did not complete within the analytical bound"
             )
         ((requested, latency),) = fork.latencies
         shift = time - requested  # the fork may serve an earlier point too

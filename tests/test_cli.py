@@ -462,12 +462,15 @@ OVERSIZED = {  # reproducer: (system, a mode of it)
 
 
 @pytest.mark.parametrize("name", sorted(OVERSIZED))
-@pytest.mark.parametrize("command", ["analyze-offline", "analyze-online", "export-milp", "simulate"])
+@pytest.mark.parametrize(
+    "command", ["analyze-offline", "analyze-online", "export-milp", "export-milp --hv 1", "simulate"]
+)
 def test_oversized_numbers_never_exit_3(name, command, tmp_path, capsys):
     raw, mode = OVERSIZED[name]
+    command, *options = command.split()
     argv = [command, write_json(tmp_path / "s.json", raw())]
     if command == "export-milp":
-        argv += ["--mode", mode, "-o", str(tmp_path / "m.lp")]
+        argv += ["--mode", mode, *options, "-o", str(tmp_path / "m.lp")]
     elif command == "simulate":
         scenario = {"initial_mode": mode, "allocation": "online-ffd", "horizon": 200}
         argv += [write_json(tmp_path / "sc.json", scenario), "--trace", str(tmp_path / "t.tsv")]
@@ -475,3 +478,158 @@ def test_oversized_numbers_never_exit_3(name, command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err and all(len(line) <= 300 for line in err.splitlines())
+
+
+def test_big_m_error_quotes_at_most_the_start_of_a_long_value(tmp_path, capsys):
+    lp = tmp_path / "m.lp"
+    code = main(["export-milp", write_json(tmp_path / "s.json", long_digits_raw()), "--mode", "m", "--hv", "1", "-o", str(lp)])
+    assert code == 2 and not lp.exists()
+    assert capsys.readouterr().err == (
+        f"error: big_m 1 does not strictly dominate attainable latency {'9' * 60}... (4300 characters)\n"
+    )
+
+
+def trace_digits_files(tmp_path, mcrs=()):
+    """One processor: MI ``a`` of wcet 1 and MD ``b`` of wcet 1/(10**4000 + 1),
+    both of period 10**4299, and an MD ``c`` of utilization 1 in mode ``n``.
+    Both jobs released at 10**4299 run in it, so ``b`` completes at an instant
+    whose numerator has about 8,300 digits."""
+    big = 10 ** 4299
+    system = {
+        "processors": 1,
+        "tasks": [
+            {"id": "a", "kind": "MI", "wcet": 1, "period": big, "processor": 1},
+            {"id": "b", "kind": "MD", "wcet": f"1/{10 ** 4000 + 1}", "period": big},
+            {"id": "c", "kind": "MD", "wcet": 1, "period": 1},
+        ],
+        "modes": [{"id": "m", "md_tasks": ["b"]}, {"id": "n", "md_tasks": ["c"]}],
+        "transitions": [["m", "n"]],
+    }
+    scenario = {"initial_mode": "m", "allocation": "online-ffd", "horizon": big + 10, "mcrs": list(mcrs)}
+    return write_json(tmp_path / "s.json", system), write_json(tmp_path / "sc.json", scenario)
+
+
+def footer_digits_files(tmp_path):
+    """Mode ``n`` entered at 1/(10**2500 + 1) holds a task of transition
+    deadline 1/(10**2500 + 3): every row prints, but the absolute transition
+    deadline in the footer has a denominator of about 5,000 digits."""
+    system = {
+        "processors": 1,
+        "tasks": [{"id": "x", "kind": "MD", "wcet": 1, "period": 10, "transition_deadline": f"1/{10 ** 2500 + 3}"}],
+        "modes": [{"id": "m", "md_tasks": []}, {"id": "n", "md_tasks": ["x"]}],
+        "transitions": [["m", "n"]],
+    }
+    scenario = {"initial_mode": "m", "horizon": 20, "mcrs": [{"time": f"1/{10 ** 2500 + 1}", "to": "n"}]}
+    return write_json(tmp_path / "s.json", system), write_json(tmp_path / "sc.json", scenario)
+
+
+@pytest.mark.parametrize("files", [trace_digits_files, footer_digits_files], ids=["row", "footer"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "trace-file"])
+def test_trace_time_too_long_to_print_exits_2(files, to_file, tmp_path, capsys):
+    trace = tmp_path / "t.tsv"
+    code = main(["simulate", *files(tmp_path)] + (["--trace", str(trace)] if to_file else []))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not trace.exists()
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: trace time: a number with more than {limit} digits is too long to print\n"
+
+
+def test_simulation_error_leaves_out_a_time_too_long_to_print(tmp_path, capsys):
+    """The request at 10**4299 waits for ``b``, so mode ``n``, where ``c``
+    fits nowhere, is placed at ``b``'s completion."""
+    code = main(["simulate", *trace_digits_files(tmp_path, [{"time": 10 ** 4299, "to": "n"}])])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: online placement failed at time (a number too long to print):"
+        " mode n: task c fits on no processor\n"
+    )
+
+
+def _patched(mutate, raw=None):
+    raw = case_study_raw() if raw is None else raw
+    mutate(raw)
+    return raw
+
+
+def _scenario(**fields):
+    return {"initial_mode": "mode1", "horizon": 100, **fields}
+
+
+def _sweep(**fields):
+    return {"sweep": {"from_mode": "mode1", "to_mode": "mode2", "step": 1, **fields}}
+
+
+REFUSALS = {  # name: (system, scenario or None for analyze-offline, message)
+    "system-not-object": ([1], None, "system description must be an object"),
+    "unknown-top-level-key": (_patched(lambda r: r.update(colour=1)), None, "unknown top-level keys ['colour']"),
+    "missing-top-level-key": (_patched(lambda r: r.pop("modes")), None, "missing top-level key 'modes'"),
+    "task-not-object": (_patched(lambda r: r["tasks"].__setitem__(0, 5)), None, "tasks[0]: expected an object"),
+    "task-unknown-key": (_patched(lambda r: r["tasks"][0].update(colour=1)), None, "tasks[0]: unknown keys ['colour']"),
+    "task-missing-key": (
+        _patched(lambda r: r["tasks"][0].pop("wcet")), None, "tasks[0]: missing required key 'wcet'"
+    ),
+    "task-id-not-string": (_patched(lambda r: r["tasks"][0].update(id=7)), None, "tasks[0]: id must be a string"),
+    "task-id-empty": (
+        _patched(lambda r: r["tasks"][0].update(id="")), None, "task id must be a non-empty string, got ''"
+    ),
+    "number-boolean": (
+        _patched(lambda r: r["tasks"][0].update(wcet=True)), None, "task tau1 wcet: expected a number, got a boolean"
+    ),
+    "number-array": (
+        _patched(lambda r: r["tasks"][0].update(wcet=[1])), None, "task tau1 wcet: unsupported number type list"
+    ),
+    "processor-text": (
+        _patched(lambda r: r["tasks"][0].update(processor="1")), None, "task tau1: processor must be an integer index"
+    ),
+    "processor-boolean": (
+        _patched(lambda r: r["tasks"][0].update(processor=True)), None, "task tau1: processor must be an integer index"
+    ),
+    "mode-not-object": (
+        _patched(lambda r: r["modes"].__setitem__(0, 5)), None, "modes[0]: expected an object with keys id, md_tasks"
+    ),
+    "mode-unknown-key": (
+        _patched(lambda r: r["modes"][0].update(colour=1)), None, "modes[0]: expected an object with keys id, md_tasks"
+    ),
+    "mode-id-empty": (_patched(lambda r: r["modes"][0].update(id="")), None, "modes[0]: id must be a non-empty string"),
+    "mode-id-duplicate": (_patched(lambda r: r["modes"][1].update(id="mode1")), None, "duplicate mode id 'mode1'"),
+    "mode-task-unknown": (
+        _patched(lambda r: r["modes"][0]["md_tasks"].append("zz")), None, "mode mode1: unknown task 'zz'"
+    ),
+    "mode-task-repeated": (
+        _patched(lambda r: r["modes"][0]["md_tasks"].append("tau5")), None, "mode mode1: repeated task tau5 in md_tasks"
+    ),
+    "scenario-not-object": (case_study_raw(), [1], "scenario description must be an object"),
+    "scenario-unknown-key": (case_study_raw(), _scenario(colour=1), "unknown scenario keys ['colour']"),
+    "sweep-not-object": (
+        case_study_raw(), {"sweep": 5}, "sweep: expected an object with keys from_mode, to_mode, step"
+    ),
+    "sweep-unknown-key": (
+        case_study_raw(), _sweep(colour=1), "sweep: expected an object with keys from_mode, to_mode, step"
+    ),
+    "sweep-missing-key": (
+        case_study_raw(), {"sweep": {"from_mode": "mode1", "to_mode": "mode2"}}, "sweep: missing key 'step'"
+    ),
+    "sweep-step-zero": (case_study_raw(), _sweep(step=0), "sweep.step must be positive"),
+    "sweep-no-edge": (case_study_raw(), _sweep(to_mode="mode1"), "no transition from mode 'mode1' to 'mode1'"),
+    "offsets-unknown-task": (case_study_raw(), _scenario(release_offsets={"zz": [0]}), "unknown task 'zz'"),
+    "offline-table-infeasible-mode": (
+        infeasible_mode_raw(),
+        {"initial_mode": "m1", "horizon": 10},
+        "mode m1: no feasible allocation; search stuck placing task big",
+    ),
+    "mcr-malformed": (
+        case_study_raw(), _scenario(mcrs=[{"time": 5}]), "mcrs[0]: expected an object with keys time, to"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_input_refusals_exit_2_with_their_message(name, tmp_path, capsys):
+    system, scenario, message = REFUSALS[name]
+    argv = ["analyze-offline", write_json(tmp_path / "s.json", system)]
+    if scenario is not None:
+        argv = ["simulate", argv[1], write_json(tmp_path / "sc.json", scenario)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -450,6 +450,25 @@ def test_bound_dominates_every_feasible_allocation():
     assert checked > 50
 
 
+def test_static_dominance_chain():
+    """Optimum <= First-Fit's own bound <= the allocation-independent bound,
+    on every mode both allocators can place."""
+    rng = random.Random(7007)
+    checked = 0
+    for _ in range(400):
+        system = random_system(rng, ff_mi=True)
+        for mode_id in system.mode_ids():
+            try:
+                optimum = ms.solve_optimal(system, mode_id).optimal_latency
+                first_fit = ms.first_fit_decreasing(system, mode_id)
+            except (ms.InfeasibleModeError, ms.PlacementError):
+                continue
+            first_fit_bound = ms.analyze_allocation(system, mode_id, first_fit).platform_bound
+            assert optimum <= first_fit_bound <= ms.latency_upper_bound(system, mode_id), (system, mode_id)
+            checked += 1
+    assert checked > 550
+
+
 def test_ffd_never_fails_after_lopez_pass():
     # premise: MI tasks themselves sit where a first-fit pass would put them
     rng = random.Random(773311)

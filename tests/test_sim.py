@@ -1173,6 +1173,27 @@ def test_nothing_at_the_horizon_is_processed():
     assert later.job_deadline_misses == 2
 
 
+def test_transition_check_at_the_horizon_is_undecided():
+    """``b1`` enters at the request at 0 once ``a1``'s job completes at 1,
+    and completes at 4, its absolute transition deadline.  A run up to 4
+    processes neither its completion nor its deadline; a run up to 5 does."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "a1", "kind": "MD", "wcet": 1, "period": 10},
+                {"id": "b1", "kind": "MD", "wcet": 3, "period": 10, "transition_deadline": 4},
+            ],
+            "modes": [{"id": "a", "md_tasks": ["a1"]}, {"id": "b", "md_tasks": ["b1"]}],
+            "transitions": [["a", "b"]],
+        }
+    )
+    for horizon, completion, ok in ((4, None, None), (5, 4, True)):
+        trace = ms.run(ms.make_scenario(system, "a", "offline-table", [(0, "b")], horizon))
+        (check,) = trace.transition_checks
+        assert (check.absolute_deadline, check.first_completion, check.ok) == (4, completion, ok)
+
+
 def test_no_trace_row_reaches_the_horizon_randomized():
     """The draws of ``test_trace_matches_rational_materialization_randomized``:
     every row of every run lies strictly before its horizon."""
