@@ -481,9 +481,9 @@ def test_oversized_numbers_never_exit_3(name, command, tmp_path, capsys):
 
 
 def test_big_m_error_quotes_at_most_the_start_of_a_long_value(tmp_path, capsys):
-    lp = tmp_path / "m.lp"
-    code = main(["export-milp", write_json(tmp_path / "s.json", long_digits_raw()), "--mode", "m", "--hv", "1", "-o", str(lp)])
-    assert code == 2 and not lp.exists()
+    system = write_json(tmp_path / "s.json", long_digits_raw())
+    code = main(["export-milp", system, "--mode", "m", "--hv", "1", "-o", str(tmp_path / "m.lp")])
+    assert code == 2
     assert capsys.readouterr().err == (
         f"error: big_m 1 does not strictly dominate attainable latency {'9' * 60}... (4300 characters)\n"
     )
