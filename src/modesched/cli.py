@@ -25,7 +25,9 @@ simulator), so start-up stays a small part of a one-system command.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Optional
@@ -252,31 +254,57 @@ def _cmd_analyze(args, builder) -> int:
     return PASS if report["passed"] else FAIL
 
 
+def _write_replacing(path: str, write: Callable):
+    """``write(handle)`` into a new file beside ``path`` that replaces it once
+    ``write`` returns; on any exception that file is removed and ``path`` is
+    left as it was.  The new file is opened like ``open(path, "w")``, so it
+    gets the same permission bits.  A link is followed, and a path that is
+    there but no regular file (a device or a pipe) is written directly."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            return write(handle)
+    directory, name = os.path.split(path)
+    partial = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    handle = open(partial, "x", encoding="utf-8")
+    try:
+        with handle:
+            result = write(handle)
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
+    return result
+
+
 def _cmd_simulate(args) -> int:
     from .sim import SweepSpec, load_scenario, run, run_sweep
 
     system = load_system(args.system)
     scenario = load_scenario(args.scenario, system)
-    if isinstance(scenario, SweepSpec):
-        result = run_sweep(system, scenario)
-        text = summary = (
-            f"# sweep\t{scenario.from_mode}\t{scenario.to_mode}\tstep\t{scenario.step}"
-            f"\tpoints\t{result.points}\n"
-            f"# max-latency\t{result.max_latency}\tat\t{result.at_time}\n"
-            f"# deadline-misses\t{result.deadline_misses}\n"
-        )
-        misses = result.deadline_misses
-    else:
-        trace = run(scenario)
-        text = trace.to_text()
-        summary = trace.footer()
-        misses = trace.deadline_miss_count
+
+    def simulate(handle) -> tuple[str, int]:
+        """Write the full text to ``handle``; return the summary and the miss count."""
+        if isinstance(scenario, SweepSpec):
+            result = run_sweep(system, scenario)
+            summary = (
+                f"# sweep\t{scenario.from_mode}\t{scenario.to_mode}\tstep\t{scenario.step}"
+                f"\tpoints\t{result.points}\n"
+                f"# max-latency\t{result.max_latency}\tat\t{result.at_time}\n"
+                f"# deadline-misses\t{result.deadline_misses}\n"
+            )
+            handle.write(summary)
+            return summary, result.deadline_misses
+        trace = run(scenario, out=handle)
+        return trace.footer(), trace.deadline_miss_count
+
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        summary, misses = _write_replacing(args.trace, simulate)
         sys.stdout.write(summary)
     else:
-        sys.stdout.write(text)
+        buffer = io.StringIO()
+        _, misses = simulate(buffer)
+        sys.stdout.write(buffer.getvalue())
     return FAIL if misses else PASS
 
 

@@ -272,7 +272,7 @@ class ModeGraph(NamedTuple):
         for mode in self.modes:
             if mode.id == mode_id:
                 return mode
-        raise SystemValidationError(f"unknown mode {mode_id!r}")
+        raise SystemValidationError(f"unknown mode {_quote(mode_id)}")
 
     def mode_ids(self) -> tuple[str, ...]:
         return tuple(mode.id for mode in self.modes)
@@ -314,7 +314,7 @@ class ModeSystem(_ModeSystemFields):
         try:
             return self._by_id[task_id]
         except KeyError:
-            raise SystemValidationError(f"unknown task {task_id!r}") from None
+            raise SystemValidationError(f"unknown task {_quote(task_id)}") from None
 
     def mode(self, mode_id: str) -> Mode:
         return self.mode_graph.mode(mode_id)
@@ -475,7 +475,7 @@ def build_system(raw: Mapping) -> ModeSystem:
             if not isinstance(tid, str):
                 raise SystemValidationError(f"mode {mode_id}: md_tasks must hold task ids, got {_quote(tid)}")
             if tid not in by_id:
-                raise SystemValidationError(f"mode {mode_id}: unknown task {tid!r}")
+                raise SystemValidationError(f"mode {mode_id}: unknown task {_quote(tid)}")
             if by_id[tid].kind != MD:
                 raise SystemValidationError(f"mode {mode_id}: task {tid} is mode-independent")
             if tid in owner:
@@ -500,7 +500,7 @@ def build_system(raw: Mapping) -> ModeSystem:
             raise SystemValidationError(f"transitions[{i}]: expected a [source, destination] pair of mode ids")
         src, dst = raw_edge
         if src not in mode_ids or dst not in mode_ids:
-            raise SystemValidationError(f"transitions[{i}]: unknown mode in {raw_edge!r}")
+            raise SystemValidationError(f"transitions[{i}]: unknown mode in {_quote(raw_edge)}")
         if src == dst:
             raise SystemValidationError(f"transitions[{i}]: self-loop on mode {src!r}")
         if (src, dst) in edges:

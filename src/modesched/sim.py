@@ -11,8 +11,16 @@ All timestamps are exact: every release, deadline, preemption and completion
 instant is a rational combination of the input parameters, so the engine
 rescales the whole scenario to one integer time base (``latency._time_base``
 of the horizon, the task parameters, the MCR times and the release offsets)
-and simulates in integers.  The trace keeps the integer rows; the text output formats them
-directly, and only ``SimTrace.events`` turns them back into rationals.
+and simulates in integers.
+
+One engine, three outputs, chosen by what ``_Engine._emit`` does with a row:
+  * rows: ``run(scenario)`` keeps the integer rows in its ``SimTrace``; only
+    ``SimTrace.events`` turns them back into rationals;
+  * text: ``run(scenario, out=handle)`` formats each row as it is emitted and
+    writes the text in chunks, so memory does not grow with the trace;
+  * none: a sweep's ``_SourceRun`` and its forks keep nothing and read the
+    engine's integer fields.
+Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``.
 
 A run ends only in ``advance(limit)``, which processes no instant at or past
 its limit.  Releases and deadlines are queued whatever their instant, so what
@@ -42,10 +50,11 @@ transition check already has its completion.
 from __future__ import annotations
 
 import heapq
+import io
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .model import (
     Allocation,
@@ -53,7 +62,9 @@ from .model import (
     ModeSystem,
     ScenarioError,
     SimulationError,
+    SystemValidationError,
     _decode_json,
+    _quote,
     _shown,
     as_array,
     as_time,
@@ -71,6 +82,8 @@ ONLINE_FFD = "online-ffd"
 _PHASE_DEADLINE = 0
 _PHASE_RELEASE = 1
 _PHASE_MCR = 2
+
+_CHUNK_ROWS = 4096  # trace lines a text output buffers between two writes
 
 
 class Scenario(NamedTuple):
@@ -125,7 +138,8 @@ class SimTrace(NamedTuple):
 
     A row is ``(time, processor, kind, task, job)`` with ``time`` in units of
     ``1/scale``.  ``events``, the rows as exact ``SimEvent``s, is built anew
-    on each access; ``to_text()`` formats the rows directly.
+    on each access; ``to_text()`` formats the rows directly.  A run that
+    streamed its text (``run(scenario, out=...)``) keeps no rows.
     """
 
     rows: tuple[tuple[int, Optional[int], str, Optional[str], Optional[int]], ...]
@@ -161,25 +175,67 @@ class SimTrace(NamedTuple):
         return "".join(lines)
 
     def to_text(self) -> str:
-        """Tab-separated event rows, then the footer.  Rows come in time order,
-        so each instant is formatted once, as ``str`` of its reduced fraction;
-        an instant too long to print is refused."""
+        """Tab-separated event rows, then the footer (see ``_TraceText``)."""
+        buffer = io.StringIO()
+        text = _TraceText(self.scale, buffer)
+        for row in self.rows:
+            text.row(*row)
+        text.close(self)
+        return buffer.getvalue()
+
+
+class _TraceText:
+    """The text output: trace rows formatted as lines, written to ``out`` in
+    chunks of ``_CHUNK_ROWS`` lines, then the footer.
+
+    Rows come in time order, so each instant is formatted once, as ``str`` of
+    its reduced fraction.  An instant too long to print is refused only by
+    ``close``: a run streaming its rows may still fail later with an error of
+    its own, and that error comes first.
+    """
+
+    __slots__ = ("scale", "out", "lines", "instant", "stamp", "refusal")
+
+    def __init__(self, scale: int, out: TextIO):
+        self.scale = scale
+        self.out = out
+        self.lines: list[str] = []
+        self.instant: Optional[int] = None
+        self.stamp = ""
+        self.refusal: Optional[SystemValidationError] = None
+
+    def row(self, time: int, processor, kind: str, task, job) -> None:
+        if time != self.instant:
+            self.instant = time
+            self.stamp = self._stamp(time)
+        lines = self.lines
+        lines.append(
+            f"{self.stamp}\t{'-' if processor is None else processor}\t{kind}"
+            f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
+        )
+        if len(lines) >= _CHUNK_ROWS:
+            self.out.write("".join(lines))
+            lines.clear()
+
+    def _stamp(self, time: int) -> str:
         scale = self.scale
-        lines = []
-        instant = stamp = None
-        for t, processor, kind, task, job in self.rows:
-            if t != instant:
-                instant, divisor = t, math.gcd(t, scale)
-                try:
-                    stamp = str(t // scale) if divisor == scale else f"{t // divisor}/{scale // divisor}"
-                except ValueError:  # ``str`` refuses what ``printable`` refuses: let it say so
-                    printable(Fraction(t, scale), what="trace time")
-                    raise
-            lines.append(
-                f"{stamp}\t{'-' if processor is None else processor}\t{kind}"
-                f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
-            )
-        return "".join(lines) + self.footer()
+        divisor = math.gcd(time, scale)
+        try:
+            return str(time // scale) if divisor == scale else f"{time // divisor}/{scale // divisor}"
+        except ValueError:  # ``str`` refuses what ``printable`` refuses: keep its refusal
+            try:
+                printable(Fraction(time, scale), what="trace time")
+            except SystemValidationError as exc:
+                self.refusal = self.refusal or exc
+                return "-"
+            raise
+
+    def close(self, trace: SimTrace) -> None:
+        """Write what is buffered and the footer of ``trace``, or raise the
+        first refusal."""
+        if self.refusal is not None:
+            raise self.refusal
+        self.out.write("".join(self.lines) + trace.footer())
 
 
 class SweepResult(NamedTuple):
@@ -198,7 +254,7 @@ def _check_allocation_source(allocation_source: str) -> None:
     """Refuse an allocation source other than the two the simulator knows."""
     if allocation_source not in (OFFLINE_TABLE, ONLINE_FFD):
         raise ScenarioError(
-            f"allocation must be {OFFLINE_TABLE!r} or {ONLINE_FFD!r}, got {allocation_source!r}"
+            f"allocation must be {OFFLINE_TABLE!r} or {ONLINE_FFD!r}, got {_quote(allocation_source)}"
         )
 
 
@@ -231,7 +287,7 @@ def make_scenario(
         if time >= horizon:
             raise ScenarioError(f"mcrs[{i}]: time {time} is outside the horizon {horizon}")
         if (active, dest) not in system.mode_graph.edges:
-            raise ScenarioError(f"mcrs[{i}]: no transition from mode {active!r} to {dest!r}")
+            raise ScenarioError(f"mcrs[{i}]: no transition from mode {_quote(active)} to {_quote(dest)}")
         schedule.append((time, dest))
         previous = time
         active = dest
@@ -767,9 +823,23 @@ class _SourceRun(_Engine):
         return twin
 
 
-def run(scenario: Scenario) -> SimTrace:
-    """Execute one scenario and return its exact event trace."""
-    return _Engine(scenario).execute()
+def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
+    """Execute one scenario and return its exact event trace.
+
+    With ``out``, each row is formatted as the engine emits it and the text,
+    ``to_text()`` of the full trace, is written to ``out`` in chunks; the
+    trace returned keeps no rows, only its footer data.  A time too long to
+    print is refused once the run has ended, so an error of the run comes
+    first; either way ``out`` may hold part of the text.
+    """
+    engine = _Engine(scenario)
+    if out is None:
+        return engine.execute()
+    text = _TraceText(engine.scale, out)
+    engine._emit = text.row
+    trace = engine.execute()
+    text.close(trace)
+    return trace
 
 
 def sweep_mcr(
@@ -801,7 +871,7 @@ def sweep_mcr(
     _check_allocation_source(allocation_source)
     source, destination = mode_pair
     if (source, destination) not in system.mode_graph.edges:
-        raise ScenarioError(f"no transition from mode {source!r} to {destination!r}")
+        raise ScenarioError(f"no transition from mode {_quote(source)} to {_quote(destination)}")
 
     tables = None
     if allocation_source == OFFLINE_TABLE:

@@ -1,5 +1,8 @@
 import json
+import os
+import stat
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -545,6 +548,54 @@ def test_simulation_error_leaves_out_a_time_too_long_to_print(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "files, mcrs",
+    [(trace_digits_files, [{"time": 10 ** 4299, "to": "n"}]), (trace_digits_files, []), (footer_digits_files, None)],
+    ids=["simulation-error", "row-refusal", "footer-refusal"],
+)
+def test_failed_simulation_leaves_an_existing_trace_file_as_it_was(files, mcrs, tmp_path, capsys):
+    inputs = files(tmp_path) if mcrs is None else files(tmp_path, mcrs)
+    trace = tmp_path / "t.tsv"
+    trace.write_bytes(b"an earlier trace\n")
+    code = main(["simulate", *inputs, "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+    assert trace.read_bytes() == b"an earlier trace\n"
+    assert sorted(os.listdir(tmp_path)) == ["s.json", "sc.json", "t.tsv"]  # no partial file is left
+
+
+def test_new_trace_file_gets_the_mode_bits_of_a_plain_open(tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        trace = tmp_path / "t.tsv"
+        argv = [str(SAMPLES / "two_proc_handover.json"), str(SAMPLES / "handover_mcr7.json")]
+        assert main(["simulate", *argv, "--trace", str(trace)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(trace.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o644
+    assert sorted(os.listdir(tmp_path)) == ["plain", "t.tsv"]
+
+
+def test_trace_path_through_a_link_or_to_a_pipe_is_written_through(tmp_path, capsys):
+    argv = ["simulate", str(SAMPLES / "two_proc_handover.json"), str(SAMPLES / "handover_mcr7.json")]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    (tmp_path / "link").symlink_to(tmp_path / "target.tsv")
+    assert main(argv + ["--trace", str(tmp_path / "link")]) == 0
+    assert (tmp_path / "link").is_symlink() and (tmp_path / "target.tsv").read_text(encoding="utf-8") == text
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    code = main(argv + ["--trace", str(pipe)])
+    reader.join(10)
+    assert code == 0 and received == [text]
+    assert sorted(os.listdir(tmp_path)) == ["link", "pipe", "target.tsv"]
+
+
 def _patched(mutate, raw=None):
     raw = case_study_raw() if raw is None else raw
     mutate(raw)
@@ -633,3 +684,37 @@ def test_input_refusals_exit_2_with_their_message(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+LONG_ID = "q" * 5000
+
+
+def _long_id_argv(name, tmp_path):
+    raw = case_study_raw()
+    if name == "export-milp-mode":
+        return ["export-milp", write_json(tmp_path / "s.json", raw), "--mode", LONG_ID, "-o", str(tmp_path / "m.lp")]
+    if name == "system-mode-task":
+        raw["modes"][0]["md_tasks"].append(LONG_ID)
+    if name == "system-transition":
+        raw["transitions"].append(["mode1", LONG_ID])
+    if name.startswith("system-"):
+        return ["analyze-offline", write_json(tmp_path / "s.json", raw)]
+    scenario = {
+        "initial_mode": _scenario(initial_mode=LONG_ID),
+        "mcrs-to": _scenario(mcrs=[{"time": 5, "to": LONG_ID}]),
+        "sweep-to-mode": _sweep(to_mode=LONG_ID),
+        "allocation": _scenario(allocation=LONG_ID),
+    }[name]
+    return ["simulate", write_json(tmp_path / "s.json", raw), write_json(tmp_path / "sc.json", scenario)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["initial_mode", "mcrs-to", "sweep-to-mode", "allocation", "export-milp-mode", "system-mode-task",
+     "system-transition"],
+)
+def test_long_ids_are_quoted_in_part(name, tmp_path, capsys):
+    assert main(_long_id_argv(name, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "characters)" in captured.err
+    assert all(len(line) <= 300 for line in captured.err.splitlines())

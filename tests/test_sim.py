@@ -1,12 +1,15 @@
+import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import modesched as ms
 from modesched import sim
+from modesched.cli import main
 from conftest import (
     SAMPLES,
     drain_instant,
@@ -537,6 +540,50 @@ def test_observed_latency_never_exceeds_static_bound_randomized():
             assert sweep.max_latency <= result_bound
             swept += 1
     assert swept >= 8
+
+
+def random_placement(rng, system, mode_id):
+    """A random utilization-feasible table for ``mode_id``: each MD task, in
+    random order, goes to a random processor with room for it; None if a
+    task finds no room."""
+    room = {p: 1 - system.mi_utilization(p) for p in system.processors}
+    tasks = list(system.md_tasks_of(mode_id))
+    rng.shuffle(tasks)
+    assignment = {}
+    for task in tasks:
+        fits = [p for p, spare in room.items() if task.utilization <= spare]
+        if not fits:
+            return None
+        assignment[task.id] = processor = rng.choice(fits)
+        room[processor] -= task.utilization
+    return ms.Allocation(mode_id, assignment)
+
+
+def test_observed_latency_never_exceeds_online_bound_under_random_placements():
+    """The online bound holds for any runtime placement: random
+    utilization-feasible source and destination tables, one request at a
+    random quarter instant of the source hyperperiod."""
+    rng = random.Random(2026)
+    runs = attained = 0
+    for case in range(2000):
+        system = random_system(rng, ff_mi=True)
+        source, destination = rng.choice((("alpha", "beta"), ("beta", "alpha")))
+        tables = {mode_id: random_placement(rng, system, mode_id) for mode_id in (source, destination)}
+        if None in tables.values():
+            continue
+        bound = ms.latency_upper_bound(system, source)
+        span = ms.hyperperiod(system.mi_tasks + system.md_tasks_of(source))
+        request = Fraction(rng.randrange(int(4 * span)), 4)
+        margin = max(t.period for t in system.mi_tasks + system.md_tasks) + 1
+        scenario = ms.make_scenario(
+            system, source, "offline-table", [(request, destination)], request + bound + margin,
+            static_tables=tables,
+        )
+        latencies = ms.run(scenario).observed_latencies
+        assert len(latencies) == 1 and latencies[0][1] <= bound, (case, tables, request, bound, latencies)
+        runs += 1
+        attained += latencies[0][1] == bound
+    assert runs >= 1000 and attained >= 100, (runs, attained)
 
 
 # ---------------------------------------------------------------------------
@@ -1115,9 +1162,9 @@ def random_replay(rng, system):
     return initial, mcrs, horizon, offsets if rng.random() < 0.6 else None
 
 
-def test_trace_matches_rational_materialization_randomized():
+def replay_draws():
+    """The 120 seeded replay draws: ``(case, system, make_scenario arguments)``."""
     rng = random.Random(2718)
-    seen = {"mixed": 0, "mcrs": 0, "offsets": 0, "job_miss": 0, "transition_miss": 0, "zero": 0}
     for case in range(120):
         if case % 3 != 0:
             base = saturated_handover(rng)
@@ -1126,8 +1173,14 @@ def test_trace_matches_rational_materialization_randomized():
         system = rescaled(rng, base)
         initial, mcrs, horizon, offsets = random_replay(rng, system)
         allocation_source = rng.choice(("offline-table", "online-ffd"))
+        yield case, system, (initial, allocation_source, mcrs, horizon, offsets)
+
+
+def test_trace_matches_rational_materialization_randomized():
+    seen = {"mixed": 0, "mcrs": 0, "offsets": 0, "job_miss": 0, "transition_miss": 0, "zero": 0}
+    for case, system, arguments in replay_draws():
         try:
-            scenario = ms.make_scenario(system, initial, allocation_source, mcrs, horizon, offsets)
+            scenario = ms.make_scenario(system, *arguments)
             engine = sim._Engine(scenario)
             trace = engine.execute()
         except (ms.ScenarioError, ms.SimulationError):
@@ -1139,10 +1192,10 @@ def test_trace_matches_rational_materialization_randomized():
         assert trace.deadline_miss_count == miss_count, case
         seen["mixed"] += len({t.period.denominator for t in system.mi_tasks + system.md_tasks} - {1}) >= 2
         seen["mcrs"] += len(trace.observed_latencies) >= 2
-        seen["offsets"] += bool(offsets)
+        seen["offsets"] += bool(arguments[4])
         seen["job_miss"] += job_misses > 0
         seen["transition_miss"] += miss_count > job_misses
-        seen["zero"] += horizon == 0
+        seen["zero"] += arguments[3] == 0
     # the draws reach every kind of trace
     assert min(seen.values()) >= 5, seen
 
@@ -1197,21 +1250,119 @@ def test_transition_check_at_the_horizon_is_undecided():
 def test_no_trace_row_reaches_the_horizon_randomized():
     """The draws of ``test_trace_matches_rational_materialization_randomized``:
     every row of every run lies strictly before its horizon."""
-    rng = random.Random(2718)
     runs = 0
-    for case in range(120):
-        if case % 3 != 0:
-            base = saturated_handover(rng)
-        else:
-            base = with_transition_deadlines(rng, random_system(rng, max_tasks=7, md_heavy=case % 2 == 0))
-        system = rescaled(rng, base)
-        initial, mcrs, horizon, offsets = random_replay(rng, system)
-        allocation_source = rng.choice(("offline-table", "online-ffd"))
+    for case, system, arguments in replay_draws():
         try:
-            engine = sim._Engine(ms.make_scenario(system, initial, allocation_source, mcrs, horizon, offsets))
+            engine = sim._Engine(ms.make_scenario(system, *arguments))
             trace = engine.execute()
         except (ms.ScenarioError, ms.SimulationError):
             continue
         assert all(row[0] < engine.horizon for row in trace.rows), case
         runs += 1
     assert runs >= 60, runs
+
+
+# ---------------------------------------------------------------------------
+# the streamed text output against the kept rows
+# ---------------------------------------------------------------------------
+
+def system_raw(system):
+    """``system`` as the object ``build_system`` reads, numbers as exact strings."""
+    tasks = []
+    for t in system.mi_tasks + system.md_tasks:
+        raw = {"id": t.id, "kind": t.kind, "wcet": str(t.wcet), "period": str(t.period)}
+        if t.home_processor is not None:
+            raw["processor"] = t.home_processor
+        if t.transition_deadline is not None:
+            raw["transition_deadline"] = str(t.transition_deadline)
+        tasks.append(raw)
+    return {
+        "processors": system.processor_count,
+        "tasks": tasks,
+        "modes": [{"id": m, "md_tasks": list(system.mode(m).md_tasks)} for m in system.mode_ids()],
+        "transitions": [list(edge) for edge in system.mode_graph.edges],
+    }
+
+
+def scenario_raw(initial, allocation_source, mcrs, horizon, offsets=None):
+    """The arguments of ``make_scenario`` as a scenario file's object."""
+    raw = {
+        "initial_mode": initial,
+        "allocation": allocation_source,
+        "horizon": str(horizon),
+        "mcrs": [{"time": str(time), "to": to} for time, to in mcrs],
+    }
+    if offsets is not None:
+        raw["release_offsets"] = {tid: [str(v) for v in values] for tid, values in offsets.items()}
+    return raw
+
+
+def simulate_outputs(tmp_path, capsys, system, arguments):
+    """``simulate`` of ``system`` and a scenario: the exit code, the ``--trace``
+    file's text (None if there is none) and stdout, then the exit code and
+    stdout without ``--trace``."""
+    system_path, scenario_path, trace_path = (tmp_path / name for name in ("s.json", "sc.json", "t.tsv"))
+    system_path.write_text(json.dumps(system_raw(system)), encoding="utf-8")
+    scenario_path.write_text(json.dumps(scenario_raw(*arguments)), encoding="utf-8")
+    if trace_path.exists():
+        trace_path.unlink()
+    argv = ["simulate", str(system_path), str(scenario_path)]
+    code = main(argv + ["--trace", str(trace_path)])
+    text = trace_path.read_bytes().decode("utf-8") if trace_path.exists() else None
+    out = capsys.readouterr().out
+    return code, text, out, main(argv), capsys.readouterr().out
+
+
+def test_streamed_text_equals_the_kept_trace_randomized(tmp_path, capsys):
+    """On the replay draws, ``simulate`` writes ``run(scenario).to_text()``
+    byte for byte, to its ``--trace`` file and to stdout, and a draw the
+    simulator refuses leaves no file and prints nothing."""
+    compared = refused = 0
+    for case, system, arguments in replay_draws():
+        outputs = simulate_outputs(tmp_path, capsys, system, arguments)
+        try:
+            trace = ms.run(ms.make_scenario(system, *arguments))
+        except (ms.ScenarioError, ms.SimulationError):
+            assert outputs == (2, None, "", 2, ""), case
+            refused += 1
+            continue
+        code = 1 if trace.deadline_miss_count else 0
+        assert outputs == (code, trace.to_text(), trace.footer(), code, trace.to_text()), case
+        compared += 1
+    assert compared >= 60 and refused >= 5, (compared, refused)
+
+
+def replay_every_397(horizon):
+    """The case study with a request every 397, alternately to mode2 and
+    back, up to ``horizon``."""
+    mcrs = [(time, ("mode2", "mode1")[i % 2]) for i, time in enumerate(range(397, horizon, 397))]
+    return "mode1", "offline-table", mcrs, horizon
+
+
+def test_streamed_text_spans_several_write_chunks(case_study, tmp_path, capsys):
+    arguments = replay_every_397(16_000)
+    trace = ms.run(ms.make_scenario(case_study, *arguments))
+    assert len(trace.rows) > 2 * sim._CHUNK_ROWS
+    streamed = ms.run(ms.make_scenario(case_study, *arguments), out=(buffer := io.StringIO()))
+    assert streamed.rows == () and streamed._replace(rows=trace.rows) == trace
+    assert buffer.getvalue() == trace.to_text()
+    outputs = simulate_outputs(tmp_path, capsys, case_study, arguments)
+    assert outputs == (0, trace.to_text(), trace.footer(), 0, trace.to_text())
+
+
+def test_streamed_trace_memory_does_not_grow_with_the_trace(case_study, tmp_path):
+    """The peak of a streamed run is the same at horizon H and 4H, while the
+    rows it would keep grow about fourfold."""
+    peaks, rows = [], []
+    for horizon in (10_000, 40_000):
+        scenario = ms.make_scenario(case_study, *replay_every_397(horizon))
+        with open(tmp_path / "t.tsv", "w", encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                ms.run(scenario, out=handle)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rows.append(len(ms.run(scenario).rows))
+    assert 3.5 * rows[0] < rows[1] < 4.5 * rows[0], rows
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks
