@@ -28,6 +28,7 @@ import argparse
 import io
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 from typing import Callable, Optional
@@ -258,18 +259,23 @@ def _write_replacing(path: str, write: Callable):
     """``write(handle)`` into a new file beside ``path`` that replaces it once
     ``write`` returns; on any exception that file is removed and ``path`` is
     left as it was.  The new file is opened like ``open(path, "w")``, so it
-    gets the same permission bits.  A link is followed, and a path that is
-    there but no regular file (a device or a pipe) is written directly."""
-    path = os.path.realpath(path)
+    gets the same permission bits, and takes those of a file it replaces.  A
+    path that is there but no regular file (a device, a pipe, ``/dev/fd/N``)
+    is written directly; otherwise a link is followed and its target
+    replaced."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
             return write(handle)
+    path = os.path.realpath(path)
     directory, name = os.path.split(path)
-    partial = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # at most 48 characters of the name keep the new name within 255 bytes
+    partial = os.path.join(directory, f".{name[:48]}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     handle = open(partial, "x", encoding="utf-8")
     try:
         with handle:
             result = write(handle)
+        if os.path.isfile(path):
+            os.chmod(partial, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(partial, path)
     except BaseException:
         os.remove(partial)

@@ -17,7 +17,7 @@ One engine, three outputs, chosen by what ``_Engine._emit`` does with a row:
   * rows: ``run(scenario)`` keeps the integer rows in its ``SimTrace``; only
     ``SimTrace.events`` turns them back into rationals;
   * text: ``run(scenario, out=handle)`` formats each row as it is emitted and
-    writes the text in chunks, so memory does not grow with the trace;
+    writes it to ``handle`` at once, so memory does not grow with the trace;
   * none: a sweep's ``_SourceRun`` and its forks keep nothing and read the
     engine's integer fields.
 Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``.
@@ -82,8 +82,6 @@ ONLINE_FFD = "online-ffd"
 _PHASE_DEADLINE = 0
 _PHASE_RELEASE = 1
 _PHASE_MCR = 2
-
-_CHUNK_ROWS = 4096  # trace lines a text output buffers between two writes
 
 
 class Scenario(NamedTuple):
@@ -185,8 +183,8 @@ class SimTrace(NamedTuple):
 
 
 class _TraceText:
-    """The text output: trace rows formatted as lines, written to ``out`` in
-    chunks of ``_CHUNK_ROWS`` lines, then the footer.
+    """The text output: trace rows formatted as lines, each written to
+    ``out`` as it comes, then the footer; ``out`` does its own buffering.
 
     Rows come in time order, so each instant is formatted once, as ``str`` of
     its reduced fraction.  An instant too long to print is refused only by
@@ -194,12 +192,11 @@ class _TraceText:
     its own, and that error comes first.
     """
 
-    __slots__ = ("scale", "out", "lines", "instant", "stamp", "refusal")
+    __slots__ = ("scale", "out", "instant", "stamp", "refusal")
 
     def __init__(self, scale: int, out: TextIO):
         self.scale = scale
         self.out = out
-        self.lines: list[str] = []
         self.instant: Optional[int] = None
         self.stamp = ""
         self.refusal: Optional[SystemValidationError] = None
@@ -208,14 +205,10 @@ class _TraceText:
         if time != self.instant:
             self.instant = time
             self.stamp = self._stamp(time)
-        lines = self.lines
-        lines.append(
+        self.out.write(
             f"{self.stamp}\t{'-' if processor is None else processor}\t{kind}"
             f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
         )
-        if len(lines) >= _CHUNK_ROWS:
-            self.out.write("".join(lines))
-            lines.clear()
 
     def _stamp(self, time: int) -> str:
         scale = self.scale
@@ -231,11 +224,10 @@ class _TraceText:
             raise
 
     def close(self, trace: SimTrace) -> None:
-        """Write what is buffered and the footer of ``trace``, or raise the
-        first refusal."""
+        """Write the footer of ``trace``, or raise the first refusal."""
         if self.refusal is not None:
             raise self.refusal
-        self.out.write("".join(self.lines) + trace.footer())
+        self.out.write(trace.footer())
 
 
 class SweepResult(NamedTuple):
@@ -826,8 +818,8 @@ class _SourceRun(_Engine):
 def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
     """Execute one scenario and return its exact event trace.
 
-    With ``out``, each row is formatted as the engine emits it and the text,
-    ``to_text()`` of the full trace, is written to ``out`` in chunks; the
+    With ``out``, each row is formatted and written to ``out`` as the engine
+    emits it, so that ``out`` receives ``to_text()`` of the full trace; the
     trace returned keeps no rows, only its footer data.  A time too long to
     print is refused once the run has ended, so an error of the run comes
     first; either way ``out`` may hold part of the text.

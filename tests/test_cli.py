@@ -596,6 +596,45 @@ def test_trace_path_through_a_link_or_to_a_pipe_is_written_through(tmp_path, cap
     assert sorted(os.listdir(tmp_path)) == ["link", "pipe", "target.tsv"]
 
 
+def test_trace_path_to_an_anonymous_pipe_is_written_through(capsys):
+    """``--trace >(gzip > t.gz)`` hands over ``/dev/fd/N`` of a pipe, whose
+    link does not resolve to a path."""
+    argv = ["simulate", str(SAMPLES / "two_proc_handover.json"), str(SAMPLES / "handover_mcr7.json")]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    read_end, write_end = os.pipe()
+    received = []
+    with open(read_end, encoding="utf-8") as source:
+        reader = threading.Thread(target=lambda: received.append(source.read()), daemon=True)
+        reader.start()
+        try:
+            code = main(argv + ["--trace", f"/dev/fd/{write_end}"])
+        finally:
+            os.close(write_end)
+        reader.join(10)
+    assert code == 0 and received == [text]
+    assert capsys.readouterr().err == ""
+
+
+def test_replaced_trace_file_keeps_its_mode_bits(tmp_path, capsys):
+    trace = tmp_path / "t.tsv"
+    trace.write_bytes(b"an earlier trace\n")
+    trace.chmod(0o600)
+    argv = [str(SAMPLES / "two_proc_handover.json"), str(SAMPLES / "handover_mcr7.json")]
+    assert main(["simulate", *argv, "--trace", str(trace)]) == 0
+    assert stat.S_IMODE(trace.stat().st_mode) == 0o600
+    assert trace.read_bytes() != b"an earlier trace\n"
+    assert os.listdir(tmp_path) == ["t.tsv"]
+
+
+def test_trace_file_name_of_the_longest_length_is_written(tmp_path, capsys):
+    trace = tmp_path / ("t" * 251 + ".tsv")
+    argv = [str(SAMPLES / "two_proc_handover.json"), str(SAMPLES / "handover_mcr7.json")]
+    assert main(["simulate", *argv, "--trace", str(trace)]) == 0
+    assert trace.read_text(encoding="utf-8").endswith("# deadline-misses\t0\n")
+    assert os.listdir(tmp_path) == [trace.name]
+
+
 def _patched(mutate, raw=None):
     raw = case_study_raw() if raw is None else raw
     mutate(raw)

@@ -1342,7 +1342,7 @@ def replay_every_397(horizon):
 def test_streamed_text_spans_several_write_chunks(case_study, tmp_path, capsys):
     arguments = replay_every_397(16_000)
     trace = ms.run(ms.make_scenario(case_study, *arguments))
-    assert len(trace.rows) > 2 * sim._CHUNK_ROWS
+    assert len(trace.to_text()) > 4 * io.DEFAULT_BUFFER_SIZE
     streamed = ms.run(ms.make_scenario(case_study, *arguments), out=(buffer := io.StringIO()))
     assert streamed.rows == () and streamed._replace(rows=trace.rows) == trace
     assert buffer.getvalue() == trace.to_text()
