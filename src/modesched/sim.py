@@ -40,11 +40,12 @@ instant the pending source-mode jobs stay the same, and so do the transition
 end and the suffix schedule.  The exception is a request with nothing pending,
 whose destination mode starts at the request itself; such a point gets its
 own fork.  A fork stops once EDF can no longer change its outcome: its
-transition has ended, the destination allocation loads no processor above 1,
-and every processor has idled since the end.  With implicit deadlines and
-load at most 1, EDF then misses no deadline under any sporadic release
-pattern (Liu & Layland 1973; Baruah, Rosier & Howell 1990), and each
-transition check already has its completion.
+transition has ended and every processor has idled since the end.  A sweep
+simulates only allocations that load no processor above 1 (an optimal table
+or a First-Fit placement), and with implicit deadlines and load at most 1,
+EDF then misses no deadline under any sporadic release pattern (Liu &
+Layland 1973; Baruah, Rosier & Howell 1990); each transition check already
+has its completion.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, 
 
 from .model import (
     Allocation,
-    AllocationError,
     ModeSystem,
     ScenarioError,
     SimulationError,
@@ -713,25 +713,24 @@ class _SourceRun(_Engine):
     nothing pending: the destination mode then starts at the request itself,
     so the suffix moves with it and each such point gets its own fork.
 
-    A fork settles, and stops, once its transition has ended, the
-    destination allocation keeps every processor's load (its MI tasks plus
-    the destination MD tasks placed there) at most 1, and every processor
-    has been idle after a dispatch since the end.  An idle processor has
-    completed every job released before, the first jobs of the destination
-    mode included, so every transition check has its completion; from then
-    on EDF misses no deadline.  Settling empties the heap, the ready queues
-    and the processors, so ``advance`` returns at once, for later points of
-    the interval too: ``check_outcome`` only shifts deadlines already decided.
-    The load check is made once per destination mode, when a transition
-    first ends into it, so a failed online placement is still reported then.
+    Only ``sweep_mcr`` builds this class, and every allocation it simulates
+    keeps each processor's load (its MI tasks plus the mode's MD tasks placed
+    there) at most 1 by construction: an optimal table of the exact search,
+    which refuses any placement past capacity, or a First-Fit placement,
+    which places a task only where it fits and otherwise raises.  A fork
+    therefore settles, and stops, once its transition has ended and every
+    processor has been idle after a dispatch since the end.  An idle
+    processor has completed every job released before, the first jobs of the
+    destination mode included, so every transition check has its completion;
+    from then on EDF misses no deadline.  Settling empties the heap, the
+    ready queues and the processors, so ``advance`` returns at once, for
+    later points of the interval too: ``check_outcome`` only shifts
+    deadlines already decided.
     """
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self.serving: Optional[_SourceRun] = None
-        # Per destination mode: whether its allocation keeps every processor's
-        # load at most 1; like ``placements``, forks share it
-        self.underloaded: dict[str, bool] = {}
         self.waiting: tuple[int, ...] = ()  # processors yet to idle since the transition end
         self.start()
         self.settle(0)
@@ -741,19 +740,8 @@ class _SourceRun(_Engine):
 
     def enable_mode(self, mode_id: str, time: int) -> None:
         super().enable_mode(mode_id, time)
-        if self.destination is not None and self._underloaded(mode_id, time):
+        if self.destination is not None:
             self.waiting = tuple(self.processors)
-
-    def _underloaded(self, mode_id: str, time: int) -> bool:
-        underloaded = self.underloaded.get(mode_id)
-        if underloaded is None:
-            try:
-                validate_allocation(self.system, self.allocation_for(mode_id, time))
-                underloaded = True
-            except AllocationError:
-                underloaded = False
-            self.underloaded[mode_id] = underloaded
-        return underloaded
 
     def dispatch(self, time: int) -> None:
         super().dispatch(time)

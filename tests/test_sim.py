@@ -993,10 +993,11 @@ def test_settled_fork_serves_later_points_of_its_interval(forks, instants, settl
     assert forks == [3] and settlements == [17]
 
 
-def test_overloaded_destination_never_settles(monkeypatch):
+def test_overloaded_destination_never_settles():
     """A hand-made allocation loads the processor to 1/2 + 3/5.  Beta starts
     at the request at 5; the processor idles at 8, yet ``y`` misses its
-    deadline 20, so a fork that stopped at 8 would miss that miss."""
+    deadline 20, so settling at an idle processor needs the load premise
+    that ``test_sweeps_simulate_only_utilization_feasible_allocations`` checks."""
     system = ms.build_system(
         {
             "processors": 1,
@@ -1015,20 +1016,6 @@ def test_overloaded_destination_never_settles(monkeypatch):
     trace = ms.run(scenario)
     assert [e.time for e in events_of(trace, "complete", "y")][0] == 8
     assert [e.time for e in events_of(trace, "deadline-miss")] == [20]
-
-    def suffix():
-        source = sim._SourceRun(scenario)
-        fork = source.request(source.scaled(Fraction(5)), "beta")
-        fork.advance(source.scaled(Fraction(30)))
-        return fork
-
-    fork = suffix()
-    assert fork.underloaded == {"beta": False}
-    assert fork.job_misses == trace.job_deadline_misses == 1
-    assert fork.heap  # still running: its next releases are queued
-    # without the load check the fork would stop at 8 and count no miss
-    monkeypatch.setattr(sim._SourceRun, "_underloaded", lambda self, mode_id, time: True)
-    assert suffix().job_misses == 0
 
 
 def exactly_saturated(rng):
@@ -1066,12 +1053,12 @@ def exactly_saturated(rng):
     )
 
 
-def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(settlements):
-    """Runs of consecutive grid points spread over the whole source
-    hyperperiod, so forks settle and serve later points across it."""
+def settling_sweep_draws():
+    """The 200 seeded sweeps of the settling tests: ``(case, args)`` with
+    ``args`` the arguments of ``sweep_mcr``.  Case ``% 4 == 0`` is
+    ``exactly_saturated``, ``== 1`` is ``saturated_handover``."""
     rng = random.Random(5150)
     steps = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3))
-    errors = job_missing = transition_missing = saturated_missing = settling = 0
     for case in range(200):
         if case % 4 == 0:
             system = exactly_saturated(rng)
@@ -1093,10 +1080,17 @@ def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(set
         if case % 5 == 1:  # out of order, with repeated points
             grid += rng.choices(grid, k=rng.randint(1, 4))
             rng.shuffle(grid)
-        args = (system, allocation_source, mode_pair, grid)
+        yield case, (system, allocation_source, mode_pair, grid)
+
+
+def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(settlements):
+    """Runs of consecutive grid points spread over the whole source
+    hyperperiod, so forks settle and serve later points across it."""
+    errors = job_missing = transition_missing = saturated_missing = settling = 0
+    for case, args in settling_sweep_draws():
         settlements.clear()
         expected = sweep_outcome(per_point_sweep, *args)
-        assert sweep_outcome(ms.sweep_mcr, *args) == expected, (case, grid)
+        assert sweep_outcome(ms.sweep_mcr, *args) == expected, (case, args[3])
         settling += bool(settlements)
         if isinstance(expected, ms.SweepResult):
             job_missing += expected.job_misses > 0
@@ -1111,6 +1105,37 @@ def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(set
         errors, job_missing, transition_missing,
     )
     assert saturated_missing >= 5 and settling >= 60, (saturated_missing, settling)
+
+
+def test_sweeps_simulate_only_utilization_feasible_allocations(monkeypatch):
+    """A fork settles at idle processors without checking the destination
+    load: the premise is that every allocation a sweep's source run or forks
+    use loads no processor above 1.  Each one passes ``validate_allocation``
+    over the settling corpus, both allocation sources and the saturated
+    systems (load exactly 1) included."""
+    used = []
+    allocation_for = sim._SourceRun.allocation_for
+
+    def recording(self, mode_id, time):
+        allocation = allocation_for(self, mode_id, time)
+        used.append((self.system, self.scenario.allocation_source, allocation))
+        return allocation
+
+    monkeypatch.setattr(sim._SourceRun, "allocation_for", recording)
+    sources = set()
+    saturated = set()  # cases with a processor loaded to exactly 1
+    for case, args in settling_sweep_draws():
+        del used[:]
+        sweep_outcome(ms.sweep_mcr, *args)
+        for system, source, allocation in used:
+            ms.validate_allocation(system, allocation)
+            sources.add(source)
+            loads = {p: system.mi_utilization(p) for p in system.processors}
+            for task_id, p in allocation.assignment.items():
+                loads[p] += system.task(task_id).utilization
+            if case % 4 == 0 and max(loads.values()) == 1:
+                saturated.add(case)
+    assert sources == {"offline-table", "online-ffd"} and len(saturated) >= 40, (sources, saturated)
 
 
 # ---------------------------------------------------------------------------
