@@ -47,7 +47,7 @@ class InfeasibleModeError(ValueError):
 
     def __init__(self, mode_id: str, task_id: str):
         super().__init__(
-            f"mode {mode_id}: no feasible allocation; search stuck placing task {task_id}"
+            f"mode {_cut(mode_id)}: no feasible allocation; search stuck placing task {_cut(task_id)}"
         )
         self.mode_id = mode_id
         self.task_id = task_id
@@ -131,23 +131,33 @@ def _exceeds_one(subject: str, load: Fraction) -> str:
         return f"{subject} exceeds 1"
 
 
+def _cut(text: str, length: Optional[int] = None) -> str:
+    """``text`` for an error message; past ``_QUOTED`` characters, its start
+    and ``length``, by default its own length.  An id an error message names
+    without quotes goes through here."""
+    if len(text) <= _QUOTED:
+        return text
+    return f"{text[:_QUOTED]}... ({len(text) if length is None else length} characters)"
+
+
 def _shown(value: Fraction) -> str:
     """``str(value)`` for an error message: past ``_QUOTED`` characters, its
     start and its length, and only a note if ``printable`` refuses it."""
     try:
-        text = str(printable(value, what="value"))
+        return _cut(str(printable(value, what="value")))
     except SystemValidationError:
         return "(a number too long to print)"
-    return text if len(text) <= _QUOTED else f"{text[:_QUOTED]}... ({len(text)} characters)"
 
 
 def _quote(value) -> str:
     """``repr(value)`` for an error message; past ``_QUOTED`` characters, its
     start and the length of the value's text."""
-    text = repr(value)
-    if len(text) <= _QUOTED:
-        return text
-    return f"{text[:_QUOTED]}... ({len(value if isinstance(value, str) else text)} characters)"
+    return _cut(repr(value), len(value) if isinstance(value, str) else None)
+
+
+def _quote_all(values) -> str:
+    """A list of values as its ``repr`` shows it, each value through ``_quote``."""
+    return f"[{', '.join(map(_quote, values))}]"
 
 
 def _json_int(text: str):
@@ -172,7 +182,7 @@ def as_time(value, *, what: str = "time value") -> Fraction:
     """Parse an exact, non-negative time value."""
     result = parse_exact(value, what=what)
     if result < 0:
-        raise SystemValidationError(f"{what}: must be non-negative, got {result}")
+        raise SystemValidationError(f"{what}: must be non-negative, got {_shown(result)}")
     return result
 
 
@@ -217,25 +227,26 @@ class Task(_TaskFields):
         self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.id, str) or not self.id:
             raise SystemValidationError(f"task id must be a non-empty string, got {self.id!r}")
+        name = _cut(self.id)
         if self.kind not in (MI, MD):
-            raise SystemValidationError(f"task {self.id}: kind must be 'MI' or 'MD', got {self.kind!r}")
+            raise SystemValidationError(f"task {name}: kind must be 'MI' or 'MD', got {_quote(self.kind)}")
         if self.wcet <= 0:
-            raise SystemValidationError(f"task {self.id}: wcet must be positive, got {self.wcet}")
+            raise SystemValidationError(f"task {name}: wcet must be positive, got {_shown(self.wcet)}")
         if self.period <= 0:
-            raise SystemValidationError(f"task {self.id}: period must be positive, got {self.period}")
+            raise SystemValidationError(f"task {name}: period must be positive, got {_shown(self.period)}")
         if self.wcet > self.period:
             raise SystemValidationError(
-                f"task {self.id}: wcet {self.wcet} exceeds period {self.period} (utilization > 1)"
+                f"task {name}: wcet {_shown(self.wcet)} exceeds period {_shown(self.period)} (utilization > 1)"
             )
         if self.kind == MI:
             if self.home_processor is None:
-                raise SystemValidationError(f"task {self.id}: MI tasks require a processor binding")
+                raise SystemValidationError(f"task {name}: MI tasks require a processor binding")
             if self.transition_deadline is not None:
-                raise SystemValidationError(f"task {self.id}: MI tasks take no transition deadline")
+                raise SystemValidationError(f"task {name}: MI tasks take no transition deadline")
         else:
             if self.home_processor is not None:
                 raise SystemValidationError(
-                    f"task {self.id}: MD tasks must not carry a static processor; allocation is computed"
+                    f"task {name}: MD tasks must not carry a static processor; allocation is computed"
                 )
         return self
 
@@ -398,24 +409,25 @@ def _parse_task(raw: Mapping, index: int) -> Task:
     allowed = {"id", "kind", "wcet", "period", "transition_deadline", "processor"}
     unknown = set(raw) - allowed
     if unknown:
-        raise SystemValidationError(f"tasks[{index}]: unknown keys {sorted(unknown)}")
+        raise SystemValidationError(f"tasks[{index}]: unknown keys {_quote_all(sorted(unknown))}")
     for key in ("id", "kind", "wcet", "period"):
         if key not in raw:
             raise SystemValidationError(f"tasks[{index}]: missing required key {key!r}")
     task_id = raw["id"]
     if not isinstance(task_id, str):
         raise SystemValidationError(f"tasks[{index}]: id must be a string")
+    name = _cut(task_id)
     deadline = raw.get("transition_deadline")
     processor = raw.get("processor")
     if processor is not None and (isinstance(processor, bool) or not isinstance(processor, int)):
-        raise SystemValidationError(f"task {task_id}: processor must be an integer index")
+        raise SystemValidationError(f"task {name}: processor must be an integer index")
     return Task(
         id=task_id,
         kind=raw["kind"],
-        wcet=as_time(raw["wcet"], what=f"task {task_id} wcet"),
-        period=as_time(raw["period"], what=f"task {task_id} period"),
+        wcet=as_time(raw["wcet"], what=f"task {name} wcet"),
+        period=as_time(raw["period"], what=f"task {name} period"),
         transition_deadline=None if deadline is None
-        else as_time(deadline, what=f"task {task_id} transition_deadline"),
+        else as_time(deadline, what=f"task {name} transition_deadline"),
         home_processor=processor,
     )
 
@@ -431,7 +443,7 @@ def build_system(raw: Mapping) -> ModeSystem:
         raise SystemValidationError("system description must be an object")
     unknown = set(raw) - {"processors", "tasks", "modes", "transitions"}
     if unknown:
-        raise SystemValidationError(f"unknown top-level keys {sorted(unknown)}")
+        raise SystemValidationError(f"unknown top-level keys {_quote_all(sorted(unknown))}")
     try:
         processor_count = raw["processors"]
         raw_tasks = raw["tasks"]
@@ -446,7 +458,7 @@ def build_system(raw: Mapping) -> ModeSystem:
     seen_ids: set[str] = set()
     for task in tasks:
         if task.id in seen_ids:
-            raise SystemValidationError(f"duplicate task id {task.id!r}")
+            raise SystemValidationError(f"duplicate task id {_quote(task.id)}")
         seen_ids.add(task.id)
     by_id = {t.id: t for t in tasks}
 
@@ -455,7 +467,7 @@ def build_system(raw: Mapping) -> ModeSystem:
     for task in mi_tasks:
         if not 1 <= task.home_processor <= processor_count:
             raise SystemValidationError(
-                f"task {task.id}: processor {task.home_processor} outside 1..{processor_count}"
+                f"task {_cut(task.id)}: processor {_shown(task.home_processor)} outside 1..{processor_count}"
             )
 
     modes: list[Mode] = []
@@ -468,27 +480,28 @@ def build_system(raw: Mapping) -> ModeSystem:
         if not isinstance(mode_id, str) or not mode_id:
             raise SystemValidationError(f"modes[{i}]: id must be a non-empty string")
         if mode_id in mode_ids:
-            raise SystemValidationError(f"duplicate mode id {mode_id!r}")
+            raise SystemValidationError(f"duplicate mode id {_quote(mode_id)}")
         mode_ids.add(mode_id)
-        members = as_array(raw_mode.get("md_tasks", []), what=f"mode {mode_id}: md_tasks")
+        name = _cut(mode_id)
+        members = as_array(raw_mode.get("md_tasks", []), what=f"mode {name}: md_tasks")
         for tid in members:
             if not isinstance(tid, str):
-                raise SystemValidationError(f"mode {mode_id}: md_tasks must hold task ids, got {_quote(tid)}")
+                raise SystemValidationError(f"mode {name}: md_tasks must hold task ids, got {_quote(tid)}")
             if tid not in by_id:
-                raise SystemValidationError(f"mode {mode_id}: unknown task {_quote(tid)}")
+                raise SystemValidationError(f"mode {name}: unknown task {_quote(tid)}")
             if by_id[tid].kind != MD:
-                raise SystemValidationError(f"mode {mode_id}: task {tid} is mode-independent")
+                raise SystemValidationError(f"mode {name}: task {_cut(tid)} is mode-independent")
             if tid in owner:
                 raise SystemValidationError(
-                    f"mode {mode_id}: repeated task {tid} in md_tasks" if owner[tid] == mode_id
-                    else f"task {tid} belongs to both mode {owner[tid]} and mode {mode_id}"
+                    f"mode {name}: repeated task {_cut(tid)} in md_tasks" if owner[tid] == mode_id
+                    else f"task {_cut(tid)} belongs to both mode {_cut(owner[tid])} and mode {name}"
                 )
             owner[tid] = mode_id
         modes.append(Mode(id=mode_id, md_tasks=tuple(sorted(members))))
 
     orphans = sorted(t.id for t in md_tasks if t.id not in owner)
     if orphans:
-        raise SystemValidationError(f"MD tasks {orphans} belong to no mode")
+        raise SystemValidationError(f"MD tasks {_quote_all(orphans)} belong to no mode")
 
     edges: list[tuple[str, str]] = []
     for i, raw_edge in enumerate(as_array(raw_transitions, what="transitions")):
@@ -502,9 +515,9 @@ def build_system(raw: Mapping) -> ModeSystem:
         if src not in mode_ids or dst not in mode_ids:
             raise SystemValidationError(f"transitions[{i}]: unknown mode in {_quote(raw_edge)}")
         if src == dst:
-            raise SystemValidationError(f"transitions[{i}]: self-loop on mode {src!r}")
+            raise SystemValidationError(f"transitions[{i}]: self-loop on mode {_quote(src)}")
         if (src, dst) in edges:
-            raise SystemValidationError(f"transitions[{i}]: duplicate edge {src!r} -> {dst!r}")
+            raise SystemValidationError(f"transitions[{i}]: duplicate edge {_quote(src)} -> {_quote(dst)}")
         edges.append((src, dst))
 
     system = ModeSystem(

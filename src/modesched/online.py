@@ -35,6 +35,7 @@ from .model import (
     SchemeVerdict,
     Task,
     UtilizationSummary,
+    _cut,
     certify_modes,
     utilization_summary,
 )
@@ -45,7 +46,7 @@ class PlacementError(ValueError):
     """Raised when First-Fit cannot place a task on any processor."""
 
     def __init__(self, mode_id: str, task_id: str):
-        super().__init__(f"mode {mode_id}: task {task_id} fits on no processor")
+        super().__init__(f"mode {_cut(mode_id)}: task {_cut(task_id)} fits on no processor")
         self.mode_id = mode_id
         self.task_id = task_id
 

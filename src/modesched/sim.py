@@ -63,8 +63,10 @@ from .model import (
     ScenarioError,
     SimulationError,
     SystemValidationError,
+    _cut,
     _decode_json,
     _quote,
+    _quote_all,
     _shown,
     as_array,
     as_time,
@@ -277,7 +279,7 @@ def make_scenario(
         if previous is not None and time <= previous:
             raise ScenarioError(f"mcrs[{i}]: times must be strictly increasing")
         if time >= horizon:
-            raise ScenarioError(f"mcrs[{i}]: time {time} is outside the horizon {horizon}")
+            raise ScenarioError(f"mcrs[{i}]: time {_shown(time)} is outside the horizon {_shown(horizon)}")
         if (active, dest) not in system.mode_graph.edges:
             raise ScenarioError(f"mcrs[{i}]: no transition from mode {_quote(active)} to {_quote(dest)}")
         schedule.append((time, dest))
@@ -291,12 +293,13 @@ def make_scenario(
     offsets: dict[str, tuple[Fraction, ...]] = {}
     for task_id, raw_list in (release_offsets or {}).items():
         task = system.task(task_id)
-        raw_list = as_array(raw_list, what=f"release offsets of {task_id}", error=ScenarioError)
-        values = tuple(as_time(v, what=f"release offset of {task_id}") for v in raw_list)
+        name = _cut(task_id)
+        raw_list = as_array(raw_list, what=f"release offsets of {name}", error=ScenarioError)
+        values = tuple(as_time(v, what=f"release offset of {name}") for v in raw_list)
         for earlier, later in zip(values, values[1:]):
             if later - earlier < task.period:
                 raise ScenarioError(
-                    f"release offsets of {task_id}: gap {later - earlier} below period {task.period}"
+                    f"release offsets of {name}: gap {_shown(later - earlier)} below period {_shown(task.period)}"
                 )
         offsets[task_id] = values
 
@@ -331,7 +334,7 @@ def parse_scenario(text: str, system: ModeSystem) -> Union[Scenario, SweepSpec]:
     allowed = {"initial_mode", "allocation", "horizon", "mcrs", "release_offsets", "sweep"}
     unknown = set(raw) - allowed
     if unknown:
-        raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
+        raise ScenarioError(f"unknown scenario keys {_quote_all(sorted(unknown))}")
     allocation_source = raw.get("allocation", OFFLINE_TABLE)
 
     if "sweep" in raw:

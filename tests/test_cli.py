@@ -757,3 +757,76 @@ def test_long_ids_are_quoted_in_part(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "characters)" in captured.err
     assert all(len(line) <= 300 for line in captured.err.splitlines())
+
+
+BIG = "9" * 4000
+
+
+def _renamed(raw, old, new):
+    """``raw`` with the task or mode ``old`` renamed ``new`` everywhere."""
+    for entry in raw["tasks"] + raw["modes"]:
+        entry["id"] = new if entry["id"] == old else entry["id"]
+    for mode in raw["modes"]:
+        mode["md_tasks"] = [new if tid == old else tid for tid in mode["md_tasks"]]
+    raw["transitions"] = [[new if end == old else end for end in edge] for edge in raw["transitions"]]
+    return raw
+
+
+def _long_value_raw(name):
+    raw = case_study_raw()
+    tau1, tau5 = raw["tasks"][0], raw["tasks"][4]
+    if name == "duplicate-task-id":
+        tau1["id"] = raw["tasks"][1]["id"] = LONG_ID
+    elif name == "duplicate-mode-id":
+        raw["modes"][0]["id"] = raw["modes"][1]["id"] = LONG_ID
+    elif name == "duplicate-edge":
+        _renamed(raw, "mode1", LONG_ID)["transitions"].append([LONG_ID, "mode2"])
+    elif name == "self-loop":
+        _renamed(raw, "mode1", LONG_ID)["transitions"].append([LONG_ID, LONG_ID])
+    elif name == "wcet-above-period":
+        _renamed(raw, "tau1", LONG_ID)
+        tau1["wcet"] = 31
+    elif name == "unparsable-wcet":
+        _renamed(raw, "tau1", LONG_ID)
+        tau1["wcet"] = "ten"
+    elif name == "mi-task-in-mode":
+        _renamed(raw, "tau1", LONG_ID)["modes"][0]["md_tasks"].append(LONG_ID)
+    elif name == "repeated-md-task":
+        _renamed(raw, "tau5", LONG_ID)["modes"][0]["md_tasks"].append(LONG_ID)
+    elif name == "mi-processor-out-of-range":
+        _renamed(raw, "tau1", LONG_ID)
+        tau1["processor"] = 3
+    elif name == "md-task-in-no-mode":
+        _renamed(raw, "tau10", LONG_ID)["modes"][1]["md_tasks"] = []
+    elif name == "big-wcet-above-period":
+        tau1["wcet"], tau1["period"] = BIG, "8" * 4000
+    elif name == "big-negative-wcet":
+        tau1["wcet"] = "-" + BIG
+    elif name == "md-task-long-offset-gap":
+        _renamed(raw, "tau5", LONG_ID)
+    return raw
+
+
+LONG_VALUE_SCENARIOS = {  # the scenario of each shape a system file alone does not refuse
+    "big-mcr-outside-horizon": _scenario(horizon=BIG, mcrs=[{"time": BIG, "to": "mode2"}]),
+    "big-offset-gap": _scenario(release_offsets={"tau5": [0, f"1/{BIG}"]}),
+    "md-task-long-offset-gap": _scenario(release_offsets={LONG_ID: [0, 1]}),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["duplicate-task-id", "duplicate-mode-id", "duplicate-edge", "self-loop", "wcet-above-period",
+     "unparsable-wcet", "mi-task-in-mode", "repeated-md-task", "mi-processor-out-of-range",
+     "md-task-in-no-mode", "big-wcet-above-period", "big-negative-wcet", *LONG_VALUE_SCENARIOS],
+)
+def test_long_values_in_input_refusals_are_cut(name, tmp_path, capsys):
+    """A 5,000-character id or a 4,000-digit number shows in an error
+    message as its first 60 characters and its length."""
+    argv = ["analyze-offline", write_json(tmp_path / "s.json", _long_value_raw(name))]
+    if name in LONG_VALUE_SCENARIOS:
+        argv = ["simulate", argv[1], write_json(tmp_path / "sc.json", LONG_VALUE_SCENARIOS[name])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "characters)" in captured.err
+    assert all(len(line) <= 300 for line in captured.err.splitlines())
