@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import modesched as ms
-from modesched.offline import default_big_m, incumbent_values
+from modesched.offline import _lp_names, default_big_m, incumbent_values
 from conftest import (
     brute_force_optimal,
     fraction_busy_period,
@@ -617,6 +617,32 @@ def test_incumbent_satisfies_document(case_study):
         allocation = ms.solve_optimal(case_study, mode_id).best_allocation
         values = incumbent_values(case_study, mode_id, allocation)
         assert doc.violated_rows(values) == ()
+
+
+def test_colliding_lp_names_get_suffixes():
+    """``a-b``, ``a_b`` and ``a.b`` all sanitize to ``a_b``: the export keeps
+    their variables apart, and the optimum satisfies every row."""
+    system = ms.build_system(
+        {
+            "processors": 2,
+            "tasks": [
+                {"id": "m-i", "kind": "MI", "wcet": 1, "period": 4, "processor": 1},
+                {"id": "a-b", "kind": "MD", "wcet": 1, "period": 5},
+                {"id": "a_b", "kind": "MD", "wcet": 2, "period": 6},
+                {"id": "a.b", "kind": "MD", "wcet": 3, "period": 8},
+            ],
+            "modes": [{"id": "m", "md_tasks": ["a-b", "a_b", "a.b"]}],
+            "transitions": [],
+        }
+    )
+    assert _lp_names(["a-b", "a_b", "a.b"]) == {"a-b": "a_b", "a_b": "a_b_2", "a.b": "a_b_3"}
+    doc = ms.export_milp(system, "m")
+    assert sorted(doc.binary_variables) == [
+        "p_1", "p_2", "y_1_a_b", "y_1_a_b_2", "y_1_a_b_3", "y_2_a_b", "y_2_a_b_2", "y_2_a_b_3",
+    ]
+    assert len({row.name for row in doc.constraints}) == doc.constraint_count
+    allocation = ms.solve_optimal(system, "m").best_allocation
+    assert doc.violated_rows(incumbent_values(system, "m", allocation)) == ()
 
 
 def test_incumbent_satisfies_parsed_text(case_study):

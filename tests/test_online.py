@@ -162,6 +162,12 @@ def test_worst_case_selection_zero_capacity():
     assert result.selected == () and result.packed_wcet == 0 and result.capacity == 0
 
 
+@pytest.mark.parametrize("processor", [0, 3])
+def test_worst_case_selection_refuses_a_processor_outside_the_platform(case_study, processor):
+    with pytest.raises(ValueError, match=rf"^processor {processor} outside 1\.\.2$"):
+        ms.worst_case_selection(case_study, processor, case_study.md_tasks_of("mode1"))
+
+
 def test_worst_case_selection_tie_prefers_excluding_earlier_ids():
     raw = {
         "processors": 1,
