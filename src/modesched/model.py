@@ -105,6 +105,7 @@ def parse_exact(value, *, what: str = "value") -> Fraction:
 
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 _QUOTED = 60  # characters of an input value an error message quotes
+_LISTED = 5  # values of an input list an error message quotes
 
 
 def printable(value: Fraction, *, what: str) -> Fraction:
@@ -155,9 +156,13 @@ def _quote(value) -> str:
     return _cut(repr(value), len(value) if isinstance(value, str) else None)
 
 
-def _quote_all(values) -> str:
-    """A list of values as its ``repr`` shows it, each value through ``_quote``."""
-    return f"[{', '.join(map(_quote, values))}]"
+def _quote_all(values: Sequence) -> str:
+    """A list of values as its ``repr`` shows it, each value through
+    ``_quote``; past ``_LISTED`` values, the first ones and the count."""
+    shown = [_quote(value) for value in values[:_LISTED]]
+    if len(values) > _LISTED:
+        shown.append(f"... ({len(values)} in all)")
+    return f"[{', '.join(shown)}]"
 
 
 def _json_int(text: str):

@@ -804,6 +804,8 @@ def _long_value_raw(name):
         tau1["wcet"] = "-" + BIG
     elif name == "md-task-long-offset-gap":
         _renamed(raw, "tau5", LONG_ID)
+    elif name == "many-md-tasks-in-no-mode":
+        raw["tasks"] += [{"id": f"orphan{i:04}", "kind": "MD", "wcet": 1, "period": 1000} for i in range(400)]
     return raw
 
 
@@ -818,15 +820,17 @@ LONG_VALUE_SCENARIOS = {  # the scenario of each shape a system file alone does 
     "name",
     ["duplicate-task-id", "duplicate-mode-id", "duplicate-edge", "self-loop", "wcet-above-period",
      "unparsable-wcet", "mi-task-in-mode", "repeated-md-task", "mi-processor-out-of-range",
-     "md-task-in-no-mode", "big-wcet-above-period", "big-negative-wcet", *LONG_VALUE_SCENARIOS],
+     "md-task-in-no-mode", "many-md-tasks-in-no-mode", "big-wcet-above-period", "big-negative-wcet",
+     *LONG_VALUE_SCENARIOS],
 )
 def test_long_values_in_input_refusals_are_cut(name, tmp_path, capsys):
     """A 5,000-character id or a 4,000-digit number shows in an error
-    message as its first 60 characters and its length."""
+    message as its first 60 characters and its length, a list of 400 ids
+    as its first five and the count."""
     argv = ["analyze-offline", write_json(tmp_path / "s.json", _long_value_raw(name))]
     if name in LONG_VALUE_SCENARIOS:
         argv = ["simulate", argv[1], write_json(tmp_path / "sc.json", LONG_VALUE_SCENARIOS[name])]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "characters)" in captured.err
+    assert captured.out == "" and "... (" in captured.err
     assert all(len(line) <= 300 for line in captured.err.splitlines())
