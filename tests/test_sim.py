@@ -1117,9 +1117,8 @@ def test_sweeps_simulate_only_utilization_feasible_allocations(monkeypatch):
     allocation_for = sim._SourceRun.allocation_for
 
     def recording(self, mode_id, time):
-        allocation = allocation_for(self, mode_id, time)
-        used.append((self.system, self.scenario.allocation_source, allocation))
-        return allocation
+        used.append(allocation_for(self, mode_id, time))
+        return used[-1]
 
     monkeypatch.setattr(sim._SourceRun, "allocation_for", recording)
     sources = set()
@@ -1127,9 +1126,11 @@ def test_sweeps_simulate_only_utilization_feasible_allocations(monkeypatch):
     for case, args in settling_sweep_draws():
         del used[:]
         sweep_outcome(ms.sweep_mcr, *args)
-        for system, source, allocation in used:
-            ms.validate_allocation(system, allocation)
+        system, source = args[:2]
+        if used:
             sources.add(source)
+        for allocation in used:
+            ms.validate_allocation(system, allocation)
             loads = {p: system.mi_utilization(p) for p in system.processors}
             for task_id, p in allocation.assignment.items():
                 loads[p] += system.task(task_id).utilization
