@@ -31,3 +31,14 @@ def test_failing_count_reads_a_pytest_summary():
     assert tool.failing_count("24 failed, 290 passed, 8 errors in 30.0s") == 32
     assert tool.failing_count("1 failed, 1 error in 2.0s") == 2
     assert tool.failing_count("326 passed in 20.6s") == 0
+
+
+def test_only_a_failing_test_or_a_timeout_kills_a_mutant():
+    tool = load_tool()
+    assert tool.verdict(1, "3 failed, 320 passed in 20.1s") == "killed"
+    assert tool.verdict(None, "timed out after 900 s") == "killed"
+    assert tool.verdict(0, "326 passed in 20.6s") == "survived"
+    # pytest missing, a usage error or an internal error is no kill
+    assert tool.verdict(1, "/usr/bin/python3: No module named pytest") == "error"
+    assert tool.verdict(4, "ERROR: file or directory not found: tests") == "error"
+    assert tool.verdict(3, "INTERNALERROR> RuntimeError") == "error"

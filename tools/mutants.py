@@ -1,18 +1,20 @@
 """Run Tier-1 against one-line mutants of the analyses and the simulator.
 
 Each mutant replaces an exact text, which must occur once in its file under
-``src/``, and names the claim it breaks.  For each mutant in turn the script
-copies ``src/``, ``tests/``, ``samples/``, ``tools/`` and ``pyproject.toml``
-to a temporary directory, applies the mutant there, runs Tier-1 and prints
-whether the tests killed it (some test failed) or it survived:
+``src/``, and names the claim it breaks.  The script copies ``src/``,
+``tests/``, ``samples/``, ``tools/`` and ``pyproject.toml`` to a temporary
+directory and runs Tier-1 there once without a mutant, which must pass.  It
+then applies each mutant in turn, runs Tier-1 and prints whether the tests
+killed it (some test failed, or the run timed out), let it survive (every
+test passed) or could not tell (pytest failed without a failing test):
 
-    python3 tools/mutants.py [NAME ...]       # every mutant, or the named ones
-    python3 tools/mutants.py --list
+    python3 tools/mutants.py
 
-The exit status is 0 when every mutant run is killed, 1 when one survived
-and 2 when a mutant's text does not occur exactly once.  A survivor is a
-gap in the tests: add a test that kills it, never drop the mutant.  Stdlib
-only; the repository itself is never modified.
+The exit status is 0 when every mutant is killed, 1 when one survived and 2
+when the clean copy fails, a run could not tell, or a mutant's text does
+not occur exactly once.  A survivor is a gap in the tests: add a test that
+kills it, never drop the mutant.  Stdlib only; the repository itself is
+never modified.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "samples", "tools", "pyproject.toml")
-TIMEOUT_S = 900  # a mutant that hangs the suite counts as killed
+TIMEOUT_S = 900
 
 
 class Mutant(NamedTuple):
@@ -94,14 +96,14 @@ def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
     return (root / mutant.file).read_text(encoding="utf-8").count(mutant.old)
 
 
-def run_tier1(workdir: Path) -> tuple[int, str]:
-    """Run Tier-1 in ``workdir``; return pytest's exit status and summary line."""
+def run_tier1(workdir: Path) -> tuple[int | None, str]:
+    """Run Tier-1 in ``workdir``; return pytest's exit status (None on a timeout) and summary line."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     try:
         done = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return -1, f"timed out after {TIMEOUT_S} s"
+        return None, f"timed out after {TIMEOUT_S} s"
     lines = done.stdout.strip().splitlines()
     return done.returncode, lines[-1] if lines else done.stderr.strip()[-200:]
 
@@ -111,21 +113,19 @@ def failing_count(summary: str) -> int:
     return sum(int(n) for n in re.findall(r"(\d+) (?:failed|errors?)\b", summary))
 
 
-def main(argv: list[str]) -> int:
-    if argv[1:] == ["--list"]:
-        for mutant in MUTANTS:
-            print(f"{mutant.name}\t{mutant.file}\t{mutant.claim}")
-        return 0
-    chosen = [m for m in MUTANTS if not argv[1:] or m.name in argv[1:]]
-    unknown = set(argv[1:]) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    stale = [m.name for m in chosen if occurrences(m) != 1]
+def verdict(status: int | None, summary: str) -> str:
+    """Killed on a timeout or a failing test, survived on a clean pass, else an error."""
+    if status is None or failing_count(summary) > 0:
+        return "killed"
+    return "survived" if status == 0 else "error"
+
+
+def main() -> int:
+    stale = [m.name for m in MUTANTS if occurrences(m) != 1]
     if stale:
         print(f"old text not found exactly once: {', '.join(stale)}", file=sys.stderr)
         return 2
-    killed = 0
+    verdicts = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         workdir = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -135,7 +135,12 @@ def main(argv: list[str]) -> int:
                 shutil.copytree(source, workdir / name, ignore=ignore)
             else:
                 shutil.copy2(source, workdir / name)
-        for mutant in chosen:
+        status, summary = run_tier1(workdir)
+        if status != 0:
+            print(f"Tier-1 fails without a mutant: {summary}", file=sys.stderr)
+            return 2
+        print(f"clean\t{summary}", flush=True)
+        for mutant in MUTANTS:
             path = workdir / mutant.file
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
@@ -143,12 +148,13 @@ def main(argv: list[str]) -> int:
                 status, summary = run_tier1(workdir)
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = "survived" if status == 0 else "killed"
-            killed += status != 0
-            print(f"{verdict}\t{failing_count(summary)} failing\t{mutant.name}\t{summary}", flush=True)
-    print(f"{killed}/{len(chosen)} killed")
-    return 0 if killed == len(chosen) else 1
+            verdicts.append(verdict(status, summary))
+            print(f"{verdicts[-1]}\t{failing_count(summary)} failing\t{mutant.name}\t{summary}", flush=True)
+    print(f"{verdicts.count('killed')}/{len(MUTANTS)} killed")
+    if "error" in verdicts:
+        return 2
+    return 1 if "survived" in verdicts else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
