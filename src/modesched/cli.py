@@ -25,7 +25,6 @@ simulator), so start-up stays a small part of a one-system command.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import stat
@@ -307,10 +306,17 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         summary, misses = _write_replacing(args.trace, simulate)
         sys.stdout.write(summary)
+    elif isinstance(scenario, SweepSpec):
+        _, misses = simulate(sys.stdout)
     else:
-        buffer = io.StringIO()
-        _, misses = simulate(buffer)
-        sys.stdout.write(buffer.getvalue())
+        # a refused run prints nothing: the trace reaches stdout only once it is whole
+        import shutil
+        import tempfile
+
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as handle:
+            _, misses = simulate(handle)
+            handle.seek(0)
+            shutil.copyfileobj(handle, sys.stdout)
     return FAIL if misses else PASS
 
 

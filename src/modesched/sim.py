@@ -22,6 +22,13 @@ One engine, three outputs, chosen by what ``_Engine._emit`` does with a row:
     engine's integer fields.
 Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``.
 
+A running job carries its completion instant (``_Job.finish``), so the clock
+moves without touching any job: ``dispatch`` sets ``finish`` when it starts or
+resumes a job and, in the one processor pass it makes, finds the earliest
+(``next_finish``), which is where ``advance`` stops next.  ``remaining`` is
+exact only for a job off a processor: it is rewritten at a preemption and
+zeroed at the completion.
+
 A run ends only in ``advance(limit)``, which processes no instant at or past
 its limit.  Releases and deadlines are queued whatever their instant, so what
 falls at or past the horizon stays queued and never shows in the trace.
@@ -408,8 +415,10 @@ class _TaskState:
 
 
 class _Job:
+    # ``remaining`` is exact only off a processor; a running job's work ends
+    # at ``finish``, set by each dispatch that starts or resumes it
     __slots__ = (
-        "state", "index", "deadline", "remaining", "processor", "key",
+        "state", "index", "deadline", "remaining", "finish", "processor", "key",
     )
 
     def __init__(self, state: _TaskState, index: int, release: int):
@@ -417,6 +426,7 @@ class _Job:
         self.index = index
         self.deadline = release + state.period
         self.remaining = state.wcet
+        self.finish = 0
         self.processor = state.processor  # pinned at release; later re-placements do not move it
         self.key = (self.deadline, state.task.id, index)
 
@@ -452,6 +462,7 @@ class _Engine:
         self._seq = 0
         self.ready: dict[int, list] = {p: [] for p in self.processors}
         self.running: dict[int, Optional[_Job]] = {p: None for p in self.processors}
+        self.next_finish: Optional[int] = None  # the earliest ``finish`` of a running job
         self.old_pending: set[_Job] = set()
         self.job_misses = 0
 
@@ -599,31 +610,35 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def dispatch(self, time: int) -> None:
+        next_finish = None
         for p in self.processors:
             queue = self.ready[p]
             current = self.running[p]
-            if not queue:
-                continue
-            best_key, best = queue[0]
-            if current is not None and current.key <= best_key:
-                continue
-            if current is not None:
-                self._emit(time, p, "preempt", current.state.task.id, current.index)
-                heapq.heappush(queue, (current.key, current))
-            heapq.heappop(queue)
-            # a dispatched job runs before any later instant: it has run iff it was dispatched
-            kind = "resume" if best.remaining < best.state.wcet else "start"
-            self._emit(time, p, kind, best.state.task.id, best.index)
-            self.running[p] = best
+            if queue and (current is None or queue[0][0] < current.key):
+                if current is not None:
+                    self._emit(time, p, "preempt", current.state.task.id, current.index)
+                    current.remaining = current.finish - time
+                    heapq.heappush(queue, (current.key, current))
+                _, current = heapq.heappop(queue)
+                # a dispatched job runs before any later instant: it has run iff it was dispatched
+                kind = "resume" if current.remaining < current.state.wcet else "start"
+                self._emit(time, p, kind, current.state.task.id, current.index)
+                current.finish = time + current.remaining
+                self.running[p] = current
+            if current is not None and (next_finish is None or current.finish < next_finish):
+                next_finish = current.finish
+        self.next_finish = next_finish
 
     def settle(self, time: int) -> None:
         """Everything of instant ``time`` before dispatch: completions, the
         transition-end check, then the queued deadline, release and MCR phases."""
-        for p in self.processors:
-            job = self.running[p]
-            if job is not None and job.remaining == 0:
-                self.running[p] = None
-                self.complete_job(p, job, time)
+        if time == self.next_finish:
+            for p in self.processors:
+                job = self.running[p]
+                if job is not None and job.finish == time:
+                    self.running[p] = None
+                    job.remaining = 0
+                    self.complete_job(p, job, time)
         self.maybe_end_transition(time)
         while self.heap and self.heap[0][0] == time:
             _, phase, _, payload = heapq.heappop(self.heap)
@@ -644,12 +659,7 @@ class _Engine:
         self.dispatch(time)
 
     def elapse(self, time: int) -> None:
-        """Move the clock to ``time``, executing every running job meanwhile."""
-        delta = time - self.time
-        for p in self.processors:
-            job = self.running[p]
-            if job is not None:
-                job.remaining -= delta
+        """Move the clock to ``time``; running jobs keep their ``finish``."""
         self.time = time
 
     def advance(self, limit: int) -> Optional[int]:
@@ -658,15 +668,12 @@ class _Engine:
         due, None if there is none."""
         while True:
             next_time = self.heap[0][0] if self.heap else None
-            for p in self.processors:
-                job = self.running[p]
-                if job is not None:
-                    candidate = self.time + job.remaining
-                    if next_time is None or candidate < next_time:
-                        next_time = candidate
+            finish = self.next_finish
+            if finish is not None and (next_time is None or finish < next_time):
+                next_time = finish
             if next_time is None or next_time >= limit:
                 return next_time
-            self.elapse(next_time)
+            self.time = next_time
             self.process_instant(next_time)
 
     def execute(self) -> SimTrace:
@@ -755,6 +762,7 @@ class _SourceRun(_Engine):
                 self.heap = []
                 self.ready = {p: [] for p in self.processors}
                 self.running = dict.fromkeys(self.processors)
+                self.next_finish = None
 
     def reaches(self, time: Fraction) -> bool:
         return self.scale % time.denominator == 0 and self.scaled(time) >= self.time

@@ -42,3 +42,10 @@ def test_only_a_failing_test_or_a_timeout_kills_a_mutant():
     assert tool.verdict(1, "/usr/bin/python3: No module named pytest") == "error"
     assert tool.verdict(4, "ERROR: file or directory not found: tests") == "error"
     assert tool.verdict(3, "INTERNALERROR> RuntimeError") == "error"
+
+
+def test_mutant_runs_leave_out_the_list_check():
+    """Every mutant removes its old text, so the check above fails under any
+    mutant; counted as a kill, it would let no mutant survive."""
+    tool = load_tool()
+    assert "--ignore=tests/test_mutants.py" in tool.PYTEST

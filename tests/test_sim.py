@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -1226,6 +1227,65 @@ def test_trace_matches_rational_materialization_randomized():
     assert min(seen.values()) >= 5, seen
 
 
+def test_trace_rows_show_edf_and_conserved_work_randomized():
+    """On the replay draws, read from the trace rows alone: every completed
+    job ran exactly its wcet, no processor runs two jobs at once, every
+    ``resume`` follows a ``preempt`` of the same job, and each ``start`` or
+    ``resume`` picks the smallest (deadline, task id, job index) among the
+    jobs pending on its processor.  At the end of each instant, a processor
+    with a job pending runs one earlier in that order."""
+    checked = preempted = 0
+    for case, system, arguments in replay_draws():
+        try:
+            trace = ms.run(ms.make_scenario(system, *arguments))
+        except (ms.ScenarioError, ms.SimulationError):
+            continue
+        tasks = {t.id: t for t in system.mi_tasks + system.md_tasks}
+        deadlines, pending, running, preempts, since, ran = {}, {}, {}, set(), {}, {}
+
+        def order(job):
+            return deadlines[job], job[0], job[1]
+
+        def instant_ends():
+            for processor, queue in pending.items():
+                if queue:
+                    assert running.get(processor) is not None, (case, instant, processor)
+                    assert order(running[processor]) < min(map(order, queue)), (case, instant, processor)
+
+        instant = None
+        for event in trace.events:
+            if event.time != instant:
+                instant_ends()
+                instant = event.time
+            job = (event.task, event.job)
+            if event.kind == "release":
+                deadlines[job] = event.time + tasks[event.task].period
+                pending.setdefault(event.processor, set()).add(job)
+            elif event.kind in ("start", "resume"):
+                assert running.get(event.processor) is None, (case, event)
+                assert (event.kind == "resume") == (job in preempts), (case, event)
+                preempts.discard(job)
+                queue = pending[event.processor]
+                assert job == min(queue, key=order), (case, event)
+                queue.discard(job)
+                running[event.processor] = job
+                since[job] = event.time
+            elif event.kind == "preempt":
+                assert running[event.processor] == job, (case, event)
+                running[event.processor] = None
+                pending[event.processor].add(job)
+                preempts.add(job)
+                ran[job] = ran.get(job, 0) + event.time - since[job]
+                preempted += 1
+            elif event.kind == "complete":
+                assert running[event.processor] == job, (case, event)
+                running[event.processor] = None
+                assert ran.get(job, 0) + event.time - since[job] == tasks[event.task].wcet, (case, event)
+        instant_ends()
+        checked += 1
+    assert checked >= 60 and preempted >= 100, (checked, preempted)
+
+
 # ---------------------------------------------------------------------------
 # a run ends only in ``advance``, which never processes its limit
 # ---------------------------------------------------------------------------
@@ -1391,4 +1451,26 @@ def test_streamed_trace_memory_does_not_grow_with_the_trace(case_study, tmp_path
                 tracemalloc.stop()
         rows.append(len(ms.run(scenario).rows))
     assert 3.5 * rows[0] < rows[1] < 4.5 * rows[0], rows
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks
+
+
+def test_stdout_trace_memory_does_not_grow_with_the_trace(case_study, tmp_path):
+    """``simulate`` without ``--trace`` holds no more of the trace at horizon
+    4H than at H, while the text it prints grows about fourfold."""
+    system_path, scenario_path, out_path = (tmp_path / name for name in ("s.json", "sc.json", "out.tsv"))
+    system_path.write_text(json.dumps(system_raw(case_study)), encoding="utf-8")
+    peaks, sizes = [], []
+    for horizon in (10_000, 40_000):
+        scenario_path.write_text(json.dumps(scenario_raw(*replay_every_397(horizon))), encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", str(system_path), str(scenario_path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        text = out_path.read_text(encoding="utf-8")
+        assert text == ms.run(ms.make_scenario(case_study, *replay_every_397(horizon))).to_text()
+        sizes.append(len(text))
+    assert 3.5 * sizes[0] < sizes[1] < 4.5 * sizes[0], sizes
     assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks

@@ -6,7 +6,9 @@ Each mutant replaces an exact text, which must occur once in its file under
 directory and runs Tier-1 there once without a mutant, which must pass.  It
 then applies each mutant in turn, runs Tier-1 and prints whether the tests
 killed it (some test failed, or the run timed out), let it survive (every
-test passed) or could not tell (pytest failed without a failing test):
+test passed) or could not tell (pytest failed without a failing test).
+Tier-1 here leaves out ``tests/test_mutants.py``, which checks this list
+against the unmutated source and so would fail under every mutant:
 
     python3 tools/mutants.py
 
@@ -30,6 +32,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "samples", "tools", "pyproject.toml")
+PYTEST = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+          "--ignore=tests/test_mutants.py")
 TIMEOUT_S = 900
 
 
@@ -88,6 +92,16 @@ MUTANTS = (
         "if next_time is None or next_time >= limit:", "if next_time is None or next_time > limit:",
         "a run processes no instant at or past its horizon",
     ),
+    Mutant(
+        "preempt-stale-remaining", "src/modesched/sim.py",
+        "current.remaining = current.finish - time", "pass",
+        "a preempted job keeps only the work it has left, so every job runs exactly its wcet",
+    ),
+    Mutant(
+        "settled-fork-stale-finish", "src/modesched/sim.py",
+        "self.next_finish = None", "pass",
+        "a settled fork has nothing left to complete, so it processes no further instant",
+    ),
 )
 
 
@@ -99,7 +113,7 @@ def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
 def run_tier1(workdir: Path) -> tuple[int | None, str]:
     """Run Tier-1 in ``workdir``; return pytest's exit status (None on a timeout) and summary line."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    command = [sys.executable, *PYTEST]
     try:
         done = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
