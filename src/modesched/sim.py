@@ -418,17 +418,18 @@ class _Job:
     # ``remaining`` is exact only off a processor; a running job's work ends
     # at ``finish``, set by each dispatch that starts or resumes it
     __slots__ = (
-        "state", "index", "deadline", "remaining", "finish", "processor", "key",
+        "task_id", "wcet", "index", "deadline", "remaining", "finish", "processor", "key",
     )
 
     def __init__(self, state: _TaskState, index: int, release: int):
-        self.state = state
+        self.task_id = state.task.id
+        self.wcet = state.wcet
         self.index = index
         self.deadline = release + state.period
         self.remaining = state.wcet
         self.finish = 0
         self.processor = state.processor  # pinned at release; later re-placements do not move it
-        self.key = (self.deadline, state.task.id, index)
+        self.key = (self.deadline, self.task_id, index)
 
 
 def _copy_slots(obj):
@@ -565,12 +566,12 @@ class _Engine:
             state.offset_index += 1
         else:
             time = state.enable_time if previous is None else previous + state.period
-        self._push(time, _PHASE_RELEASE, (state, state.activation))
+        self._push(time, _PHASE_RELEASE, (state.task.id, state.activation))
 
     def do_release(self, state: _TaskState, time: int) -> None:
         job = _Job(state, state.job_count, time)
         state.job_count += 1
-        self._emit(time, job.processor, "release", state.task.id, job.index)
+        self._emit(time, job.processor, "release", job.task_id, job.index)
         heapq.heappush(self.ready[job.processor], (job.key, job))
         self._push(job.deadline, _PHASE_DEADLINE, job)
         self._schedule_release(state, time)
@@ -589,7 +590,7 @@ class _Engine:
             state = self.states[task_id]
             state.activation += 1
             self._emit(time, state.processor, "MD-disabled", task_id, None)
-        self.old_pending = {j for j in self.pending_jobs() if j.state.task.id in old_ids}
+        self.old_pending = {j for j in self.pending_jobs() if j.task_id in old_ids}
         self.maybe_end_transition(time)
 
     def maybe_end_transition(self, time: int) -> None:
@@ -601,9 +602,9 @@ class _Engine:
         self.current_mode, self.destination = self.destination, None
 
     def complete_job(self, processor: int, job: _Job, time: int) -> None:
-        self._emit(time, processor, "complete", job.state.task.id, job.index)
+        self._emit(time, processor, "complete", job.task_id, job.index)
         self.old_pending.discard(job)
-        record = self._check_by_task_job.get((job.state.task.id, job.index))
+        record = self._check_by_task_job.get((job.task_id, job.index))
         if record is not None and record["completion"] is None:
             record["completion"] = time
 
@@ -616,13 +617,13 @@ class _Engine:
             current = self.running[p]
             if queue and (current is None or queue[0][0] < current.key):
                 if current is not None:
-                    self._emit(time, p, "preempt", current.state.task.id, current.index)
+                    self._emit(time, p, "preempt", current.task_id, current.index)
                     current.remaining = current.finish - time
                     heapq.heappush(queue, (current.key, current))
                 _, current = heapq.heappop(queue)
                 # a dispatched job runs before any later instant: it has run iff it was dispatched
-                kind = "resume" if current.remaining < current.state.wcet else "start"
-                self._emit(time, p, kind, current.state.task.id, current.index)
+                kind = "resume" if current.remaining < current.wcet else "start"
+                self._emit(time, p, kind, current.task_id, current.index)
                 current.finish = time + current.remaining
                 self.running[p] = current
             if current is not None and (next_finish is None or current.finish < next_finish):
@@ -646,9 +647,10 @@ class _Engine:
                 job = payload
                 if job.remaining > 0:  # each job's deadline is queued once
                     self.job_misses += 1
-                    self._emit(time, job.processor, "deadline-miss", job.state.task.id, job.index)
+                    self._emit(time, job.processor, "deadline-miss", job.task_id, job.index)
             elif phase == _PHASE_RELEASE:
-                state, activation = payload
+                task_id, activation = payload
+                state = self.states[task_id]
                 if state.activation == activation:
                     self.do_release(state, time)
             else:
@@ -657,10 +659,6 @@ class _Engine:
     def process_instant(self, time: int) -> None:
         self.settle(time)
         self.dispatch(time)
-
-    def elapse(self, time: int) -> None:
-        """Move the clock to ``time``; running jobs keep their ``finish``."""
-        self.time = time
 
     def advance(self, limit: int) -> Optional[int]:
         """Process every instant after the current one and before ``limit``;
@@ -681,7 +679,6 @@ class _Engine:
             self.start()
             for mcr_time, destination in self.scenario.mcr_schedule:
                 self._push(self.scaled(mcr_time), _PHASE_MCR, destination)
-            self.process_instant(0)
             self.advance(self.horizon)
         return self.trace()
 
@@ -776,7 +773,7 @@ class _SourceRun(_Engine):
             self.dispatch(start)
             if self.advance(time) == time or self.time > start:  # an instant in (start, time]
                 self.serving = None
-            self.elapse(time)
+            self.time = time
             self.settle(time)
         if self.serving is not None:
             return self.serving
@@ -788,24 +785,17 @@ class _SourceRun(_Engine):
         return fork
 
     def _fork(self) -> "_SourceRun":
-        # Everything the suffix can mutate is copied slot by slot.  Completed
-        # jobs never change again and are shared, and a job reads only the
-        # immutable task fields of the state it keeps pointing to.
+        # Task states and pending jobs, all the suffix can mutate, are copied
+        # slot by slot, and every reference to a pending job is re-pointed to
+        # its copy.  Queued releases name their task by id and completed jobs
+        # never change again, so both are shared.
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
-        states = {state: _copy_slots(state) for state in self.states.values()}
+        twin.states = {task_id: _copy_slots(state) for task_id, state in self.states.items()}
         jobs = {job: _copy_slots(job) for job in self.pending_jobs()}
-        twin.states = {task_id: states[state] for task_id, state in self.states.items()}
         twin.ready = {p: [(key, jobs[job]) for key, job in queue] for p, queue in self.ready.items()}
-        twin.running = {p: None if job is None else jobs[job] for p, job in self.running.items()}
-        heap = []
-        for time, phase, seq, payload in self.heap:
-            if phase == _PHASE_RELEASE:
-                payload = (states[payload[0]], payload[1])
-            else:
-                payload = jobs.get(payload, payload)
-            heap.append((time, phase, seq, payload))
-        twin.heap = heap
+        twin.running = {p: jobs.get(job) for p, job in self.running.items()}
+        twin.heap = [(time, phase, seq, jobs.get(payload, payload)) for time, phase, seq, payload in self.heap]
         twin.old_pending = set()
         twin.serving = None
         twin.latencies = []
