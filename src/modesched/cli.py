@@ -292,10 +292,12 @@ def _cmd_simulate(args) -> int:
         """Write the full text to ``handle``; return the summary and the miss count."""
         if isinstance(scenario, SweepSpec):
             result = run_sweep(system, scenario)
+            latency = printable(result.max_latency, what="max latency")
+            at_time = printable(result.at_time, what="sweep time")
             summary = (
                 f"# sweep\t{scenario.from_mode}\t{scenario.to_mode}\tstep\t{scenario.step}"
                 f"\tpoints\t{result.points}\n"
-                f"# max-latency\t{result.max_latency}\tat\t{result.at_time}\n"
+                f"# max-latency\t{latency}\tat\t{at_time}\n"
                 f"# deadline-misses\t{result.deadline_misses}\n"
             )
             handle.write(summary)

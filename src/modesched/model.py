@@ -125,9 +125,9 @@ def _too_long(what: str, limit: int) -> SystemValidationError:
 
 def _exceeds_one(subject: str, load: Fraction) -> str:
     """The message that ``subject``, of value ``load``, exceeds 1; the value
-    is left out if ``printable`` refuses it."""
+    is cut as ``_cut`` does, and left out if ``printable`` refuses it."""
     try:
-        return f"{subject} {printable(load, what=subject)} exceeds 1"
+        return f"{subject} {_cut(str(printable(load, what=subject)))} exceeds 1"
     except SystemValidationError:
         return f"{subject} exceeds 1"
 

@@ -315,7 +315,12 @@ def make_scenario(
         tables = dict(static_tables or {})
         for mode_id in dict.fromkeys([initial_mode, *(dest for _, dest in schedule)]):
             if mode_id in tables:
-                validate_allocation(system, tables[mode_id])
+                table = tables[mode_id]
+                if table.mode_id != mode_id:
+                    raise ScenarioError(
+                        f"static table for mode {_quote(mode_id)} is the table of mode {_quote(table.mode_id)}"
+                    )
+                validate_allocation(system, table)
                 continue
             try:
                 tables[mode_id] = solve_optimal(system, mode_id).best_allocation

@@ -537,6 +537,36 @@ def test_trace_time_too_long_to_print_exits_2(files, to_file, tmp_path, capsys):
     assert captured.err == f"error: trace time: a number with more than {limit} digits is too long to print\n"
 
 
+def sweep_digits_files(tmp_path, allocation):
+    """Mode ``A`` holds ``x1`` and ``x2`` of wcets 1/(10**2500 + 1) and
+    1/(10**2500 + 3): the sweep's max latency, their summed wcets, has a
+    denominator of about 5,000 digits."""
+    system = {
+        "processors": 1,
+        "tasks": [
+            {"id": "x1", "kind": "MD", "wcet": f"1/{10 ** 2500 + 1}", "period": 10},
+            {"id": "x2", "kind": "MD", "wcet": f"1/{10 ** 2500 + 3}", "period": 10},
+            {"id": "y", "kind": "MD", "wcet": 1, "period": 10},
+        ],
+        "modes": [{"id": "A", "md_tasks": ["x1", "x2"]}, {"id": "B", "md_tasks": ["y"]}],
+        "transitions": [["A", "B"]],
+    }
+    scenario = {"allocation": allocation, "sweep": {"from_mode": "A", "to_mode": "B", "step": 1}}
+    return write_json(tmp_path / "s.json", system), write_json(tmp_path / "sc.json", scenario)
+
+
+@pytest.mark.parametrize("allocation", ["offline-table", "online-ffd"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "trace-file"])
+def test_sweep_summary_too_long_to_print_exits_2(allocation, to_file, tmp_path, capsys):
+    trace = tmp_path / "t.tsv"
+    code = main(["simulate", *sweep_digits_files(tmp_path, allocation)] + (["--trace", str(trace)] if to_file else []))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not trace.exists()
+    assert "Traceback" not in captured.err
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: max latency: a number with more than {limit} digits is too long to print\n"
+
+
 def test_simulation_error_leaves_out_a_time_too_long_to_print(tmp_path, capsys):
     """The request at 10**4299 waits for ``b``, so mode ``n``, where ``c``
     fits nowhere, is placed at ``b``'s completion."""
@@ -804,6 +834,9 @@ def _long_value_raw(name):
         tau1["wcet"] = "-" + BIG
     elif name == "md-task-long-offset-gap":
         _renamed(raw, "tau5", LONG_ID)
+    elif name == "long-overload":  # tau1 and tau2 on processor 1, each of utilization just below 1
+        for task, period in ((tau1, 10 ** 100 + 1), (raw["tasks"][1], 10 ** 100 + 3)):
+            task["wcet"], task["period"] = str(period - 1), str(period)
     elif name == "many-md-tasks-in-no-mode":
         raw["tasks"] += [{"id": f"orphan{i:04}", "kind": "MD", "wcet": 1, "period": 1000} for i in range(400)]
     return raw
@@ -821,7 +854,7 @@ LONG_VALUE_SCENARIOS = {  # the scenario of each shape a system file alone does 
     ["duplicate-task-id", "duplicate-mode-id", "duplicate-edge", "self-loop", "wcet-above-period",
      "unparsable-wcet", "mi-task-in-mode", "repeated-md-task", "mi-processor-out-of-range",
      "md-task-in-no-mode", "many-md-tasks-in-no-mode", "big-wcet-above-period", "big-negative-wcet",
-     *LONG_VALUE_SCENARIOS],
+     "long-overload", *LONG_VALUE_SCENARIOS],
 )
 def test_long_values_in_input_refusals_are_cut(name, tmp_path, capsys):
     """A 5,000-character id or a 4,000-digit number shows in an error

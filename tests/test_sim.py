@@ -479,6 +479,13 @@ def test_each_entered_table_is_checked_once(case_study, monkeypatch):
         assert scenario.static_tables == tables
 
 
+def test_static_table_filed_under_another_mode_is_refused(case_study):
+    table = ms.solve_optimal(case_study, "mode2").best_allocation
+    with pytest.raises(ms.ScenarioError) as refusal:
+        ms.make_scenario(case_study, "mode1", "offline-table", [], 100, static_tables={"mode1": table})
+    assert str(refusal.value) == "static table for mode 'mode1' is the table of mode 'mode2'"
+
+
 def test_transient_overload_can_miss_job_deadlines_but_not_certified_verdicts():
     """Per-mode feasibility does not extend to the transition window itself.
 

@@ -102,6 +102,18 @@ MUTANTS = (
         "self.next_finish = None", "pass",
         "a settled fork has nothing left to complete, so it processes no further instant",
     ),
+    Mutant(
+        "fork-shares-pending-jobs", "src/modesched/sim.py",
+        "jobs = {job: _copy_slots(job) for job in self.pending_jobs()}",
+        "jobs = {job: job for job in self.pending_jobs()}",
+        "a fork's suffix mutates only its own copies",
+    ),
+    Mutant(
+        "fork-shares-task-states", "src/modesched/sim.py",
+        "twin.states = {task_id: _copy_slots(state) for task_id, state in self.states.items()}",
+        "twin.states = dict(self.states)",
+        "a fork's suffix mutates only its own copies",
+    ),
 )
 
 
