@@ -272,7 +272,8 @@ def make_scenario(
 
     Tables are computed (via the exact offline search) only for the modes the
     MCR schedule actually enters; each entered mode's table is validated, if
-    the caller gave it, or computed once, however often the mode is entered.
+    the caller gave it (under that mode's id, for that mode), or computed
+    once, however often the mode is entered.
     """
     system.mode(initial_mode)
     _check_allocation_source(allocation_source)
