@@ -82,11 +82,31 @@ MIXED_DENOMINATORS_SYSTEM = {
 }
 
 
-def _alternating(gap: int, horizon: int) -> dict:
-    """The case study with an MCR every ``gap``, alternately to mode2 and back."""
-    targets = ("mode2", "mode1")
+SATURATED_SYSTEM = {
+    "processors": 2,
+    "tasks": [
+        {"id": "mi1", "kind": "MI", "wcet": 4, "period": 15, "processor": 1},
+        {"id": "mi2", "kind": "MI", "wcet": 5, "period": 15, "processor": 2},
+        {"id": "alpha0", "kind": "MD", "wcet": 3, "period": 5, "transition_deadline": 7},
+        {"id": "alpha1", "kind": "MD", "wcet": 5, "period": 8, "transition_deadline": 14},
+        {"id": "beta0", "kind": "MD", "wcet": 8, "period": 12, "transition_deadline": 15},
+        {"id": "beta1", "kind": "MD", "wcet": 7, "period": 12},
+        {"id": "beta2", "kind": "MD", "wcet": 1, "period": 12, "transition_deadline": 14},
+    ],
+    "modes": [
+        {"id": "alpha", "md_tasks": ["alpha0", "alpha1"]},
+        {"id": "beta", "md_tasks": ["beta0", "beta1", "beta2"]},
+    ],
+    "transitions": [["alpha", "beta"], ["beta", "alpha"]],
+}
+
+
+def _alternating(gap: int, horizon: int, modes=("mode1", "mode2"), **extra) -> dict:
+    """An MCR every ``gap`` from the first of ``modes`` (by default the case
+    study's), alternately to the second and back; ``extra`` adds scenario keys."""
+    targets = modes[::-1]
     mcrs = [{"time": time, "to": targets[i % 2]} for i, time in enumerate(range(gap, horizon, gap))]
-    return {"initial_mode": "mode1", "allocation": "offline-table", "horizon": horizon, "mcrs": mcrs}
+    return {"initial_mode": modes[0], "allocation": "offline-table", "horizon": horizon, "mcrs": mcrs, **extra}
 
 
 SIM_CASES = {
@@ -103,6 +123,14 @@ SIM_CASES = {
             "mcrs": [{"time": 5, "to": "beta"}, {"time": "35/3", "to": "alpha"}],
             "release_offsets": {"mi1": ["1/3", "31/3"], "md3": ["7/6"], "md2": ["1/2", "13/3"]},
         },
+    ),
+    # heavy in job deadline misses: beta1 and beta2, disabled at 68 with
+    # beta2's job 2 already past due, both miss at 80, the instant of mi1's
+    # release; requests at 68 and 85 fall on release instants, and alpha0's
+    # offsets apply again at each enable of alpha
+    "saturated_alternating": (
+        lambda: SATURATED_SYSTEM,
+        lambda: _alternating(17, 150, ("alpha", "beta"), release_offsets={"mi1": [5], "alpha0": [3, 11]}),
     ),
 }
 
@@ -150,25 +178,6 @@ def test_trace_written_without_simevents(case, tmp_path, monkeypatch):
 
 
 # sweeps for ``simulate``: (system, sweep scenario), inputs as for _input_file
-SATURATED_SYSTEM = {
-    "processors": 2,
-    "tasks": [
-        {"id": "mi1", "kind": "MI", "wcet": 4, "period": 15, "processor": 1},
-        {"id": "mi2", "kind": "MI", "wcet": 5, "period": 15, "processor": 2},
-        {"id": "alpha0", "kind": "MD", "wcet": 3, "period": 5, "transition_deadline": 7},
-        {"id": "alpha1", "kind": "MD", "wcet": 5, "period": 8, "transition_deadline": 14},
-        {"id": "beta0", "kind": "MD", "wcet": 8, "period": 12, "transition_deadline": 15},
-        {"id": "beta1", "kind": "MD", "wcet": 7, "period": 12},
-        {"id": "beta2", "kind": "MD", "wcet": 1, "period": 12, "transition_deadline": 14},
-    ],
-    "modes": [
-        {"id": "alpha", "md_tasks": ["alpha0", "alpha1"]},
-        {"id": "beta", "md_tasks": ["beta0", "beta1", "beta2"]},
-    ],
-    "transitions": [["alpha", "beta"], ["beta", "alpha"]],
-}
-
-
 def _sweep(source: str, destination: str, step, allocation: str):
     return lambda: {"allocation": allocation, "sweep": {"from_mode": source, "to_mode": destination, "step": step}}
 
