@@ -13,14 +13,31 @@ rescales the whole scenario to one integer time base (``latency._time_base``
 of the horizon, the task parameters, the MCR times and the release offsets)
 and simulates in integers.
 
-One engine, three outputs, chosen by what ``_Engine._emit`` does with a row:
-  * rows: ``run(scenario)`` keeps the integer rows in its ``SimTrace``; only
-    ``SimTrace.events`` turns them back into rationals;
-  * text: ``run(scenario, out=handle)`` formats each row as it is emitted and
-    writes it to ``handle`` at once, so memory does not grow with the trace;
-  * none: a sweep's ``_SourceRun`` and its forks keep nothing and read the
-    engine's integer fields.
+One engine, three outputs, chosen by the row sink ``_Engine._emit``, a
+C-level bound method that takes one row tuple:
+  * rows: ``run(scenario)`` appends each row to ``events`` and keeps them in
+    its ``SimTrace``; only ``SimTrace.events`` turns them back into rationals;
+  * text: ``run(scenario, out=handle)`` appends to ``events`` too, but runs
+    in windows one longest period wide (``execute``) and formats each
+    window's rows into ``handle`` with one write, then drops them, so memory
+    is bounded by the task set, not the horizon;
+  * none: a sweep's ``_SourceRun`` and its forks append to ``_DISCARD``, a
+    deque of length 0, and read the engine's integer fields.
 Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``.
+
+The heap holds one entry per job: ``(deadline, 0, seq, (job, task_id,
+activation))`` checks the job's deadline and carries its task's next
+release, which with implicit deadlines falls on the same instant.  A
+release that an offset places instead has an entry of its own, ``(None,
+task_id, activation)``, beside the deadline-only entry ``(job, None, 0)`` of
+the job before it; so has the first release after each enable.  A release
+whose activation is no longer the task's is stale and dropped; the deadline
+check of its entry still runs.
+An MCR entry is ``(time, 1, seq, destination)``.  ``settle`` pops an
+instant's job entries in seq order, checking each deadline as it pops, and
+releases the collected jobs after the last one, before any MCR: each merged
+entry takes the place of two consecutive pushes, so miss rows and release
+rows keep their order, and every miss row precedes every release row.
 
 A running job carries its completion instant (``_Job.finish``), so the clock
 moves without touching any job: ``dispatch`` sets ``finish`` when it starts or
@@ -57,6 +74,7 @@ has its completion.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import io
 import math
@@ -87,10 +105,12 @@ from .online import first_fit_decreasing, latency_upper_bound, PlacementError
 OFFLINE_TABLE = "offline-table"
 ONLINE_FFD = "online-ffd"
 
-# heap phases: processing order among same-instant queued events
-_PHASE_DEADLINE = 0
-_PHASE_RELEASE = 1
-_PHASE_MCR = 2
+# heap phases: at one instant, every job entry comes before the MCR
+_PHASE_JOB = 0
+_PHASE_MCR = 1
+
+# the row sink of sweep runs, which keep no rows
+_DISCARD = collections.deque(maxlen=0).append
 
 
 class Scenario(NamedTuple):
@@ -185,20 +205,19 @@ class SimTrace(NamedTuple):
         """Tab-separated event rows, then the footer (see ``_TraceText``)."""
         buffer = io.StringIO()
         text = _TraceText(self.scale, buffer)
-        for row in self.rows:
-            text.row(*row)
+        text.write(self.rows)
         text.close(self)
         return buffer.getvalue()
 
 
 class _TraceText:
-    """The text output: trace rows formatted as lines, each written to
-    ``out`` as it comes, then the footer; ``out`` does its own buffering.
+    """The text output: batches of trace rows, each formatted as lines and
+    written to ``out`` at once, then the footer.
 
     Rows come in time order, so each instant is formatted once, as ``str`` of
-    its reduced fraction.  An instant too long to print is refused only by
-    ``close``: a run streaming its rows may still fail later with an error of
-    its own, and that error comes first.
+    its reduced fraction, even across batches.  An instant too long to print
+    is refused only by ``close``: a run streaming its rows may still fail
+    later with an error of its own, and that error comes first.
     """
 
     __slots__ = ("scale", "out", "instant", "stamp", "refusal")
@@ -210,14 +229,18 @@ class _TraceText:
         self.stamp = ""
         self.refusal: Optional[SystemValidationError] = None
 
-    def row(self, time: int, processor, kind: str, task, job) -> None:
-        if time != self.instant:
-            self.instant = time
-            self.stamp = self._stamp(time)
-        self.out.write(
-            f"{self.stamp}\t{'-' if processor is None else processor}\t{kind}"
-            f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
-        )
+    def write(self, rows: Iterable[tuple]) -> None:
+        instant, stamp = self.instant, self.stamp
+        lines = []
+        for time, processor, kind, task, job in rows:
+            if time != instant:
+                instant, stamp = time, self._stamp(time)
+            lines.append(
+                f"{stamp}\t{'-' if processor is None else processor}\t{kind}"
+                f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
+            )
+        self.instant, self.stamp = instant, stamp
+        self.out.write("".join(lines))
 
     def _stamp(self, time: int) -> str:
         scale = self.scale
@@ -419,6 +442,13 @@ class _TaskState:
         self.offset_index = 0
         self.job_count = 0
 
+    def copy(self) -> "_TaskState":
+        twin = object.__new__(_TaskState)
+        twin.task, twin.wcet, twin.period, twin.offsets = self.task, self.wcet, self.period, self.offsets
+        twin.processor, twin.activation, twin.enable_time = self.processor, self.activation, self.enable_time
+        twin.offset_index, twin.job_count = self.offset_index, self.job_count
+        return twin
+
 
 class _Job:
     # ``remaining`` is exact only off a processor; a running job's work ends
@@ -437,12 +467,11 @@ class _Job:
         self.processor = state.processor  # pinned at release; later re-placements do not move it
         self.key = (self.deadline, self.task_id, index)
 
-
-def _copy_slots(obj):
-    twin = object.__new__(type(obj))
-    for name in obj.__slots__:
-        setattr(twin, name, getattr(obj, name))
-    return twin
+    def copy(self) -> "_Job":
+        twin = object.__new__(_Job)
+        twin.task_id, twin.wcet, twin.index, twin.deadline = self.task_id, self.wcet, self.index, self.deadline
+        twin.remaining, twin.finish, twin.processor, twin.key = self.remaining, self.finish, self.processor, self.key
+        return twin
 
 
 class _Engine:
@@ -465,6 +494,9 @@ class _Engine:
             self.states[task.id] = _TaskState(task, self.scaled(task.wcet), self.scaled(task.period), offsets)
 
         self.time = 0
+        # (time, phase, seq, payload): a job entry's payload is (job or None,
+        # task id or None, activation), the job's deadline check, the task's
+        # next release or both; an MCR entry's is the destination mode
         self.heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self.ready: dict[int, list] = {p: [] for p in self.processors}
@@ -481,6 +513,7 @@ class _Engine:
         self.destination: Optional[str] = None  # set only during a transition
 
         self.events: list[tuple[int, Optional[int], str, Optional[str], Optional[int]]] = []
+        self._emit = self.events.append  # takes one row
         self.latencies: list[tuple[int, int]] = []
         self.checks: list[dict] = []
         self._check_by_task_job: dict[tuple[str, int], dict] = {}
@@ -493,9 +526,6 @@ class _Engine:
     def _push(self, time: int, phase: int, payload: object) -> None:
         self._seq += 1
         heapq.heappush(self.heap, (time, phase, self._seq, payload))
-
-    def _emit(self, time: int, processor, kind: str, task, job) -> None:
-        self.events.append((time, processor, kind, task, job))
 
     def _frac(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
@@ -539,7 +569,7 @@ class _Engine:
     def start(self) -> None:
         """Enable the MI tasks and the initial mode at time 0."""
         for task in self.system.mi_tasks:
-            self._schedule_release(self.states[task.id], None)
+            self._schedule_release(self.states[task.id])
         self.enable_mode(self.scenario.initial_mode, 0)
 
     def enable_mode(self, mode_id: str, time: int) -> None:
@@ -552,7 +582,7 @@ class _Engine:
             state.activation += 1
             state.enable_time = time
             state.offset_index = 0
-            self._emit(time, state.processor, "enable", task.id, None)
+            self._emit((time, state.processor, "enable", task.id, None))
             if self.destination is not None and task.transition_deadline is not None:
                 record = {
                     "task_id": task.id,
@@ -562,25 +592,18 @@ class _Engine:
                 }
                 self.checks.append(record)
                 self._check_by_task_job[(task.id, state.job_count)] = record
-            self._schedule_release(state, None)
+            self._schedule_release(state)
 
-    def _schedule_release(self, state: _TaskState, previous: Optional[int]) -> None:
-        """Queue the release after the one at ``previous``, or the first since
-        the task's last enable if ``previous`` is None."""
+    def _schedule_release(self, state: _TaskState) -> None:
+        """Queue a release-only entry: the task's next release at an offset,
+        or, with no offset left, its first release since the last enable.
+        Every other release rides on its predecessor's deadline entry."""
         if state.offset_index < len(state.offsets):
             time = state.enable_time + state.offsets[state.offset_index]
             state.offset_index += 1
         else:
-            time = state.enable_time if previous is None else previous + state.period
-        self._push(time, _PHASE_RELEASE, (state.task.id, state.activation))
-
-    def do_release(self, state: _TaskState, time: int) -> None:
-        job = _Job(state, state.job_count, time)
-        state.job_count += 1
-        self._emit(time, job.processor, "release", job.task_id, job.index)
-        heapq.heappush(self.ready[job.processor], (job.key, job))
-        self._push(job.deadline, _PHASE_DEADLINE, job)
-        self._schedule_release(state, time)
+            time = state.enable_time
+        self._push(time, _PHASE_JOB, (None, state.task.id, state.activation))
 
     def do_mcr(self, time: int, destination: str) -> None:
         if self.destination is not None:
@@ -588,79 +611,95 @@ class _Engine:
                 f"mode-change request at {_shown(self._frac(time))} arrived during an ongoing transition",
                 time=self._frac(time),
             )
-        self._emit(time, None, "MCR", destination, None)
+        self._emit((time, None, "MCR", destination, None))
         self.mcr_time = time
         self.destination = destination
         old_ids = set(self.system.mode(self.current_mode).md_tasks)
         for task_id in sorted(old_ids):
             state = self.states[task_id]
             state.activation += 1
-            self._emit(time, state.processor, "MD-disabled", task_id, None)
+            self._emit((time, state.processor, "MD-disabled", task_id, None))
         self.old_pending = {j for j in self.pending_jobs() if j.task_id in old_ids}
         self.maybe_end_transition(time)
 
     def maybe_end_transition(self, time: int) -> None:
         if self.destination is None or self.old_pending:
             return
-        self._emit(time, None, "transition-end", None, None)
+        self._emit((time, None, "transition-end", None, None))
         self.latencies.append((self.mcr_time, time - self.mcr_time))
         self.enable_mode(self.destination, time)
         self.current_mode, self.destination = self.destination, None
 
-    def complete_job(self, processor: int, job: _Job, time: int) -> None:
-        self._emit(time, processor, "complete", job.task_id, job.index)
-        self.old_pending.discard(job)
-        record = self._check_by_task_job.get((job.task_id, job.index))
-        if record is not None and record["completion"] is None:
-            record["completion"] = time
-
     # -- main loop ----------------------------------------------------------
 
     def dispatch(self, time: int) -> None:
+        ready, running, emit = self.ready, self.running, self._emit
         next_finish = None
         for p in self.processors:
-            queue = self.ready[p]
-            current = self.running[p]
+            queue = ready[p]
+            current = running[p]
             if queue and (current is None or queue[0][0] < current.key):
                 if current is not None:
-                    self._emit(time, p, "preempt", current.task_id, current.index)
+                    emit((time, p, "preempt", current.task_id, current.index))
                     current.remaining = current.finish - time
                     heapq.heappush(queue, (current.key, current))
-                _, current = heapq.heappop(queue)
+                current = heapq.heappop(queue)[1]
                 # a dispatched job runs before any later instant: it has run iff it was dispatched
                 kind = "resume" if current.remaining < current.wcet else "start"
-                self._emit(time, p, kind, current.task_id, current.index)
+                emit((time, p, kind, current.task_id, current.index))
                 current.finish = time + current.remaining
-                self.running[p] = current
+                running[p] = current
             if current is not None and (next_finish is None or current.finish < next_finish):
                 next_finish = current.finish
         self.next_finish = next_finish
 
     def settle(self, time: int) -> None:
         """Everything of instant ``time`` before dispatch: completions, the
-        transition-end check, then the queued deadline, release and MCR phases."""
+        transition-end check, then the queued entries: every deadline check,
+        then the releases, then the MCR."""
+        emit = self._emit
         if time == self.next_finish:
+            running, old_pending, checks = self.running, self.old_pending, self._check_by_task_job
             for p in self.processors:
-                job = self.running[p]
+                job = running[p]
                 if job is not None and job.finish == time:
-                    self.running[p] = None
+                    running[p] = None
                     job.remaining = 0
-                    self.complete_job(p, job, time)
-        self.maybe_end_transition(time)
-        while self.heap and self.heap[0][0] == time:
-            _, phase, _, payload = heapq.heappop(self.heap)
-            if phase == _PHASE_DEADLINE:
-                job = payload
-                if job.remaining > 0:  # each job's deadline is queued once
+                    emit((time, p, "complete", job.task_id, job.index))
+                    if old_pending:
+                        old_pending.discard(job)
+                    record = checks.get((job.task_id, job.index)) if checks else None
+                    if record is not None and record["completion"] is None:
+                        record["completion"] = time
+        if self.destination is not None:
+            self.maybe_end_transition(time)
+        heap, states, ready = self.heap, self.states, self.ready
+        while heap and heap[0][0] == time:  # a second round takes the releases an MCR queued
+            due, request = [], None
+            while heap and heap[0][0] == time:
+                _, phase, _, payload = heapq.heappop(heap)
+                if phase == _PHASE_MCR:
+                    request = payload
+                    break
+                job, task_id, activation = payload
+                if job is not None and job.remaining > 0:  # each job's deadline is queued once
                     self.job_misses += 1
-                    self._emit(time, job.processor, "deadline-miss", job.task_id, job.index)
-            elif phase == _PHASE_RELEASE:
-                task_id, activation = payload
-                state = self.states[task_id]
-                if state.activation == activation:
-                    self.do_release(state, time)
-            else:
-                self.do_mcr(time, payload)
+                    emit((time, job.processor, "deadline-miss", job.task_id, job.index))
+                if task_id is not None and states[task_id].activation == activation:  # not stale
+                    due.append(states[task_id])
+            for state in due:  # after every deadline check of the instant
+                job = _Job(state, state.job_count, time)
+                state.job_count += 1
+                emit((time, job.processor, "release", job.task_id, job.index))
+                heapq.heappush(ready[job.processor], (job.key, job))
+                self._seq += 1
+                if state.offset_index < len(state.offsets):
+                    heapq.heappush(heap, (job.deadline, _PHASE_JOB, self._seq, (job, None, 0)))
+                    self._schedule_release(state)
+                else:  # the next release rides on this job's deadline entry
+                    heapq.heappush(heap, (job.deadline, _PHASE_JOB, self._seq, (job, job.task_id, state.activation)))
+            if request is not None:
+                self.do_mcr(time, request)
 
     def process_instant(self, time: int) -> None:
         self.settle(time)
@@ -680,12 +719,22 @@ class _Engine:
             self.time = next_time
             self.process_instant(next_time)
 
-    def execute(self) -> SimTrace:
+    def execute(self, flush=None) -> SimTrace:
+        """Run the scenario to its horizon in windows one longest period wide,
+        each from the next due instant: a task releases a bounded number of
+        jobs in one.  With ``flush``, each window's rows go to ``flush`` and
+        are then dropped."""
         if self.horizon > 0:
             self.start()
             for mcr_time, destination in self.scenario.mcr_schedule:
                 self._push(self.scaled(mcr_time), _PHASE_MCR, destination)
-            self.advance(self.horizon)
+            width = max((state.period for state in self.states.values()), default=self.horizon)
+            following: Optional[int] = 0
+            while following is not None and following < self.horizon:
+                following = self.advance(min(following + width, self.horizon))
+                if flush is not None:
+                    flush(self.events)
+                    self.events.clear()
         return self.trace()
 
     def trace(self) -> SimTrace:
@@ -713,10 +762,10 @@ class _Engine:
 class _SourceRun(_Engine):
     """The one source-mode simulation of a sweep, with no MCR of its own.
 
-    It stays paused at ``time`` after that instant's deadline and release
-    phases; a grid point forks it there and runs only the suffix.  Neither
-    it nor its forks record events: a sweep reads the integer fields of a
-    fork advanced up to the point's horizon.  A fork queues what the point's
+    It stays paused at ``time`` after that instant's queued entries; a grid
+    point forks it there and runs only the suffix.  Neither it nor its forks
+    keep rows (their ``_emit`` is ``_DISCARD``): a sweep reads the integer
+    fields of a fork advanced up to the point's horizon.  A fork queues what the point's
     own run would queue, and ``advance`` processes neither's entries at or
     past that horizon, so the fork has processed what that run would.
 
@@ -743,13 +792,11 @@ class _SourceRun(_Engine):
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
+        self._emit = _DISCARD
         self.serving: Optional[_SourceRun] = None
         self.waiting: tuple[int, ...] = ()  # processors yet to idle since the transition end
         self.start()
         self.settle(0)
-
-    def _emit(self, time, processor, kind, task, job) -> None:
-        pass
 
     def enable_mode(self, mode_id: str, time: int) -> None:
         super().enable_mode(mode_id, time)
@@ -794,14 +841,16 @@ class _SourceRun(_Engine):
         # Task states and pending jobs, all the suffix can mutate, are copied
         # slot by slot, and every reference to a pending job is re-pointed to
         # its copy.  Queued releases name their task by id and completed jobs
-        # never change again, so both are shared.
+        # never change again, so both are shared.  A source run queues no
+        # MCR, so every entry is a job entry.
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
-        twin.states = {task_id: _copy_slots(state) for task_id, state in self.states.items()}
-        jobs = {job: _copy_slots(job) for job in self.pending_jobs()}
+        twin.states = {task_id: state.copy() for task_id, state in self.states.items()}
+        jobs = {job: job.copy() for job in self.pending_jobs()}
         twin.ready = {p: [(key, jobs[job]) for key, job in queue] for p, queue in self.ready.items()}
         twin.running = {p: jobs.get(job) for p, job in self.running.items()}
-        twin.heap = [(time, phase, seq, jobs.get(payload, payload)) for time, phase, seq, payload in self.heap]
+        twin.heap = [(time, phase, seq, (jobs.get(job, job), task, activation))
+                     for time, phase, seq, (job, task, activation) in self.heap]
         twin.old_pending = set()
         twin.serving = None
         twin.latencies = []
@@ -813,9 +862,11 @@ class _SourceRun(_Engine):
 def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
     """Execute one scenario and return its exact event trace.
 
-    With ``out``, each row is formatted and written to ``out`` as the engine
-    emits it, so that ``out`` receives ``to_text()`` of the full trace; the
-    trace returned keeps no rows, only its footer data.  A time too long to
+    With ``out``, the rows of each window of the run (see
+    ``_Engine.execute``) are formatted and written to ``out`` as the window
+    ends, so that ``out`` receives ``to_text()`` of the full trace while
+    memory stays bounded by the task set; the trace returned keeps no rows,
+    only its footer data.  A time too long to
     print is refused once the run has ended, so an error of the run comes
     first; either way ``out`` may hold part of the text.
     """
@@ -823,8 +874,7 @@ def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
     if out is None:
         return engine.execute()
     text = _TraceText(engine.scale, out)
-    engine._emit = text.row
-    trace = engine.execute()
+    trace = engine.execute(flush=text.write)
     text.close(trace)
     return trace
 
@@ -868,7 +918,7 @@ def sweep_mcr(
     else:
         bound = latency_upper_bound(system, source)
     active = system.mi_tasks + system.md_tasks_of(source) + system.md_tasks_of(destination)
-    margin = max((t.period for t in active), default=Fraction(1)) + 1
+    reach = bound + max((t.period for t in active), default=Fraction(1)) + 1  # a point's horizon, past it
 
     best: Optional[tuple[Fraction, Fraction]] = None
     points = 0
@@ -877,16 +927,18 @@ def sweep_mcr(
     source_run: Optional[_SourceRun] = None
     for raw_time in mcr_time_grid:
         mcr_time = as_time(raw_time, what="sweep grid point")
-        horizon = mcr_time + bound + margin
         if source_run is None or not source_run.reaches(mcr_time):
-            # (re)start from time 0 on the time base of this point's scenario
+            # (re)start from time 0 on the time base of this point's scenario,
+            # on which every later point it reaches has its horizon too
             source_run = _SourceRun(
                 make_scenario(
-                    system, source, allocation_source, [(mcr_time, destination)], horizon,
+                    system, source, allocation_source, [(mcr_time, destination)], mcr_time + reach,
                     static_tables=tables,
                 )
             )
-        time, limit = source_run.scaled(mcr_time), source_run.scaled(horizon)
+            scaled_reach = source_run.scaled(reach)
+        time = source_run.scaled(mcr_time)
+        limit = time + scaled_reach
         fork = source_run.request(time, destination)
         fork.advance(limit)
         if not fork.latencies:

@@ -104,15 +104,27 @@ MUTANTS = (
     ),
     Mutant(
         "fork-shares-pending-jobs", "src/modesched/sim.py",
-        "jobs = {job: _copy_slots(job) for job in self.pending_jobs()}",
+        "jobs = {job: job.copy() for job in self.pending_jobs()}",
         "jobs = {job: job for job in self.pending_jobs()}",
         "a fork's suffix mutates only its own copies",
     ),
     Mutant(
         "fork-shares-task-states", "src/modesched/sim.py",
-        "twin.states = {task_id: _copy_slots(state) for task_id, state in self.states.items()}",
+        "twin.states = {task_id: state.copy() for task_id, state in self.states.items()}",
         "twin.states = dict(self.states)",
         "a fork's suffix mutates only its own copies",
+    ),
+    Mutant(
+        "release-as-entry-pops", "src/modesched/sim.py",
+        "                    due.append(states[task_id])\n",
+        "                    due.append(states[task_id])\n                    break\n",
+        "an instant's deadline-miss rows precede its release rows",
+    ),
+    Mutant(
+        "stale-release-skips-deadline", "src/modesched/sim.py",
+        "if job is not None and job.remaining > 0:",
+        "if job is not None and job.remaining > 0 and (task_id is None or states[task_id].activation == activation):",
+        "a disabled task's last job still has its deadline checked",
     ),
 )
 
