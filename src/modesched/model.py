@@ -641,18 +641,20 @@ def validate_allocation(system: ModeSystem, allocation: Allocation) -> None:
         extra = sorted(got - expected)
         detail = []
         if missing:
-            detail.append(f"unassigned tasks {missing}")
+            detail.append(f"unassigned tasks {_quote_all(missing)}")
         if extra:
-            detail.append(f"tasks not in mode: {extra}")
-        raise AllocationError(f"allocation for mode {allocation.mode_id}: " + "; ".join(detail))
+            detail.append(f"tasks not in mode: {_quote_all(extra)}")
+        raise AllocationError(f"allocation for mode {_cut(allocation.mode_id)}: " + "; ".join(detail))
     loads = {p: system.mi_utilization(p) for p in system.processors}
     for tid in sorted(allocation.assignment):
         processor = allocation.assignment[tid]
         if isinstance(processor, bool) or not isinstance(processor, int) or processor not in loads:
-            raise AllocationError(f"task {tid}: processor {processor!r} outside 1..{system.processor_count}")
+            raise AllocationError(
+                f"task {_cut(tid)}: processor {_quote(processor)} outside 1..{system.processor_count}"
+            )
         loads[processor] += system.task(tid).utilization
     for p, load in loads.items():
         if load > 1:
             raise AllocationError(
-                _exceeds_one(f"allocation for mode {allocation.mode_id}: processor {p} utilization", load)
+                _exceeds_one(f"allocation for mode {_cut(allocation.mode_id)}: processor {p} utilization", load)
             )

@@ -275,6 +275,37 @@ def test_overload_message_leaves_out_a_load_too_long_to_print(case_study):
         ms.validate_allocation(case_study, ms.Allocation("mode2", {"tau10": 1}))
 
 
+def test_long_ids_in_allocation_refusals_are_cut():
+    """A library caller's static table with 5,000-character ids: each
+    refusal quotes an id's start and length and at most five ids of a list."""
+    mode, extra = "m" * 5000, "x" * 5000
+    tasks = [f"{i}{'t' * 4999}" for i in range(7)]
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [{"id": tid, "kind": "MD", "wcet": 1, "period": 6} for tid in tasks],
+            "modes": [{"id": mode, "md_tasks": tasks}],
+            "transitions": [],
+        }
+    )
+    placed = dict.fromkeys(tasks, 1)
+    messages = []
+    for assignment in ({}, {**placed, extra: 1}, {**placed, tasks[0]: "p" * 5000}, placed):
+        with pytest.raises(ms.AllocationError) as caught:
+            ms.make_scenario(
+                system, mode, "offline-table", [], 10, static_tables={mode: ms.Allocation(mode, assignment)}
+            )
+        messages.append(str(caught.value))
+    cut_mode = f"{'m' * 60}... (5000 characters)"
+    quoted = [f"'{i}{'t' * 58}... (5000 characters)" for i in range(5)]
+    assert messages == [
+        f"allocation for mode {cut_mode}: unassigned tasks [{', '.join(quoted)}, ... (7 in all)]",
+        f"allocation for mode {cut_mode}: tasks not in mode: ['{'x' * 59}... (5000 characters)]",
+        f"task 0{'t' * 59}... (5000 characters): processor '{'p' * 59}... (5000 characters) outside 1..1",
+        f"allocation for mode {cut_mode}: processor 1 utilization 7/6 exceeds 1",
+    ]
+
+
 def test_tasks_are_immutable(case_study):
     task = case_study.task("tau5")
     with pytest.raises(AttributeError):
