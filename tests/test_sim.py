@@ -486,6 +486,39 @@ def test_static_table_filed_under_another_mode_is_refused(case_study):
     assert str(refusal.value) == "static table for mode 'mode1' is the table of mode 'mode2'"
 
 
+def test_carry_in_at_the_request_outlasts_the_certified_bound(tmp_path, capsys):
+    """``samples/carry_in.json``: both analyses bound mode c's transitions by
+    11 and pass b0 with slack 0, yet at the request at 6 the MI job released
+    at 0 still has 2 units left, which the busy-period recurrence does not
+    budget.  The transition takes 13 and b0's first job completes at 20,
+    after its transition deadline 19.  These are facts of the simulator;
+    the bound the verdicts rest on is a separate decision."""
+    system_path = str(SAMPLES / "carry_in.json")
+    for command in ("analyze-offline", "analyze-online"):
+        assert main([command, system_path]) == 0
+        out = capsys.readouterr().out
+        assert "platform latency bound L = 11\n" in out
+        assert "    b0: 11 + 2 <= 13  pass (slack 0)\n" in out and out.endswith("GLOBAL: PASS\n")
+    trace_path = tmp_path / "carry_in.tsv"
+    assert main(["simulate", system_path, str(SAMPLES / "carry_in_mcr6.json"), "--trace", str(trace_path)]) == 1
+    assert capsys.readouterr().out == (
+        "# latency\t6\t13\n# transition-deadline\tb0\t6\t19\t20\tMISS\n# deadline-misses\t1\n"
+    )
+    b0_rows = [line for line in trace_path.read_text(encoding="utf-8").splitlines() if "\tb0\t" in line]
+    assert b0_rows[:4] == [
+        "19\t1\tenable\tb0\t-", "19\t1\trelease\tb0\t0", "19\t1\tstart\tb0\t0", "20\t1\tcomplete\tb0\t0",
+    ]
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(
+        json.dumps({"allocation": "offline-table", "sweep": {"from_mode": "c", "to_mode": "b", "step": 1}}),
+        encoding="utf-8",
+    )
+    assert main(["simulate", system_path, str(sweep_path)]) == 1
+    assert capsys.readouterr().out == (
+        "# sweep\tc\tb\tstep\t1\tpoints\t60\n# max-latency\t13\tat\t6\n# deadline-misses\t20\n"
+    )
+
+
 def test_transient_overload_can_miss_job_deadlines_but_not_certified_verdicts():
     """Per-mode feasibility does not extend to the transition window itself.
 
