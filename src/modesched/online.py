@@ -248,11 +248,8 @@ def transition_bound_detail(system: ModeSystem, mode_id: str) -> tuple[Processor
             solved[capacity] = knapsack.solve(capacity)
         selected, packed = solved[capacity]
         selection = KnapsackResult(processor=p, selected=selected, packed_wcet=packed, capacity=capacity)
+        # never None: MI load 1 leaves capacity 0, so nothing is packed
         latency = busy_period(packed, system.mi_on(p))
-        if latency is None:
-            raise ArithmeticError(
-                f"mode {mode_id}: busy-period recurrence diverges on processor {p}"
-            )
         rows.append(ProcessorBound(processor=p, selection=selection, latency=latency))
     return tuple(rows)
 

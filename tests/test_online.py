@@ -162,6 +162,24 @@ def test_worst_case_selection_zero_capacity():
     assert result.selected == () and result.packed_wcet == 0 and result.capacity == 0
 
 
+def test_processor_saturated_by_mi_tasks_bounds_latency_at_zero():
+    """MI load 1 leaves no capacity, so the bound packs nothing there and the
+    busy-period recurrence, which diverges only for positive MD demand, gives 0."""
+    raw = {
+        "processors": 2,
+        "tasks": [
+            {"id": "full", "kind": "MI", "wcet": 5, "period": 5, "processor": 1},
+            {"id": "x", "kind": "MD", "wcet": 1, "period": 4},
+        ],
+        "modes": [{"id": "m", "md_tasks": ["x"]}],
+        "transitions": [],
+    }
+    system = ms.build_system(raw)
+    rows = ms.transition_bound_detail(system, "m")
+    assert [(row.processor, row.selection.packed_wcet, row.latency) for row in rows] == [(1, 0, 0), (2, 1, 1)]
+    assert ms.latency_upper_bound(system, "m") == 1
+
+
 @pytest.mark.parametrize("processor", [0, 3])
 def test_worst_case_selection_refuses_a_processor_outside_the_platform(case_study, processor):
     with pytest.raises(ValueError, match=rf"^processor {processor} outside 1\.\.2$"):
