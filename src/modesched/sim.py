@@ -230,6 +230,7 @@ class _TraceText:
         self.refusal: Optional[SystemValidationError] = None
 
     def write(self, rows: Iterable[tuple]) -> None:
+        """Format ``rows`` and write them to ``out`` with one call."""
         instant, stamp = self.instant, self.stamp
         lines = []
         for time, processor, kind, task, job in rows:
@@ -765,9 +766,10 @@ class _SourceRun(_Engine):
     It stays paused at ``time`` after that instant's queued entries; a grid
     point forks it there and runs only the suffix.  Neither it nor its forks
     keep rows (their ``_emit`` is ``_DISCARD``): a sweep reads the integer
-    fields of a fork advanced up to the point's horizon.  A fork queues what the point's
-    own run would queue, and ``advance`` processes neither's entries at or
-    past that horizon, so the fork has processed what that run would.
+    fields of a fork advanced up to the point's horizon.  A fork queues what
+    the point's own run would queue, and ``advance`` processes neither's
+    entries at or past that horizon, so the fork has processed what that run
+    would.
 
     One fork serves every point up to the next instant this run processes:
     until then the pending source-mode jobs stay the same, and so do the
