@@ -239,18 +239,13 @@ def render_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(report: dict, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-
-
 def _cmd_analyze(args, builder) -> int:
     system = load_system(args.system)
     report = builder(system)
-    sys.stdout.write(render_report(report))
-    _write_report(report, args.report)
+    text = render_report(report)
+    if args.report:  # a report that cannot be written prints nothing
+        _write_replacing(args.report, lambda handle: handle.write(json.dumps(report, indent=2) + "\n"))
+    sys.stdout.write(text)
     return PASS if report["passed"] else FAIL
 
 

@@ -12,6 +12,13 @@ drain time exist:
 The platform-wide bound is the maximum over processors of the smaller of the
 two bounds.
 
+Both terms rest on a steady-state premise: at the request, each task has at
+most one pending job (the busy term counts one job per MD task), and every
+pending job meets its deadline (the period term).  It holds in a mode's
+steady state, where the allocation loads no processor above 1 and EDF meets
+every implicit deadline; it does not hold for a request made inside an
+earlier switching window.
+
 Every exact kernel of the package (the busy period here, the allocation
 search, the First-Fit knapsack and the simulator) runs on integers: it takes
 an integer time base from ``_time_base`` and scales its rationals to it with
@@ -38,10 +45,10 @@ from .model import (
 class ProcessorLatency(NamedTuple):
     """Per-processor latency bounds.
 
-    ``period_bound`` and ``busy_bound`` are absent for a processor hosting no
-    MD task (there is nothing to drain); ``busy_bound`` is also absent if the
-    busy-period recurrence diverges.  ``effective`` is the minimum of the
-    bounds that are present, or 0 when neither is.
+    ``period_bound`` and ``busy_bound`` are both absent for a processor
+    hosting no MD task (there is nothing to drain) and both present
+    otherwise.  ``effective`` is the smaller of the two, or 0 when they are
+    absent.
     """
 
     processor: int
@@ -120,16 +127,14 @@ def _scaled_busy_period(z: int, mi: Sequence[tuple[int, int]]) -> int:
         current = nxt
 
 
-def _effective(period_bound: Optional[Fraction], busy_bound: Optional[Fraction]) -> Fraction:
-    present = [b for b in (period_bound, busy_bound) if b is not None]
-    return min(present) if present else Fraction(0)
-
-
 def analyze_allocation(system: ModeSystem, mode_id: str, allocation: Allocation) -> LatencyReport:
     """Per-processor and platform-wide latency bounds for a valid allocation.
 
     Only the given mode's MD tasks and the static MI tasks are read, so the
-    report is independent of whatever runs in any subsequent mode.
+    report is independent of whatever runs in any subsequent mode.  A valid
+    allocation loads no processor above 1, and every MD task has a positive
+    wcet, so a processor holding MD tasks has MI utilization below 1: its
+    busy-period recurrence converges.
     """
     if allocation.mode_id != mode_id:
         raise ValueError(f"allocation is for mode {allocation.mode_id!r}, not {mode_id!r}")
@@ -144,7 +149,7 @@ def analyze_allocation(system: ModeSystem, mode_id: str, allocation: Allocation)
                 processor=p,
                 period_bound=period_bound,
                 busy_bound=busy,
-                effective=_effective(period_bound, busy),
+                effective=min(period_bound, busy) if placed else Fraction(0),
             )
         )
     return LatencyReport(

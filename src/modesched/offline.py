@@ -520,12 +520,8 @@ def incumbent_values(system: ModeSystem, mode_id: str, allocation: Allocation) -
         for p in system.processors:
             values[f"y_{p}_{names[task.id]}"] = Fraction(1 if allocation.assignment[task.id] == p else 0)
     for row in report.per_processor:
-        busy = row.busy_bound if row.busy_bound is not None else Fraction(0)
-        if row.period_bound is None or (row.busy_bound is not None and row.busy_bound < row.period_bound):
-            selector = Fraction(1)
-        else:
-            selector = Fraction(0)
-        values[f"p_{row.processor}"] = selector
+        busy = row.busy_bound or Fraction(0)  # absent together with the period bound
+        values[f"p_{row.processor}"] = Fraction(row.period_bound is None or busy < row.period_bound)
         for mi_task in system.mi_on(row.processor):
             values[f"x_{names[mi_task.id]}"] = Fraction(math.ceil(busy / mi_task.period))
     return values

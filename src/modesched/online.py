@@ -9,7 +9,11 @@ Decreasing.  Two questions are settled offline:
 * latency -- an allocation-independent transition-delay bound, obtained per
   processor by packing the worst utilization-feasible subset of the source
   mode's MD tasks (an exact 0-1 knapsack maximizing summed execution time)
-  and running the busy-period recurrence on the packed demand.
+  and running the busy-period recurrence on the packed demand.  It shares
+  the steady-state premise of the per-allocation bounds (see ``latency``):
+  at the request, each task has at most one pending job and every pending
+  job meets its deadline, which does not hold inside an earlier switching
+  window.
 
 The knapsack runs on an exact integer base (see ``_Knapsack``): one branch
 and bound on tie-broken integer values, pruned with the floor of the Dantzig

@@ -101,6 +101,18 @@ def test_report_determinism_and_round_trip(case_study_file, tmp_path):
         assert str(replay.platform_bound) == section["platform_bound"]["exact"]
 
 
+@pytest.mark.parametrize("command", ["analyze-offline", "analyze-online"])
+@pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-directory", "directory"])
+def test_report_that_cannot_be_written_prints_nothing(command, target, case_study_file, tmp_path, capsys):
+    earlier = tmp_path / "r.json"
+    earlier.write_bytes(b"an earlier report\n")
+    code = main([command, case_study_file, "--report", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error: [Errno ")
+    assert earlier.read_bytes() == b"an earlier report\n"
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "system.json"]  # no partial file is left
+
+
 def test_simulate_replay(tmp_path, capsys):
     trace_path = tmp_path / "trace.tsv"
     code = main(

@@ -1139,6 +1139,11 @@ def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(set
             # a mode loading its processors to 1 misses nothing on its own:
             # these misses come after the transition end
             saturated_missing += case % 4 == 0 and expected.job_misses > 0
+            # load <= 1: each pending source-mode job meets its deadline, so
+            # no transition outlasts the source's longest MD period
+            system, _, (source, _), _ = args
+            longest = max((t.period for t in system.md_tasks_of(source)), default=0)
+            assert expected.max_latency <= longest, (case, expected, longest)
         else:
             errors += 1
     # the draws reach every kind of outcome, and many have forks that settle

@@ -83,6 +83,11 @@ MUTANTS = (
         "the busy-period recurrence takes the ceiling of L / T",
     ),
     Mutant(
+        "effective-takes-max", "src/modesched/latency.py",
+        "effective=min(period_bound, busy)", "effective=max(period_bound, busy)",
+        "a processor's latency bound is the smaller of its two bounds",
+    ),
+    Mutant(
         "settle-early", "src/modesched/sim.py",
         "self.waiting = tuple(p for p in self.waiting if running[p] is not None)", "self.waiting = ()",
         "a sweep fork settles only once every processor has idled since the transition end",
