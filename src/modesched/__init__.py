@@ -26,7 +26,6 @@ _NAMES = {
     ),
     "latency": (
         "LatencyReport", "ProcessorLatency", "analyze_allocation", "busy_period",
-        "max_period_bound",
     ),
     "offline": (
         "MilpDocument", "OptimizationResult", "default_big_m", "export_milp",
@@ -35,7 +34,7 @@ _NAMES = {
     "online": (
         "FeasibilityVerdict", "KnapsackResult", "OnlineEvidence", "PlacementError",
         "ProcessorBound", "first_fit_decreasing", "latency_upper_bound", "lopez_test",
-        "transition_bound_detail", "validate_online_scheme", "worst_case_selection",
+        "transition_bound_detail", "validate_online_scheme",
     ),
     "sim": (
         "Scenario", "SimEvent", "SimTrace", "SweepResult", "SweepSpec", "hyperperiod",

@@ -303,10 +303,8 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         summary, misses = _write_replacing(args.trace, simulate)
         sys.stdout.write(summary)
-    elif isinstance(scenario, SweepSpec):
-        _, misses = simulate(sys.stdout)
     else:
-        # a refused run prints nothing: the trace reaches stdout only once it is whole
+        # a refused run or sweep prints nothing: its text reaches stdout only once it is whole
         import shutil
         import tempfile
 

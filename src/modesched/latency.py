@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
-    MD,
     MI,
     Allocation,
     ModeSystem,
@@ -63,16 +62,6 @@ class LatencyReport(NamedTuple):
     mode_id: str
     per_processor: tuple[ProcessorLatency, ...]
     platform_bound: Fraction
-
-
-def max_period_bound(md_tasks: Iterable[Task]) -> Optional[Fraction]:
-    """Largest period among a set of MD tasks; None for the empty set."""
-    periods = []
-    for task in md_tasks:
-        if task.kind != MD:
-            raise ValueError(f"task {task.id} is not mode-dependent")
-        periods.append(task.period)
-    return max(periods) if periods else None
 
 
 def busy_period(md_wcet_sum, mi_tasks: Iterable[Task]) -> Optional[Fraction]:
@@ -142,7 +131,7 @@ def analyze_allocation(system: ModeSystem, mode_id: str, allocation: Allocation)
     rows = []
     for p in system.processors:
         placed = [system.task(tid) for tid in allocation.tasks_on(p)]
-        period_bound = max_period_bound(placed)
+        period_bound = max((t.period for t in placed), default=None)
         busy = busy_period(sum((t.wcet for t in placed), Fraction(0)), system.mi_on(p)) if placed else None
         rows.append(
             ProcessorLatency(

@@ -3,9 +3,11 @@
 ``solve_optimal`` finds the exact optimum with one decision oracle: a
 depth-first search that places the MD tasks in decreasing-utilization order
 and answers whether some allocation keeps every processor's utilization at
-most 1 and, given a limit, every processor's latency bound at most that
-limit.  The optimum comes by descent: the bound of a utilization-feasible
-allocation, then the bound of an allocation below it, until none exists.  The
+most 1 and every processor's latency bound at most a given limit.  The limit
+is always finite.  The optimum comes by descent: the first call's limit is
+the mode's longest MD period, which no platform bound exceeds, so it finds a
+utilization-feasible allocation whenever one exists; then the bound of an
+allocation below the last one, until none exists.  The
 witness is the assignment vector that is lexicographically smallest in
 task-id order among the optimal ones, so results are reproducible; it takes
 one oracle call per task.  When no
@@ -115,17 +117,18 @@ class _SearchState:
             longest[p] = max(longest.get(p, 0), period)
         return max((min(longest[p], self.busy(p, demand[p])) for p in demand), default=0)
 
-    def allocate(self, fixed, rest, limit: Optional[int]) -> Optional[tuple[int, ...]]:
+    def allocate(self, fixed, rest, limit: int) -> Optional[tuple[int, ...]]:
         """Processors for the items of ``fixed`` (each pinned to its processor)
         and then of ``rest``, or None when no such placement exists.
 
-        A processor admits an item when its utilization still fits and, for a
-        finite ``limit``, its latency bound stays at most ``limit``: either
-        every MD period on it is at most ``limit``, or the busy period of its
-        summed MD demand is.  Both only grow as items are added, so a refused
-        item stays refused in every completion.  Processors in the same state
-        (MI tasks, utilization, demand, and whether they hold a period above
-        ``limit``) are interchangeable, so only the first of them is tried.
+        A processor admits an item when its utilization still fits and its
+        latency bound stays at most ``limit``: either every MD period on it is
+        at most ``limit``, or the busy period of its summed MD demand is.  At
+        a ``limit`` that no MD period exceeds, only utilization is tested.
+        Both only grow as items are added, so a refused item stays refused in
+        every completion.  Processors in the same state (MI tasks,
+        utilization, demand, and whether they hold a period above ``limit``)
+        are interchangeable, so only the first of them is tried.
         ``deepest`` is left at the most items any branch placed.
 
         Processors are tried in ascending order, and a skipped one is in the
@@ -150,7 +153,7 @@ class _SearchState:
             for p in candidates:
                 if util[p] + utilization > capacity:
                     continue
-                now_long = long[p] or (limit is not None and period > limit)
+                now_long = long[p] or period > limit
                 if now_long and busy(p, demand[p] + wcet) > limit:
                     continue
                 state = (signature[p], util[p], demand[p], long[p])
@@ -209,7 +212,8 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     items = {t.id: state.item(t) for t in md_tasks}
     order_items = [items[t.id] for t in order]
 
-    found = state.allocate([], order_items, None)
+    # no platform bound exceeds the longest MD period, so this call tests utilization only
+    found = state.allocate([], order_items, max((period for _, _, period in order_items), default=0))
     if found is None:
         raise InfeasibleModeError(mode_id, order[state.deepest].id)
     while found is not None:
@@ -301,7 +305,41 @@ class MilpDocument(NamedTuple):
         return tuple(row.name for row in self.constraints if not row.evaluate(values))
 
     def to_lp(self) -> str:
-        return _render_lp(self)
+        """The program in CPLEX LP text, with a warning comment when a number was rounded."""
+        lines: list[str] = []
+        body: list[str] = []
+        rounded = False
+        body.append("Minimize")
+        body.append(f" obj: {self.objective}")
+        body.append("Subject To")
+        for row in self.constraints:
+            terms, terms_exact = _render_terms(row.terms)
+            rhs, rhs_exact = _decimal_12(row.rhs)
+            rounded = rounded or not terms_exact or not rhs_exact
+            body.append(f" {row.name}: {terms} {row.sense} {rhs}")
+        body.append("Bounds")
+        for var, upper in self.integer_upper_bounds:
+            body.append(f" 0 <= {var} <= {_decimal_12(upper)[0]}")
+        if self.binary_variables:
+            body.append("Binary")
+            for var in self.binary_variables:
+                body.append(f" {var}")
+        if self.integer_variables:
+            body.append("General")
+            for var in self.integer_variables:
+                body.append(f" {var}")
+        body.append("End")
+
+        hv_text, hv_exact = _decimal_12(self.big_m)
+        rounded = rounded or not hv_exact
+        lines.append(f"\\ transition-latency allocation program, mode {self.mode_id}")
+        lines.append(f"\\ disjunction constant HV = {hv_text}")
+        if rounded:
+            lines.append(
+                "\\ warning: some coefficients were rounded to 12 significant digits and are not exact"
+            )
+        lines.extend(body)
+        return "\n".join(lines) + "\n"
 
 
 def _decimal_12(value: Fraction) -> tuple[str, bool]:
@@ -466,43 +504,6 @@ def _render_terms(terms) -> tuple[str, bool]:
         else:
             parts.append(f"+ {body}" if coef > 0 else f"- {body}")
     return " ".join(parts) if parts else "0", exact
-
-
-def _render_lp(doc: MilpDocument) -> str:
-    lines: list[str] = []
-    body: list[str] = []
-    rounded = False
-    body.append("Minimize")
-    body.append(f" obj: {doc.objective}")
-    body.append("Subject To")
-    for row in doc.constraints:
-        terms, terms_exact = _render_terms(row.terms)
-        rhs, rhs_exact = _decimal_12(row.rhs)
-        rounded = rounded or not terms_exact or not rhs_exact
-        body.append(f" {row.name}: {terms} {row.sense} {rhs}")
-    body.append("Bounds")
-    for var, upper in doc.integer_upper_bounds:
-        body.append(f" 0 <= {var} <= {_decimal_12(upper)[0]}")
-    if doc.binary_variables:
-        body.append("Binary")
-        for var in doc.binary_variables:
-            body.append(f" {var}")
-    if doc.integer_variables:
-        body.append("General")
-        for var in doc.integer_variables:
-            body.append(f" {var}")
-    body.append("End")
-
-    hv_text, hv_exact = _decimal_12(doc.big_m)
-    rounded = rounded or not hv_exact
-    lines.append(f"\\ transition-latency allocation program, mode {doc.mode_id}")
-    lines.append(f"\\ disjunction constant HV = {hv_text}")
-    if rounded:
-        lines.append(
-            "\\ warning: some coefficients were rounded to 12 significant digits and are not exact"
-        )
-    lines.extend(body)
-    return "\n".join(lines) + "\n"
 
 
 def incumbent_values(system: ModeSystem, mode_id: str, allocation: Allocation) -> dict[str, Fraction]:

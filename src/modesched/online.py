@@ -220,21 +220,6 @@ class _Knapsack:
         return tuple(sorted(selected)), Fraction(-(-best >> count), self.time_scale)
 
 
-def worst_case_selection(system: ModeSystem, processor: int, md_task_pool: Iterable[Task]) -> KnapsackResult:
-    """Subset of the pool maximizing summed execution time within the processor's spare utilization.
-
-    Among equally heavy optima the selection vector is made lexicographically
-    smallest in task-id order (a task is left out whenever the optimum remains
-    reachable without it), so results are deterministic.  The pool need not
-    belong to ``system``: only the processor's spare capacity is read there.
-    """
-    if processor not in system.processors:
-        raise ValueError(f"processor {processor} outside 1..{system.processor_count}")
-    capacity = 1 - system.mi_utilization(processor)
-    selected, packed = _Knapsack(md_task_pool, (capacity,)).solve(capacity)
-    return KnapsackResult(processor=processor, selected=selected, packed_wcet=packed, capacity=capacity)
-
-
 def transition_bound_detail(system: ModeSystem, mode_id: str) -> tuple[ProcessorBound, ...]:
     """Per-processor worst-case selections and latencies for transitions out of a mode.
 

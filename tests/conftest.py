@@ -176,8 +176,9 @@ def fraction_max_packed_wcet(items, capacity):
 
 
 def fraction_worst_case_selection(system, processor, pool):
-    """``worst_case_selection`` on rationals, by n + 1 knapsack solves: a task
-    is left out whenever the optimum stays reachable from the tasks after it."""
+    """The selection of a ``transition_bound_detail`` row on rationals, for any
+    pool, by n + 1 knapsack solves: a task is left out whenever the optimum
+    stays reachable from the tasks after it."""
     pool = sorted(pool, key=lambda t: t.id)
     capacity = 1 - system.mi_utilization(processor)
     target = fraction_max_packed_wcet([(t.wcet, t.utilization) for t in pool], capacity)

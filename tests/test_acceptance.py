@@ -221,18 +221,19 @@ def test_criterion_8_property_suite():
                 ms.Task(id=f"k{i:02d}", kind="MD", wcet=Fraction(rng_b.randint(1, period)), period=Fraction(period))
             )
         capacity = Fraction(rng_b.randint(0, 40), 40)
+        pad = [
+            {"id": "pad", "kind": "MI", "wcet": (1 - capacity).numerator,
+             "period": (1 - capacity).denominator, "processor": 1}
+        ] if capacity != 1 else []
         host = ms.build_system(
             {
                 "processors": 1,
-                "tasks": [
-                    {"id": "pad", "kind": "MI", "wcet": (1 - capacity).numerator,
-                     "period": (1 - capacity).denominator, "processor": 1}
-                ] if capacity != 1 else [],
-                "modes": [{"id": "m", "md_tasks": []}],
+                "tasks": pad + [{"id": t.id, "kind": "MD", "wcet": t.wcet, "period": t.period} for t in tasks],
+                "modes": [{"id": "m", "md_tasks": [t.id for t in tasks]}],
                 "transitions": [],
             }
         )
-        result = ms.worst_case_selection(host, 1, tasks)
+        result = ms.transition_bound_detail(host, "m")[0].selection
         assert result.capacity == capacity
         assert result.packed_wcet == knapsack_brute([(t.wcet, t.utilization) for t in tasks], capacity)
         pools_checked += 1

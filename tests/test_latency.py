@@ -21,14 +21,6 @@ I1 = (mi("tau1", 10, 30), mi("tau2", 20, 60))
 I2 = (mi("tau3", 15, 90, 2), mi("tau4", 20, 100, 2))
 
 
-def test_max_period_bound():
-    assert ms.max_period_bound((md("tau5", 7, 40), md("tau6", 1, 10))) == 40
-    assert ms.max_period_bound(()) is None
-    assert ms.max_period_bound((md("tau10", 50, 100),)) == 100
-    with pytest.raises(ValueError):
-        ms.max_period_bound((mi("tau1", 1, 2),))
-
-
 @pytest.mark.parametrize(
     "demand, interference, expected",
     [

@@ -737,6 +737,35 @@ def test_external_optimum_needs_assignment_rows(case_study):
         assert abs(solve_lp_text(stripped)) < 1e-6
 
 
+def test_lp_export_without_mi_tasks():
+    """With no MI task there are no job counts: no General section, an empty
+    Bounds section, and the external optimum still equals the search's."""
+    system = ms.build_system(
+        {
+            "processors": 2,
+            "tasks": [
+                {"id": "a", "kind": "MD", "wcet": 3, "period": 4},
+                {"id": "b", "kind": "MD", "wcet": 1, "period": 5},
+                {"id": "c", "kind": "MD", "wcet": 2, "period": 8},
+            ],
+            "modes": [{"id": "m", "md_tasks": ["a", "b", "c"]}],
+            "transitions": [],
+        }
+    )
+    doc = ms.export_milp(system, "m")
+    assert doc.integer_variables == () and doc.integer_upper_bounds == ()
+    text = doc.to_lp()
+    lines = text.splitlines()
+    assert "General" not in lines and "warning" not in text
+    assert lines[lines.index("Bounds") + 1] == "Binary"
+    # a alone on one processor, b and c on the other: both drain within 3
+    assert ms.solve_optimal(system, "m").optimal_latency == 3
+    pytest.importorskip("scipy")
+    from conftest import solve_lp_text
+
+    assert abs(solve_lp_text(text) - 3) < 1e-6
+
+
 def test_default_big_m_exceeds_all_attainable(case_study):
     rng = random.Random(13579)
     for _ in range(25):

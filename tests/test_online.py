@@ -133,15 +133,22 @@ def test_ffd_utilization_ties_broken_by_id():
     assert allocation.assignment == {"a1": 1, "a2": 2}
 
 
+def _selection(system, processor=1, mode_id="m"):
+    """The worst-case selection of one ``transition_bound_detail`` row."""
+    return ms.transition_bound_detail(system, mode_id)[processor - 1].selection
+
+
 def test_worst_case_selection_first_processor(case_study):
-    result = ms.worst_case_selection(case_study, 1, case_study.md_tasks_of("mode1"))
+    result = _selection(case_study, 1, "mode1")
+    assert result.processor == 1
     assert result.selected == ("tau5", "tau9")
     assert result.packed_wcet == 10
     assert result.capacity == Fraction(1, 3)
 
 
 def test_worst_case_selection_second_processor(case_study):
-    result = ms.worst_case_selection(case_study, 2, case_study.md_tasks_of("mode1"))
+    result = _selection(case_study, 2, "mode1")
+    assert result.processor == 2
     assert result.selected == ("tau5", "tau6", "tau7", "tau8", "tau9")
     assert result.packed_wcet == 14
     assert result.capacity == Fraction(19, 30)
@@ -157,8 +164,7 @@ def test_worst_case_selection_zero_capacity():
         "modes": [{"id": "m", "md_tasks": ["x"]}],
         "transitions": [],
     }
-    system = ms.build_system(raw)
-    result = ms.worst_case_selection(system, 1, system.md_tasks_of("m"))
+    result = _selection(ms.build_system(raw))
     assert result.selected == () and result.packed_wcet == 0 and result.capacity == 0
 
 
@@ -180,12 +186,6 @@ def test_processor_saturated_by_mi_tasks_bounds_latency_at_zero():
     assert ms.latency_upper_bound(system, "m") == 1
 
 
-@pytest.mark.parametrize("processor", [0, 3])
-def test_worst_case_selection_refuses_a_processor_outside_the_platform(case_study, processor):
-    with pytest.raises(ValueError, match=rf"^processor {processor} outside 1\.\.2$"):
-        ms.worst_case_selection(case_study, processor, case_study.md_tasks_of("mode1"))
-
-
 def test_worst_case_selection_tie_prefers_excluding_earlier_ids():
     raw = {
         "processors": 1,
@@ -198,9 +198,8 @@ def test_worst_case_selection_tie_prefers_excluding_earlier_ids():
         "modes": [{"id": "m", "md_tasks": ["a", "b", "c"]}],
         "transitions": [],
     }
-    system = ms.build_system(raw)
     # capacity 1/5; {a} and {b, c} both pack wcet 2
-    result = ms.worst_case_selection(system, 1, system.md_tasks_of("m"))
+    result = _selection(ms.build_system(raw))
     assert result.packed_wcet == 2
     assert result.selected == ("b", "c")
 
@@ -226,7 +225,7 @@ def test_knapsack_matches_brute_force():
             }
         )
         pool = system.md_tasks_of("m")
-        result = ms.worst_case_selection(system, 1, pool)
+        result = _selection(system)
         expected = knapsack_brute([(t.wcet, t.utilization) for t in pool], result.capacity)
         assert result.packed_wcet == expected
         chosen = [system.task(tid) for tid in result.selected]
@@ -276,7 +275,6 @@ def _assert_matches_rational_reference(system):
     for row in ms.transition_bound_detail(system, "m"):
         expected = fraction_worst_case_selection(system, row.processor, pool)
         assert row.selection == expected
-        assert ms.worst_case_selection(system, row.processor, pool) == expected
         assert row.latency == ms.busy_period(expected.packed_wcet, system.mi_on(row.processor))
 
 
@@ -319,12 +317,12 @@ def test_knapsack_edge_pools_match_rational_reference():
     # zero capacity: nothing fits
     system = _pool_system(pool, [full])
     _assert_matches_rational_reference(system)
-    result = ms.worst_case_selection(system, 1, pool)
+    result = _selection(system)
     assert result.selected == () and result.packed_wcet == 0 and result.capacity == 0
     # every task fits: all are taken
     system = _pool_system(pool, [[]])
     _assert_matches_rational_reference(system)
-    result = ms.worst_case_selection(system, 1, pool)
+    result = _selection(system)
     assert result.selected == ("a", "b") and result.packed_wcet == Fraction(13, 30)
     # tied optima: four equal tasks of utilization 1/4, room for two; the
     # lexicographically smallest inclusion vector 0011 takes the last two ids
@@ -337,7 +335,7 @@ def test_knapsack_edge_pools_match_rational_reference():
     half = [(Fraction(7, 2), Fraction(7))]
     system = _pool_system(tied, [half])
     _assert_matches_rational_reference(system)
-    result = ms.worst_case_selection(system, 1, tied)
+    result = _selection(system)
     assert result.selected == ("t3", "t4") and result.packed_wcet == 2
 
 
@@ -358,8 +356,6 @@ def test_knapsack_selection_is_lexicographically_smallest_optimum():
         for row in ms.transition_bound_detail(system, "m"):
             packed, selected = knapsack_lex_brute(pool, row.selection.capacity)
             assert (row.selection.packed_wcet, row.selection.selected) == (packed, selected)
-            result = ms.worst_case_selection(system, row.processor, pool)
-            assert (result.packed_wcet, result.selected) == (packed, selected)
 
 
 def _fractional_relaxation(items, capacity):
@@ -416,12 +412,11 @@ def test_knapsack_searches_pools_deeper_than_the_recursion_limit(tmp_path, capsy
     system = ms.build_system(deep_pool_raw())
     pool = system.md_tasks_of("m")
     ids = tuple(sorted(t.id for t in pool))
-    result = ms.worst_case_selection(system, 1, pool)
+    result = _selection(system)
     assert (result.selected, result.packed_wcet) == (ids, 1200)
     # with half the processor taken, 1,000 tasks fit: the lexicographically
     # smallest optimum leaves the first 200 ids out
-    half = ms.build_system(deep_pool_raw(mi_wcet=1000))
-    result = ms.worst_case_selection(half, 1, half.md_tasks_of("m"))
+    result = _selection(ms.build_system(deep_pool_raw(mi_wcet=1000)))
     assert (result.selected, result.packed_wcet) == (ids[200:], 1000)
     prefix = sorted(pool, key=lambda t: t.id)[:12]
     for units in (0, 5, 12):

@@ -25,7 +25,6 @@ PUBLIC = {
     ),
     "latency": (
         "LatencyReport", "ProcessorLatency", "analyze_allocation", "busy_period",
-        "max_period_bound",
     ),
     "offline": (
         "BigMError", "InfeasibleModeError", "MilpDocument", "OptimizationResult", "default_big_m",
@@ -34,7 +33,7 @@ PUBLIC = {
     "online": (
         "FeasibilityVerdict", "KnapsackResult", "OnlineEvidence", "PlacementError",
         "ProcessorBound", "first_fit_decreasing", "latency_upper_bound", "lopez_test",
-        "transition_bound_detail", "validate_online_scheme", "worst_case_selection",
+        "transition_bound_detail", "validate_online_scheme",
     ),
     "sim": (
         "Scenario", "ScenarioError", "SimEvent", "SimTrace", "SimulationError", "SweepResult",
@@ -98,7 +97,7 @@ def test_analyze_offline_alone_loads_neither_online_nor_sim(tmp_path):
 
 def test_public_names_resolve_to_their_layer_objects():
     names = [name for layer_names in PUBLIC.values() for name in layer_names]
-    assert len(names) == 59 and set(ms.__all__) == set(names)
+    assert len(names) == 57 and set(ms.__all__) == set(names)
     assert set(names) <= set(dir(ms))
     starred: dict = {}
     exec("from modesched import *", starred)
@@ -118,3 +117,16 @@ def test_errors_shared_by_cli_live_in_the_model():
         error = getattr(importlib.import_module("modesched.model"), name)
         assert getattr(importlib.import_module(f"modesched.{layer}"), name) is error
         assert getattr(ms, name) is error
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m modesched`` is the CLI: the pinned stdout and exit code."""
+    golden = Path(__file__).resolve().parent / "golden"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "modesched", "analyze-online", str(SAMPLES / "case_study.json")],
+        capture_output=True, env=env, timeout=120,
+    )
+    codes = json.loads((golden / "exit_codes.json").read_text(encoding="utf-8"))
+    assert done.returncode == codes["case_study.analyze-online"] == 0, done.stderr
+    assert done.stdout == (golden / "case_study.analyze-online.stdout").read_bytes()

@@ -72,6 +72,11 @@ MUTANTS = (
         "the exact search fills a processor up to utilization 1 and no further",
     ),
     Mutant(
+        "oracle-limit-inclusive", "src/modesched/offline.py",
+        "now_long = long[p] or period > limit", "now_long = long[p] or period >= limit",
+        "a processor whose longest MD period equals the limit is within it",
+    ),
+    Mutant(
         "lopez-denominator", "src/modesched/online.py",
         "bound = Fraction(beta * processor_count + 1, beta + 1)",
         "bound = Fraction(beta * processor_count + 1, beta)",
