@@ -33,16 +33,19 @@ task_id, activation)``, beside the deadline-only entry ``(job, None, 0)`` of
 the job before it; so has the first release after each enable.  A release
 whose activation is no longer the task's is stale and dropped; the deadline
 check of its entry still runs.
-An MCR entry is ``(time, 1, seq, destination)``.  ``settle`` pops an
+An MCR entry is ``(time, 1, seq, destination)``.  ``advance`` pops an
 instant's job entries in seq order, checking each deadline as it pops, and
 releases the collected jobs after the last one, before any MCR: each merged
 entry takes the place of two consecutive pushes, so miss rows and release
 rows keep their order, and every miss row precedes every release row.
 
-A running job carries its completion instant (``_Job.finish``), so the clock
-moves without touching any job: ``dispatch`` sets ``finish`` when it starts or
-resumes a job and, in the one processor pass it makes, finds the earliest
-(``next_finish``), which is where ``advance`` stops next.  ``remaining`` is
+``_Engine.advance(limit)`` is the one instant loop: each instant runs the
+completions, the transition-end check, the queued entries and one dispatch
+pass over the processors, whose ready queues and running jobs are lists
+indexed by processor number.  A running job carries its completion instant
+(``_Job.finish``), so the clock moves without touching any job: the dispatch
+pass sets ``finish`` when it starts or resumes a job and finds the earliest
+(``next_finish``), which is where the loop stops next.  ``remaining`` is
 exact only for a job off a processor: it is rewritten at a preemption and
 zeroed at the completion.
 
@@ -58,7 +61,10 @@ Deterministic tie rules (they fix the trace byte-for-byte):
     deadline check, release, MCR, then scheduler switches.
 
 An MCR sweep (``sweep_mcr``) simulates the source mode once and forks it at
-request instants.  It costs one fork per interval between two instants the
+request instants: the source run processes every instant before a request,
+and the fork queues the request as an ordinary MCR entry, so the request
+instant runs through the same loop as in the point's own run, its releases
+first.  It costs one fork per interval between two instants the
 source run processes, not one suffix per grid point: until the next such
 instant the pending source-mode jobs stay the same, and so do the transition
 end and the suffix schedule.  The exception is a request with nothing pending,
@@ -450,21 +456,13 @@ class _TaskState:
 
 
 class _Job:
-    # ``remaining`` is exact only off a processor; a running job's work ends
-    # at ``finish``, set by each dispatch that starts or resumes it
+    # built slot by slot at its release in ``_Engine.advance``; ``remaining``
+    # is exact only off a processor: a running job's work ends at ``finish``,
+    # set by each dispatch that starts or resumes it.  ``processor`` is pinned
+    # at release; later re-placements do not move it
     __slots__ = (
         "task_id", "wcet", "index", "deadline", "remaining", "finish", "processor", "key",
     )
-
-    def __init__(self, state: _TaskState, index: int, release: int):
-        self.task_id = state.task.id
-        self.wcet = state.wcet
-        self.index = index
-        self.deadline = release + state.period
-        self.remaining = state.wcet
-        self.finish = 0
-        self.processor = state.processor  # pinned at release; later re-placements do not move it
-        self.key = (self.deadline, self.task_id, index)
 
     def copy(self) -> "_Job":
         twin = object.__new__(_Job)
@@ -492,17 +490,20 @@ class _Engine:
             offsets = tuple(self.scaled(v) for v in scenario.release_offsets.get(task.id, ()))
             self.states[task.id] = _TaskState(task, self.scaled(task.wcet), self.scaled(task.period), offsets)
 
-        self.time = 0
+        self.time = 0  # the last instant processed (a sweep's source run: the last request)
+        self.instants = 0  # how many instants were processed
         # (time, phase, seq, payload): a job entry's payload is (job or None,
         # task id or None, activation), the job's deadline check, the task's
         # next release or both; an MCR entry's is the destination mode
         self.heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
-        self.ready: dict[int, list] = {p: [] for p in self.processors}
-        self.running: dict[int, Optional[_Job]] = {p: None for p in self.processors}
+        # indexed by processor number; slot 0 stays empty
+        self.ready: list[list] = [[] for _ in range(len(self.processors) + 1)]
+        self.running: list[Optional[_Job]] = [None] * (len(self.processors) + 1)
         self.next_finish: Optional[int] = None  # the earliest ``finish`` of a running job
         self.old_pending: set[_Job] = set()
         self.job_misses = 0
+        self.waiting: tuple[int, ...] = ()  # processors yet to idle; only a sweep fork fills it
 
         # First-Fit placements by mode: a pure function of the system and the
         # mode, so forks share them
@@ -515,6 +516,7 @@ class _Engine:
         self._emit = self.events.append  # takes one row
         self.latencies: list[tuple[int, int]] = []
         self.checks: list[dict] = []
+        # the checks still waiting for their job's completion
         self._check_by_task_job: dict[tuple[str, int], dict] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -531,8 +533,8 @@ class _Engine:
 
     def pending_jobs(self) -> Iterator[_Job]:
         """Every released job not yet complete: the running ones, then the ready queues."""
-        yield from (job for job in self.running.values() if job is not None)
-        for queue in self.ready.values():
+        yield from (job for job in self.running if job is not None)
+        for queue in self.ready:
             yield from (job for _, job in queue)
 
     def allocation_for(self, mode_id: str, time: int) -> Allocation:
@@ -618,7 +620,7 @@ class _Engine:
             state = self.states[task_id]
             state.activation += 1
             self._emit((time, state.processor, "MD-disabled", task_id, None))
-        self.old_pending = {j for j in self.pending_jobs() if j.task_id in old_ids}
+        self.old_pending.update(j for j in self.pending_jobs() if j.task_id in old_ids)
         self.maybe_end_transition(time)
 
     def maybe_end_transition(self, time: int) -> None:
@@ -631,92 +633,106 @@ class _Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def dispatch(self, time: int) -> None:
-        ready, running, emit = self.ready, self.running, self._emit
-        next_finish = None
-        for p in self.processors:
-            queue = ready[p]
-            current = running[p]
-            if queue and (current is None or queue[0][0] < current.key):
-                if current is not None:
-                    emit((time, p, "preempt", current.task_id, current.index))
-                    current.remaining = current.finish - time
-                    heapq.heappush(queue, (current.key, current))
-                current = heapq.heappop(queue)[1]
-                # a dispatched job runs before any later instant: it has run iff it was dispatched
-                kind = "resume" if current.remaining < current.wcet else "start"
-                emit((time, p, kind, current.task_id, current.index))
-                current.finish = time + current.remaining
-                running[p] = current
-            if current is not None and (next_finish is None or current.finish < next_finish):
-                next_finish = current.finish
-        self.next_finish = next_finish
-
-    def settle(self, time: int) -> None:
-        """Everything of instant ``time`` before dispatch: completions, the
-        transition-end check, then the queued entries: every deadline check,
-        then the releases, then the MCR."""
-        emit = self._emit
-        if time == self.next_finish:
-            running, old_pending, checks = self.running, self.old_pending, self._check_by_task_job
-            for p in self.processors:
-                job = running[p]
-                if job is not None and job.finish == time:
-                    running[p] = None
-                    job.remaining = 0
-                    emit((time, p, "complete", job.task_id, job.index))
-                    if old_pending:
-                        old_pending.discard(job)
-                    record = checks.get((job.task_id, job.index)) if checks else None
-                    if record is not None and record["completion"] is None:
-                        record["completion"] = time
-        if self.destination is not None:
-            self.maybe_end_transition(time)
-        heap, states, ready = self.heap, self.states, self.ready
-        while heap and heap[0][0] == time:  # a second round takes the releases an MCR queued
-            due, request = [], None
-            while heap and heap[0][0] == time:
-                _, phase, _, payload = heapq.heappop(heap)
-                if phase == _PHASE_MCR:
-                    request = payload
-                    break
-                job, task_id, activation = payload
-                if job is not None and job.remaining > 0:  # each job's deadline is queued once
-                    self.job_misses += 1
-                    emit((time, job.processor, "deadline-miss", job.task_id, job.index))
-                if task_id is not None and states[task_id].activation == activation:  # not stale
-                    due.append(states[task_id])
-            for state in due:  # after every deadline check of the instant
-                job = _Job(state, state.job_count, time)
-                state.job_count += 1
-                emit((time, job.processor, "release", job.task_id, job.index))
-                heapq.heappush(ready[job.processor], (job.key, job))
-                self._seq += 1
-                if state.offset_index < len(state.offsets):
-                    heapq.heappush(heap, (job.deadline, _PHASE_JOB, self._seq, (job, None, 0)))
-                    self._schedule_release(state)
-                else:  # the next release rides on this job's deadline entry
-                    heapq.heappush(heap, (job.deadline, _PHASE_JOB, self._seq, (job, job.task_id, state.activation)))
-            if request is not None:
-                self.do_mcr(time, request)
-
-    def process_instant(self, time: int) -> None:
-        self.settle(time)
-        self.dispatch(time)
-
     def advance(self, limit: int) -> Optional[int]:
         """Process every instant after the current one and before ``limit``;
         return the first instant left with a completion or a queued entry
-        due, None if there is none."""
+        due, None if there is none.
+
+        This is the engine's one instant loop.  Each instant runs the
+        completions, the transition-end check, then the queued entries (every
+        deadline check, then the releases, then the MCR, and a second round
+        for the releases an MCR queued), then one dispatch pass over the
+        processors, which finds the earliest ``finish`` (``next_finish``).
+        """
+        heap, ready, running, states = self.heap, self.ready, self.running, self.states
+        emit, checks, old_pending = self._emit, self._check_by_task_job, self.old_pending
+        processors, new_job = self.processors, object.__new__
+        heappush, heappop = heapq.heappush, heapq.heappop
+        next_finish, destination, waiting = self.next_finish, self.destination, self.waiting
+        time = self.time
+        count = 0
         while True:
-            next_time = self.heap[0][0] if self.heap else None
-            finish = self.next_finish
-            if finish is not None and (next_time is None or finish < next_time):
-                next_time = finish
+            next_time = heap[0][0] if heap else None
+            if next_finish is not None and (next_time is None or next_finish < next_time):
+                next_time = next_finish
             if next_time is None or next_time >= limit:
-                return next_time
-            self.time = next_time
-            self.process_instant(next_time)
+                break
+            time = next_time
+            count += 1
+            if time == next_finish:
+                for p in processors:
+                    job = running[p]
+                    if job is not None and job.finish == time:
+                        running[p] = None
+                        job.remaining = 0
+                        emit((time, p, "complete", job.task_id, job.index))
+                        if old_pending:
+                            old_pending.discard(job)
+                        record = checks.pop((job.task_id, job.index), None) if checks else None
+                        if record is not None:  # the first job since an enable: its check's completion
+                            record["completion"] = time
+            if destination is not None and not old_pending:
+                self.maybe_end_transition(time)
+                destination, waiting = self.destination, self.waiting
+            while heap and heap[0][0] == time:  # a second round takes the releases an MCR queued
+                due, request = [], None
+                while heap and heap[0][0] == time:
+                    _, phase, _, payload = heappop(heap)
+                    if phase == _PHASE_MCR:
+                        request = payload
+                        break
+                    job, task_id, activation = payload
+                    if job is not None and job.remaining > 0:  # each job's deadline is queued once
+                        self.job_misses += 1
+                        emit((time, job.processor, "deadline-miss", job.task_id, job.index))
+                    if task_id is not None and states[task_id].activation == activation:  # not stale
+                        due.append(states[task_id])
+                for state in due:  # after every deadline check of the instant
+                    job = new_job(_Job)
+                    job.task_id = task_id = state.task.id
+                    job.index = index = state.job_count
+                    state.job_count = index + 1
+                    job.wcet = job.remaining = state.wcet
+                    job.deadline = deadline = time + state.period
+                    job.finish = 0
+                    job.processor = p = state.processor
+                    job.key = key = (deadline, task_id, index)
+                    emit((time, p, "release", task_id, index))
+                    heappush(ready[p], (key, job))
+                    self._seq += 1
+                    if state.offset_index < len(state.offsets):
+                        heappush(heap, (deadline, _PHASE_JOB, self._seq, (job, None, 0)))
+                        self._schedule_release(state)
+                    else:  # the next release rides on this job's deadline entry
+                        heappush(heap, (deadline, _PHASE_JOB, self._seq, (job, task_id, state.activation)))
+                if request is not None:
+                    self.do_mcr(time, request)
+                    destination, waiting = self.destination, self.waiting
+            next_finish = None
+            for p in processors:
+                queue = ready[p]
+                current = running[p]
+                if queue and (current is None or queue[0][0] < current.key):
+                    if current is not None:
+                        emit((time, p, "preempt", current.task_id, current.index))
+                        current.remaining = current.finish - time
+                        heappush(queue, (current.key, current))
+                    current = heappop(queue)[1]
+                    # a dispatched job runs before any later instant: it has run iff it was dispatched
+                    kind = "resume" if current.remaining < current.wcet else "start"
+                    emit((time, p, kind, current.task_id, current.index))
+                    current.finish = time + current.remaining
+                    running[p] = current
+                if current is not None and (next_finish is None or current.finish < next_finish):
+                    next_finish = current.finish
+            if waiting:
+                waiting = tuple(p for p in waiting if running[p] is not None)
+                if not waiting:  # settled (see ``_SourceRun``)
+                    self.stop(time)
+                    next_finish = None
+        self.time, self.next_finish, self.waiting = time, next_finish, waiting
+        self.instants += count
+        return next_time
 
     def execute(self, flush=None) -> SimTrace:
         """Run the scenario to its horizon in windows one longest period wide,
@@ -761,13 +777,15 @@ class _Engine:
 class _SourceRun(_Engine):
     """The one source-mode simulation of a sweep, with no MCR of its own.
 
-    It stays paused at ``time`` after that instant's queued entries; a grid
-    point forks it there and runs only the suffix.  Neither it nor its forks
-    keep rows (their ``_emit`` is ``_DISCARD``): a sweep reads the integer
-    fields of a fork advanced up to the point's horizon.  A fork queues what
-    the point's own run would queue, and ``advance`` processes neither's
-    entries at or past that horizon, so the fork has processed what that run
-    would.
+    It processes every instant before a grid point's request instant ``t``
+    and no more; the point forks it there, and the fork queues its request
+    as an ordinary MCR entry, as ``execute`` queues a scenario's, so instant
+    ``t`` runs through the same loop as in the point's own run: its releases
+    first, then the request.  Neither this run nor its forks keep rows
+    (their ``_emit`` is ``_DISCARD``): a sweep reads the integer fields of a
+    fork advanced up to the point's horizon.  A fork queues what the point's
+    own run would queue, and ``advance`` processes neither's entries at or
+    past that horizon, so the fork has processed what that run would.
 
     One fork serves every point up to the next instant this run processes:
     until then the pending source-mode jobs stay the same, and so do the
@@ -781,58 +799,49 @@ class _SourceRun(_Engine):
     which refuses any placement past capacity, or a First-Fit placement,
     which places a task only where it fits and otherwise raises.  A fork
     therefore settles, and stops, once its transition has ended and every
-    processor has been idle after a dispatch since the end.  An idle
-    processor has completed every job released before, the first jobs of the
-    destination mode included, so every transition check has its completion;
-    from then on EDF misses no deadline.  Settling empties the heap, the
-    ready queues and the processors, so ``advance`` returns at once, for
-    later points of the interval too: ``check_outcome`` only shifts
-    deadlines already decided.
+    processor has been idle after a dispatch since the end (``waiting``).
+    An idle processor has completed every job released before, the first
+    jobs of the destination mode included, so every transition check has
+    its completion; from then on EDF misses no deadline.  Settling empties
+    the heap and forgets the next completion, so ``advance`` returns at
+    once, for later points of the interval too: ``check_outcome`` only
+    shifts deadlines already decided.
     """
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self._emit = _DISCARD
         self.serving: Optional[_SourceRun] = None
-        self.waiting: tuple[int, ...] = ()  # processors yet to idle since the transition end
         self.start()
-        self.settle(0)
 
     def enable_mode(self, mode_id: str, time: int) -> None:
         super().enable_mode(mode_id, time)
         if self.destination is not None:
             self.waiting = tuple(self.processors)
 
-    def dispatch(self, time: int) -> None:
-        super().dispatch(time)
-        running = self.running
-        if self.waiting and None in running.values():
-            self.waiting = tuple(p for p in self.waiting if running[p] is not None)
-            if not self.waiting:  # settled: stop, leaving nothing to process
-                self.heap = []
-                self.ready = {p: [] for p in self.processors}
-                self.running = dict.fromkeys(self.processors)
-                self.next_finish = None
+    def stop(self, time: int) -> None:
+        """Settle at instant ``time``: drop every queued entry, so that
+        ``advance`` processes no later instant."""
+        self.heap.clear()
 
     def reaches(self, time: Fraction) -> bool:
         return self.scale % time.denominator == 0 and self.scaled(time) >= self.time
 
     def request(self, time: int, destination: str) -> "_SourceRun":
-        """A fork that requested ``destination`` at instant ``time``, or the
-        one made for an earlier point if it serves ``time`` too; this run
-        moves on to ``time`` first if it is not there."""
+        """A fork that requested ``destination`` at instant ``time`` and has
+        processed that instant, or the one made for an earlier point if it
+        serves ``time`` too; this run first processes every instant before
+        ``time``."""
         if time > self.time:
             start = self.time
-            self.dispatch(start)
             if self.advance(time) == time or self.time > start:  # an instant in (start, time]
                 self.serving = None
             self.time = time
-            self.settle(time)
         if self.serving is not None:
             return self.serving
         fork = self._fork()
-        fork.do_mcr(time, destination)
-        fork.process_instant(time)
+        fork._push(time, _PHASE_MCR, destination)
+        fork.advance(time + 1)
         if fork.destination is not None:  # the transition waits for pending jobs
             self.serving = fork
         return fork
@@ -847,8 +856,8 @@ class _SourceRun(_Engine):
         twin.__dict__.update(self.__dict__)
         twin.states = {task_id: state.copy() for task_id, state in self.states.items()}
         jobs = {job: job.copy() for job in self.pending_jobs()}
-        twin.ready = {p: [(key, jobs[job]) for key, job in queue] for p, queue in self.ready.items()}
-        twin.running = {p: jobs.get(job) for p, job in self.running.items()}
+        twin.ready = [[(key, jobs[job]) for key, job in queue] for queue in self.ready]
+        twin.running = [jobs.get(job) for job in self.running]
         twin.heap = [(time, phase, seq, (jobs.get(job, job), task, activation))
                      for time, phase, seq, (job, task, activation) in self.heap]
         twin.old_pending = set()
@@ -894,7 +903,9 @@ def sweep_mcr(
     transition end: every allocation loads no processor above 1, so each
     source-mode job pending at the request meets its deadline, at most the
     source's longest MD period after it.  The source mode
-    is simulated once, in grid order, and forked at request instants: the
+    is simulated once, in grid order, up to each request instant and forked
+    there; the fork's request is an ordinary queued MCR, processed after the
+    releases of its instant, with no second copy of the instant loop.  The
     sweep costs one fork per interval between two instants the source run
     processes, not one suffix per point.  A fork made at ``t0`` serves a later
     point ``t`` in its interval by advancing to ``t``'s horizon, which it

@@ -893,6 +893,31 @@ def test_request_with_nothing_pending_gets_its_own_fork(forks):
         assert forks == [7, 8, 9]
 
 
+def test_fork_processes_its_request_instant_as_the_points_own_run(monkeypatch, settlements):
+    """A fork's rows, from its request instant on, are those of the point's
+    own run.  In ``samples/carry_in.json`` the job of ``c0`` released at 6
+    comes before the request at 6, so it counts as pending and the
+    transition waits for it."""
+    system = ms.load_system(SAMPLES / "carry_in.json")
+    made = []
+    fork = sim._SourceRun._fork
+
+    def keeping_rows(self):
+        twin = fork(self)
+        made.append((twin, []))
+        twin._emit = made[-1][1].append
+        return twin
+
+    monkeypatch.setattr(sim._SourceRun, "_fork", keeping_rows)
+    assert ms.sweep_mcr(system, "offline-table", ("c", "b"), [6]).max_latency == 13
+    ((twin, rows),) = made
+    request = twin.scaled(Fraction(6))
+    assert rows[:2] == [(request, 1, "release", "c0", 1), (request, None, "MCR", "b", None)]
+    # the fork settles at 20, when the processor first idles after the transition end at 19
+    assert settlements == [twin.scaled(Fraction(20))]
+    assert rows == [row for row in ms.run(twin.scenario).rows if request <= row[0] <= settlements[0]]
+
+
 def test_repeated_and_backward_points_in_one_interval(forks):
     system = backlogged_handover()
     for allocation_source in ("offline-table", "online-ffd"):
@@ -948,32 +973,31 @@ def test_interval_sweep_matches_per_point_runs_randomized():
 
 @pytest.fixture
 def instants(monkeypatch):
-    """How many instants the engines process: a one-item list that every
-    ``process_instant`` call, sweep forks' included, counts up."""
-    calls = [0]
-    process_instant = sim._Engine.process_instant
+    """How many instants sweep forks process, read by calling the returned
+    function: each fork's ``instants`` counter, from the fork on."""
+    made = []
+    fork = sim._SourceRun._fork
 
-    def counting(self, time):
-        calls[0] += 1
-        process_instant(self, time)
+    def recording(self):
+        twin = fork(self)
+        made.append((twin, twin.instants))
+        return twin
 
-    monkeypatch.setattr(sim._Engine, "process_instant", counting)
-    return calls
+    monkeypatch.setattr(sim._SourceRun, "_fork", recording)
+    return lambda: sum(twin.instants - forked for twin, forked in made)
 
 
 @pytest.fixture
 def settlements(monkeypatch):
     """The instant at which each settled fork stopped, in order."""
     settled = []
-    dispatch = sim._SourceRun.dispatch
+    stop = sim._SourceRun.stop
 
     def recording(self, time):
-        waiting = self.waiting
-        dispatch(self, time)
-        if waiting and not self.waiting:
-            settled.append(time)
+        settled.append(time)
+        stop(self, time)
 
-    monkeypatch.setattr(sim._SourceRun, "dispatch", recording)
+    monkeypatch.setattr(sim._SourceRun, "stop", recording)
     return settled
 
 
@@ -981,13 +1005,13 @@ def test_sweep_instant_totals(case_study, instants, settlements):
     """A count of the simulated instants, not a timing, bounds the sweep cost."""
     committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     assert ms.run_sweep(case_study, committed).points == 1800
-    assert instants[0] <= 13563
+    assert instants() <= 13563
     assert len(settlements) >= 981
-    instants[0] = 0
+    committed_instants = instants()
     settlements.clear()
     spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     assert ms.run_sweep(case_study, spec).points == 900
-    assert instants[0] <= 12904
+    assert instants() - committed_instants <= 12904
     assert len(settlements) == 467
 
 
@@ -1021,14 +1045,12 @@ def test_settled_fork_serves_later_points_of_its_interval(forks, instants, settl
     assert [r.max_latency for r in points] == [5, 4, 3]
     args = (system, "offline-table", ("alpha", "beta"), grid)
     expected = per_point_sweep(*args)
-    instants[0] = 0
     ms.sweep_mcr(system, "offline-table", ("alpha", "beta"), [3])
-    alone = instants[0]
+    alone = instants()
     forks.clear()
     settlements.clear()
-    instants[0] = 0
     result = ms.sweep_mcr(*args)
-    assert instants[0] == alone  # the later points process no instant
+    assert instants() - alone == alone  # the later points process no instant
     assert result == expected
     assert (result.max_latency, result.at_time, result.transition_misses) == (5, 3, 1)
     assert forks == [3] and settlements == [17]

@@ -94,7 +94,7 @@ MUTANTS = (
     ),
     Mutant(
         "settle-early", "src/modesched/sim.py",
-        "self.waiting = tuple(p for p in self.waiting if running[p] is not None)", "self.waiting = ()",
+        "waiting = tuple(p for p in waiting if running[p] is not None)", "waiting = ()",
         "a sweep fork settles only once every processor has idled since the transition end",
     ),
     Mutant(
@@ -109,7 +109,8 @@ MUTANTS = (
     ),
     Mutant(
         "settled-fork-stale-finish", "src/modesched/sim.py",
-        "self.next_finish = None", "pass",
+        "self.stop(time)\n                    next_finish = None\n",
+        "self.stop(time)\n",
         "a settled fork has nothing left to complete, so it processes no further instant",
     ),
     Mutant(
@@ -126,8 +127,8 @@ MUTANTS = (
     ),
     Mutant(
         "release-as-entry-pops", "src/modesched/sim.py",
-        "                    due.append(states[task_id])\n",
-        "                    due.append(states[task_id])\n                    break\n",
+        "                        due.append(states[task_id])\n",
+        "                        due.append(states[task_id])\n                        break\n",
         "an instant's deadline-miss rows precede its release rows",
     ),
     Mutant(
@@ -135,6 +136,12 @@ MUTANTS = (
         "if job is not None and job.remaining > 0:",
         "if job is not None and job.remaining > 0 and (task_id is None or states[task_id].activation == activation):",
         "a disabled task's last job still has its deadline checked",
+    ),
+    Mutant(
+        "fork-after-request-instant", "src/modesched/sim.py",
+        "if self.advance(time) == time or self.time > start:",
+        "if self.advance(time + 1) == time or self.time > start:",
+        "a job released exactly at an MCR instant counts as pending",
     ),
 )
 
