@@ -70,12 +70,15 @@ instant the pending source-mode jobs stay the same, and so do the transition
 end and the suffix schedule.  The exception is a request with nothing pending,
 whose destination mode starts at the request itself; such a point gets its
 own fork.  A fork stops once EDF can no longer change its outcome: its
-transition has ended and every processor has idled since the end.  A sweep
+transition has ended and every processor has settled, at an instant at
+which no job pending there was behind its fluid share and each transition
+check still open there had a job due by the check's deadline.  A sweep
 simulates only allocations that load no processor above 1 (an optimal table
-or a First-Fit placement), and with implicit deadlines and load at most 1,
-EDF then misses no deadline under any sporadic release pattern (Liu &
-Layland 1973; Baruah, Rosier & Howell 1990); each transition check already
-has its completion.
+or a First-Fit placement), so with implicit deadlines the fluid schedule,
+each task at the rate of its utilization, meets every later deadline; on
+one processor EDF meets every deadline any schedule meets (Dertouzos 1974;
+the fluid argument is that of Baruah, Cohen, Plaxton & Varvel 1996), so no
+job misses from then on and each open check is met.
 """
 
 from __future__ import annotations
@@ -503,7 +506,7 @@ class _Engine:
         self.next_finish: Optional[int] = None  # the earliest ``finish`` of a running job
         self.old_pending: set[_Job] = set()
         self.job_misses = 0
-        self.waiting: tuple[int, ...] = ()  # processors yet to idle; only a sweep fork fills it
+        self.waiting: tuple[int, ...] = ()  # processors yet to settle; only a sweep fork fills it
 
         # First-Fit placements by mode: a pure function of the system and the
         # mode, so forks share them
@@ -556,11 +559,14 @@ class _Engine:
     @staticmethod
     def check_outcome(record: dict, horizon, shift: int) -> Optional[bool]:
         """The verdict of a transition check in a run up to ``horizon``, its
-        absolute deadline moved ``shift`` later."""
+        absolute deadline moved ``shift`` later; a check a settled fork
+        decided (``_SourceRun.settles``) is met."""
         deadline = record["absolute"] + shift
         completion = record["completion"]
         if completion is not None:
             return completion <= deadline
+        if record["met"]:
+            return True
         if deadline < horizon:
             return False  # the deadline passed inside the window without a completion
         return None
@@ -590,6 +596,7 @@ class _Engine:
                     "mcr": self.mcr_time,
                     "absolute": self.mcr_time + self.scaled(task.transition_deadline),
                     "completion": None,
+                    "met": False,  # decided without its completion by a settled processor
                 }
                 self.checks.append(record)
                 self._check_by_task_job[(task.id, state.job_count)] = record
@@ -725,9 +732,9 @@ class _Engine:
                     running[p] = current
                 if current is not None and (next_finish is None or current.finish < next_finish):
                     next_finish = current.finish
-            if waiting:
-                waiting = tuple(p for p in waiting if running[p] is not None)
-                if not waiting:  # settled (see ``_SourceRun``)
+            if waiting:  # a sweep fork past its transition end (see ``_SourceRun``)
+                waiting = tuple(p for p in waiting if not self.settles(p, time))
+                if not waiting:
                     self.stop(time)
                     next_finish = None
         self.time, self.next_finish, self.waiting = time, next_finish, waiting
@@ -797,15 +804,30 @@ class _SourceRun(_Engine):
     keeps each processor's load (its MI tasks plus the mode's MD tasks placed
     there) at most 1 by construction: an optimal table of the exact search,
     which refuses any placement past capacity, or a First-Fit placement,
-    which places a task only where it fits and otherwise raises.  A fork
-    therefore settles, and stops, once its transition has ended and every
-    processor has been idle after a dispatch since the end (``waiting``).
-    An idle processor has completed every job released before, the first
-    jobs of the destination mode included, so every transition check has
-    its completion; from then on EDF misses no deadline.  Settling empties
-    the heap and forgets the next completion, so ``advance`` returns at
-    once, for later points of the interval too: ``check_outcome`` only
-    shifts deadlines already decided.
+    which places a task only where it fits and otherwise raises.  So a
+    fork's processor settles (``settles``) at an instant ``t`` after the
+    transition end, after the dispatch pass, once both hold:
+      (a) no job pending there, running or ready, is behind its fluid
+          share: ``r * T <= C * (d - t)``, with ``r`` its remaining work,
+          ``d`` its absolute deadline, ``C`` and ``T`` its task's wcet and
+          period;
+      (b) each transition check still open there has a job due by the
+          check's deadline.
+    A sweep has no release offsets, so each check's job is released at the
+    transition end, before the first test.  Deadlines are implicit, so each
+    task's next release falls at its pending job's deadline; under (a),
+    running every task at the rate ``C / T``, at most 1 in all, completes
+    every job by its deadline, so EDF does too (Dertouzos 1974; Baruah,
+    Cohen, Plaxton & Varvel 1996).  No job there misses after ``t``, and
+    each open check's job completes by the check's deadline, also moved by
+    any shift a later point of the interval applies.  The check is recorded
+    as met, with no completion instant: the point's own run finds it met,
+    or undecided if the completion falls past its horizon, never missed.
+    An idle processor meets (a) and (b) vacuously.  A fork queues one request, so no check opens later and a
+    settled processor stays settled.  Once every processor has settled
+    (``waiting`` empties) the fork stops: settling empties the heap and
+    forgets the next completion, so ``advance`` returns at once, for later
+    points of the interval too.
     """
 
     def __init__(self, scenario: Scenario):
@@ -818,6 +840,33 @@ class _SourceRun(_Engine):
         super().enable_mode(mode_id, time)
         if self.destination is not None:
             self.waiting = tuple(self.processors)
+
+    def settles(self, p: int, time: int) -> bool:
+        """Whether processor ``p`` has settled at instant ``time``, after its
+        dispatch: no pending job is behind its fluid share, and every open
+        check on ``p`` has a job due by the check's deadline.  Those checks
+        are then decided, met, and no longer open."""
+        current = self.running[p]
+        if current is None:  # idle: the dispatch left no job ready
+            return True
+        states, queue = self.states, self.ready[p]
+        if (current.finish - time) * states[current.task_id].period > current.wcet * (current.deadline - time):
+            return False  # behind its fluid share
+        for _, job in queue:
+            if job.remaining * states[job.task_id].period > job.wcet * (job.deadline - time):
+                return False
+        checks = self._check_by_task_job
+        if checks:
+            decided = []
+            for job in (current, *(job for _, job in queue)):
+                key = (job.task_id, job.index)
+                if key in checks:
+                    if job.deadline > checks[key]["absolute"]:
+                        return False  # the check's verdict turns on its job's completion
+                    decided.append(key)
+            for key in decided:
+                checks.pop(key)["met"] = True
+        return True
 
     def stop(self, time: int) -> None:
         """Settle at instant ``time``: drop every queued entry, so that

@@ -913,7 +913,9 @@ def test_fork_processes_its_request_instant_as_the_points_own_run(monkeypatch, s
     ((twin, rows),) = made
     request = twin.scaled(Fraction(6))
     assert rows[:2] == [(request, 1, "release", "c0", 1), (request, None, "MCR", "b", None)]
-    # the fork settles at 20, when the processor first idles after the transition end at 19
+    # not at the transition end 19: ``b0``'s first job is due at 21, after its
+    # transition deadline 19, so the check stays open until the job completes
+    # at 20 and the processor idles
     assert settlements == [twin.scaled(Fraction(20))]
     assert rows == [row for row in ms.run(twin.scenario).rows if request <= row[0] <= settlements[0]]
 
@@ -1005,21 +1007,22 @@ def test_sweep_instant_totals(case_study, instants, settlements):
     """A count of the simulated instants, not a timing, bounds the sweep cost."""
     committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     assert ms.run_sweep(case_study, committed).points == 1800
-    assert instants() <= 13563
-    assert len(settlements) >= 981
+    assert instants() <= 6320
+    assert len(settlements) >= 1019
     committed_instants = instants()
     settlements.clear()
     spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     assert ms.run_sweep(case_study, spec).points == 900
-    assert instants() - committed_instants <= 12904
+    assert instants() - committed_instants <= 3988
     assert len(settlements) == 467
 
 
 def idling_handover():
     """``backlogged_handover`` with a lighter destination task ``y``: beta
     loads the processor to 3/4.  A request at 3, 4 or 5 ends the transition
-    at 8, ``y``'s first job completes at 12, and the processor first idles
-    at 17, before the horizon of the request at 3 (3 + bound 10 + margin 11)."""
+    at 8 and ``y``'s first job completes at 12, after which no pending job is
+    behind its fluid share, well before the horizon of the request at 3
+    (3 + bound 10 + margin 11)."""
     return ms.build_system(
         {
             "processors": 1,
@@ -1035,7 +1038,7 @@ def idling_handover():
 
 
 def test_settled_fork_serves_later_points_of_its_interval(forks, instants, settlements):
-    """The fork made at 3 stops at 17 and still gives the points 4 and 5
+    """The fork made at 3 stops at 12 and still gives the points 4 and 5
     their own outcomes: the transition deadline, 8 after each request, is
     missed at 3 (12 > 11) and met at 4 and 5."""
     system = idling_handover()
@@ -1053,7 +1056,74 @@ def test_settled_fork_serves_later_points_of_its_interval(forks, instants, settl
     assert instants() - alone == alone  # the later points process no instant
     assert result == expected
     assert (result.max_latency, result.at_time, result.transition_misses) == (5, 3, 1)
-    assert forks == [3] and settlements == [17]
+    assert forks == [3] and settlements == [12]
+
+
+def test_fork_does_not_settle_while_a_ready_job_is_behind(settlements):
+    """Alpha's job of ``a`` wins the tie at deadline 12 against the MI job of
+    ``m`` released at 6, so the transition ends at 9.  There ``u``'s first job
+    runs on its fluid share (1 unit, 2 to its deadline, at rate 1/2), but
+    ``m``'s job waits with all 3 units and deadline 12, behind its share
+    (3 * 6 > 3 * (12 - 9)).  It misses at 12, and at load 1 the backlog makes
+    ``m`` and ``u`` miss for good: 5 misses by the horizon 25."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "m", "kind": "MI", "wcet": 3, "period": 6, "processor": 1},
+                {"id": "a", "kind": "MD", "wcet": 6, "period": 12},
+                {"id": "u", "kind": "MD", "wcet": 1, "period": 2},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["a"]}, {"id": "beta", "md_tasks": ["u"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+    args = (system, "offline-table", ("alpha", "beta"), [0])
+    result = ms.sweep_mcr(*args)
+    assert result == per_point_sweep(*args)
+    assert (result.max_latency, result.job_misses) == (9, 5)
+    assert settlements == []
+
+
+def test_open_check_due_after_its_job_keeps_the_fork_running(forks, settlements):
+    """The fork made at 0 serves the points 0 to 3: the transition ends at 4
+    and ``y``'s first job runs 4 to 6, on its fluid share, but its deadline 8
+    falls after the transition deadline 4 after the request.  The check is
+    missed at 0 and 1 (6 > 4, 6 > 5) and met at 2 and 3, so the fork runs on
+    until the job completes at 6, where the processor idles."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "x", "kind": "MD", "wcet": 4, "period": 8},
+                {"id": "y", "kind": "MD", "wcet": 2, "period": 4, "transition_deadline": 4},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+    grid = [0, 1, 2, 3]
+    assert [r.transition_misses for r in one_point_each(system, grid)] == [1, 1, 0, 0]
+    args = (system, "offline-table", ("alpha", "beta"), grid)
+    result = ms.sweep_mcr(*args)
+    assert result == per_point_sweep(*args)
+    assert (result.max_latency, result.transition_misses) == (4, 2)
+    assert forks == [0] and settlements == [6]
+
+
+def test_fork_does_not_settle_while_a_job_is_past_its_deadline(settlements):
+    """A request at 4 ends the transition at 8; ``y``'s first job misses its
+    deadline 12 and is still pending there, when the new jobs of ``a`` and
+    ``y``, both just released, run on their fluid shares.  The backlog makes
+    ``y`` miss again at 24, before the horizon 25, and its first job
+    completes at 13, after the transition deadline 12: a job due by the
+    check's deadline decides the check only while no job is behind."""
+    system = backlogged_handover()
+    args = (system, "offline-table", ("alpha", "beta"), [4])
+    result = ms.sweep_mcr(*args)
+    assert result == per_point_sweep(*args)
+    assert (result.job_misses, result.transition_misses) == (2, 1)
+    assert settlements == []
 
 
 def test_overloaded_destination_never_settles():
@@ -1176,9 +1246,11 @@ def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(set
 
 
 def test_sweeps_simulate_only_utilization_feasible_allocations(monkeypatch):
-    """A fork settles at idle processors without checking the destination
-    load: the premise is that every allocation a sweep's source run or forks
-    use loads no processor above 1.  Each one passes ``validate_allocation``
+    """A fork settles a processor once no pending job is behind its fluid
+    share, without checking the destination load: the premise, under which
+    EDF meets every deadline the fluid schedule meets, is that every
+    allocation a sweep's source run or forks use loads no processor above 1.
+    Each one passes ``validate_allocation``
     over the settling corpus, both allocation sources and the saturated
     systems (load exactly 1) included."""
     used = []

@@ -94,8 +94,23 @@ MUTANTS = (
     ),
     Mutant(
         "settle-early", "src/modesched/sim.py",
-        "waiting = tuple(p for p in waiting if running[p] is not None)", "waiting = ()",
-        "a sweep fork settles only once every processor has idled since the transition end",
+        "waiting = tuple(p for p in waiting if not self.settles(p, time))", "waiting = ()",
+        "a sweep fork settles only once every processor has settled since the transition end",
+    ),
+    Mutant(
+        "settle-lag-flipped", "src/modesched/sim.py",
+        "states[current.task_id].period > current.wcet", "states[current.task_id].period < current.wcet",
+        "a processor settles only while no pending job is behind its fluid share",
+    ),
+    Mutant(
+        "settle-skips-ready", "src/modesched/sim.py",
+        "for _, job in queue:", "for _, job in ():",
+        "a processor settles only while no pending job is behind its fluid share, ready jobs included",
+    ),
+    Mutant(
+        "settle-decides-any-check", "src/modesched/sim.py",
+        'if job.deadline > checks[key]["absolute"]:', "if False:",
+        "a settled processor decides an open check only if its job is due by the check's deadline",
     ),
     Mutant(
         "advance-past-limit", "src/modesched/sim.py",
