@@ -64,21 +64,23 @@ An MCR sweep (``sweep_mcr``) simulates the source mode once and forks it at
 request instants: the source run processes every instant before a request,
 and the fork queues the request as an ordinary MCR entry, so the request
 instant runs through the same loop as in the point's own run, its releases
-first.  It costs one fork per interval between two instants the
-source run processes, not one suffix per grid point: until the next such
-instant the pending source-mode jobs stay the same, and so do the transition
-end and the suffix schedule.  The exception is a request with nothing pending,
-whose destination mode starts at the request itself; such a point gets its
-own fork.  A fork stops once EDF can no longer change its outcome: its
-transition has ended and every processor has settled, at an instant at
-which no job pending there was behind its fluid share and each transition
-check still open there had a job due by the check's deadline.  A sweep
-simulates only allocations that load no processor above 1 (an optimal table
-or a First-Fit placement), so with implicit deadlines the fluid schedule,
-each task at the rate of its utilization, meets every later deadline; on
-one processor EDF meets every deadline any schedule meets (Dertouzos 1974;
-the fluid argument is that of Baruah, Cohen, Plaxton & Varvel 1996), so no
-job misses from then on and each open check is met.
+first.  A request stops only the source mode's MD releases: MI tasks keep
+releasing and pending jobs keep running.  So a fork made at ``t0`` serves
+every later point before the source mode's next MD release after ``t0`` and
+before its own transition end: a request there leaves the same jobs pending,
+the same transition end and the same suffix schedule.  The exception is a
+request with nothing pending, whose destination mode starts at the request
+itself; such a point gets its own fork.  A fork stops once EDF can no longer
+change its outcome: its transition has ended and every processor has
+settled, at an instant at which no job pending there was behind its fluid
+share and each transition check still open there had a job due by the
+check's deadline.  A sweep simulates only allocations that load no
+processor above 1 (an optimal table or a First-Fit placement), so with
+implicit deadlines the fluid schedule, each task at the rate of its
+utilization, meets every later deadline; on one processor EDF meets every
+deadline any schedule meets (Dertouzos 1974; the fluid argument is that of
+Baruah, Cohen, Plaxton & Varvel 1996), so no job misses from then on and
+each open check is met.
 """
 
 from __future__ import annotations
@@ -508,9 +510,11 @@ class _Engine:
         self.job_misses = 0
         self.waiting: tuple[int, ...] = ()  # processors yet to settle; only a sweep fork fills it
 
-        # First-Fit placements by mode: a pure function of the system and the
-        # mode, so forks share them
-        self.placements: dict[str, Allocation] = {}
+        # by mode, fixed for the run, so forks share them: the MD ids sorted
+        # (dict keys), and from the mode's first enable on, one (task id,
+        # processor, scaled transition deadline or None) per MD task
+        self.md_ids = {mode: dict.fromkeys(sorted(system.mode(mode).md_tasks)) for mode in system.mode_ids()}
+        self.plans: dict[str, tuple[tuple[str, int, Optional[int]], ...]] = {}
         self.current_mode = scenario.initial_mode
         self.mcr_time = 0
         self.destination: Optional[str] = None  # set only during a transition
@@ -543,18 +547,14 @@ class _Engine:
     def allocation_for(self, mode_id: str, time: int) -> Allocation:
         if self.scenario.allocation_source == OFFLINE_TABLE:
             return self.scenario.static_tables[mode_id]
-        allocation = self.placements.get(mode_id)
-        if allocation is None:
-            try:
-                allocation = first_fit_decreasing(self.system, mode_id)
-            except PlacementError as exc:
-                raise SimulationError(
-                    f"online placement failed at time {_shown(self._frac(time))}: {exc}",
-                    time=self._frac(time),
-                    task_id=exc.task_id,
-                ) from exc
-            self.placements[mode_id] = allocation
-        return allocation
+        try:
+            return first_fit_decreasing(self.system, mode_id)
+        except PlacementError as exc:
+            raise SimulationError(
+                f"online placement failed at time {_shown(self._frac(time))}: {exc}",
+                time=self._frac(time),
+                task_id=exc.task_id,
+            ) from exc
 
     @staticmethod
     def check_outcome(record: dict, horizon, shift: int) -> Optional[bool]:
@@ -582,24 +582,31 @@ class _Engine:
     def enable_mode(self, mode_id: str, time: int) -> None:
         """Enable a mode's MD tasks; while a transition is under way
         (``destination`` still set), also record their transition checks."""
-        allocation = self.allocation_for(mode_id, time)
-        for task in self.system.md_tasks_of(mode_id):
-            state = self.states[task.id]
-            state.processor = allocation.assignment[task.id]
+        plan = self.plans.get(mode_id)
+        if plan is None:
+            assignment = self.allocation_for(mode_id, time).assignment
+            plan = self.plans[mode_id] = tuple(
+                (task.id, assignment[task.id], None if task.transition_deadline is None
+                 else self.scaled(task.transition_deadline))
+                for task in self.system.md_tasks_of(mode_id)
+            )
+        for task_id, processor, transition_deadline in plan:
+            state = self.states[task_id]
+            state.processor = processor
             state.activation += 1
             state.enable_time = time
             state.offset_index = 0
-            self._emit((time, state.processor, "enable", task.id, None))
-            if self.destination is not None and task.transition_deadline is not None:
+            self._emit((time, processor, "enable", task_id, None))
+            if self.destination is not None and transition_deadline is not None:
                 record = {
-                    "task_id": task.id,
+                    "task_id": task_id,
                     "mcr": self.mcr_time,
-                    "absolute": self.mcr_time + self.scaled(task.transition_deadline),
+                    "absolute": self.mcr_time + transition_deadline,
                     "completion": None,
                     "met": False,  # decided without its completion by a settled processor
                 }
                 self.checks.append(record)
-                self._check_by_task_job[(task.id, state.job_count)] = record
+                self._check_by_task_job[(task_id, state.job_count)] = record
             self._schedule_release(state)
 
     def _schedule_release(self, state: _TaskState) -> None:
@@ -622,8 +629,8 @@ class _Engine:
         self._emit((time, None, "MCR", destination, None))
         self.mcr_time = time
         self.destination = destination
-        old_ids = set(self.system.mode(self.current_mode).md_tasks)
-        for task_id in sorted(old_ids):
+        old_ids = self.md_ids[self.current_mode]
+        for task_id in old_ids:
             state = self.states[task_id]
             state.activation += 1
             self._emit((time, state.processor, "MD-disabled", task_id, None))
@@ -794,11 +801,22 @@ class _SourceRun(_Engine):
     own run would queue, and ``advance`` processes neither's entries at or
     past that horizon, so the fork has processed what that run would.
 
-    One fork serves every point up to the next instant this run processes:
-    until then the pending source-mode jobs stay the same, and so do the
-    transition end and the suffix schedule.  The exception is a request with
-    nothing pending: the destination mode then starts at the request itself,
-    so the suffix moves with it and each such point gets its own fork.
+    The fork made at ``t0`` serves every later point ``t`` that lies before
+    both the source mode's next MD release strictly after ``t0`` and the
+    fork's transition end ``E``.  A request stops only MD releases, and this
+    run releases no MD job in ``(t0, t]``, so there the two runs differ in
+    nothing: the same MI jobs are released, the same jobs complete (old MD
+    jobs too), the same deadlines are missed and each dispatch is the same.
+    The request at ``t`` thus leaves pending the fork's old jobs still
+    pending at ``t``, and the transition end and the suffix are the fork's;
+    the latency is ``E - t`` and each transition deadline falls ``t - t0``
+    later.  A sweep has no release offsets, so that release is
+    ``(t0 // T + 1) * T`` at the earliest over the source mode's MD periods
+    ``T``: a job released at ``t0`` itself is pending at ``t0``, so the
+    stretch runs on to the following release.  A point at or after ``E`` finds nothing pending, as
+    does a request with nothing pending at all: the destination mode then
+    starts at the request itself, so the suffix moves with it and each such
+    point gets its own fork.
 
     Only ``sweep_mcr`` builds this class, and every allocation it simulates
     keeps each processor's load (its MI tasks plus the mode's MD tasks placed
@@ -820,20 +838,22 @@ class _SourceRun(_Engine):
     every job by its deadline, so EDF does too (Dertouzos 1974; Baruah,
     Cohen, Plaxton & Varvel 1996).  No job there misses after ``t``, and
     each open check's job completes by the check's deadline, also moved by
-    any shift a later point of the interval applies.  The check is recorded
+    any shift a later point the fork serves applies.  The check is recorded
     as met, with no completion instant: the point's own run finds it met,
     or undecided if the completion falls past its horizon, never missed.
     An idle processor meets (a) and (b) vacuously.  A fork queues one request, so no check opens later and a
     settled processor stays settled.  Once every processor has settled
     (``waiting`` empties) the fork stops: settling empties the heap and
     forgets the next completion, so ``advance`` returns at once, for later
-    points of the interval too.
+    points the fork serves too.
     """
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self._emit = _DISCARD
         self.serving: Optional[_SourceRun] = None
+        self.serves_until = 0  # the source mode's first MD release after the request of ``serving``
+        self.md_periods = tuple(self.states[task_id].period for task_id in self.md_ids[scenario.initial_mode])
         self.start()
 
     def enable_mode(self, mode_id: str, time: int) -> None:
@@ -879,20 +899,21 @@ class _SourceRun(_Engine):
     def request(self, time: int, destination: str) -> "_SourceRun":
         """A fork that requested ``destination`` at instant ``time`` and has
         processed that instant, or the one made for an earlier point if it
-        serves ``time`` too; this run first processes every instant before
-        ``time``."""
-        if time > self.time:
-            start = self.time
-            if self.advance(time) == time or self.time > start:  # an instant in (start, time]
-                self.serving = None
-            self.time = time
-        if self.serving is not None:
-            return self.serving
+        serves ``time`` too (see the class docstring); this run first
+        processes every instant before ``time``."""
+        self.advance(time)
+        self.time = time
+        serving = self.serving
+        # its transition end is its request instant plus its latency
+        if serving is not None and time < self.serves_until and time < sum(serving.latencies[0]):
+            return serving
         fork = self._fork()
         fork._push(time, _PHASE_MCR, destination)
         fork.advance(time + 1)
         if fork.destination is not None:  # the transition waits for pending jobs
             self.serving = fork
+            # strictly after ``time``: a job released at ``time`` is pending in the fork
+            self.serves_until = min((time // period + 1) * period for period in self.md_periods)
         return fork
 
     def _fork(self) -> "_SourceRun":
@@ -954,15 +975,17 @@ def sweep_mcr(
     source's longest MD period after it.  The source mode
     is simulated once, in grid order, up to each request instant and forked
     there; the fork's request is an ordinary queued MCR, processed after the
-    releases of its instant, with no second copy of the instant loop.  The
-    sweep costs one fork per interval between two instants the source run
-    processes, not one suffix per point.  A fork made at ``t0`` serves a later
-    point ``t`` in its interval by advancing to ``t``'s horizon, which it
-    stops short of as ``t``'s own run would: the latency is the transition
-    end less ``t``, and each transition deadline moves ``t - t0`` later.  A
-    point with no source-mode job pending gets its own fork, since its
-    destination mode starts at ``t`` itself.  Job deadline misses before the
-    request count at every point, as they would in the point's own scenario.
+    releases of its instant, with no second copy of the instant loop.  A
+    fork made at ``t0`` serves each later point ``t`` before both the source
+    mode's next MD release after ``t0`` and the fork's transition end (see
+    ``_SourceRun``), not one suffix per point: a request stops only MD
+    releases, so until then the two runs differ in nothing.  The fork
+    advances to ``t``'s horizon, which it stops short of as ``t``'s own run
+    would: the latency is the transition end less ``t``, and each
+    transition deadline moves ``t - t0`` later.  A point with no
+    source-mode job pending gets its own fork, since its destination mode
+    starts at ``t`` itself.  Job deadline misses before the request count
+    at every point, as they would in the point's own scenario.
     A fork stops early once EDF can no longer change its outcome (see
     ``_SourceRun``): what it would simulate up to a later horizon holds no
     job miss and no new transition-check verdict.

@@ -808,7 +808,7 @@ def test_forked_sweep_edge_cases(case_study):
 
 
 # ---------------------------------------------------------------------------
-# one fork per interval between two instants the source run processes
+# one fork per stretch before the source mode's next MD release and the transition end
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -936,6 +936,119 @@ def test_committed_sweep_forks_once_per_source_interval(case_study, forks):
     assert len(forks) <= 1019
 
 
+def draining_handover():
+    """One processor: the MI task ``m`` and alpha's ``x`` and ``z``, all
+    released at 0.  A request at 0 leaves ``x`` and ``z`` pending; ``m``
+    runs 0-1, 3-4 and 6-7, ``x`` completes at 6 and ``z`` at 8, the
+    transition end.  Alpha's next MD release is at 12, so nothing of alpha
+    is pending in [8, 12)."""
+    return ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "m", "kind": "MI", "wcet": 1, "period": 3, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 4, "period": 12},
+                {"id": "z", "kind": "MD", "wcet": 1, "period": 12},
+                {"id": "y", "kind": "MD", "wcet": 1, "period": 4, "transition_deadline": 4},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x", "z"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+
+
+def test_fork_serves_across_mi_releases_and_old_md_completions(forks):
+    """The fork made at 0 serves every point up to the transition end 8,
+    across ``m``'s releases at 3 and 6 and ``x``'s completion at 6: alpha
+    releases no MD job in between, so a later request leaves the same jobs
+    pending.  ``y``'s first job completes at 9, past its transition deadline
+    4 after the requests up to 4 and by it after the later ones."""
+    system = draining_handover()
+    grid = list(range(8))
+    points = one_point_each(system, grid)
+    assert [r.max_latency for r in points] == [8, 7, 6, 5, 4, 3, 2, 1]
+    assert [r.transition_misses for r in points] == [1, 1, 1, 1, 1, 0, 0, 0]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert (result.max_latency, result.at_time, result.transition_misses) == (8, 0, 5)
+        assert forks == [0]
+
+
+def test_point_at_or_after_the_transition_end_gets_its_own_fork(forks):
+    """From the transition end 8 of the fork made at 0 on, nothing of alpha
+    is pending, so beta starts at the request itself: latency 0, with a
+    fork of its own for each point."""
+    system = draining_handover()
+    grid = [0, 7, 8, 9, 11]
+    assert [r.max_latency for r in one_point_each(system, grid)] == [8, 1, 0, 0, 0]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+        assert forks == [0, 8, 9, 11]
+
+
+def short_period_handover():
+    """One processor: the MI task ``m`` of ``draining_handover``, and
+    alpha's ``w``, released every 4, and ``x``.  A request at 3 leaves
+    ``x`` pending until 9; one at 4 also leaves ``w``'s job released at 4,
+    and the transition ends at 11; one at 8 leaves ``w``'s job released at
+    8, and it ends at 12, where ``y``'s first job is released; it completes
+    at 14, past the transition deadline 12."""
+    return ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "m", "kind": "MI", "wcet": 1, "period": 3, "processor": 1},
+                {"id": "w", "kind": "MD", "wcet": 1, "period": 4},
+                {"id": "x", "kind": "MD", "wcet": 5, "period": 12},
+                {"id": "y", "kind": "MD", "wcet": 1, "period": 4, "transition_deadline": 4},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["w", "x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+
+
+def test_point_at_the_next_md_release_gets_its_own_fork(forks):
+    """The fork made at 3 ends its transition at 9, but alpha releases
+    ``w`` at 4: served from that fork, the request at 4 would show a
+    latency of 5, not 7."""
+    system = short_period_handover()
+    grid = [3, 4]
+    assert [r.max_latency for r in one_point_each(system, grid)] == [6, 7]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert (result.max_latency, result.at_time) == (7, 4)
+        assert forks == [3, 4]
+
+
+def test_fork_at_an_md_release_serves_up_to_the_following_one(forks):
+    """``w``'s job released at 4 is pending at the request at 4, so the
+    fork made there serves 5, 6 and 7; the next release strictly after 4 is
+    at 8, before that fork's transition end 11.  Served from it, the request
+    at 8 would end its transition at 11 and meet ``y``'s transition deadline
+    12; its own run ends at 12 and misses it."""
+    system = short_period_handover()
+    grid = [4, 5, 6, 7, 8]
+    points = one_point_each(system, grid)
+    assert [r.max_latency for r in points] == [7, 6, 5, 4, 4]
+    assert [r.transition_misses for r in points] == [1, 1, 1, 1, 1]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert result.transition_misses == 5
+        assert forks == [4, 8]
+
+
 def test_interval_sweep_matches_per_point_runs_randomized():
     rng = random.Random(9001)
     steps = (Fraction(1), Fraction(1, 2), Fraction(1, 5), Fraction(3, 4), Fraction(7, 3))
@@ -1007,14 +1120,14 @@ def test_sweep_instant_totals(case_study, instants, settlements):
     """A count of the simulated instants, not a timing, bounds the sweep cost."""
     committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     assert ms.run_sweep(case_study, committed).points == 1800
-    assert instants() <= 6320
-    assert len(settlements) >= 1019
+    assert instants() <= 3660
+    assert len(settlements) == 627
     committed_instants = instants()
     settlements.clear()
     spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     assert ms.run_sweep(case_study, spec).points == 900
-    assert instants() - committed_instants <= 3988
-    assert len(settlements) == 467
+    assert instants() - committed_instants <= 3506
+    assert len(settlements) == 439
 
 
 def idling_handover():

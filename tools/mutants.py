@@ -154,9 +154,19 @@ MUTANTS = (
     ),
     Mutant(
         "fork-after-request-instant", "src/modesched/sim.py",
-        "if self.advance(time) == time or self.time > start:",
-        "if self.advance(time + 1) == time or self.time > start:",
-        "a job released exactly at an MCR instant counts as pending",
+        "(time // period + 1) * period", "-(-time // period) * period",
+        "a job released exactly at an MCR instant counts as pending, so a fork made there serves on"
+        " to the source mode's following MD release",
+    ),
+    Mutant(
+        "serve-past-transition-end", "src/modesched/sim.py",
+        " and time < sum(serving.latencies[0])", "",
+        "a point at or after a fork's transition end has nothing pending and gets its own fork",
+    ),
+    Mutant(
+        "serve-through-md-release", "src/modesched/sim.py",
+        "time < self.serves_until", "time <= self.serves_until",
+        "a fork serves no point at or after the source mode's next MD release after its request",
     ),
 )
 
