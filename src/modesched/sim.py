@@ -68,19 +68,18 @@ first.  A request stops only the source mode's MD releases: MI tasks keep
 releasing and pending jobs keep running.  So a fork made at ``t0`` serves
 every later point before the source mode's next MD release after ``t0`` and
 before its own transition end: a request there leaves the same jobs pending,
-the same transition end and the same suffix schedule.  The exception is a
-request with nothing pending, whose destination mode starts at the request
-itself; such a point gets its own fork.  A fork stops once EDF can no longer
-change its outcome: its transition has ended and every processor has
-settled, at an instant at which no job pending there was behind its fluid
-share and each transition check still open there had a job due by the
+the same transition end and the same suffix schedule.  A request that finds
+nothing pending ends its transition at once, with latency 0; such a point
+is decided at the request, without a fork, wherever the processor-demand
+test (Baruah, Rosier & Howell 1990, with carry-in as in Spuri 1996) shows
+there that EDF meets every later deadline and each transition check's job
+is due by the check's deadline; otherwise it gets its own fork.  A fork
+stops once EDF can no longer change its outcome: its transition has ended
+and every processor has settled, at an instant at which the demand test
+held there and each transition check still open there had a job due by the
 check's deadline.  A sweep simulates only allocations that load no
-processor above 1 (an optimal table or a First-Fit placement), so with
-implicit deadlines the fluid schedule, each task at the rate of its
-utilization, meets every later deadline; on one processor EDF meets every
-deadline any schedule meets (Dertouzos 1974; the fluid argument is that of
-Baruah, Cohen, Plaxton & Varvel 1996), so no job misses from then on and
-each open check is met.
+processor above 1 (an optimal table or a First-Fit placement), which the
+test's argument needs: see ``_SourceRun``.
 """
 
 from __future__ import annotations
@@ -813,39 +812,79 @@ class _SourceRun(_Engine):
     later.  A sweep has no release offsets, so that release is
     ``(t0 // T + 1) * T`` at the earliest over the source mode's MD periods
     ``T``: a job released at ``t0`` itself is pending at ``t0``, so the
-    stretch runs on to the following release.  A point at or after ``E`` finds nothing pending, as
-    does a request with nothing pending at all: the destination mode then
-    starts at the request itself, so the suffix moves with it and each such
-    point gets its own fork.
+    stretch runs on to the following release.  A point at or after ``E``
+    finds nothing pending, as does a request with nothing pending at all:
+    the destination mode then starts at the request itself, so the suffix
+    moves with it, and such a point is decided without a fork (below) or
+    gets a fork of its own.
 
     Only ``sweep_mcr`` builds this class, and every allocation it simulates
     keeps each processor's load (its MI tasks plus the mode's MD tasks placed
     there) at most 1 by construction: an optimal table of the exact search,
     which refuses any placement past capacity, or a First-Fit placement,
-    which places a task only where it fits and otherwise raises.  So a
-    fork's processor settles (``settles``) at an instant ``t`` after the
+    which places a task only where it fits and otherwise raises.  On that
+    premise rests the processor-demand test (``meets_deadlines``; Baruah,
+    Rosier & Howell 1990, with the carry-in of pending jobs as in Spuri,
+    INRIA RR-2772, 1996).  It takes a processor ``p`` at an instant ``t``,
+    the tasks ``K`` there (the MI tasks on ``p`` and the mode's MD tasks
+    placed there) and the jobs pending there, each with remaining work
+    ``r > 0`` and absolute deadline ``d``.  For a task ``k`` let ``n_k`` be
+    the latest deadline of its pending jobs, or ``t`` if it has none.  The
+    test holds when, at every pending deadline ``D``,
+        sum(r_j for d_j <= D) + sum(C_k / T_k * max(0, D - n_k)) <= D - t;
+    it is evaluated in integers, scaled by the lcm of the periods on ``p``
+    (``weights``, built once per mode and processor and shared with forks).
+    If it holds, EDF misses no deadline on ``p`` after ``t``:
+      * deadlines are implicit and a sweep has no release offsets, so task
+        ``k`` releases next at ``n_k`` or later, and its jobs released from
+        then on and due by ``D`` need at most ``C_k / T_k * (D - n_k)``:
+        the left side bounds all work due by ``D``;
+      * between pending deadlines the left side grows at most at the load,
+        at most 1, so no faster than the right side, and before the first
+        one it is at most the load times ``D - t``: testing at the pending
+        deadlines covers every ``D``;
+      * a busy window that begins after ``t`` holds only jobs released in
+        it, whose demand is at most the load times its length.
+    A job due at ``t`` or earlier with work left fails the test at its own
+    deadline.  The test holds wherever every pending job is on its fluid
+    share, ``r * T <= C * (d - t)``: each task then has at most one
+    pending job, due at ``n_k``, and contributes at most ``C / T * (D - t)``.
+
+    A fork's processor settles (``settles``) at an instant ``t`` after the
     transition end, after the dispatch pass, once both hold:
-      (a) no job pending there, running or ready, is behind its fluid
-          share: ``r * T <= C * (d - t)``, with ``r`` its remaining work,
-          ``d`` its absolute deadline, ``C`` and ``T`` its task's wcet and
-          period;
+      (a) the demand test holds there;
       (b) each transition check still open there has a job due by the
           check's deadline.
     A sweep has no release offsets, so each check's job is released at the
-    transition end, before the first test.  Deadlines are implicit, so each
-    task's next release falls at its pending job's deadline; under (a),
-    running every task at the rate ``C / T``, at most 1 in all, completes
-    every job by its deadline, so EDF does too (Dertouzos 1974; Baruah,
-    Cohen, Plaxton & Varvel 1996).  No job there misses after ``t``, and
-    each open check's job completes by the check's deadline, also moved by
-    any shift a later point the fork serves applies.  The check is recorded
-    as met, with no completion instant: the point's own run finds it met,
-    or undecided if the completion falls past its horizon, never missed.
-    An idle processor meets (a) and (b) vacuously.  A fork queues one request, so no check opens later and a
+    transition end, before the first test.  Under (a) no job there misses
+    after ``t``, and each open check's job completes by the check's
+    deadline, also moved by any shift a later point the fork serves
+    applies.  The check is recorded as met, with no completion instant: the
+    point's own run finds it met, or undecided if the completion falls past
+    its horizon, never missed.  An idle processor meets (a) and (b)
+    vacuously.  A fork queues one request, so no check opens later and a
     settled processor stays settled.  Once every processor has settled
     (``waiting`` empties) the fork stops: settling empties the heap and
     forgets the next completion, so ``advance`` returns at once, for later
     points the fork serves too.
+
+    A point ``t`` that no fork serves is decided at the request, without a
+    fork (``decides``), when all of these hold:
+      1. no source-mode MD job is pending at ``t``: none running or ready,
+         and none released at ``t``;
+      2. a fork has already placed the destination mode: the test needs
+         the placement, and a fork makes it, and raises any online-ffd
+         placement error, at the instant the point's own run would;
+      3. each destination task with a transition deadline has a period of
+         at most that deadline;
+      4. the demand test holds on every processor, with the destination's
+         MD tasks released at ``t`` (``n_k = t``) and a running job's ``r``
+         its ``finish - t``.
+    The point's own run then ends its transition at ``t``, misses no
+    deadline from ``t`` on (a job due at ``t`` with work left fails 4), and
+    each check's job, released at ``t``, completes by its deadline, at most
+    the check's: before the horizon, so no check is missed.  The outcome is
+    latency 0 and the job misses of this run so far.
     """
 
     def __init__(self, scenario: Scenario):
@@ -854,6 +893,9 @@ class _SourceRun(_Engine):
         self.serving: Optional[_SourceRun] = None
         self.serves_until = 0  # the source mode's first MD release after the request of ``serving``
         self.md_periods = tuple(self.states[task_id].period for task_id in self.md_ids[scenario.initial_mode])
+        # by (mode, processor), shared with forks: the lcm L of the periods
+        # there and each task's weight C * L / T
+        self.weights: dict[tuple[str, int], tuple[int, dict[str, int]]] = {}
         self.start()
 
     def enable_mode(self, mode_id: str, time: int) -> None:
@@ -861,31 +903,76 @@ class _SourceRun(_Engine):
         if self.destination is not None:
             self.waiting = tuple(self.processors)
 
+    def pending(self, p: int, time: int) -> list[tuple[tuple[int, str, int], int]]:
+        """``(key, r)`` of each job pending on ``p`` at ``time``, by deadline:
+        its ``(deadline, task id, index)`` and its remaining work ``r > 0``."""
+        jobs = [(key, job.remaining) for key, job in self.ready[p]]
+        current = self.running[p]
+        if current is not None and current.finish > time:
+            jobs.append((current.key, current.finish - time))
+        jobs.sort()
+        return jobs
+
+    def meets_deadlines(self, p: int, time: int, mode_id: str, jobs: list[tuple[tuple[int, str, int], int]]) -> bool:
+        """The processor-demand test on ``p`` at ``time`` over its pending
+        ``jobs``, with the MI tasks and ``mode_id``'s MD tasks placed there
+        (see the class docstring)."""
+        if (mode_id, p) not in self.weights:
+            states = [self.states[task.id] for task in self.system.mi_on(p)]
+            states += (self.states[task_id] for task_id, q, _ in self.plans[mode_id] if q == p)
+            lcm = math.lcm(*(state.period for state in states))
+            self.weights[(mode_id, p)] = (lcm, {s.task.id: s.wcet * (lcm // s.period) for s in states})
+        lcm, weight = self.weights[(mode_id, p)]
+        releases = dict.fromkeys(weight, time)  # each task's next release: its latest pending deadline
+        for (deadline, task_id, _), _ in jobs:
+            releases[task_id] = deadline
+        demand = 0
+        for (deadline, _, _), remaining in jobs:
+            demand += remaining * lcm
+            carry = sum(weight[k] * (deadline - n) for k, n in releases.items() if n < deadline)
+            if demand + carry > lcm * (deadline - time):
+                return False
+        return True
+
     def settles(self, p: int, time: int) -> bool:
         """Whether processor ``p`` has settled at instant ``time``, after its
-        dispatch: no pending job is behind its fluid share, and every open
-        check on ``p`` has a job due by the check's deadline.  Those checks
-        are then decided, met, and no longer open."""
-        current = self.running[p]
-        if current is None:  # idle: the dispatch left no job ready
+        dispatch: the demand test holds there, and every open check on ``p``
+        has a job due by the check's deadline.  Those checks are then
+        decided, met, and no longer open."""
+        if self.running[p] is None:  # idle: the dispatch left no job ready
             return True
-        states, queue = self.states, self.ready[p]
-        if (current.finish - time) * states[current.task_id].period > current.wcet * (current.deadline - time):
-            return False  # behind its fluid share
-        for _, job in queue:
-            if job.remaining * states[job.task_id].period > job.wcet * (job.deadline - time):
-                return False
+        jobs = self.pending(p, time)
+        if not self.meets_deadlines(p, time, self.current_mode, jobs):
+            return False
         checks = self._check_by_task_job
         if checks:
             decided = []
-            for job in (current, *(job for _, job in queue)):
-                key = (job.task_id, job.index)
+            for (deadline, task_id, index), _ in jobs:
+                key = (task_id, index)
                 if key in checks:
-                    if job.deadline > checks[key]["absolute"]:
+                    if deadline > checks[key]["absolute"]:
                         return False  # the check's verdict turns on its job's completion
                     decided.append(key)
             for key in decided:
                 checks.pop(key)["met"] = True
+        return True
+
+    def decides(self, time: int, destination: str) -> bool:
+        """Whether a request at ``time`` finds no source-mode job pending and
+        the demand test, with the destination mode released at ``time``,
+        holds on every processor (see the class docstring)."""
+        plan = self.plans.get(destination)
+        if plan is None or any(time % period == 0 for period in self.md_periods):
+            return False  # no placement yet, or a source-mode MD job released at ``time``
+        if any(deadline is not None and self.states[task_id].period > deadline for task_id, _, deadline in plan):
+            return False
+        old_ids = self.md_ids[self.current_mode]
+        for p in self.processors:
+            jobs = self.pending(p, time)
+            if any(task_id in old_ids for (_, task_id, _), _ in jobs):
+                return False
+            if not self.meets_deadlines(p, time, destination, jobs):
+                return False
         return True
 
     def stop(self, time: int) -> None:
@@ -896,25 +983,37 @@ class _SourceRun(_Engine):
     def reaches(self, time: Fraction) -> bool:
         return self.scale % time.denominator == 0 and self.scaled(time) >= self.time
 
-    def request(self, time: int, destination: str) -> "_SourceRun":
-        """A fork that requested ``destination`` at instant ``time`` and has
-        processed that instant, or the one made for an earlier point if it
-        serves ``time`` too (see the class docstring); this run first
-        processes every instant before ``time``."""
+    def request(self, time: int, destination: str, limit: int) -> tuple[int, int, int]:
+        """The outcome of a request for ``destination`` at instant ``time`` in
+        a run up to ``limit``: its latency, job misses and missed transition
+        checks.  This run first processes every instant before ``time``; the
+        outcome is decided there, or read from a fork that requested at
+        ``time``, or from the one made for an earlier point if it serves
+        ``time`` too (see the class docstring)."""
         self.advance(time)
         self.time = time
         serving = self.serving
         # its transition end is its request instant plus its latency
         if serving is not None and time < self.serves_until and time < sum(serving.latencies[0]):
-            return serving
-        fork = self._fork()
-        fork._push(time, _PHASE_MCR, destination)
-        fork.advance(time + 1)
-        if fork.destination is not None:  # the transition waits for pending jobs
-            self.serving = fork
-            # strictly after ``time``: a job released at ``time`` is pending in the fork
-            self.serves_until = min((time // period + 1) * period for period in self.md_periods)
-        return fork
+            fork = serving
+        elif self.decides(time, destination):
+            return 0, self.job_misses, 0
+        else:
+            fork = self._fork()
+            fork._push(time, _PHASE_MCR, destination)
+            fork.advance(time + 1)
+            if fork.destination is not None:  # the transition waits for pending jobs
+                self.serving = fork
+                # strictly after ``time``: a job released at ``time`` is pending in the fork
+                self.serves_until = min((time // period + 1) * period for period in self.md_periods)
+        fork.advance(limit)
+        # at load <= 1 every source-mode job meets its deadline, so the
+        # transition ends by t plus the source's longest MD period, before
+        # limit; an engine bug that broke this fails here as an internal error
+        ((requested, latency),) = fork.latencies
+        shift = time - requested  # the fork may serve an earlier point too
+        missed = sum(1 for record in fork.checks if fork.check_outcome(record, limit, shift) is False)
+        return latency - shift, fork.job_misses, missed
 
     def _fork(self) -> "_SourceRun":
         # Task states and pending jobs, all the suffix can mutate, are copied
@@ -983,12 +1082,16 @@ def sweep_mcr(
     advances to ``t``'s horizon, which it stops short of as ``t``'s own run
     would: the latency is the transition end less ``t``, and each
     transition deadline moves ``t - t0`` later.  A point with no
-    source-mode job pending gets its own fork, since its destination mode
-    starts at ``t`` itself.  Job deadline misses before the request count
-    at every point, as they would in the point's own scenario.
-    A fork stops early once EDF can no longer change its outcome (see
-    ``_SourceRun``): what it would simulate up to a later horizon holds no
-    job miss and no new transition-check verdict.
+    source-mode job pending has latency 0, since its destination mode
+    starts at ``t`` itself.  It is decided at the request, without a fork,
+    where the processor-demand test (Baruah, Rosier & Howell 1990, with
+    Spuri's carry-in) shows on every processor that EDF meets each later
+    deadline and each transition check's job is due by the check's
+    deadline; otherwise it gets its own fork.  Job deadline misses before
+    the request count at every point, as they would in the point's own
+    scenario.  A fork stops early once EDF can no longer change its outcome
+    (see ``_SourceRun``): what it would simulate up to a later horizon
+    holds no job miss and no new transition-check verdict.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair
@@ -1023,19 +1126,10 @@ def sweep_mcr(
             )
             scaled_reach = source_run.scaled(reach)
         time = source_run.scaled(mcr_time)
-        limit = time + scaled_reach
-        fork = source_run.request(time, destination)
-        fork.advance(limit)
-        # at load <= 1 every source-mode job meets its deadline, so the
-        # transition ends by t plus the source's longest MD period, before
-        # limit; an engine bug that broke this fails here as an internal error
-        ((requested, latency),) = fork.latencies
-        shift = time - requested  # the fork may serve an earlier point too
-        latency = fork._frac(latency - shift)
-        job_misses += fork.job_misses
-        transition_misses += sum(
-            1 for record in fork.checks if fork.check_outcome(record, limit, shift) is False
-        )
+        latency, misses, missed_checks = source_run.request(time, destination, time + scaled_reach)
+        latency = source_run._frac(latency)
+        job_misses += misses
+        transition_misses += missed_checks
         points += 1
         if best is None or latency > best[0]:
             best = (latency, mcr_time)

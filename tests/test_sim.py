@@ -930,10 +930,10 @@ def test_repeated_and_backward_points_in_one_interval(forks):
         assert forks == [4, 3, 3]
 
 
-def test_committed_sweep_forks_once_per_source_interval(case_study, forks):
+def test_committed_sweep_forks_only_where_no_fork_serves_and_the_demand_test_fails(case_study, forks):
     result = ms.run_sweep(case_study, ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study))
     assert (result.points, result.max_latency, result.at_time) == (1800, 35, 80)
-    assert len(forks) <= 1019
+    assert len(forks) == 216
 
 
 def draining_handover():
@@ -977,10 +977,11 @@ def test_fork_serves_across_mi_releases_and_old_md_completions(forks):
         assert forks == [0]
 
 
-def test_point_at_or_after_the_transition_end_gets_its_own_fork(forks):
+def test_points_at_or_after_the_transition_end_are_decided_without_a_fork(forks):
     """From the transition end 8 of the fork made at 0 on, nothing of alpha
-    is pending, so beta starts at the request itself: latency 0, with a
-    fork of its own for each point."""
+    is pending, so beta starts at the request itself: latency 0.  The fork
+    made at 0 has placed beta, and the demand test holds at 8, 9 and 11, so
+    no later point needs a fork."""
     system = draining_handover()
     grid = [0, 7, 8, 9, 11]
     assert [r.max_latency for r in one_point_each(system, grid)] == [8, 1, 0, 0, 0]
@@ -988,7 +989,7 @@ def test_point_at_or_after_the_transition_end_gets_its_own_fork(forks):
         forks.clear()
         args = (system, allocation_source, ("alpha", "beta"), grid)
         assert ms.sweep_mcr(*args) == per_point_sweep(*args)
-        assert forks == [0, 8, 9, 11]
+        assert forks == [0]
 
 
 def short_period_handover():
@@ -1047,6 +1048,66 @@ def test_fork_at_an_md_release_serves_up_to_the_following_one(forks):
         assert result == per_point_sweep(*args)
         assert result.transition_misses == 5
         assert forks == [4, 8]
+
+
+def test_first_point_with_nothing_pending_forks_until_the_destination_is_placed(forks):
+    """Nothing of alpha is pending at 8, 9 or 11, but no fork has placed beta
+    before 8, so the point 8 gets a fork (under online-ffd the placement,
+    and any placement error, falls at the point's own transition end); the
+    demand test then decides 9 and 11."""
+    system = draining_handover()
+    grid = [8, 9, 11]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+        assert forks == [8]
+
+
+def test_request_at_a_source_md_release_gets_a_fork(forks):
+    """At 12 nothing of alpha is pending before the instant, but ``x`` and
+    ``z`` are released at 12 itself, so the transition waits for them: a
+    latency of 8, not 0."""
+    system = draining_handover()
+    grid = [8, 12]
+    assert [r.max_latency for r in one_point_each(system, grid)] == [0, 8]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert (result.max_latency, result.at_time) == (8, 12)
+        assert forks == [8, 12]
+
+
+def test_check_due_after_its_transition_deadline_gets_a_fork(forks):
+    """``y``'s period 10 exceeds its transition deadline 3, so the demand
+    test, which shows only that each job meets its own deadline, cannot
+    decide its check.  At 4 nothing of alpha is pending, yet ``m``'s job
+    released at 4 runs first and ``y``'s first job completes at 8, after
+    the transition deadline 7."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "m", "kind": "MI", "wcet": 2, "period": 4, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 1, "period": 8},
+                {"id": "y", "kind": "MD", "wcet": 2, "period": 10, "transition_deadline": 3},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+    grid = [0, 4]
+    points = one_point_each(system, grid)
+    assert [(r.max_latency, r.transition_misses) for r in points] == [(3, 1), (0, 1)]
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert result.transition_misses == 2
+        assert forks == [0, 4]
 
 
 def test_interval_sweep_matches_per_point_runs_randomized():
@@ -1116,18 +1177,19 @@ def settlements(monkeypatch):
     return settled
 
 
-def test_sweep_instant_totals(case_study, instants, settlements):
+def test_sweep_instant_totals(case_study, forks, instants, settlements):
     """A count of the simulated instants, not a timing, bounds the sweep cost."""
     committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     assert ms.run_sweep(case_study, committed).points == 1800
-    assert instants() <= 3660
-    assert len(settlements) == 627
+    assert instants() <= 1173
+    assert len(forks) == len(settlements) == 216
     committed_instants = instants()
+    forks.clear()
     settlements.clear()
     spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     assert ms.run_sweep(case_study, spec).points == 900
-    assert instants() - committed_instants <= 3506
-    assert len(settlements) == 439
+    assert instants() - committed_instants <= 225
+    assert len(forks) == len(settlements) == 36
 
 
 def idling_handover():
@@ -1170,6 +1232,75 @@ def test_settled_fork_serves_later_points_of_its_interval(forks, instants, settl
     assert result == expected
     assert (result.max_latency, result.at_time, result.transition_misses) == (5, 3, 1)
     assert forks == [3] and settlements == [12]
+
+
+def test_demand_test_holds_at_every_pending_deadline():
+    """The processor-demand test on alpha's processor, ``m`` (weight 2/4)
+    and ``a`` (1/8), in units of 1/8 (the lcm of the periods), over given
+    pending jobs ``((deadline, task, index), remaining work)``.  A task
+    with no pending job counts as released at the instant itself."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "m", "kind": "MI", "wcet": 2, "period": 4, "processor": 1},
+                {"id": "a", "kind": "MD", "wcet": 1, "period": 8},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["a"]}],
+            "transitions": [],
+        }
+    )
+    source = sim._SourceRun(ms.make_scenario(system, "alpha", "offline-table", [], 40))
+    assert source.scale == 1
+
+    def holds(time, jobs):
+        return source.meets_deadlines(1, time, "alpha", jobs)
+
+    assert holds(0, [])
+    # by 4: 2 units; by 8: 2 + 1 units and 2 of ``m``'s job released at 4
+    assert holds(0, [((4, "m", 0), 2), ((8, "a", 0), 1)])
+    # an unfinished job due at the instant, or past its deadline, misses
+    assert not holds(3, [((3, "m", 0), 1)])
+    assert not holds(5, [((4, "m", 0), 1), ((8, "a", 0), 1)])
+    # 5 units of ``a`` fit by 8, but not with the 4 ``m`` releases from 0 on
+    assert not holds(0, [((8, "a", 0), 5)])
+    # the first deadline holds (1 by 4); the second does not (1 + 6 + 2 > 8)
+    assert not holds(0, [((4, "m", 0), 1), ((8, "a", 0), 6)])
+
+
+def lagging_handover():
+    """One processor: alpha's ``x`` is due at 8, before the MI job of ``m``
+    released at 0 and due at 12, so a request at 0 ends the transition at
+    4 with all 4 units of ``m``'s job left: behind its fluid share (4 * 12 >
+    4 * (12 - 4)).  Beta's ``y`` adds only 1/10 to ``m``'s 1/3, and the
+    processor-demand test holds there at once."""
+    return ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "m", "kind": "MI", "wcet": 4, "period": 12, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 4, "period": 8},
+                {"id": "y", "kind": "MD", "wcet": 1, "period": 10},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+
+
+def test_fork_settles_where_a_job_is_behind_its_fluid_share_but_demand_fits(forks, settlements):
+    """The fork settles at the transition end 4; waiting for every pending
+    job to be on its fluid share would run it on to 9, where the processor
+    idles after ``m`` (4-8) and ``y`` (8-9)."""
+    system = lagging_handover()
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        settlements.clear()
+        args = (system, allocation_source, ("alpha", "beta"), [0])
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert (result.max_latency, result.job_misses) == (4, 0)
+        assert forks == [0] and settlements == [4]
 
 
 def test_fork_does_not_settle_while_a_ready_job_is_behind(settlements):

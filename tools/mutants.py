@@ -99,18 +99,39 @@ MUTANTS = (
     ),
     Mutant(
         "settle-lag-flipped", "src/modesched/sim.py",
-        "states[current.task_id].period > current.wcet", "states[current.task_id].period < current.wcet",
-        "a processor settles only while no pending job is behind its fluid share",
+        "if demand + carry > lcm * (deadline - time):", "if demand + carry < lcm * (deadline - time):",
+        "the demand test passes only where no pending deadline's demand exceeds the time left to it",
     ),
     Mutant(
         "settle-skips-ready", "src/modesched/sim.py",
-        "for _, job in queue:", "for _, job in ():",
-        "a processor settles only while no pending job is behind its fluid share, ready jobs included",
+        "jobs = [(key, job.remaining) for key, job in self.ready[p]]", "jobs = []",
+        "the demand test counts every pending job, ready jobs included",
+    ),
+    Mutant(
+        "demand-drops-carry", "src/modesched/sim.py",
+        "if demand + carry > lcm", "if demand > lcm",
+        "the demand test bounds the jobs released after the instant by each task's weight",
+    ),
+    Mutant(
+        "demand-first-deadline-only", "src/modesched/sim.py",
+        "for (deadline, _, _), remaining in jobs:", "for (deadline, _, _), remaining in jobs[:1]:",
+        "the demand test holds at every pending deadline, not just the first",
     ),
     Mutant(
         "settle-decides-any-check", "src/modesched/sim.py",
-        'if job.deadline > checks[key]["absolute"]:', "if False:",
+        'if deadline > checks[key]["absolute"]:', "if False:",
         "a settled processor decides an open check only if its job is due by the check's deadline",
+    ),
+    Mutant(
+        "request-ignores-md-release-at-t", "src/modesched/sim.py",
+        "if plan is None or any(time % period == 0 for period in self.md_periods):", "if plan is None:",
+        "a source-mode MD job released at the request instant is pending, so the point needs a fork",
+    ),
+    Mutant(
+        "request-ignores-check-due", "src/modesched/sim.py",
+        "if any(deadline is not None and self.states[task_id].period > deadline for task_id, _, deadline in plan):",
+        "if False:",
+        "a point is decided without a fork only if each transition check's job is due by its deadline",
     ),
     Mutant(
         "advance-past-limit", "src/modesched/sim.py",

@@ -4,7 +4,7 @@ Each check has a name, the claim it tests and a corpus: rng seeds and a
 number of systems per seed, its budget.  A violation is printed as one line,
 ``FOUND``, the check's name, the observed value against the claimed one and
 a JSON reproducer, and the exit status is then 1; otherwise it is 0.  The
-last line sums the run up.  The one check so far:
+last line sums the run up.  The checks:
 
   * ``sweep-vs-bound``: no MCR sweep observes a transition latency above the
     bound in force, the optimal latency of the source mode under its optimal
@@ -18,8 +18,24 @@ last line sums the run up.  The one check so far:
     python3 tools/oracles.py sweep-vs-bound --seeds 4 5 --systems 100
     python3 tools/oracles.py sweep-vs-bound --system samples/carry_in.json --pair c b
 
+  * ``sweep-vs-points``: an MCR sweep, which forks one source-mode run and
+    decides points with the processor-demand test, has the outcome of one
+    scenario per grid point simulated from time 0
+    (``tests/test_sim.py::per_point_sweep``): the same maximum latency and
+    its point, the same miss counts, or the same error.  A draw is a system
+    of the Tier-1 sweep generators (saturated to a load of exactly 1, nearly
+    saturated, or ``random_system``), with a transition deadline from half
+    the period to 12 past it on most MD tasks and some draws rescaled to
+    mixed denominators, swept for a random mode pair and allocation source
+    at a random step over up to 48 points of the source hyperperiod, some
+    grids shuffled with repeats.
+
+    python3 tools/oracles.py sweep-vs-points                     # seeds 1-3, 300 systems each
+    python3 tools/oracles.py sweep-vs-points --seeds 4 --systems 50
+
 A violation is a finding: never shrink or re-seed a corpus so that one does
-not show.  Stdlib, ``modesched`` and ``tests/conftest.py`` only.
+not show.  Stdlib, ``modesched``, ``tests/conftest.py`` and the per-point
+reference and generators of ``tests/test_sim.py`` only.
 """
 
 from __future__ import annotations
@@ -38,10 +54,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import modesched as ms  # noqa: E402
 from conftest import random_system  # noqa: E402
+from test_sim import exactly_saturated, per_point_sweep, rescaled, saturated_handover, sweep_outcome  # noqa: E402
 
 SOURCES = ("offline-table", "online-ffd")
 STEP = Fraction(1, 2)
 SPAN_CAP = 240
+POINT_STEPS = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3))
+POINTS_CAP = 48
 
 
 def _number(value: Fraction):
@@ -114,22 +133,8 @@ def corpus(seeds, systems):
             yield origin, system, "beta", "alpha"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("check", choices=("sweep-vs-bound",))
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--systems", type=int, default=300, help="draws per seed")
-    parser.add_argument("--system", help="check one system file instead of the corpus")
-    parser.add_argument("--pair", nargs=2, metavar=("FROM", "TO"), help="with --system: the one mode pair")
-    args = parser.parse_args(argv)
-    if (args.system is None) != (args.pair is None):
-        parser.error("--system and --pair go together")
-
-    if args.system is not None:
-        cases = [({"file": args.system}, ms.load_system(args.system), *args.pair)]
-    else:
-        cases = corpus(args.seeds, args.systems)
-    started = time.perf_counter()
+def check_bounds(cases) -> tuple[int, int, int]:
+    """Run ``sweep-vs-bound`` over ``cases``; return the sweeps made, skipped and found wrong."""
     swept = skipped = found = 0
     for origin, system, source, destination in cases:
         for outcome in sweep_vs_bound(system, source, destination):
@@ -141,8 +146,100 @@ def main(argv=None) -> int:
             if result.max_latency > bound:
                 found += 1
                 print(found_line(origin, system, source, destination, allocation_source, result, bound), flush=True)
-    print(f"sweep-vs-bound\t{swept} swept\t{skipped} skipped\t{found} found"
-          f"\t{time.perf_counter() - started:.1f} s")
+    return swept, skipped, found
+
+
+def with_checks(rng, system: ms.ModeSystem) -> ms.ModeSystem:
+    """``system`` with a transition deadline from half the period to 12 past
+    it on about 70 % of its MD tasks, and none on the others."""
+    raw = system_json(system)
+    for task in raw["tasks"]:
+        task.pop("transition_deadline", None)
+        if task["kind"] == "MD" and rng.random() < 0.7:
+            period = Fraction(task["period"])
+            task["transition_deadline"] = str(period * rng.randint(2, 4) / 4 + rng.randint(0, 12))
+    return ms.build_system(raw)
+
+
+def points_corpus(seeds, systems):
+    """``(origin, system, allocation_source, (source, destination), grid)`` per draw."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for draw in range(systems):
+            if draw % 3 == 0:
+                system = exactly_saturated(rng)
+            elif draw % 3 == 1:
+                system = saturated_handover(rng)
+            else:
+                system = random_system(rng, max_tasks=7, md_heavy=draw % 2 == 0, ff_mi=draw % 4 == 1)
+            system = with_checks(rng, system)
+            if rng.random() < 0.3:
+                system = rescaled(rng, system)
+            pair = rng.choice((("alpha", "beta"), ("beta", "alpha")))
+            allocation_source = rng.choice(SOURCES)
+            step = rng.choice(POINT_STEPS)
+            span = ms.hyperperiod(system.mi_tasks + system.md_tasks_of(pair[0]))
+            grid = [k * step for k in range(min(math.ceil(span / step), POINTS_CAP))]
+            if rng.random() < 0.2:  # out of order, with repeated points
+                grid += rng.choices(grid, k=rng.randint(1, 4))
+                rng.shuffle(grid)
+            yield {"seed": seed, "draw": draw}, system, allocation_source, pair, grid
+
+
+def shown(outcome) -> str:
+    if isinstance(outcome, ms.SweepResult):
+        return (f"{outcome.max_latency} at {outcome.at_time}, {outcome.points} points,"
+                f" {outcome.job_misses} job and {outcome.transition_misses} transition misses")
+    kind, message, *_ = outcome
+    return f"{kind.__name__}: {message}"
+
+
+def check_points(cases) -> tuple[int, int]:
+    """Run ``sweep-vs-points`` over ``cases``; return the sweeps made and found wrong."""
+    swept = found = 0
+    for origin, system, allocation_source, pair, grid in cases:
+        args = (system, allocation_source, pair, grid)
+        swept += 1
+        expected, outcome = sweep_outcome(per_point_sweep, *args), sweep_outcome(ms.sweep_mcr, *args)
+        if outcome != expected:
+            found += 1
+            reproducer = {
+                "origin": origin,
+                "system": system_json(system),
+                "allocation": allocation_source,
+                "pair": list(pair),
+                "grid": [str(t) for t in grid],
+            }
+            print(f"FOUND\tsweep-vs-points\t{shown(outcome)} != {shown(expected)}"
+                  f"\t{json.dumps(reproducer, sort_keys=True)}", flush=True)
+    return swept, found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("check", choices=("sweep-vs-bound", "sweep-vs-points"))
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--systems", type=int, default=300, help="draws per seed")
+    parser.add_argument("--system", help="sweep-vs-bound: check one system file instead of the corpus")
+    parser.add_argument("--pair", nargs=2, metavar=("FROM", "TO"), help="with --system: the one mode pair")
+    args = parser.parse_args(argv)
+    if (args.system is None) != (args.pair is None):
+        parser.error("--system and --pair go together")
+
+    started = time.perf_counter()
+    if args.check == "sweep-vs-points":
+        if args.system is not None:
+            parser.error("--system is for sweep-vs-bound")
+        swept, found = check_points(points_corpus(args.seeds, args.systems))
+        tally = f"{swept} swept\t{found} found"
+    else:
+        if args.system is not None:
+            cases = [({"file": args.system}, ms.load_system(args.system), *args.pair)]
+        else:
+            cases = corpus(args.seeds, args.systems)
+        swept, skipped, found = check_bounds(cases)
+        tally = f"{swept} swept\t{skipped} skipped\t{found} found"
+    print(f"{args.check}\t{tally}\t{time.perf_counter() - started:.1f} s")
     return 1 if found else 0
 
 
