@@ -79,7 +79,11 @@ and every processor has settled, at an instant at which the demand test
 held there and each transition check still open there had a job due by the
 check's deadline.  A sweep simulates only allocations that load no
 processor above 1 (an optimal table or a First-Fit placement), which the
-test's argument needs: see ``_SourceRun``.
+test's argument needs: see ``_SourceRun``.  One request gives the outcome
+of a whole stretch of later points, which take a few integer operations
+each: up to a stopped serving fork's end, or, after a decided point, up to
+the next instant the source run processes.  A step sweep (``run_sweep``)
+walks its grid in integers on one source run.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ from __future__ import annotations
 import collections
 import heapq
 import io
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -802,7 +807,7 @@ class _SourceRun(_Engine):
 
     The fork made at ``t0`` serves every later point ``t`` that lies before
     both the source mode's next MD release strictly after ``t0`` and the
-    fork's transition end ``E``.  A request stops only MD releases, and this
+    fork's transition end ``E`` (``serves_until``).  A request stops only MD releases, and this
     run releases no MD job in ``(t0, t]``, so there the two runs differ in
     nothing: the same MI jobs are released, the same jobs complete (old MD
     jobs too), the same deadlines are missed and each dispatch is the same.
@@ -885,13 +890,35 @@ class _SourceRun(_Engine):
     each check's job, released at ``t``, completes by its deadline, at most
     the check's: before the horizon, so no check is missed.  The outcome is
     latency 0 and the job misses of this run so far.
+
+    ``request`` returns its outcome with the stretch of later points over
+    which the outcome holds, so that a sweep needs no request there:
+      (a) served: the points before ``serves_until``, the fork's transition
+          end ``E`` or the source mode's next MD release, whichever comes
+          first, once the fork has stopped by the first point's horizon.
+          A stopped fork changes no more, and a point ``t`` there has
+          latency ``E - t``, the fork's job misses and each check's verdict
+          ``check_outcome(record, t + reach, t - t0)``, whose ``deadline <
+          horizon`` clause does not depend on ``t``.  An unsettled fork's
+          misses and check completions can still change with the horizon,
+          so it gives no stretch;
+      (b) decided: the points after a point ``t`` that ``decides`` accepted
+          and before the next instant this run processes, which ``advance``
+          returns.  No instant is processed there, so no job is released,
+          none completes and no source-mode MD job is pending.  Nor can the
+          demand test's slack fall: the running job, due no later than any
+          other pending job, has ``r`` shrink as fast as ``D - t``, every
+          ``n_k = t`` carry term shrinks too and the rest stays; an idle
+          processor has no pending deadline to test.
     """
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self._emit = _DISCARD
         self.serving: Optional[_SourceRun] = None
-        self.serves_until = 0  # the source mode's first MD release after the request of ``serving``
+        # the end of what ``serving`` serves: its transition end or the source
+        # mode's first MD release after its request, whichever comes first
+        self.serves_until = 0
         self.md_periods = tuple(self.states[task_id].period for task_id in self.md_ids[scenario.initial_mode])
         # by (mode, processor), shared with forks: the lcm L of the periods
         # there and each task's weight C * L / T
@@ -983,37 +1010,53 @@ class _SourceRun(_Engine):
     def reaches(self, time: Fraction) -> bool:
         return self.scale % time.denominator == 0 and self.scaled(time) >= self.time
 
-    def request(self, time: int, destination: str, limit: int) -> tuple[int, int, int]:
+    def request(
+        self, time: int, destination: str, limit: int,
+    ) -> tuple[tuple[int, int, int], Union[int, float], Optional["_SourceRun"]]:
         """The outcome of a request for ``destination`` at instant ``time`` in
-        a run up to ``limit``: its latency, job misses and missed transition
-        checks.  This run first processes every instant before ``time``; the
-        outcome is decided there, or read from a fork that requested at
-        ``time``, or from the one made for an earlier point if it serves
-        ``time`` too (see the class docstring)."""
-        self.advance(time)
+        a run up to ``limit`` (its latency, job misses and missed transition
+        checks), the end of the stretch over which it holds, and the fork
+        that gives it there, if any.  This run first processes every instant
+        before ``time``; the outcome is decided there, or read from a fork
+        that requested at ``time``, or from the one made for an earlier point
+        if it serves ``time`` too (see the class docstring).
+
+        A later point before the stretch's end, on the same horizon margin,
+        needs no request: with no fork its outcome is this one, else
+        ``fork.outcome(point, its horizon)``."""
+        following = self.advance(time)
         self.time = time
-        serving = self.serving
-        # its transition end is its request instant plus its latency
-        if serving is not None and time < self.serves_until and time < sum(serving.latencies[0]):
-            fork = serving
+        if self.serving is not None and time < self.serves_until:
+            fork = self.serving
+            fork.advance(limit)
         elif self.decides(time, destination):
-            return 0, self.job_misses, 0
+            # decided up to the next instant this run processes, if there is one
+            return (0, self.job_misses, 0), math.inf if following is None else following, None
         else:
             fork = self._fork()
             fork._push(time, _PHASE_MCR, destination)
-            fork.advance(time + 1)
-            if fork.destination is not None:  # the transition waits for pending jobs
+            fork.advance(limit)
+            # at load <= 1 every source-mode job meets its deadline, so the
+            # transition ends by t plus the source's longest MD period, before
+            # limit; an engine bug that broke this fails here as an internal error
+            ((_, latency),) = fork.latencies
+            if latency:  # the transition waited for pending jobs: the fork serves up to its end
                 self.serving = fork
-                # strictly after ``time``: a job released at ``time`` is pending in the fork
-                self.serves_until = min((time // period + 1) * period for period in self.md_periods)
-        fork.advance(limit)
-        # at load <= 1 every source-mode job meets its deadline, so the
-        # transition ends by t plus the source's longest MD period, before
-        # limit; an engine bug that broke this fails here as an internal error
-        ((requested, latency),) = fork.latencies
+                # the next MD release strictly after ``time``: one released at
+                # ``time`` is pending in the fork
+                releases = ((time // period + 1) * period for period in self.md_periods)
+                self.serves_until = min(time + latency, *releases)
+        if fork is self.serving and not fork.waiting:  # stopped by this point's horizon
+            return fork.outcome(time, limit), self.serves_until, fork
+        return fork.outcome(time, limit), time, None
+
+    def outcome(self, time: int, limit: int) -> tuple[int, int, int]:
+        """The outcome of a request at ``time``, in a run up to ``limit``,
+        that this fork, advanced up to ``limit``, serves."""
+        ((requested, latency),) = self.latencies
         shift = time - requested  # the fork may serve an earlier point too
-        missed = sum(1 for record in fork.checks if fork.check_outcome(record, limit, shift) is False)
-        return latency - shift, fork.job_misses, missed
+        missed = sum(1 for record in self.checks if self.check_outcome(record, limit, shift) is False)
+        return latency - shift, self.job_misses, missed
 
     def _fork(self) -> "_SourceRun":
         # Task states and pending jobs, all the suffix can mutate, are copied
@@ -1057,6 +1100,40 @@ def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
     return trace
 
 
+class _StepGrid:
+    """The sweep grid ``k * step`` for ``0 <= k < count``.  Iterated, it
+    yields those points; ``sweep_mcr`` walks it in integers instead, on one
+    source run whose time base holds ``step``, so that no point needs
+    converting."""
+
+    __slots__ = ("step", "count")
+
+    def __init__(self, step: Fraction, count: int):
+        self.step, self.count = step, count
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return map(self.step.__mul__, range(self.count))
+
+    def walk(self, start) -> Iterator[tuple[_SourceRun, int]]:
+        """Each point as ``(source run, scaled instant)``, all on one source run."""
+        run = start(self.step)  # the time base of the point ``step``: every multiple of it lies on it
+        step = run.scaled(self.step)
+        return zip(itertools.repeat(run), range(0, self.count * step, step))
+
+
+def _walk(grid: Iterable, start) -> Iterator[tuple[_SourceRun, int]]:
+    """Each point of ``grid`` as ``(source run, scaled instant)``: a point the
+    current source run cannot reach, off its time base or before its last
+    request, restarts it from time 0 on the time base of the point's own
+    scenario, on which every later point it reaches has its horizon too."""
+    run: Optional[_SourceRun] = None
+    for raw_time in grid:
+        mcr_time = as_time(raw_time, what="sweep grid point")
+        if run is None or not run.reaches(mcr_time):
+            run = start(mcr_time)
+        yield run, run.scaled(mcr_time)
+
+
 def sweep_mcr(
     system: ModeSystem,
     allocation_source: str,
@@ -1092,6 +1169,23 @@ def sweep_mcr(
     scenario.  A fork stops early once EDF can no longer change its outcome
     (see ``_SourceRun``): what it would simulate up to a later horizon
     holds no job miss and no new transition-check verdict.
+
+    One request gives the outcome of a whole stretch of points (see
+    ``_SourceRun.request``), which later points inside it read with a few
+    integer operations each, with no request, no source advance and no fork:
+      * served: the points before the serving fork's end, once the fork has
+        stopped by the first point's horizon.  An unsettled fork's job
+        misses and check completions can still change with the horizon;
+      * decided: the points after one that the demand test decided and
+        before the next instant the source run processes.  No job changes
+        there but the running ones, whose remaining work shrinks as fast as
+        the time left to every pending deadline, and the destination's
+        carry terms shrink too, so the test still holds.
+    The grid may be any iterable, in any order and with repeats; a point
+    the source run has passed restarts it from time 0.  ``run_sweep``'s grid
+    (``_StepGrid``) is walked in integers on one source run.  Latencies are
+    compared in integers, and a ``Fraction`` is built only for a new
+    maximum.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair
@@ -1108,31 +1202,39 @@ def sweep_mcr(
     active = system.mi_tasks + system.md_tasks_of(source) + system.md_tasks_of(destination)
     reach = bound + max((t.period for t in active), default=Fraction(1)) + 1  # a point's horizon, past it
 
+    def start(mcr_time: Fraction) -> _SourceRun:
+        """A source run on the time base of the scenario of a request at ``mcr_time``."""
+        return _SourceRun(
+            make_scenario(
+                system, source, allocation_source, [(mcr_time, destination)], mcr_time + reach,
+                static_tables=tables,
+            )
+        )
+
+    walk = mcr_time_grid.walk(start) if isinstance(mcr_time_grid, _StepGrid) else _walk(mcr_time_grid, start)
     best: Optional[tuple[Fraction, Fraction]] = None
     points = 0
     job_misses = 0
     transition_misses = 0
     source_run: Optional[_SourceRun] = None
-    for raw_time in mcr_time_grid:
-        mcr_time = as_time(raw_time, what="sweep grid point")
-        if source_run is None or not source_run.reaches(mcr_time):
-            # (re)start from time 0 on the time base of this point's scenario,
-            # on which every later point it reaches has its horizon too
-            source_run = _SourceRun(
-                make_scenario(
-                    system, source, allocation_source, [(mcr_time, destination)], mcr_time + reach,
-                    static_tables=tables,
-                )
-            )
-            scaled_reach = source_run.scaled(reach)
-        time = source_run.scaled(mcr_time)
-        latency, misses, missed_checks = source_run.request(time, destination, time + scaled_reach)
-        latency = source_run._frac(latency)
+    fork: Optional[_SourceRun] = None
+    for run, time in walk:
+        if run is not source_run:  # a new source run, with its own time base
+            source_run, scale, scaled_reach = run, run.scale, run.scaled(reach)
+            until = 0  # the end of the last request's stretch: none yet
+            top = -1 if best is None else math.floor(best[0] * scale)  # the maximum, on this time base
+        if time < until:  # inside the last request's stretch
+            if fork is not None:
+                outcome = fork.outcome(time, time + scaled_reach)
+        else:
+            outcome, until, fork = run.request(time, destination, time + scaled_reach)
+        latency, misses, missed_checks = outcome
         job_misses += misses
         transition_misses += missed_checks
         points += 1
-        if best is None or latency > best[0]:
-            best = (latency, mcr_time)
+        if latency > top:
+            top = latency
+            best = (Fraction(latency, scale), Fraction(time, scale))
     if best is None:
         raise ScenarioError("empty MCR time grid")
     return SweepResult(
@@ -1145,7 +1247,8 @@ def sweep_mcr(
 
 
 def run_sweep(system: ModeSystem, spec: SweepSpec) -> SweepResult:
-    """Sweep with step ``spec.step`` over one hyperperiod of the source mode's tasks."""
+    """Sweep with step ``spec.step`` over one hyperperiod of the source
+    mode's tasks, walked in integers on one source run (``_StepGrid``)."""
     active = system.mi_tasks + system.md_tasks_of(spec.from_mode)
-    grid = map(spec.step.__mul__, range(math.ceil(hyperperiod(active) / spec.step)))
+    grid = _StepGrid(spec.step, math.ceil(hyperperiod(active) / spec.step))
     return sweep_mcr(system, spec.allocation_source, (spec.from_mode, spec.to_mode), grid)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
@@ -390,7 +391,8 @@ def test_run_sweep_spec_covers_source_hyperperiod():
 
 
 def test_run_sweep_streams_its_grid(case_study, monkeypatch):
-    """The grid reaches ``sweep_mcr`` as an iterator, never as a list of points."""
+    """The grid reaches ``sweep_mcr`` as a step and a count, never as a list
+    of points; iterated, it yields the points."""
     received = []
     sweep = ms.sweep_mcr
 
@@ -401,7 +403,8 @@ def test_run_sweep_streams_its_grid(case_study, monkeypatch):
     monkeypatch.setattr("modesched.sim.sweep_mcr", spy)
     result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(1), "offline-table"))
     (grid,) = received
-    assert iter(grid) is grid
+    assert (grid.step, grid.count) == (1, 1800) and not isinstance(grid, (list, tuple))
+    assert list(itertools.islice(grid, 3)) == [0, 1, 2]
     assert (result.points, result.max_latency, result.at_time) == (1800, 35, 80)
     # a step that does not divide the hyperperiod: ceil(1800 / (7/3)) points
     result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(7, 3), "online-ffd"))
@@ -676,7 +679,9 @@ def sweep_outcome(sweep, *args):
 
 
 def with_transition_deadlines(rng, base):
-    """``base`` with a transition deadline, often a tight one, on most MD tasks."""
+    """``base`` with a transition deadline, often a tight one, on most MD
+    tasks: from half the period to 12 past it, so that some checks' jobs
+    are due after their transition deadline."""
     tasks = [
         {"id": t.id, "kind": "MI", "wcet": str(t.wcet), "period": str(t.period),
          "processor": t.home_processor}
@@ -685,7 +690,7 @@ def with_transition_deadlines(rng, base):
     for t in base.md_tasks:
         raw = {"id": t.id, "kind": "MD", "wcet": str(t.wcet), "period": str(t.period)}
         if rng.random() < 0.7:
-            raw["transition_deadline"] = str(t.period + rng.randint(0, 12))
+            raw["transition_deadline"] = str(t.period * rng.randint(2, 4) / 4 + rng.randint(0, 12))
         tasks.append(raw)
     return ms.build_system(
         {
@@ -822,6 +827,20 @@ def forks(monkeypatch):
         return fork(self)
 
     monkeypatch.setattr(sim._SourceRun, "_fork", recording)
+    return made
+
+
+@pytest.fixture
+def requests(monkeypatch):
+    """The instant of every request a sweep makes of its source runs, in order."""
+    made = []
+    request = sim._SourceRun.request
+
+    def recording(self, time, destination, limit):
+        made.append(Fraction(time, self.scale))
+        return request(self, time, destination, limit)
+
+    monkeypatch.setattr(sim._SourceRun, "request", recording)
     return made
 
 
@@ -1177,19 +1196,22 @@ def settlements(monkeypatch):
     return settled
 
 
-def test_sweep_instant_totals(case_study, forks, instants, settlements):
+def test_sweep_instant_totals(case_study, forks, instants, settlements, requests):
     """A count of the simulated instants, not a timing, bounds the sweep cost."""
     committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     assert ms.run_sweep(case_study, committed).points == 1800
     assert instants() <= 1173
     assert len(forks) == len(settlements) == 216
+    assert len(requests) == 396
     committed_instants = instants()
     forks.clear()
     settlements.clear()
+    requests.clear()
     spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     assert ms.run_sweep(case_study, spec).points == 900
     assert instants() - committed_instants <= 225
     assert len(forks) == len(settlements) == 36
+    assert len(requests) == 117
 
 
 def idling_handover():
@@ -1521,6 +1543,151 @@ def test_sweeps_simulate_only_utilization_feasible_allocations(monkeypatch):
             if case % 4 == 0 and max(loads.values()) == 1:
                 saturated.add(case)
     assert sources == {"offline-table", "online-ffd"} and len(saturated) >= 40, (sources, saturated)
+
+
+# ---------------------------------------------------------------------------
+# one request per stretch of grid points
+# ---------------------------------------------------------------------------
+
+def quarters(first, stop):
+    """The grid points ``k / 4`` for ``first <= k < stop``."""
+    return [Fraction(k, 4) for k in range(first, stop)]
+
+
+def test_quarter_step_grid_reads_points_between_source_instants_from_one_request(requests):
+    """In ``idling_handover`` the fork made at 13/4 stops at 12 and serves
+    every point before its transition end 8; at 33/4 the demand test decides
+    the point, and the points up to alpha's next instant 10 with it.  Only
+    the first point of each stretch is requested (8 is itself an instant of
+    alpha, so its stretch is empty)."""
+    system = idling_handover()
+    grid = quarters(13, 44)
+    for allocation_source in ("offline-table", "online-ffd"):
+        requests.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+        assert requests == [Fraction(13, 4), 8, Fraction(33, 4), 10]
+
+
+def behind_share_handover():
+    """One processor: the MI task ``m`` and alpha's ``x``, due first, both
+    released at 0.  ``x`` runs 0-2 and ``m`` 2-5, so from 2 to alpha's next
+    instant 5 nothing of alpha is pending but ``m`` is behind its share.  A
+    request in [2, 3) releases beta's ``y`` (period 2) while ``m`` still
+    has too much left: its own run misses two deadlines.  From 3 on it
+    misses none, though the demand test, which counts ``y`` at its full
+    load, holds only from 4 on."""
+    return ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "m", "kind": "MI", "wcet": 3, "period": 6, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 2, "period": 5},
+                {"id": "y", "kind": "MD", "wcet": 1, "period": 2},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+
+
+def test_points_after_a_failed_demand_test_are_requested_each(requests):
+    """The demand test fails at 2, where nothing of alpha is pending, and
+    holds from 4 on, all before alpha's next instant 5.  A failure gives no
+    stretch: every point up to 4 gets its own request, and its own job
+    misses; only the points after 4 are decided with it."""
+    system = behind_share_handover()
+    grid = quarters(1, 20)
+    points = one_point_each(system, grid)
+    assert [r.job_misses for r in points] == [2] * 11 + [0] * 8
+    for allocation_source in ("offline-table", "online-ffd"):
+        requests.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert result.job_misses == 22
+        assert requests == grid[:16]
+
+
+def test_unsettled_fork_gives_no_stretch(forks, requests):
+    """In ``backlogged_handover`` the fork made at 3 never settles: ``y``
+    misses a deadline at 24, inside the horizon of the request at 4 but not
+    of the one at 3.  Each point it serves is requested, and the fork runs
+    on to that point's horizon."""
+    system = backlogged_handover()
+    grid = [3, 4, 5, 6, 7]
+    points = one_point_each(system, grid)
+    assert [(r.job_misses, r.transition_misses) for r in points] == [(1, 1), (2, 1), (2, 0), (2, 0), (2, 0)]
+    args = (system, "offline-table", ("alpha", "beta"), grid)
+    assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+    assert forks == [3] and requests == grid
+
+
+def test_check_flips_from_miss_to_met_inside_a_served_stretch(forks, requests):
+    """The fork made at 13/4 stops at 12 and serves the points up to 8.
+    ``y``'s first job completes at 12: its transition deadline, 8 after the
+    request, is missed up to 15/4 and met from 4 on."""
+    system = idling_handover()
+    grid = quarters(13, 32)
+    assert [r.transition_misses for r in one_point_each(system, grid)] == [1] * 3 + [0] * 16
+    args = (system, "offline-table", ("alpha", "beta"), grid)
+    result = ms.sweep_mcr(*args)
+    assert result == per_point_sweep(*args)
+    assert result.transition_misses == 3
+    assert requests == [Fraction(13, 4)] and len(forks) == 1
+
+
+def test_shuffled_grid_with_repeats_across_stretches(requests):
+    """Points out of order and repeated, across served and decided
+    stretches: a point before the last request restarts the source run."""
+    rng = random.Random(28)
+    for system, grid in ((idling_handover(), quarters(13, 44)), (behind_share_handover(), quarters(1, 24))):
+        grid += rng.choices(grid, k=12)
+        rng.shuffle(grid)
+        for allocation_source in ("offline-table", "online-ffd"):
+            requests.clear()
+            args = (system, allocation_source, ("alpha", "beta"), grid)
+            assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+            assert len(requests) < len(grid)
+
+
+def test_source_run_with_nothing_queued_decides_every_later_point(requests):
+    """With no MI task and no MD task in the source mode, the source run
+    has no next instant: the point after the fork that places ``busy`` is
+    decided, and every later point with it."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [{"id": "x", "kind": "MD", "wcet": 1, "period": 5, "transition_deadline": 5}],
+            "modes": [{"id": "quiet", "md_tasks": []}, {"id": "busy", "md_tasks": ["x"]}],
+            "transitions": [["quiet", "busy"]],
+        }
+    )
+    for allocation_source in ("offline-table", "online-ffd"):
+        requests.clear()
+        args = (system, allocation_source, ("quiet", "busy"), range(10))
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+        assert requests == [0, 1]
+
+
+def test_run_sweep_walks_its_step_grid_on_one_source_run(case_study, monkeypatch):
+    """At step 7/3 the time base of the first point, 0, lacks thirds: a list
+    grid restarts the source run at 7/3, while ``run_sweep`` builds its one
+    source run on a time base that holds the step."""
+    runs = []
+    start = sim._SourceRun.__init__
+
+    def recording(self, scenario):
+        runs.append(scenario)
+        start(self, scenario)
+
+    monkeypatch.setattr(sim._SourceRun, "__init__", recording)
+    result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(7, 3), "offline-table"))
+    assert len(runs) == 1 and result.points == 772
+    del runs[:]
+    grid = [k * Fraction(7, 3) for k in range(772)]
+    assert ms.sweep_mcr(case_study, "offline-table", ("mode1", "mode2"), grid) == result
+    assert len(runs) == 2
 
 
 # ---------------------------------------------------------------------------

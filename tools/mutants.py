@@ -181,13 +181,30 @@ MUTANTS = (
     ),
     Mutant(
         "serve-past-transition-end", "src/modesched/sim.py",
-        " and time < sum(serving.latencies[0])", "",
+        "self.serves_until = min(time + latency, *releases)", "self.serves_until = min(releases)",
         "a point at or after a fork's transition end has nothing pending and gets its own fork",
     ),
     Mutant(
         "serve-through-md-release", "src/modesched/sim.py",
         "time < self.serves_until", "time <= self.serves_until",
-        "a fork serves no point at or after the source mode's next MD release after its request",
+        "a fork serves no point at or after the end of what it serves: its transition end or the"
+        " source mode's next MD release after its request",
+    ),
+    Mutant(
+        "decided-stretch-inclusive", "src/modesched/sim.py",
+        "if time < until:", "if time <= until:",
+        "a stretch ends before its end: a decided one before the source run's next instant",
+    ),
+    Mutant(
+        "served-stretch-unsettled", "src/modesched/sim.py",
+        "if fork is self.serving and not fork.waiting:", "if fork is self.serving:",
+        "a serving fork gives a stretch only once it has stopped: an unsettled one's job misses and"
+        " check completions still change with the horizon",
+    ),
+    Mutant(
+        "served-stretch-no-shift", "src/modesched/sim.py",
+        "self.check_outcome(record, limit, shift)", "self.check_outcome(record, limit, 0)",
+        "a point a fork serves has each transition deadline moved by its distance from the fork's request",
     ),
 )
 

@@ -28,7 +28,8 @@ last line sums the run up.  The checks:
     the period to 12 past it on most MD tasks and some draws rescaled to
     mixed denominators, swept for a random mode pair and allocation source
     at a random step over up to 48 points of the source hyperperiod, some
-    grids shuffled with repeats.
+    grids shuffled with repeats.  Steps of 1/4 and 1/5 put many points
+    between two instants of the source run, inside one stretch.
 
     python3 tools/oracles.py sweep-vs-points                     # seeds 1-3, 300 systems each
     python3 tools/oracles.py sweep-vs-points --seeds 4 --systems 50
@@ -59,7 +60,7 @@ from test_sim import exactly_saturated, per_point_sweep, rescaled, saturated_han
 SOURCES = ("offline-table", "online-ffd")
 STEP = Fraction(1, 2)
 SPAN_CAP = 240
-POINT_STEPS = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3))
+POINT_STEPS = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3), Fraction(1, 4), Fraction(1, 5))
 POINTS_CAP = 48
 
 
