@@ -80,10 +80,12 @@ held there and each transition check still open there had a job due by the
 check's deadline.  A sweep simulates only allocations that load no
 processor above 1 (an optimal table or a First-Fit placement), which the
 test's argument needs: see ``_SourceRun``.  One request gives the outcome
-of a whole stretch of later points, which take a few integer operations
-each: up to a stopped serving fork's end, or, after a decided point, up to
-the next instant the source run processes.  A step sweep (``run_sweep``)
-walks its grid in integers on one source run.
+of a whole window of later points, which take a few integer operations
+each: up to its fork's end, settled or not, the fork first run on to each
+point's horizon while it has not stopped; or, after a decided point, up to
+the next instant the source run processes.  Settling thus decides only
+when a fork stops simulating.  A step sweep (``run_sweep``) walks its grid
+in integers on one source run.
 """
 
 from __future__ import annotations
@@ -807,7 +809,7 @@ class _SourceRun(_Engine):
 
     The fork made at ``t0`` serves every later point ``t`` that lies before
     both the source mode's next MD release strictly after ``t0`` and the
-    fork's transition end ``E`` (``serves_until``).  A request stops only MD releases, and this
+    fork's transition end ``E``.  A request stops only MD releases, and this
     run releases no MD job in ``(t0, t]``, so there the two runs differ in
     nothing: the same MI jobs are released, the same jobs complete (old MD
     jobs too), the same deadlines are missed and each dispatch is the same.
@@ -870,8 +872,7 @@ class _SourceRun(_Engine):
     vacuously.  A fork queues one request, so no check opens later and a
     settled processor stays settled.  Once every processor has settled
     (``waiting`` empties) the fork stops: settling empties the heap and
-    forgets the next completion, so ``advance`` returns at once, for later
-    points the fork serves too.
+    forgets the next completion, so ``advance`` processes no later instant.
 
     A point ``t`` that no fork serves is decided at the request, without a
     fork (``decides``), when all of these hold:
@@ -891,17 +892,16 @@ class _SourceRun(_Engine):
     the check's: before the horizon, so no check is missed.  The outcome is
     latency 0 and the job misses of this run so far.
 
-    ``request`` returns its outcome with the stretch of later points over
-    which the outcome holds, so that a sweep needs no request there:
-      (a) served: the points before ``serves_until``, the fork's transition
-          end ``E`` or the source mode's next MD release, whichever comes
-          first, once the fork has stopped by the first point's horizon.
-          A stopped fork changes no more, and a point ``t`` there has
-          latency ``E - t``, the fork's job misses and each check's verdict
-          ``check_outcome(record, t + reach, t - t0)``, whose ``deadline <
-          horizon`` clause does not depend on ``t``.  An unsettled fork's
-          misses and check completions can still change with the horizon,
-          so it gives no stretch;
+    ``request`` returns its outcome with the window of later points over
+    which it holds, so that a sweep needs no request there:
+      (a) served: the points before the fork's transition end ``E`` or the
+          source mode's next MD release, whichever comes first, an empty
+          window when the latency is 0.  A point ``t`` there has latency
+          ``E - t``, and the fork's job misses and each check's verdict
+          ``check_outcome(record, t + reach, t - t0)`` once the fork has
+          processed up to ``t``'s horizon ``t + reach``.  A fork that has
+          not stopped is advanced there first, so points must come in
+          order; a stopped fork changes no more;
       (b) decided: the points after a point ``t`` that ``decides`` accepted
           and before the next instant this run processes, which ``advance``
           returns.  No instant is processed there, so no job is released,
@@ -915,10 +915,6 @@ class _SourceRun(_Engine):
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self._emit = _DISCARD
-        self.serving: Optional[_SourceRun] = None
-        # the end of what ``serving`` serves: its transition end or the source
-        # mode's first MD release after its request, whichever comes first
-        self.serves_until = 0
         self.md_periods = tuple(self.states[task_id].period for task_id in self.md_ids[scenario.initial_mode])
         # by (mode, processor), shared with forks: the lcm L of the periods
         # there and each task's weight C * L / T
@@ -1007,48 +1003,36 @@ class _SourceRun(_Engine):
         ``advance`` processes no later instant."""
         self.heap.clear()
 
-    def reaches(self, time: Fraction) -> bool:
-        return self.scale % time.denominator == 0 and self.scaled(time) >= self.time
-
     def request(
         self, time: int, destination: str, limit: int,
     ) -> tuple[tuple[int, int, int], Union[int, float], Optional["_SourceRun"]]:
         """The outcome of a request for ``destination`` at instant ``time`` in
         a run up to ``limit`` (its latency, job misses and missed transition
-        checks), the end of the stretch over which it holds, and the fork
-        that gives it there, if any.  This run first processes every instant
+        checks), the end of the window of later points it gives, and the fork
+        that gives them, if any.  This run first processes every instant
         before ``time``; the outcome is decided there, or read from a fork
-        that requested at ``time``, or from the one made for an earlier point
-        if it serves ``time`` too (see the class docstring).
+        that requested at ``time`` (see the class docstring).
 
-        A later point before the stretch's end, on the same horizon margin,
-        needs no request: with no fork its outcome is this one, else
-        ``fork.outcome(point, its horizon)``."""
+        A later point before the window's end needs no request: with no fork
+        its outcome is this one, else ``fork.outcome(point, its horizon)``,
+        once the fork, if it has not stopped, is advanced to that horizon."""
         following = self.advance(time)
         self.time = time
-        if self.serving is not None and time < self.serves_until:
-            fork = self.serving
-            fork.advance(limit)
-        elif self.decides(time, destination):
+        if self.decides(time, destination):
             # decided up to the next instant this run processes, if there is one
             return (0, self.job_misses, 0), math.inf if following is None else following, None
-        else:
-            fork = self._fork()
-            fork._push(time, _PHASE_MCR, destination)
-            fork.advance(limit)
-            # at load <= 1 every source-mode job meets its deadline, so the
-            # transition ends by t plus the source's longest MD period, before
-            # limit; an engine bug that broke this fails here as an internal error
-            ((_, latency),) = fork.latencies
-            if latency:  # the transition waited for pending jobs: the fork serves up to its end
-                self.serving = fork
-                # the next MD release strictly after ``time``: one released at
-                # ``time`` is pending in the fork
-                releases = ((time // period + 1) * period for period in self.md_periods)
-                self.serves_until = min(time + latency, *releases)
-        if fork is self.serving and not fork.waiting:  # stopped by this point's horizon
-            return fork.outcome(time, limit), self.serves_until, fork
-        return fork.outcome(time, limit), time, None
+        fork = self._fork()
+        fork._push(time, _PHASE_MCR, destination)
+        fork.advance(limit)
+        # at load <= 1 every source-mode job meets its deadline, so the
+        # transition ends by t plus the source's longest MD period, before
+        # limit; an engine bug that broke this fails here as an internal error
+        ((_, latency),) = fork.latencies
+        # the fork serves up to its transition end or the source mode's next
+        # MD release strictly after ``time`` (one released at ``time`` is
+        # pending in the fork), whichever comes first
+        releases = ((time // period + 1) * period for period in self.md_periods)
+        return fork.outcome(time, limit), min((time + latency, *releases)), fork
 
     def outcome(self, time: int, limit: int) -> tuple[int, int, int]:
         """The outcome of a request at ``time``, in a run up to ``limit``,
@@ -1073,7 +1057,6 @@ class _SourceRun(_Engine):
         twin.heap = [(time, phase, seq, (jobs.get(job, job), task, activation))
                      for time, phase, seq, (job, task, activation) in self.heap]
         twin.old_pending = set()
-        twin.serving = None
         twin.latencies = []
         twin.checks = []
         twin._check_by_task_job = {}
@@ -1122,15 +1105,19 @@ class _StepGrid:
 
 
 def _walk(grid: Iterable, start) -> Iterator[tuple[_SourceRun, int]]:
-    """Each point of ``grid`` as ``(source run, scaled instant)``: a point the
-    current source run cannot reach, off its time base or before its last
-    request, restarts it from time 0 on the time base of the point's own
-    scenario, on which every later point it reaches has its horizon too."""
+    """Each point of ``grid`` as ``(source run, scaled instant)``: a point
+    off the current source run's time base or below the previous point
+    restarts it from time 0 on the time base of the point's own scenario,
+    on which every later point on that base has its horizon too.  The
+    source run and a fork serving the previous point may have processed
+    past a point below it."""
     run: Optional[_SourceRun] = None
+    previous = None
     for raw_time in grid:
         mcr_time = as_time(raw_time, what="sweep grid point")
-        if run is None or not run.reaches(mcr_time):
+        if run is None or run.scale % mcr_time.denominator or mcr_time < previous:
             run = start(mcr_time)
+        previous = mcr_time
         yield run, run.scaled(mcr_time)
 
 
@@ -1170,22 +1157,24 @@ def sweep_mcr(
     (see ``_SourceRun``): what it would simulate up to a later horizon
     holds no job miss and no new transition-check verdict.
 
-    One request gives the outcome of a whole stretch of points (see
+    One request gives the outcome of a whole window of points (see
     ``_SourceRun.request``), which later points inside it read with a few
-    integer operations each, with no request, no source advance and no fork:
-      * served: the points before the serving fork's end, once the fork has
-        stopped by the first point's horizon.  An unsettled fork's job
-        misses and check completions can still change with the horizon;
+    integer operations each, with no request, no source advance and no fork
+    of their own:
+      * served: the points before the fork's end, settled or not.  A fork
+        that has not stopped, whose job misses and check completions can
+        still change with the horizon, is first advanced to the point's
+        horizon; settling only decides when it stops simulating;
       * decided: the points after one that the demand test decided and
         before the next instant the source run processes.  No job changes
         there but the running ones, whose remaining work shrinks as fast as
         the time left to every pending deadline, and the destination's
         carry terms shrink too, so the test still holds.
     The grid may be any iterable, in any order and with repeats; a point
-    the source run has passed restarts it from time 0.  ``run_sweep``'s grid
-    (``_StepGrid``) is walked in integers on one source run.  Latencies are
-    compared in integers, and a ``Fraction`` is built only for a new
-    maximum.
+    below the previous one restarts the source run from time 0.
+    ``run_sweep``'s grid (``_StepGrid``) is walked in integers on one source
+    run.  Latencies are compared in integers, and a ``Fraction`` is built
+    only for a new maximum.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair
@@ -1221,10 +1210,12 @@ def sweep_mcr(
     for run, time in walk:
         if run is not source_run:  # a new source run, with its own time base
             source_run, scale, scaled_reach = run, run.scale, run.scaled(reach)
-            until = 0  # the end of the last request's stretch: none yet
+            until = 0  # the end of the last request's window: none yet
             top = -1 if best is None else math.floor(best[0] * scale)  # the maximum, on this time base
-        if time < until:  # inside the last request's stretch
+        if time < until:  # inside the last request's window
             if fork is not None:
+                if fork.waiting:  # not stopped yet: it runs on to this point's horizon
+                    fork.advance(time + scaled_reach)
                 outcome = fork.outcome(time, time + scaled_reach)
         else:
             outcome, until, fork = run.request(time, destination, time + scaled_reach)

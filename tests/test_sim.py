@@ -1592,9 +1592,10 @@ def behind_share_handover():
 
 
 def test_points_after_a_failed_demand_test_are_requested_each(requests):
-    """The demand test fails at 2, where nothing of alpha is pending, and
-    holds from 4 on, all before alpha's next instant 5.  A failure gives no
-    stretch: every point up to 4 gets its own request, and its own job
+    """The fork made at 1/4 serves every point before ``x`` completes at 2.
+    The demand test fails at 2, where nothing of alpha is pending, and holds
+    from 4 on, all before alpha's next instant 5.  A failure gives no
+    window: every point from 2 up to 4 gets its own request, and its own job
     misses; only the points after 4 are decided with it."""
     system = behind_share_handover()
     grid = quarters(1, 20)
@@ -1606,21 +1607,21 @@ def test_points_after_a_failed_demand_test_are_requested_each(requests):
         result = ms.sweep_mcr(*args)
         assert result == per_point_sweep(*args)
         assert result.job_misses == 22
-        assert requests == grid[:16]
+        assert requests == grid[:1] + grid[7:16]
 
 
-def test_unsettled_fork_gives_no_stretch(forks, requests):
+def test_unsettled_fork_serves_its_window_run_on_to_each_horizon(forks, requests):
     """In ``backlogged_handover`` the fork made at 3 never settles: ``y``
     misses a deadline at 24, inside the horizon of the request at 4 but not
-    of the one at 3.  Each point it serves is requested, and the fork runs
-    on to that point's horizon."""
+    of the one at 3.  The fork serves every point up to its transition end
+    8 without a request, and runs on to each point's horizon."""
     system = backlogged_handover()
     grid = [3, 4, 5, 6, 7]
     points = one_point_each(system, grid)
     assert [(r.job_misses, r.transition_misses) for r in points] == [(1, 1), (2, 1), (2, 0), (2, 0), (2, 0)]
     args = (system, "offline-table", ("alpha", "beta"), grid)
     assert ms.sweep_mcr(*args) == per_point_sweep(*args)
-    assert forks == [3] and requests == grid
+    assert forks == [3] and requests == [3]
 
 
 def test_check_flips_from_miss_to_met_inside_a_served_stretch(forks, requests):

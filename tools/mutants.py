@@ -181,25 +181,26 @@ MUTANTS = (
     ),
     Mutant(
         "serve-past-transition-end", "src/modesched/sim.py",
-        "self.serves_until = min(time + latency, *releases)", "self.serves_until = min(releases)",
+        "min((time + latency, *releases))", "min((math.inf, *releases))",
         "a point at or after a fork's transition end has nothing pending and gets its own fork",
-    ),
-    Mutant(
-        "serve-through-md-release", "src/modesched/sim.py",
-        "time < self.serves_until", "time <= self.serves_until",
-        "a fork serves no point at or after the end of what it serves: its transition end or the"
-        " source mode's next MD release after its request",
     ),
     Mutant(
         "decided-stretch-inclusive", "src/modesched/sim.py",
         "if time < until:", "if time <= until:",
-        "a stretch ends before its end: a decided one before the source run's next instant",
+        "a window ends before its end: a fork's before its transition end or the source mode's next"
+        " MD release after its request, a decided one before the source run's next instant",
     ),
     Mutant(
-        "served-stretch-unsettled", "src/modesched/sim.py",
-        "if fork is self.serving and not fork.waiting:", "if fork is self.serving:",
-        "a serving fork gives a stretch only once it has stopped: an unsettled one's job misses and"
-        " check completions still change with the horizon",
+        "served-point-skips-advance", "src/modesched/sim.py",
+        "fork.advance(time + scaled_reach)", "pass",
+        "a fork that has not stopped runs on to the horizon of each point it serves: its job misses"
+        " and check completions still change with the horizon",
+    ),
+    Mutant(
+        "walk-keeps-backward-point", "src/modesched/sim.py",
+        "run.scale % mcr_time.denominator or mcr_time < previous:", "run.scale % mcr_time.denominator:",
+        "a point below the previous one restarts the source run: the source run and a serving fork"
+        " have processed past it",
     ),
     Mutant(
         "served-stretch-no-shift", "src/modesched/sim.py",
