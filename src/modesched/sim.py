@@ -84,8 +84,9 @@ of a whole window of later points, which take a few integer operations
 each: up to its fork's end, settled or not, the fork first run on to each
 point's horizon while it has not stopped; or, after a decided point, up to
 the next instant the source run processes.  Settling thus decides only
-when a fork stops simulating.  A step sweep (``run_sweep``) walks its grid
-in integers on one source run.
+when a fork stops simulating.  Every grid, a step sweep's (``run_sweep``)
+or any other, is walked in integers on one time base that holds every
+point; only a point below the previous one restarts the source run.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ from __future__ import annotations
 import collections
 import heapq
 import io
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -1085,9 +1085,8 @@ def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
 
 class _StepGrid:
     """The sweep grid ``k * step`` for ``0 <= k < count``.  Iterated, it
-    yields those points; ``sweep_mcr`` walks it in integers instead, on one
-    source run whose time base holds ``step``, so that no point needs
-    converting."""
+    yields those points; ``sweep_mcr`` takes it as its unit ``step`` and
+    the multiples ``range(count)``, so that no point needs converting."""
 
     __slots__ = ("step", "count")
 
@@ -1096,29 +1095,6 @@ class _StepGrid:
 
     def __iter__(self) -> Iterator[Fraction]:
         return map(self.step.__mul__, range(self.count))
-
-    def walk(self, start) -> Iterator[tuple[_SourceRun, int]]:
-        """Each point as ``(source run, scaled instant)``, all on one source run."""
-        run = start(self.step)  # the time base of the point ``step``: every multiple of it lies on it
-        step = run.scaled(self.step)
-        return zip(itertools.repeat(run), range(0, self.count * step, step))
-
-
-def _walk(grid: Iterable, start) -> Iterator[tuple[_SourceRun, int]]:
-    """Each point of ``grid`` as ``(source run, scaled instant)``: a point
-    off the current source run's time base or below the previous point
-    restarts it from time 0 on the time base of the point's own scenario,
-    on which every later point on that base has its horizon too.  The
-    source run and a fork serving the previous point may have processed
-    past a point below it."""
-    run: Optional[_SourceRun] = None
-    previous = None
-    for raw_time in grid:
-        mcr_time = as_time(raw_time, what="sweep grid point")
-        if run is None or run.scale % mcr_time.denominator or mcr_time < previous:
-            run = start(mcr_time)
-        previous = mcr_time
-        yield run, run.scaled(mcr_time)
 
 
 def sweep_mcr(
@@ -1170,11 +1146,19 @@ def sweep_mcr(
         there but the running ones, whose remaining work shrinks as fast as
         the time left to every pending deadline, and the destination's
         carry terms shrink too, so the test still holds.
-    The grid may be any iterable, in any order and with repeats; a point
-    below the previous one restarts the source run from time 0.
-    ``run_sweep``'s grid (``_StepGrid``) is walked in integers on one source
-    run.  Latencies are compared in integers, and a ``Fraction`` is built
-    only for a new maximum.
+
+    The grid may be any iterable, in any order and with repeats.  Before
+    any point is simulated it becomes a unit and the points' integer
+    multiples of it: ``run_sweep``'s grid (``_StepGrid``) its step and
+    ``range(count)``; any other grid has every point validated first, and
+    then the unit ``1 / b`` for ``b`` the lcm of the points' denominators.
+    Every source run is built for a request at the unit, so its time base
+    holds every point and every point's horizon, and the whole grid is
+    walked in integers on that one base.  A point below the previous one
+    restarts the source run from time 0, on the same base: the source run
+    and a fork serving the previous point may have processed past it.  The
+    maximum is kept in integers, the first such point in grid order, and
+    made a ``Fraction`` once, at the end.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair
@@ -1191,6 +1175,15 @@ def sweep_mcr(
     active = system.mi_tasks + system.md_tasks_of(source) + system.md_tasks_of(destination)
     reach = bound + max((t.period for t in active), default=Fraction(1)) + 1  # a point's horizon, past it
 
+    if isinstance(mcr_time_grid, _StepGrid):
+        unit, multiples = mcr_time_grid.step, range(mcr_time_grid.count)
+    else:
+        points = [as_time(raw_time, what="sweep grid point") for raw_time in mcr_time_grid]
+        base = _time_base(points)
+        unit, multiples = Fraction(1, base), [_scaled(point, base) for point in points]
+    if not multiples:
+        raise ScenarioError("empty MCR time grid")
+
     def start(mcr_time: Fraction) -> _SourceRun:
         """A source run on the time base of the scenario of a request at ``mcr_time``."""
         return _SourceRun(
@@ -1200,18 +1193,16 @@ def sweep_mcr(
             )
         )
 
-    walk = mcr_time_grid.walk(start) if isinstance(mcr_time_grid, _StepGrid) else _walk(mcr_time_grid, start)
-    best: Optional[tuple[Fraction, Fraction]] = None
-    points = 0
-    job_misses = 0
-    transition_misses = 0
-    source_run: Optional[_SourceRun] = None
+    run = start(unit)
+    scale, step, scaled_reach = run.scale, run.scaled(unit), run.scaled(reach)
+    top = at = -1  # the maximum latency and its point
+    job_misses = transition_misses = 0
+    previous = until = 0  # the last point; the end of the last request's window
     fork: Optional[_SourceRun] = None
-    for run, time in walk:
-        if run is not source_run:  # a new source run, with its own time base
-            source_run, scale, scaled_reach = run, run.scale, run.scaled(reach)
-            until = 0  # the end of the last request's window: none yet
-            top = -1 if best is None else math.floor(best[0] * scale)  # the maximum, on this time base
+    for time in map(step.__mul__, multiples):
+        if time < previous:  # the source run and a serving fork may have processed past it
+            run, until = start(unit), 0
+        previous = time
         if time < until:  # inside the last request's window
             if fork is not None:
                 if fork.waiting:  # not stopped yet: it runs on to this point's horizon
@@ -1222,16 +1213,12 @@ def sweep_mcr(
         latency, misses, missed_checks = outcome
         job_misses += misses
         transition_misses += missed_checks
-        points += 1
         if latency > top:
-            top = latency
-            best = (Fraction(latency, scale), Fraction(time, scale))
-    if best is None:
-        raise ScenarioError("empty MCR time grid")
+            top, at = latency, time
     return SweepResult(
-        max_latency=best[0],
-        at_time=best[1],
-        points=points,
+        max_latency=Fraction(top, scale),
+        at_time=Fraction(at, scale),
+        points=len(multiples),
         job_misses=job_misses,
         transition_misses=transition_misses,
     )
@@ -1239,7 +1226,7 @@ def sweep_mcr(
 
 def run_sweep(system: ModeSystem, spec: SweepSpec) -> SweepResult:
     """Sweep with step ``spec.step`` over one hyperperiod of the source
-    mode's tasks, walked in integers on one source run (``_StepGrid``)."""
+    mode's tasks, handed to ``sweep_mcr`` as a ``_StepGrid``, never a list."""
     active = system.mi_tasks + system.md_tasks_of(spec.from_mode)
     grid = _StepGrid(spec.step, math.ceil(hyperperiod(active) / spec.step))
     return sweep_mcr(system, spec.allocation_source, (spec.from_mode, spec.to_mode), grid)

@@ -647,10 +647,11 @@ def per_point_sweep(system, allocation_source, mode_pair, mcr_time_grid):
         bound = ms.latency_upper_bound(system, source)
     active = system.mi_tasks + system.md_tasks_of(source) + system.md_tasks_of(destination)
     margin = max((t.period for t in active), default=Fraction(1)) + 1
+    # every point is validated before any is simulated
+    mcr_times = [ms.as_time(raw_time, what="sweep grid point") for raw_time in mcr_time_grid]
     best = None
     points = job_misses = transition_misses = 0
-    for raw_time in mcr_time_grid:
-        mcr_time = ms.as_time(raw_time, what="sweep grid point")
+    for mcr_time in mcr_times:
         scenario = ms.make_scenario(
             system, source, allocation_source, [(mcr_time, destination)],
             horizon=mcr_time + bound + margin, static_tables=tables,
@@ -767,7 +768,7 @@ def test_forked_sweep_matches_per_point_runs_randomized():
     )
 
 
-def test_forked_sweep_edge_cases(case_study):
+def test_forked_sweep_edge_cases(case_study, source_runs):
     for sweep in (ms.sweep_mcr, per_point_sweep):
         with pytest.raises(ms.ScenarioError, match="empty MCR time grid"):
             sweep(case_study, "offline-table", ("mode1", "mode2"), [])
@@ -810,6 +811,14 @@ def test_forked_sweep_edge_cases(case_study):
     outcome = sweep_outcome(ms.sweep_mcr, *args)
     assert outcome == sweep_outcome(per_point_sweep, *args)
     assert outcome[0] is ms.SimulationError and outcome[2] == 7
+    # every point is validated before any is simulated: an invalid point
+    # after 7 is refused before 7's placement fails, with no source run built
+    source_runs.clear()
+    args = (storm, "online-ffd", ("calm", "storm"), [7, -1])
+    outcome = sweep_outcome(ms.sweep_mcr, *args)
+    assert outcome == sweep_outcome(per_point_sweep, *args)
+    assert outcome[:2] == (ms.SystemValidationError, "sweep grid point: must be non-negative, got -1")
+    assert source_runs == []
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +851,20 @@ def requests(monkeypatch):
 
     monkeypatch.setattr(sim._SourceRun, "request", recording)
     return made
+
+
+@pytest.fixture
+def source_runs(monkeypatch):
+    """The scenario of every source run a sweep builds, in order."""
+    built = []
+    init = sim._SourceRun.__init__
+
+    def recording(self, scenario):
+        built.append(scenario)
+        init(self, scenario)
+
+    monkeypatch.setattr(sim._SourceRun, "__init__", recording)
+    return built
 
 
 def backlogged_handover():
@@ -936,7 +959,9 @@ def test_fork_processes_its_request_instant_as_the_points_own_run(monkeypatch, s
     # transition deadline 19, so the check stays open until the job completes
     # at 20 and the processor idles
     assert settlements == [twin.scaled(Fraction(20))]
-    assert rows == [row for row in ms.run(twin.scenario).rows if request <= row[0] <= settlements[0]]
+    # the source run requests at the grid's unit; the point's own scenario at 6
+    own = twin.scenario._replace(mcr_schedule=((Fraction(6), "b"),))
+    assert rows == [row for row in ms.run(own).rows if request <= row[0] <= settlements[0]]
 
 
 def test_repeated_and_backward_points_in_one_interval(forks):
@@ -1671,24 +1696,33 @@ def test_source_run_with_nothing_queued_decides_every_later_point(requests):
         assert requests == [0, 1]
 
 
-def test_run_sweep_walks_its_step_grid_on_one_source_run(case_study, monkeypatch):
-    """At step 7/3 the time base of the first point, 0, lacks thirds: a list
-    grid restarts the source run at 7/3, while ``run_sweep`` builds its one
-    source run on a time base that holds the step."""
-    runs = []
-    start = sim._SourceRun.__init__
-
-    def recording(self, scenario):
-        runs.append(scenario)
-        start(self, scenario)
-
-    monkeypatch.setattr(sim._SourceRun, "__init__", recording)
+def test_run_sweep_walks_its_step_grid_on_one_source_run(case_study, source_runs):
+    """At step 7/3 ``run_sweep`` builds its one source run on a time base
+    that holds the step, and a list grid of the same points on one that
+    holds the lcm of the points' denominators: neither restarts."""
     result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(7, 3), "offline-table"))
-    assert len(runs) == 1 and result.points == 772
-    del runs[:]
+    assert len(source_runs) == 1 and result.points == 772
+    source_runs.clear()
     grid = [k * Fraction(7, 3) for k in range(772)]
     assert ms.sweep_mcr(case_study, "offline-table", ("mode1", "mode2"), grid) == result
-    assert len(runs) == 2
+    assert len(source_runs) == 1
+
+
+def test_list_grid_of_mixed_denominators_walks_on_one_source_run(forks, source_runs):
+    """No point of ``3, 7/2, 11/3, 4, 9/2, 14/3`` carries both halves and
+    thirds: the grid's time base is the lcm of all its denominators, so the
+    sweep builds one source run, and the fork made at 3 serves every point
+    up to its transition end 8."""
+    system = backlogged_handover()
+    grid = [Fraction(n, d) for n, d in ((3, 1), (7, 2), (11, 3), (4, 1), (9, 2), (14, 3))]
+    for allocation_source in ("offline-table", "online-ffd"):
+        source_runs.clear()
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), grid)
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert (result.max_latency, result.at_time) == (5, 3)
+        assert len(source_runs) == len(forks) == 1
 
 
 # ---------------------------------------------------------------------------

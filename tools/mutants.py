@@ -198,9 +198,14 @@ MUTANTS = (
     ),
     Mutant(
         "walk-keeps-backward-point", "src/modesched/sim.py",
-        "run.scale % mcr_time.denominator or mcr_time < previous:", "run.scale % mcr_time.denominator:",
+        "if time < previous:", "if False:",
         "a point below the previous one restarts the source run: the source run and a serving fork"
         " have processed past it",
+    ),
+    Mutant(
+        "grid-base-first-point", "src/modesched/sim.py",
+        "base = _time_base(points)", "base = _time_base(points[:1])",
+        "an explicit grid's time base holds every point's denominator, not just the first point's",
     ),
     Mutant(
         "served-stretch-no-shift", "src/modesched/sim.py",

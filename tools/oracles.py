@@ -55,7 +55,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import modesched as ms  # noqa: E402
 from conftest import random_system  # noqa: E402
-from test_sim import exactly_saturated, per_point_sweep, rescaled, saturated_handover, sweep_outcome  # noqa: E402
+from test_sim import (  # noqa: E402
+    exactly_saturated, per_point_sweep, rescaled, saturated_handover, sweep_outcome, with_transition_deadlines,
+)
 
 SOURCES = ("offline-table", "online-ffd")
 STEP = Fraction(1, 2)
@@ -150,18 +152,6 @@ def check_bounds(cases) -> tuple[int, int, int]:
     return swept, skipped, found
 
 
-def with_checks(rng, system: ms.ModeSystem) -> ms.ModeSystem:
-    """``system`` with a transition deadline from half the period to 12 past
-    it on about 70 % of its MD tasks, and none on the others."""
-    raw = system_json(system)
-    for task in raw["tasks"]:
-        task.pop("transition_deadline", None)
-        if task["kind"] == "MD" and rng.random() < 0.7:
-            period = Fraction(task["period"])
-            task["transition_deadline"] = str(period * rng.randint(2, 4) / 4 + rng.randint(0, 12))
-    return ms.build_system(raw)
-
-
 def points_corpus(seeds, systems):
     """``(origin, system, allocation_source, (source, destination), grid)`` per draw."""
     for seed in seeds:
@@ -173,7 +163,7 @@ def points_corpus(seeds, systems):
                 system = saturated_handover(rng)
             else:
                 system = random_system(rng, max_tasks=7, md_heavy=draw % 2 == 0, ff_mi=draw % 4 == 1)
-            system = with_checks(rng, system)
+            system = with_transition_deadlines(rng, system)
             if rng.random() < 0.3:
                 system = rescaled(rng, system)
             pair = rng.choice((("alpha", "beta"), ("beta", "alpha")))
