@@ -29,7 +29,7 @@ _NAMES = {
     ),
     "offline": (
         "MilpDocument", "OptimizationResult", "default_big_m", "export_milp",
-        "incumbent_values", "solve_optimal", "validate_offline_scheme",
+        "solve_optimal", "validate_offline_scheme",
     ),
     "online": (
         "FeasibilityVerdict", "KnapsackResult", "OnlineEvidence", "PlacementError",

@@ -4,20 +4,21 @@
 depth-first search that places the MD tasks in decreasing-utilization order
 and answers whether some allocation keeps every processor's utilization at
 most 1 and every processor's latency bound at most a given limit.  The limit
-is always finite.  The optimum comes by descent: the first call's limit is
-the mode's longest MD period, which no platform bound exceeds, so it finds a
-utilization-feasible allocation whenever one exists; then the bound of an
-allocation below the last one, until none exists.  The
-witness is the assignment vector that is lexicographically smallest in
-task-id order among the optimal ones, so results are reproducible; it takes
-one oracle call per task.  When no
-utilization-feasible allocation exists, the mode is reported stuck on the
-first task in branching order that cannot be placed together with the tasks
-before it.  The oracle runs on an integer time base: times are scaled to
-their ``_time_base`` and utilizations by the lcm of the scaled periods,
-so every utilization test, demand sum and busy-period iteration is exact
-integer arithmetic with no epsilon, and rationals are built only for the
-result.
+is always finite.  The optimum comes from one branch-and-bound pass of the
+oracle: its first limit is the mode's longest MD period, which no platform
+bound exceeds, so it finds a utilization-feasible allocation whenever one
+exists; each allocation it completes lowers the limit to just below that
+allocation's bound, and the pass goes on from the first step the new limit
+refuses, so the last allocation it completes is optimal.  The witness is
+the assignment vector that is lexicographically smallest in task-id order
+among the optimal ones, so results are reproducible; it takes one oracle
+call per task.  When no utilization-feasible allocation exists, the mode is
+reported stuck on the first task in branching order that cannot be placed
+together with the tasks before it.  The oracle runs on an integer time
+base: times are scaled to their ``_time_base`` and utilizations by the lcm
+of the scaled periods, so every utilization test, demand sum and
+busy-period iteration is exact integer arithmetic with no epsilon, and
+rationals are built only for the result.
 
 ``export_milp`` emits the same optimization as a mixed-integer linear program
 in CPLEX LP text format, for independent verification with any external
@@ -29,7 +30,7 @@ from __future__ import annotations
 import decimal
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     Allocation,
@@ -70,24 +71,24 @@ class _SearchState:
     tasks, and every utilization by ``capacity``, the lcm of the scaled
     periods, so a full processor holds ``capacity``.  Scaling by a positive
     constant keeps every comparison, so the oracle decides exactly what it
-    would decide on the rationals.
+    would decide on the rationals.  Per-processor state lives in lists indexed
+    by processor number (index 0 is unused), and each processor's MI task set
+    is interned as a small int, its signature.
     """
 
     def __init__(self, system: ModeSystem, md_tasks):
         tasks = system.mi_tasks + tuple(md_tasks)
         self.scale = _time_base(v for t in tasks for v in (t.wcet, t.period))
         self.capacity = math.lcm(*(self.time(t.period) for t in tasks))
-        self.processors = list(system.processors)
-        self.mi_sets = {
-            p: tuple((self.time(t.wcet), self.time(t.period)) for t in system.mi_on(p))
-            for p in self.processors
-        }
-        self.util = {
-            p: sum(wcet * (self.capacity // period) for wcet, period in self.mi_sets[p])
-            for p in self.processors
-        }
-        self.signature = {p: tuple(sorted(self.mi_sets[p])) for p in self.processors}
-        self._busy_cache: dict[tuple[int, int], int] = {}
+        self.processors = system.processors
+        self.mi_sets = [()] + [
+            tuple((self.time(t.wcet), self.time(t.period)) for t in system.mi_on(p)) for p in self.processors
+        ]
+        self.util = [sum(wcet * (self.capacity // period) for wcet, period in mi) for mi in self.mi_sets]
+        interned: dict[tuple, int] = {}
+        self.signature = [interned.setdefault(tuple(sorted(mi)), len(interned)) for mi in self.mi_sets]
+        # one busy-period cache per processor, keyed by MD demand
+        self._busy_cache: list[dict[int, int]] = [{} for _ in self.mi_sets]
         self.explored = 0
         self.deepest = 0
 
@@ -100,24 +101,23 @@ class _SearchState:
         return wcet * (self.capacity // period), wcet, period
 
     def busy(self, processor: int, demand: int) -> int:
-        key = (processor, demand)
-        value = self._busy_cache.get(key)
+        cache = self._busy_cache[processor]
+        value = cache.get(demand)
         if value is None:
             # utilization feasibility guarantees convergence whenever demand > 0
-            value = _scaled_busy_period(demand, self.mi_sets[processor])
-            self._busy_cache[key] = value
+            value = cache[demand] = _scaled_busy_period(demand, self.mi_sets[processor])
         return value
 
     def bound(self, items, placement) -> int:
         """Platform latency bound of the items placed on the given processors."""
-        demand: dict[int, int] = {}
-        longest: dict[int, int] = {}
+        demand = [0] * len(self.mi_sets)
+        longest = [0] * len(self.mi_sets)
         for (_, wcet, period), p in zip(items, placement):
-            demand[p] = demand.get(p, 0) + wcet
-            longest[p] = max(longest.get(p, 0), period)
-        return max((min(longest[p], self.busy(p, demand[p])) for p in demand), default=0)
+            demand[p] += wcet
+            longest[p] = max(longest[p], period)
+        return max((min(longest[p], self.busy(p, demand[p])) for p in self.processors if demand[p]), default=0)
 
-    def allocate(self, fixed, rest, limit: int) -> Optional[tuple[int, ...]]:
+    def allocate(self, fixed, rest, limit: int, minimize: bool = False) -> Optional[tuple[int, ...]]:
         """Processors for the items of ``fixed`` (each pinned to its processor)
         and then of ``rest``, or None when no such placement exists.
 
@@ -135,26 +135,46 @@ class _SearchState:
         state of one already tried at that step, whose subtrees all failed.
         So the placement returned is the lexicographically smallest in step
         order among all placements that exist.
+
+        With ``minimize``, the search is a branch and bound instead: each
+        placement it completes becomes the incumbent, and the limit drops to
+        the incumbent's bound minus one.  The search then backs up to the
+        first step whose placement the new limit refuses and goes on from
+        there, so every subtree it leaves holds no placement within the limit
+        in force.  The last incumbent is returned: its bound is the least of
+        all placements.  At each drop every step forgets the states it tried:
+        whether they held a period above the limit was judged under the old
+        limit.  When no placement exists the limit never drops, so
+        ``deepest`` is what a call without ``minimize`` leaves.
         """
         steps = [(item, (p,)) for item, p in fixed] + [(item, self.processors) for item in rest]
-        capacity, signature, busy = self.capacity, self.signature, self.busy
-        util = dict(self.util)
-        demand = dict.fromkeys(self.processors, 0)
-        long = dict.fromkeys(self.processors, False)
+        items = [item for item, _ in steps]
+        capacity, signature, busy, caches = self.capacity, self.signature, self.busy, self._busy_cache
+
+        def above(limit: int) -> list[bool]:
+            """Per step, whether its item's period is above ``limit``."""
+            return [period > limit for _, _, period in items]
+
+        over = above(limit)
+        util = list(self.util)
+        demand = [0] * len(util)
+        long = [False] * len(util)
         placement: list[int] = []
         was_long: list[bool] = []
+        incumbent = None if steps else ()  # placing nothing is complete at once
         explored = deepest = depth = 0
         # depth-first on an explicit stack, one frame per step being placed:
         # its candidates not yet tried and the processor states it tried
         frames = [(iter(steps[0][1]), set())] if steps else []
         while frames:
             candidates, tried = frames[-1]
-            utilization, wcet, period = steps[depth][0]
+            utilization, wcet, _ = items[depth]
+            step_long = over[depth]
             for p in candidates:
                 if util[p] + utilization > capacity:
                     continue
-                now_long = long[p] or period > limit
-                if now_long and busy(p, demand[p] + wcet) > limit:
+                now_long = long[p] or step_long
+                if now_long and (caches[p].get(demand[p] + wcet) or busy(p, demand[p] + wcet)) > limit:
                     continue
                 state = (signature[p], util[p], demand[p], long[p])
                 if state in tried:
@@ -172,7 +192,7 @@ class _SearchState:
                 if depth:
                     depth -= 1
                     p = placement.pop()
-                    utilization, wcet, _ = steps[depth][0]
+                    utilization, wcet, _ = items[depth]
                     util[p] -= utilization
                     demand[p] -= wcet
                     long[p] = was_long.pop()
@@ -180,26 +200,47 @@ class _SearchState:
             depth += 1
             if depth > deepest:
                 deepest = depth
-            if depth == len(steps):
+            if depth < len(steps):
+                frames.append((iter(steps[depth][1]), set()))
+                continue
+            if not minimize:
                 break
-            frames.append((iter(steps[depth][1]), set()))
+            incumbent = tuple(placement)
+            limit = self.bound(items, incumbent) - 1
+            over = above(limit)
+            # replay the incumbent under the new limit up to the first step it refuses
+            util, demand, long = list(self.util), [0] * len(util), [False] * len(util)
+            was_long.clear()
+            for depth, p in enumerate(incumbent):
+                utilization, wcet, _ = items[depth]
+                now_long = long[p] or over[depth]
+                if now_long and busy(p, demand[p] + wcet) > limit:
+                    break
+                was_long.append(long[p])
+                util[p] += utilization
+                demand[p] += wcet
+                long[p] = now_long
+            del placement[depth:], frames[depth + 1:]
+            for _, tried in frames:
+                tried.clear()
         self.explored += explored
         self.deepest = deepest
+        if minimize:
+            return incumbent
         return tuple(placement) if depth == len(steps) else None
 
 
 def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     """Allocation of the mode's MD tasks minimizing the platform latency bound.
 
-    The optimum comes by descent on the allocation oracle: the bound of a
-    utilization-feasible allocation, then the bound of one below it, until no
-    allocation below the current bound exists.  The witness is the
-    lexicographically smallest optimal assignment in task-id order: each task
-    in id order is fixed on the lowest processor from which an allocation
-    within the optimum still exists, which is where the one oracle call that
-    places it first, after the tasks already fixed, puts it.  A mode with no MD tasks goes through
-    the same oracle: it places nothing, the bound is 0 and the descent stops
-    there, with no node explored.
+    The optimum comes from one branch-and-bound call of the allocation
+    oracle, starting at the longest MD period, a limit that tests utilization
+    only.  The witness is the lexicographically smallest optimal assignment
+    in task-id order: each task in id order is fixed on the lowest processor
+    from which an allocation within the optimum still exists, which is where
+    the one oracle call that places it first, after the tasks already fixed,
+    puts it.  A mode with no MD tasks goes through the same oracle: it places
+    nothing and the bound is 0, with no node explored.
 
     Raises InfeasibleModeError when no utilization-feasible allocation
     exists, naming the stuck task: the first task, in decreasing-utilization
@@ -212,14 +253,12 @@ def solve_optimal(system: ModeSystem, mode_id: str) -> OptimizationResult:
     items = {t.id: state.item(t) for t in md_tasks}
     order_items = [items[t.id] for t in order]
 
-    # no platform bound exceeds the longest MD period, so this call tests utilization only
-    found = state.allocate([], order_items, max((period for _, _, period in order_items), default=0))
+    # no platform bound exceeds the longest MD period, so the first limit tests utilization only
+    longest = max((period for _, _, period in order_items), default=0)
+    found = state.allocate([], order_items, longest, minimize=True)
     if found is None:
         raise InfeasibleModeError(mode_id, order[state.deepest].id)
-    while found is not None:
-        best = state.bound(order_items, found)
-        # only placing nothing gives a bound of 0, and no allocation is below it
-        found = state.allocate([], order_items, best - 1) if best else None
+    best = state.bound(order_items, found)
 
     assignment: dict[str, int] = {}
     fixed: list[tuple[tuple[int, int, int], int]] = []
@@ -269,10 +308,6 @@ class ConstraintRow(NamedTuple):
     sense: str  # "<=" or "="
     rhs: Fraction
 
-    def evaluate(self, values: Mapping[str, Fraction]) -> bool:
-        total = sum((coef * values.get(var, Fraction(0)) for var, coef in self.terms), Fraction(0))
-        return total == self.rhs if self.sense == "=" else total <= self.rhs
-
 
 class MilpDocument(NamedTuple):
     """The allocation optimization as a mixed-integer linear program.
@@ -299,10 +334,6 @@ class MilpDocument(NamedTuple):
     @property
     def binary_count(self) -> int:
         return len(self.binary_variables)
-
-    def violated_rows(self, values: Mapping[str, Fraction]) -> tuple[str, ...]:
-        """Names of constraint rows the given assignment violates (exact arithmetic)."""
-        return tuple(row.name for row in self.constraints if not row.evaluate(values))
 
     def to_lp(self) -> str:
         """The program in CPLEX LP text, with a warning comment when a number was rounded."""
@@ -504,25 +535,3 @@ def _render_terms(terms) -> tuple[str, bool]:
         else:
             parts.append(f"+ {body}" if coef > 0 else f"- {body}")
     return " ".join(parts) if parts else "0", exact
-
-
-def incumbent_values(system: ModeSystem, mode_id: str, allocation: Allocation) -> dict[str, Fraction]:
-    """Variable assignment realizing a given allocation inside the exported program.
-
-    Placement binaries come from the allocation, each MI task's job count from
-    the fixed point of its processor's busy period, each selector binary from
-    whichever latency bound is smaller there, and the objective from the
-    platform bound.
-    """
-    report = analyze_allocation(system, mode_id, allocation)
-    names = _lp_names([t.id for t in system.md_tasks_of(mode_id)] + [t.id for t in system.mi_tasks])
-    values: dict[str, Fraction] = {"L": report.platform_bound}
-    for task in system.md_tasks_of(mode_id):
-        for p in system.processors:
-            values[f"y_{p}_{names[task.id]}"] = Fraction(1 if allocation.assignment[task.id] == p else 0)
-    for row in report.per_processor:
-        busy = row.busy_bound or Fraction(0)  # absent together with the period bound
-        values[f"p_{row.processor}"] = Fraction(row.period_bound is None or busy < row.period_bound)
-        for mi_task in system.mi_on(row.processor):
-            values[f"x_{names[mi_task.id]}"] = Fraction(math.ceil(busy / mi_task.period))
-    return values

@@ -422,6 +422,44 @@ def solve_lp_text(text):
     return result.fun
 
 
+def incumbent_values(system, mode_id, allocation):
+    """Variable assignment realizing a given allocation inside the exported program.
+
+    Placement binaries come from the allocation, each MI task's job count from
+    the fixed point of its processor's busy period, each selector binary from
+    whichever latency bound is smaller there, and the objective from the
+    platform bound.
+    """
+    from modesched.offline import _lp_names
+
+    report = ms.analyze_allocation(system, mode_id, allocation)
+    names = _lp_names([t.id for t in system.md_tasks_of(mode_id)] + [t.id for t in system.mi_tasks])
+    values = {"L": report.platform_bound}
+    for task in system.md_tasks_of(mode_id):
+        for p in system.processors:
+            values[f"y_{p}_{names[task.id]}"] = Fraction(1 if allocation.assignment[task.id] == p else 0)
+    for row in report.per_processor:
+        busy = row.busy_bound or Fraction(0)  # absent together with the period bound
+        values[f"p_{row.processor}"] = Fraction(row.period_bound is None or busy < row.period_bound)
+        for mi_task in system.mi_on(row.processor):
+            values[f"x_{names[mi_task.id]}"] = Fraction(math.ceil(busy / mi_task.period))
+    return values
+
+
+def row_holds(terms, sense, rhs, values):
+    """Whether a linear row holds at ``values`` in exact arithmetic: ``terms``
+    holds (variable, coefficient) pairs, and a variable with no value is 0."""
+    total = sum((coef * values.get(var, Fraction(0)) for var, coef in terms), Fraction(0))
+    return total == rhs if sense == "=" else total <= rhs
+
+
+def violated_rows(document, values):
+    """Names of the constraint rows of a ``MilpDocument`` that ``values`` violates."""
+    return tuple(
+        row.name for row in document.constraints if not row_holds(row.terms, row.sense, row.rhs, values)
+    )
+
+
 # ---------------------------------------------------------------------------
 # randomized system generation (seeded by the caller)
 # ---------------------------------------------------------------------------

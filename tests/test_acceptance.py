@@ -21,15 +21,17 @@ from fractions import Fraction
 
 import modesched as ms
 from modesched.cli import build_offline_report
-from modesched.offline import incumbent_values
 from conftest import (
     SAMPLES,
     brute_force_optimal,
     case_study_raw,
     drain_instant,
+    incumbent_values,
     knapsack_brute,
     parse_lp_rows,
     random_system,
+    row_holds,
+    violated_rows,
 )
 
 
@@ -371,12 +373,7 @@ def test_criterion_9_milp_export_fidelity(case_study):
     rows = parse_lp_rows(text)
     allocation = ms.solve_optimal(case_study, "mode1").best_allocation
     values = incumbent_values(case_study, "mode1", allocation)
-    violations = []
-    for name, terms, sense, rhs in rows:
-        total = sum((coef * values.get(var, Fraction(0)) for var, coef in terms.items()), Fraction(0))
-        satisfied = total == rhs if sense == "=" else total <= rhs
-        if not satisfied:
-            violations.append(name)
+    violations = [name for name, terms, sense, rhs in rows if not row_holds(terms.items(), sense, rhs, values)]
 
     m = len(case_study.processors)
     md = case_study.md_tasks_of("mode1")
@@ -391,7 +388,7 @@ def test_criterion_9_milp_export_fidelity(case_study):
         prefix: sum(1 for name, *_ in rows if name.startswith(prefix)) for prefix in expected_families
     }
     binaries_ok = document.binary_count == 2 * (5 + 1)
-    incumbent_ok = not violations and document.violated_rows(values) == ()
+    incumbent_ok = not violations and violated_rows(document, values) == ()
     count_ok = len(rows) == target_count and families == expected_families
 
     ok = count_ok and binaries_ok and incumbent_ok

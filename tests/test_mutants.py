@@ -1,11 +1,21 @@
 """``tools/mutants.py``: every listed mutant still applies to ``src/``.
 
-The mutation run itself takes minutes and stays a tool; this only checks
-that a refactor which moves mutated code updates the list.
+The mutation run itself takes minutes and stays a tool; this checks that a
+refactor which moves mutated code updates the list, and that a run stopped
+by SIGTERM cleans up after itself.
 """
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
+import time
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
 
@@ -49,3 +59,32 @@ def test_mutant_runs_leave_out_the_list_check():
     mutant; counted as a kill, it would let no mutant survive."""
     tool = load_tool()
     assert "--ignore=tests/test_mutants.py" in tool.PYTEST
+
+
+def test_sigterm_kills_the_child_and_removes_the_copy(tmp_path):
+    """A gate stopped by SIGTERM leaves no temporary copy and no running child:
+    the handler raises ``SystemExit`` inside ``subprocess.run``, which kills
+    the child, and the ``TemporaryDirectory`` removes the copy on the way out.
+    One sleeping child stands in for the pytest run."""
+    tool = load_tool()
+    pid_file = tmp_path / "pid"
+    child = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(60)"
+
+    def terminate_once_started():
+        while not pid_file.exists() or not pid_file.read_text():
+            time.sleep(0.01)
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGTERM)
+
+    previous = signal.signal(signal.SIGTERM, tool.stop)
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+                copy = Path(tmp)
+                threading.Thread(target=terminate_once_started, daemon=True).start()
+                subprocess.run([sys.executable, "-c", child, str(pid_file)], capture_output=True, timeout=60)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert excinfo.value.code == 128 + signal.SIGTERM
+    assert not copy.exists()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)

@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 import modesched as ms
-from modesched.offline import _lp_names, default_big_m, incumbent_values
+from modesched.offline import _lp_names, default_big_m
 from conftest import (
     brute_force_optimal,
     fraction_busy_period,
+    incumbent_values,
     infeasible_mode_raw,
     parse_lp_rows,
     random_system,
+    row_holds,
+    violated_rows,
 )
 
 
@@ -261,6 +264,23 @@ def test_processors_are_interchangeable_only_in_equal_states(system, optimum):
     assert result.best_allocation.assignment == brute_force_witness(system, "m")
 
 
+def test_a_tightened_limit_forgets_the_states_tried_before_it():
+    """Both processors hold the MI task (2, 8).  In branching order (t1, t3,
+    t0, t2, t4) the first placement puts t1 and t0 on processor 1 and t3 and
+    t2 on processor 2: equal utilization and demand 6, but longest MD periods
+    14 and 10.  Adding t4 to processor 1 completes it with bound 11 (busy
+    period 11, below 14).  Below the new limit 10, processor 1 holds a period
+    above the limit, so t4 fits only on processor 2, for the optimum 10.
+    Under the old limit the two processors were in the same state, so a
+    search that remembered trying processor 1 at that step would skip
+    processor 2 and report 11."""
+    system = _two_processor_system([(2, 14), (4, 8), (1, 7), (5, 10), (1, 10)], mi=[(2, 8), (2, 8)])
+    result = ms.solve_optimal(system, "m")
+    assert result.optimal_latency == 10 == brute_force_optimal(system, "m")
+    assert result.best_allocation.assignment == brute_force_witness(system, "m")
+    assert result.best_allocation.assignment == {"t0": 1, "t1": 1, "t2": 2, "t3": 2, "t4": 2}
+
+
 def test_random_systems_match_brute_force():
     rng = random.Random(424242)
     solved = stuck = 0
@@ -284,17 +304,17 @@ def test_random_systems_match_brute_force():
 
 
 def test_witness_takes_one_oracle_call_per_task(case_study, monkeypatch):
-    """The descent ends with the call that finds nothing below the optimum;
-    after it the witness asks the oracle once per MD task, the k-th call
-    with the k tasks before it in id order fixed, and every call succeeds."""
+    """One minimizing call finds the optimum; after it the witness asks the
+    oracle once per MD task, the k-th call with the k tasks before it in id
+    order fixed, and every call succeeds."""
     from modesched import offline
 
     calls = []
     allocate = offline._SearchState.allocate
 
-    def counting(self, fixed, rest, limit):
-        found = allocate(self, fixed, rest, limit)
-        calls.append((len(fixed), found is not None))
+    def counting(self, fixed, rest, limit, minimize=False):
+        found = allocate(self, fixed, rest, limit, minimize)
+        calls.append((minimize, len(fixed), found is not None))
         return found
 
     monkeypatch.setattr(offline._SearchState, "allocate", counting)
@@ -307,13 +327,50 @@ def test_witness_takes_one_oracle_call_per_task(case_study, monkeypatch):
             try:
                 ms.solve_optimal(system, mode_id)
             except ms.InfeasibleModeError:
+                # the minimizing call finds no placement, and no witness call follows
+                assert calls == [(True, 0, False)], (system, mode_id)
                 continue
             n = len(system.md_tasks_of(mode_id))
-            # a mode with no MD tasks: one call places nothing, and the bound 0 ends the descent
-            descent = calls.index((0, False)) + 1 if n else 1
-            assert calls[descent:] == [(k, True) for k in range(n)], (system, mode_id)
+            # a mode with no MD tasks: the minimizing call places nothing, and no witness call follows
+            expected = [(True, 0, True)] + [(False, k, True) for k in range(n)]
+            assert calls == expected, (system, mode_id)
             solved += 1
     assert solved > 30
+
+
+def test_every_incumbent_improves_on_the_last(case_study, monkeypatch):
+    """The minimizing call computes the bound of each placement it completes,
+    and ``solve_optimal`` that of the one it returns.  After each incumbent
+    the search backs up to the first step the lowered limit refuses, so it
+    never completes a placement outside the limit in force: the incumbents'
+    bounds strictly fall, and the last is the optimum."""
+    from modesched import offline
+
+    bounds = []
+    bound = offline._SearchState.bound
+
+    def recording(self, items, placement):
+        bounds.append(bound(self, items, placement))
+        return bounds[-1]
+
+    monkeypatch.setattr(offline._SearchState, "bound", recording)
+    rng = random.Random(2718)
+    systems = [case_study] + [random_system(rng, m_max=4, max_tasks=16, md_heavy=True) for _ in range(200)]
+    improved = 0
+    for system in systems:
+        for mode_id in system.mode_ids():
+            if not system.md_tasks_of(mode_id):
+                continue
+            bounds.clear()
+            try:
+                ms.solve_optimal(system, mode_id)
+            except ms.InfeasibleModeError:
+                continue
+            *incumbents, optimum = bounds
+            assert incumbents[-1] == optimum, (system, mode_id)
+            assert all(a > b for a, b in zip(incumbents, incumbents[1:])), (system, mode_id, incumbents)
+            improved += len(incumbents) > 1
+    assert improved > 40
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +673,7 @@ def test_incumbent_satisfies_document(case_study):
         doc = ms.export_milp(case_study, mode_id)
         allocation = ms.solve_optimal(case_study, mode_id).best_allocation
         values = incumbent_values(case_study, mode_id, allocation)
-        assert doc.violated_rows(values) == ()
+        assert violated_rows(doc, values) == ()
 
 
 def test_colliding_lp_names_get_suffixes():
@@ -642,7 +699,7 @@ def test_colliding_lp_names_get_suffixes():
     ]
     assert len({row.name for row in doc.constraints}) == doc.constraint_count
     allocation = ms.solve_optimal(system, "m").best_allocation
-    assert doc.violated_rows(incumbent_values(system, "m", allocation)) == ()
+    assert violated_rows(doc, incumbent_values(system, "m", allocation)) == ()
 
 
 def test_incumbent_satisfies_parsed_text(case_study):
@@ -653,11 +710,7 @@ def test_incumbent_satisfies_parsed_text(case_study):
     rows = parse_lp_rows(doc.to_lp())
     assert len(rows) == doc.constraint_count
     for name, terms, sense, rhs in rows:
-        total = sum((coef * values.get(var, Fraction(0)) for var, coef in terms.items()), Fraction(0))
-        if sense == "=":
-            assert total == rhs, name
-        else:
-            assert total <= rhs, name
+        assert row_holds(terms.items(), sense, rhs, values), name
 
 
 def test_incumbent_objective_is_platform_bound(case_study):

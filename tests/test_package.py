@@ -28,7 +28,7 @@ PUBLIC = {
     ),
     "offline": (
         "BigMError", "InfeasibleModeError", "MilpDocument", "OptimizationResult", "default_big_m",
-        "export_milp", "incumbent_values", "solve_optimal", "validate_offline_scheme",
+        "export_milp", "solve_optimal", "validate_offline_scheme",
     ),
     "online": (
         "FeasibilityVerdict", "KnapsackResult", "OnlineEvidence", "PlacementError",
@@ -97,7 +97,7 @@ def test_analyze_offline_alone_loads_neither_online_nor_sim(tmp_path):
 
 def test_public_names_resolve_to_their_layer_objects():
     names = [name for layer_names in PUBLIC.values() for name in layer_names]
-    assert len(names) == 57 and set(ms.__all__) == set(names)
+    assert len(names) == 56 and set(ms.__all__) == set(names)
     assert set(names) <= set(dir(ms))
     starred: dict = {}
     exec("from modesched import *", starred)

@@ -14,9 +14,10 @@ against the unmutated source and so would fail under every mutant:
 
 The exit status is 0 when every mutant is killed, 1 when one survived and 2
 when the clean copy fails, a run could not tell, or a mutant's text does
-not occur exactly once.  A survivor is a gap in the tests: add a test that
-kills it, never drop the mutant.  Stdlib only; the repository itself is
-never modified.
+not occur exactly once.  SIGTERM stops the run with status 143, after the
+running pytest is killed and the temporary copy removed.  A survivor is a
+gap in the tests: add a test that kills it, never drop the mutant.  Stdlib
+only; the repository itself is never modified.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -73,8 +75,21 @@ MUTANTS = (
     ),
     Mutant(
         "oracle-limit-inclusive", "src/modesched/offline.py",
-        "now_long = long[p] or period > limit", "now_long = long[p] or period >= limit",
+        "return [period > limit for _, _, period in items]",
+        "return [period >= limit for _, _, period in items]",
         "a processor whose longest MD period equals the limit is within it",
+    ),
+    Mutant(
+        "tighten-keeps-tried", "src/modesched/offline.py",
+        "                tried.clear()\n", "                pass\n",
+        "a tightened limit voids the states each step tried: their long flags were set under the old limit",
+    ),
+    Mutant(
+        "tighten-backs-up-one-step", "src/modesched/offline.py",
+        "if now_long and busy(p, demand[p] + wcet) > limit:\n                    break",
+        "if depth == len(incumbent) - 1:\n                    break",
+        "a tightened limit backs the search up to the first step whose placement it refuses, so every"
+        " placement completed after it is within it",
     ),
     Mutant(
         "lopez-denominator", "src/modesched/online.py",
@@ -244,7 +259,14 @@ def verdict(status: int | None, summary: str) -> str:
     return "survived" if status == 0 else "error"
 
 
+def stop(signum: int, frame) -> None:
+    """SIGTERM handler: exit through ``SystemExit``, so that ``subprocess.run``
+    kills the running pytest and the temporary copy is removed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, stop)
     stale = [m.name for m in MUTANTS if occurrences(m) != 1]
     if stale:
         print(f"old text not found exactly once: {', '.join(stale)}", file=sys.stderr)
