@@ -85,8 +85,8 @@ each: up to its fork's end, settled or not, the fork first run on to each
 point's horizon while it has not stopped; or, after a decided point, up to
 the next instant the source run processes.  Settling thus decides only
 when a fork stops simulating.  Every grid, a step sweep's (``run_sweep``)
-or any other, is walked in integers on one time base that holds every
-point; only a point below the previous one restarts the source run.
+or any other, is walked in ascending integers on one time base that holds
+every point, by one source run.
 """
 
 from __future__ import annotations
@@ -284,6 +284,7 @@ class SweepResult(NamedTuple):
     points: int
     job_misses: int
     transition_misses: int
+    bound: Fraction  # the bound in force: the source's optimal latency (offline-table) or online bound
 
     @property
     def deadline_misses(self) -> int:
@@ -1084,17 +1085,14 @@ def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
 
 
 class _StepGrid:
-    """The sweep grid ``k * step`` for ``0 <= k < count``.  Iterated, it
-    yields those points; ``sweep_mcr`` takes it as its unit ``step`` and
-    the multiples ``range(count)``, so that no point needs converting."""
+    """The sweep grid ``k * step`` for ``0 <= k < count``: ``sweep_mcr``
+    takes it as its unit ``step`` and the multiples ``range(count)``, so
+    that no point needs converting."""
 
     __slots__ = ("step", "count")
 
     def __init__(self, step: Fraction, count: int):
         self.step, self.count = step, count
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return map(self.step.__mul__, range(self.count))
 
 
 def sweep_mcr(
@@ -1111,13 +1109,13 @@ def sweep_mcr(
     applicable analytical bound, with margin.  The horizon lies past the
     transition end: every allocation loads no processor above 1, so each
     source-mode job pending at the request meets its deadline, at most the
-    source's longest MD period after it.  The source mode
-    is simulated once, in grid order, up to each request instant and forked
-    there; the fork's request is an ordinary queued MCR, processed after the
-    releases of its instant, with no second copy of the instant loop.  A
-    fork made at ``t0`` serves each later point ``t`` before both the source
-    mode's next MD release after ``t0`` and the fork's transition end (see
-    ``_SourceRun``), not one suffix per point: a request stops only MD
+    source's longest MD period after it.  The source mode is simulated
+    once, in ascending order of the points, up to each request instant and
+    forked there; the fork's request is an ordinary queued MCR, processed
+    after the releases of its instant, with no second copy of the instant
+    loop.  A fork made at ``t0`` serves each later point ``t`` before both
+    the source mode's next MD release after ``t0`` and the fork's transition
+    end (see ``_SourceRun``), not one suffix per point: a request stops only MD
     releases, so until then the two runs differ in nothing.  The fork
     advances to ``t``'s horizon, which it stops short of as ``t``'s own run
     would: the latency is the transition end less ``t``, and each
@@ -1147,18 +1145,20 @@ def sweep_mcr(
         the time left to every pending deadline, and the destination's
         carry terms shrink too, so the test still holds.
 
-    The grid may be any iterable, in any order and with repeats.  Before
-    any point is simulated it becomes a unit and the points' integer
-    multiples of it: ``run_sweep``'s grid (``_StepGrid``) its step and
-    ``range(count)``; any other grid has every point validated first, and
-    then the unit ``1 / b`` for ``b`` the lcm of the points' denominators.
-    Every source run is built for a request at the unit, so its time base
+    The grid may be any iterable, in any order and with repeats, and the
+    result does not depend on its order.  Before any point is simulated it
+    becomes a unit and the points' integer multiples of it, ascending:
+    ``run_sweep``'s grid (``_StepGrid``) its step and ``range(count)``; any
+    other grid has every point validated first, then the unit ``1 / b`` for
+    ``b`` the lcm of the points' denominators, and its multiples sorted.
+    The one source run is built for a request at the unit, so its time base
     holds every point and every point's horizon, and the whole grid is
-    walked in integers on that one base.  A point below the previous one
-    restarts the source run from time 0, on the same base: the source run
-    and a fork serving the previous point may have processed past it.  The
-    maximum is kept in integers, the first such point in grid order, and
-    made a ``Fraction`` once, at the end.
+    walked in integers on that one base.  The maximum is kept in integers,
+    at the earliest point that reaches it, and made a ``Fraction`` once, at
+    the end; a point whose simulation fails raises at the earliest such
+    point.  ``bound`` is the bound in force that sets the horizons: the
+    source mode's optimal latency under offline-table, its online bound
+    (``latency_upper_bound``) under online-ffd.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair
@@ -1180,29 +1180,19 @@ def sweep_mcr(
     else:
         points = [as_time(raw_time, what="sweep grid point") for raw_time in mcr_time_grid]
         base = _time_base(points)
-        unit, multiples = Fraction(1, base), [_scaled(point, base) for point in points]
+        unit, multiples = Fraction(1, base), sorted(_scaled(point, base) for point in points)
     if not multiples:
         raise ScenarioError("empty MCR time grid")
 
-    def start(mcr_time: Fraction) -> _SourceRun:
-        """A source run on the time base of the scenario of a request at ``mcr_time``."""
-        return _SourceRun(
-            make_scenario(
-                system, source, allocation_source, [(mcr_time, destination)], mcr_time + reach,
-                static_tables=tables,
-            )
-        )
-
-    run = start(unit)
+    run = _SourceRun(
+        make_scenario(system, source, allocation_source, [(unit, destination)], unit + reach, static_tables=tables)
+    )
     scale, step, scaled_reach = run.scale, run.scaled(unit), run.scaled(reach)
-    top = at = -1  # the maximum latency and its point
+    top = at = -1  # the maximum latency and its earliest point
     job_misses = transition_misses = 0
-    previous = until = 0  # the last point; the end of the last request's window
+    until = 0  # the end of the last request's window
     fork: Optional[_SourceRun] = None
     for time in map(step.__mul__, multiples):
-        if time < previous:  # the source run and a serving fork may have processed past it
-            run, until = start(unit), 0
-        previous = time
         if time < until:  # inside the last request's window
             if fork is not None:
                 if fork.waiting:  # not stopped yet: it runs on to this point's horizon
@@ -1221,6 +1211,7 @@ def sweep_mcr(
         points=len(multiples),
         job_misses=job_misses,
         transition_misses=transition_misses,
+        bound=bound,
     )
 
 

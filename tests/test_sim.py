@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import json
 import math
 import random
@@ -392,7 +391,7 @@ def test_run_sweep_spec_covers_source_hyperperiod():
 
 def test_run_sweep_streams_its_grid(case_study, monkeypatch):
     """The grid reaches ``sweep_mcr`` as a step and a count, never as a list
-    of points; iterated, it yields the points."""
+    of points."""
     received = []
     sweep = ms.sweep_mcr
 
@@ -404,7 +403,6 @@ def test_run_sweep_streams_its_grid(case_study, monkeypatch):
     result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(1), "offline-table"))
     (grid,) = received
     assert (grid.step, grid.count) == (1, 1800) and not isinstance(grid, (list, tuple))
-    assert list(itertools.islice(grid, 3)) == [0, 1, 2]
     assert (result.points, result.max_latency, result.at_time) == (1800, 35, 80)
     # a step that does not divide the hyperperiod: ceil(1800 / (7/3)) points
     result = ms.run_sweep(case_study, ms.SweepSpec("mode1", "mode2", Fraction(7, 3), "online-ffd"))
@@ -522,6 +520,49 @@ def test_carry_in_at_the_request_outlasts_the_certified_bound(tmp_path, capsys):
     )
 
 
+def sweeps_over_the_bound(name, expected):
+    """Sweep ``samples/<name>_sweep.json`` under both allocation sources: each
+    gives ``expected``, ``(max_latency, at_time, bound)``, above its bound."""
+    system = ms.load_system(SAMPLES / f"{name}.json")
+    spec = ms.load_scenario(SAMPLES / f"{name}_sweep.json", system)
+    for allocation_source in ("offline-table", "online-ffd"):
+        result = ms.run_sweep(system, spec._replace(allocation_source=allocation_source))
+        assert (result.max_latency, result.at_time, result.bound) == expected, allocation_source
+        assert result.max_latency > result.bound and result.deadline_misses == 0
+
+
+def test_three_processor_carry_in_outlasts_the_certified_bound(capsys):
+    """``samples/carry_in_seed2_draw57.json`` (``sweep-vs-bound``, seed 2,
+    draw 57): ``mi2`` and ``mi3`` fill processors 2 and 3, so every MD task
+    runs beside ``mi1`` on processor 1.  Both analyses bound alpha by 10, and
+    the offline one passes; the online one fails only its First-Fit
+    feasibility test.  A request at 2 takes 12 under both sources.  These
+    are facts of the simulator, as in the carry-in sample above."""
+    system_path = str(SAMPLES / "carry_in_seed2_draw57.json")
+    for command, status, verdict in (("analyze-offline", 0, "PASS"), ("analyze-online", 1, "FAIL")):
+        assert main([command, system_path]) == status
+        out = capsys.readouterr().out
+        assert out.count("platform latency bound L = 10\n") == 2 and out.endswith(f"GLOBAL: {verdict}\n")
+    assert main(["simulate", system_path, str(SAMPLES / "carry_in_seed2_draw57_sweep.json")]) == 0
+    assert capsys.readouterr().out == (
+        "# sweep\talpha\tbeta\tstep\t1/2\tpoints\t120\n# max-latency\t12\tat\t2\n# deadline-misses\t0\n"
+    )
+    sweeps_over_the_bound("carry_in_seed2_draw57", (12, 2, 10))
+
+
+def test_one_processor_carry_in_outlasts_the_certified_bound(capsys):
+    """``samples/carry_in_one_proc.json``, from an exhaustive search over tiny
+    one-processor systems: both analyses pass with alpha bounded by 13, yet
+    the step-1 sweep over alpha's hyperperiod (25,935 points) reaches 14 at
+    1,425 under both sources."""
+    system_path = str(SAMPLES / "carry_in_one_proc.json")
+    for command in ("analyze-offline", "analyze-online"):
+        assert main([command, system_path]) == 0
+        out = capsys.readouterr().out
+        assert "platform latency bound L = 13\n" in out and out.endswith("GLOBAL: PASS\n")
+    sweeps_over_the_bound("carry_in_one_proc", (14, 1425, 13))
+
+
 def test_transient_overload_can_miss_job_deadlines_but_not_certified_verdicts():
     """Per-mode feasibility does not extend to the transition window itself.
 
@@ -635,7 +676,10 @@ def test_observed_latency_never_exceeds_online_bound_under_random_placements():
 # ---------------------------------------------------------------------------
 
 def per_point_sweep(system, allocation_source, mode_pair, mcr_time_grid):
-    """Reference sweep: each grid point is its own scenario, run from t=0."""
+    """Reference sweep: each grid point is its own scenario, run from t=0, in
+    ascending order, so the earliest point of a tie or a failure counts.
+    The bound in force is computed here on its own, from the analysis of the
+    optimal table or the online bound."""
     source, destination = mode_pair
     if (source, destination) not in system.mode_graph.edges:
         raise ms.ScenarioError(f"no transition from mode {source!r} to {destination!r}")
@@ -651,7 +695,7 @@ def per_point_sweep(system, allocation_source, mode_pair, mcr_time_grid):
     mcr_times = [ms.as_time(raw_time, what="sweep grid point") for raw_time in mcr_time_grid]
     best = None
     points = job_misses = transition_misses = 0
-    for mcr_time in mcr_times:
+    for mcr_time in sorted(mcr_times):
         scenario = ms.make_scenario(
             system, source, allocation_source, [(mcr_time, destination)],
             horizon=mcr_time + bound + margin, static_tables=tables,
@@ -669,7 +713,7 @@ def per_point_sweep(system, allocation_source, mode_pair, mcr_time_grid):
             best = (latency, mcr_time)
     if best is None:
         raise ms.ScenarioError("empty MCR time grid")
-    return ms.SweepResult(best[0], best[1], points, job_misses, transition_misses)
+    return ms.SweepResult(best[0], best[1], points, job_misses, transition_misses, bound)
 
 
 def sweep_outcome(sweep, *args):
@@ -806,11 +850,11 @@ def test_forked_sweep_edge_cases(case_study, source_runs):
             "transitions": [["calm", "storm"]],
         }
     )
-    # a failed destination placement is reported for the first grid point
+    # a failed destination placement is reported for the earliest grid point
     args = (storm, "online-ffd", ("calm", "storm"), [7, 3, 3])
     outcome = sweep_outcome(ms.sweep_mcr, *args)
     assert outcome == sweep_outcome(per_point_sweep, *args)
-    assert outcome[0] is ms.SimulationError and outcome[2] == 7
+    assert outcome[0] is ms.SimulationError and outcome[2] == 3
     # every point is validated before any is simulated: an invalid point
     # after 7 is refused before 7's placement fails, with no source run built
     source_runs.clear()
@@ -970,8 +1014,22 @@ def test_repeated_and_backward_points_in_one_interval(forks):
         forks.clear()
         args = (system, allocation_source, ("alpha", "beta"), [4, 4, 3, 5, 5, 3])
         assert ms.sweep_mcr(*args) == per_point_sweep(*args)
-        # a point before the source run's instant restarts it from time 0
-        assert forks == [4, 3, 3]
+        # walked ascending, the fork made at 3 serves every later point
+        assert forks == [3]
+
+
+def test_shuffled_grid_walks_one_source_run_and_reports_the_earliest_tie(source_runs):
+    """Alpha's schedule repeats every 30, so a request at 33 has the latency
+    5 of a request at 3.  Shuffled with repeats, the grid is walked by one
+    source run, and the tie goes to the earliest point, 3."""
+    system = backlogged_handover()
+    for allocation_source in ("offline-table", "online-ffd"):
+        source_runs.clear()
+        args = (system, allocation_source, ("alpha", "beta"), [33, 4, 3, 33, 8, 3, 34])
+        result = ms.sweep_mcr(*args)
+        assert result == per_point_sweep(*args)
+        assert (result.max_latency, result.at_time, result.points) == (5, 3, 7)
+        assert len(source_runs) == 1
 
 
 def test_committed_sweep_forks_only_where_no_fork_serves_and_the_demand_test_fails(case_study, forks):

@@ -212,10 +212,14 @@ MUTANTS = (
         " and check completions still change with the horizon",
     ),
     Mutant(
-        "walk-keeps-backward-point", "src/modesched/sim.py",
-        "if time < previous:", "if False:",
-        "a point below the previous one restarts the source run: the source run and a serving fork"
-        " have processed past it",
+        "walk-keeps-grid-order", "src/modesched/sim.py",
+        "sorted(_scaled(point, base) for point in points)", "[_scaled(point, base) for point in points]",
+        "an explicit grid is walked ascending: the source run and a serving fork never go back in time",
+    ),
+    Mutant(
+        "max-keeps-latest-tie", "src/modesched/sim.py",
+        "if latency > top:", "if latency >= top:",
+        "the maximum latency is reported at the earliest point that reaches it",
     ),
     Mutant(
         "grid-base-first-point", "src/modesched/sim.py",

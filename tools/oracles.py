@@ -7,8 +7,9 @@ a JSON reproducer, and the exit status is then 1; otherwise it is 0.  The
 last line sums the run up.  The checks:
 
   * ``sweep-vs-bound``: no MCR sweep observes a transition latency above the
-    bound in force, the optimal latency of the source mode under its optimal
-    table (offline-table) or the online bound (online-ffd).  Each draw of
+    bound in force that the sweep reports (``SweepResult.bound``): the
+    optimal latency of the source mode under its optimal table
+    (offline-table) or the online bound (online-ffd).  Each draw of
     ``tests/conftest.py::random_system(rng, ff_mi=True)`` is swept at steps
     of 1/2 over the source mode's hyperperiod, capped at 240, for both mode
     pairs and both allocation sources.  A sweep whose modes cannot be
@@ -22,7 +23,8 @@ last line sums the run up.  The checks:
     decides points with the processor-demand test, has the outcome of one
     scenario per grid point simulated from time 0
     (``tests/test_sim.py::per_point_sweep``): the same maximum latency and
-    its point, the same miss counts, or the same error.  A draw is a system
+    its earliest point, the same miss counts and bound in force, or the
+    same error, whatever the grid's order.  A draw is a system
     of the Tier-1 sweep generators (saturated to a load of exactly 1, nearly
     saturated, or ``random_system``), with a transition deadline from half
     the period to 12 past it on most MD tasks and some draws rescaled to
@@ -88,29 +90,22 @@ def system_json(system: ms.ModeSystem) -> dict:
     }
 
 
-def bound_in_force(system: ms.ModeSystem, allocation_source: str, source: str) -> Fraction:
-    if allocation_source == "offline-table":
-        return ms.solve_optimal(system, source).optimal_latency
-    return ms.latency_upper_bound(system, source)
-
-
 def sweep_vs_bound(system: ms.ModeSystem, source: str, destination: str):
     """Sweep ``source`` -> ``destination`` under both allocation sources; yield
     ``None`` for a sweep that cannot be allocated, else ``(allocation_source,
-    result, bound)``."""
+    result)``."""
     span = min(ms.hyperperiod(system.mi_tasks + system.md_tasks_of(source)), SPAN_CAP)
     grid = [k * STEP for k in range(math.ceil(span / STEP))]
     for allocation_source in SOURCES:
         try:
-            bound = bound_in_force(system, allocation_source, source)
             result = ms.sweep_mcr(system, allocation_source, (source, destination), grid)
         except (ms.InfeasibleModeError, ms.SimulationError):  # no table, or First-Fit placement failed
             yield None
             continue
-        yield allocation_source, result, bound
+        yield allocation_source, result
 
 
-def found_line(origin, system, source, destination, allocation_source, result, bound) -> str:
+def found_line(origin, system, source, destination, allocation_source, result) -> str:
     reproducer = {
         "origin": origin,
         "system": system_json(system),
@@ -120,9 +115,9 @@ def found_line(origin, system, source, destination, allocation_source, result, b
         },
         "max_latency": str(result.max_latency),
         "at": str(result.at_time),
-        "bound": str(bound),
+        "bound": str(result.bound),
     }
-    return f"FOUND\tsweep-vs-bound\t{result.max_latency} > {bound}\t{json.dumps(reproducer, sort_keys=True)}"
+    return f"FOUND\tsweep-vs-bound\t{result.max_latency} > {result.bound}\t{json.dumps(reproducer, sort_keys=True)}"
 
 
 def corpus(seeds, systems):
@@ -145,10 +140,10 @@ def check_bounds(cases) -> tuple[int, int, int]:
                 skipped += 1
                 continue
             swept += 1
-            allocation_source, result, bound = outcome
-            if result.max_latency > bound:
+            allocation_source, result = outcome
+            if result.max_latency > result.bound:
                 found += 1
-                print(found_line(origin, system, source, destination, allocation_source, result, bound), flush=True)
+                print(found_line(origin, system, source, destination, allocation_source, result), flush=True)
     return swept, skipped, found
 
 
@@ -180,7 +175,8 @@ def points_corpus(seeds, systems):
 def shown(outcome) -> str:
     if isinstance(outcome, ms.SweepResult):
         return (f"{outcome.max_latency} at {outcome.at_time}, {outcome.points} points,"
-                f" {outcome.job_misses} job and {outcome.transition_misses} transition misses")
+                f" {outcome.job_misses} job and {outcome.transition_misses} transition misses,"
+                f" bound {outcome.bound}")
     kind, message, *_ = outcome
     return f"{kind.__name__}: {message}"
 
