@@ -277,6 +277,17 @@ def _write_replacing(path: str, write: Callable):
     return result
 
 
+class _LastWrite:
+    """A text handle that passes each write on to ``handle`` and keeps the last."""
+
+    def __init__(self, handle):
+        self.handle, self.last = handle, ""
+
+    def write(self, text: str) -> int:
+        self.last = text
+        return self.handle.write(text)
+
+
 def _cmd_simulate(args) -> int:
     from .sim import SweepSpec, load_scenario, run, run_sweep
 
@@ -297,8 +308,9 @@ def _cmd_simulate(args) -> int:
             )
             handle.write(summary)
             return summary, result.deadline_misses
-        trace = run(scenario, out=handle)
-        return trace.footer(), trace.deadline_miss_count
+        text = _LastWrite(handle)
+        trace = run(scenario, out=text)
+        return text.last, trace.deadline_miss_count  # the footer, written last
 
     if args.trace:
         summary, misses = _write_replacing(args.trace, simulate)

@@ -25,19 +25,30 @@ C-level bound method that takes one row tuple:
     deque of length 0, and read the engine's integer fields.
 Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``.
 
-The heap holds one entry per job: ``(deadline, 0, seq, (job, task_id,
-activation))`` checks the job's deadline and carries its task's next
-release, which with implicit deadlines falls on the same instant.  A
-release that an offset places instead has an entry of its own, ``(None,
-task_id, activation)``, beside the deadline-only entry ``(job, None, 0)`` of
-the job before it; so has the first release after each enable.  A release
-whose activation is no longer the task's is stale and dropped; the deadline
-check of its entry still runs.
-An MCR entry is ``(time, 1, seq, destination)``.  ``advance`` pops an
-instant's job entries in seq order, checking each deadline as it pops, and
-releases the collected jobs after the last one, before any MCR: each merged
-entry takes the place of two consecutive pushes, so miss rows and release
-rows keep their order, and every miss row precedes every release row.
+The queue is a calendar (Brown, "Calendar queues", CACM 1988): ``due``
+maps each instant to its bucket, the list of its job entries in queue order,
+and ``due_times`` is a heap of the plain-int instants that have a bucket, so
+the entries of one instant share one heap entry.  A job entry ``(job,
+task_id, activation)`` checks the job's deadline and carries its task's next
+release, which with implicit deadlines falls on the same instant.  A release
+that an offset places instead has an entry of its own, ``(None, task_id,
+activation)``, beside the deadline-only entry ``(job, None, 0)`` of the job
+before it; so has the first release after each enable.  A release whose
+activation is no longer the task's is stale and dropped; the deadline check
+of its entry still runs.  Requests wait in ``requests``, ``(time,
+destination)`` in time order, each with a bucket at its instant, empty if
+need be.  ``advance`` takes an instant's bucket whole, checking each
+deadline in queue order, and releases the collected jobs after the last
+one, then handles the instant's request: each merged entry takes the place
+of two consecutive entries, so miss rows and release rows keep their order,
+and every miss row precedes every release row.  A request whose transition
+ends at once refills the bucket with the destination's releases, which a
+second round takes.
+
+A ready queue is a heap of ``(key, job)``, the key one int, ``deadline * n
++ rank[task id]`` for ``n`` tasks and ``rank`` a task's position among the
+sorted ids: two pending jobs of one task never share a deadline, so the key
+orders by deadline, then task id, and never needs the job index.
 
 ``_Engine.advance(limit)`` is the one instant loop: each instant runs the
 completions, the transition-end check, the queued entries and one dispatch
@@ -54,7 +65,8 @@ its limit.  Releases and deadlines are queued whatever their instant, so what
 falls at or past the horizon stays queued and never shows in the trace.
 
 Deterministic tie rules (they fix the trace byte-for-byte):
-  * equal absolute deadlines are broken by task id, then job index;
+  * equal absolute deadlines are broken by task id (then job index, which
+    never decides: two pending jobs of one task never share a deadline);
   * a job released exactly at an MCR instant counts as pending (the release
     is processed before the request);
   * simultaneous trace events are ordered completion, transition bookkeeping,
@@ -62,7 +74,7 @@ Deterministic tie rules (they fix the trace byte-for-byte):
 
 An MCR sweep (``sweep_mcr``) simulates the source mode once and forks it at
 request instants: the source run processes every instant before a request,
-and the fork queues the request as an ordinary MCR entry, so the request
+and the fork queues the request as a scenario's is queued, so the request
 instant runs through the same loop as in the point's own run, its releases
 first.  A request stops only the source mode's MD releases: MI tasks keep
 releasing and pending jobs keep running.  So a fork made at ``t0`` serves
@@ -114,7 +126,6 @@ from .model import (
     _too_long,
     as_array,
     as_time,
-    printable,
     validate_allocation,
 )
 from .latency import _scaled, _time_base
@@ -123,10 +134,6 @@ from .online import first_fit_decreasing, latency_upper_bound, PlacementError
 
 OFFLINE_TABLE = "offline-table"
 ONLINE_FFD = "online-ffd"
-
-# heap phases: at one instant, every job entry comes before the MCR
-_PHASE_JOB = 0
-_PHASE_MCR = 1
 
 # the row sink of sweep runs, which keep no rows
 _DISCARD = collections.deque(maxlen=0).append
@@ -180,18 +187,21 @@ class TransitionCheck(NamedTuple):
 
 
 class SimTrace(NamedTuple):
-    """One run's trace: the engine's integer event rows and their time base.
+    """One run's trace, in the engine's integers and their time base.
 
-    A row is ``(time, processor, kind, task, job)`` with ``time`` in units of
-    ``1/scale``.  ``events``, the rows as exact ``SimEvent``s, is built anew
-    on each access; ``to_text()`` formats the rows directly.  A run that
-    streamed its text (``run(scenario, out=...)``) keeps no rows.
+    A row is ``(time, processor, kind, task, job)``, a latency ``(request,
+    latency)`` and a check ``(task id, request, absolute deadline, first
+    completion or None, verdict)``, every time in units of ``1/scale``.
+    ``events``, ``observed_latencies`` and ``transition_checks``, the same
+    as exact rationals, are built anew on each access; ``to_text()`` and
+    ``footer()`` format the integers directly.  A run that streamed its text
+    (``run(scenario, out=...)``) keeps no rows.
     """
 
     rows: tuple[tuple[int, Optional[int], str, Optional[str], Optional[int]], ...]
     scale: int
-    observed_latencies: tuple[tuple[Fraction, Fraction], ...]
-    transition_checks: tuple[TransitionCheck, ...]
+    latencies: tuple[tuple[int, int], ...]
+    checks: tuple[tuple[str, int, int, Optional[int], Optional[bool]], ...]
     job_deadline_misses: int
 
     @property
@@ -199,26 +209,30 @@ class SimTrace(NamedTuple):
         return tuple(SimEvent(Fraction(t, self.scale), *rest) for t, *rest in self.rows)
 
     @property
+    def observed_latencies(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        scale = self.scale
+        return tuple((Fraction(at, scale), Fraction(latency, scale)) for at, latency in self.latencies)
+
+    @property
+    def transition_checks(self) -> tuple[TransitionCheck, ...]:
+        scale = self.scale
+        return tuple(
+            TransitionCheck(
+                task_id, Fraction(mcr, scale), Fraction(absolute, scale),
+                None if completion is None else Fraction(completion, scale), ok,
+            )
+            for task_id, mcr, absolute, completion, ok in self.checks
+        )
+
+    @property
     def deadline_miss_count(self) -> int:
         """Job deadline misses plus violated transition deadlines."""
-        return self.job_deadline_misses + sum(1 for c in self.transition_checks if c.ok is False)
+        return self.job_deadline_misses + sum(1 for *_, ok in self.checks if ok is False)
 
     def footer(self) -> str:
         """The ``#`` summary lines that end ``to_text()``; a time too long to
         print is refused."""
-        def time(value: Fraction) -> Fraction:
-            return printable(value, what="trace time")
-
-        lines = [f"# latency\t{time(at)}\t{time(latency)}\n" for at, latency in self.observed_latencies]
-        for check in self.transition_checks:
-            outcome = "-" if check.ok is None else ("ok" if check.ok else "MISS")
-            completion = "-" if check.first_completion is None else time(check.first_completion)
-            lines.append(
-                f"# transition-deadline\t{check.task_id}\t{time(check.mcr_time)}"
-                f"\t{time(check.absolute_deadline)}\t{completion}\t{outcome}\n"
-            )
-        lines.append(f"# deadline-misses\t{self.deadline_miss_count}\n")
-        return "".join(lines)
+        return _TraceText(self.scale, None).footer(self)
 
     def to_text(self) -> str:
         """Tab-separated event rows, then the footer (see ``_TraceText``)."""
@@ -234,14 +248,15 @@ class _TraceText:
     written to ``out`` at once, then the footer.
 
     Rows come in time order, so each instant is formatted once, as ``str`` of
-    its reduced fraction, even across batches.  An instant too long to print
-    is refused only by ``close``: a run streaming its rows may still fail
-    later with an error of its own, and that error comes first.
+    its reduced fraction, even across batches; the footer's times go through
+    the same ``_stamp``.  An instant too long to print is refused only by
+    ``footer``: a run streaming its rows may still fail later with an error
+    of its own, and that error comes first.
     """
 
     __slots__ = ("scale", "out", "instant", "stamp", "refusal")
 
-    def __init__(self, scale: int, out: TextIO):
+    def __init__(self, scale: int, out: Optional[TextIO]):
         self.scale = scale
         self.out = out
         self.instant: Optional[int] = None
@@ -271,11 +286,24 @@ class _TraceText:
             self.refusal = self.refusal or _too_long("trace time", sys.get_int_max_str_digits())
             return "-"
 
-    def close(self, trace: SimTrace) -> None:
-        """Write the footer of ``trace``, or raise the first refusal."""
+    def footer(self, trace: SimTrace) -> str:
+        """The footer of ``trace``, or the first refusal raised."""
+        stamp = self._stamp
+        lines = [f"# latency\t{stamp(at)}\t{stamp(latency)}\n" for at, latency in trace.latencies]
+        for task_id, mcr, absolute, completion, ok in trace.checks:
+            lines.append(
+                f"# transition-deadline\t{task_id}\t{stamp(mcr)}\t{stamp(absolute)}"
+                f"\t{'-' if completion is None else stamp(completion)}"
+                f"\t{'-' if ok is None else ('ok' if ok else 'MISS')}\n"
+            )
+        lines.append(f"# deadline-misses\t{trace.deadline_miss_count}\n")
         if self.refusal is not None:
             raise self.refusal
-        self.out.write(trace.footer())
+        return "".join(lines)
+
+    def close(self, trace: SimTrace) -> None:
+        """Write the footer of ``trace`` with one write, or raise the first refusal."""
+        self.out.write(self.footer(trace))
 
 
 class SweepResult(NamedTuple):
@@ -471,14 +499,13 @@ class _Job:
     # built slot by slot at its release in ``_Engine.advance``; ``remaining``
     # is exact only off a processor: a running job's work ends at ``finish``,
     # set by each dispatch that starts or resumes it.  ``processor`` is pinned
-    # at release; later re-placements do not move it
-    __slots__ = (
-        "task_id", "wcet", "index", "deadline", "remaining", "finish", "processor", "key",
-    )
+    # at release; later re-placements do not move it.  ``key`` is the EDF key
+    # ``deadline * n + rank[task_id]`` (see the module docstring)
+    __slots__ = ("task_id", "wcet", "index", "remaining", "finish", "processor", "key")
 
     def copy(self) -> "_Job":
         twin = object.__new__(_Job)
-        twin.task_id, twin.wcet, twin.index, twin.deadline = self.task_id, self.wcet, self.index, self.deadline
+        twin.task_id, twin.wcet, twin.index = self.task_id, self.wcet, self.index
         twin.remaining, twin.finish, twin.processor, twin.key = self.remaining, self.finish, self.processor, self.key
         return twin
 
@@ -504,11 +531,15 @@ class _Engine:
 
         self.time = 0  # the last instant processed (a sweep's source run: the last request)
         self.instants = 0  # how many instants were processed
-        # (time, phase, seq, payload): a job entry's payload is (job or None,
-        # task id or None, activation), the job's deadline check, the task's
-        # next release or both; an MCR entry's is the destination mode
-        self.heap: list[tuple[int, int, int, object]] = []
-        self._seq = 0
+        # the calendar: each instant's bucket of job entries (job or None, task
+        # id or None, activation), the job's deadline check, the task's next
+        # release or both, in queue order; the heap of the instants that have
+        # a bucket; and the requests, (time, destination) in time order
+        self.due: dict[int, list[tuple[Optional[_Job], Optional[str], int]]] = {}
+        self.due_times: list[int] = []
+        self.requests: list[tuple[int, str]] = []
+        # each task's position among the sorted ids, for the EDF key
+        self.rank = {task_id: i for i, task_id in enumerate(sorted(self.states))}
         # indexed by processor number; slot 0 stays empty
         self.ready: list[list] = [[] for _ in range(len(self.processors) + 1)]
         self.running: list[Optional[_Job]] = [None] * (len(self.processors) + 1)
@@ -538,9 +569,19 @@ class _Engine:
     def scaled(self, value: Fraction) -> int:
         return _scaled(value, self.scale)
 
-    def _push(self, time: int, phase: int, payload: object) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap, (time, phase, self._seq, payload))
+    def _bucket(self, time: int) -> list[tuple[Optional[_Job], Optional[str], int]]:
+        """The bucket of ``time``, opened empty if need be."""
+        bucket = self.due.get(time)
+        if bucket is None:
+            bucket = self.due[time] = []
+            heapq.heappush(self.due_times, time)
+        return bucket
+
+    def _request(self, time: int, destination: str) -> None:
+        """Queue a request after every request queued so far; it is handled
+        after the bucket of its instant, which it opens if need be."""
+        self.requests.append((time, destination))
+        self._bucket(time)
 
     def _frac(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
@@ -625,7 +666,7 @@ class _Engine:
             state.offset_index += 1
         else:
             time = state.enable_time
-        self._push(time, _PHASE_JOB, (None, state.task.id, state.activation))
+        self._bucket(time).append((None, state.task.id, state.activation))
 
     def do_mcr(self, time: int, destination: str) -> None:
         if self.destination is not None:
@@ -656,24 +697,26 @@ class _Engine:
 
     def advance(self, limit: int) -> Optional[int]:
         """Process every instant after the current one and before ``limit``;
-        return the first instant left with a completion or a queued entry
-        due, None if there is none.
+        return the first instant left with a completion or a bucket due,
+        None if there is none.
 
         This is the engine's one instant loop.  Each instant runs the
-        completions, the transition-end check, then the queued entries (every
-        deadline check, then the releases, then the MCR, and a second round
-        for the releases an MCR queued), then one dispatch pass over the
-        processors, which finds the earliest ``finish`` (``next_finish``).
+        completions, the transition-end check, then its bucket (every
+        deadline check, then the releases, then the request, and a second
+        round for the releases a request queued), then one dispatch pass
+        over the processors, which finds the earliest ``finish``
+        (``next_finish``).
         """
-        heap, ready, running, states = self.heap, self.ready, self.running, self.states
+        due, due_times, requests = self.due, self.due_times, self.requests
+        ready, running, states, rank = self.ready, self.running, self.states, self.rank
         emit, checks, old_pending = self._emit, self._check_by_task_job, self.old_pending
-        processors, new_job = self.processors, object.__new__
-        heappush, heappop = heapq.heappush, heapq.heappop
+        processors, new_job, n = self.processors, object.__new__, len(rank)
+        heappush, heappop, bucket_of = heapq.heappush, heapq.heappop, self._bucket
         next_finish, destination, waiting = self.next_finish, self.destination, self.waiting
         time = self.time
         count = 0
         while True:
-            next_time = heap[0][0] if heap else None
+            next_time = due_times[0] if due_times else None
             if next_finish is not None and (next_time is None or next_finish < next_time):
                 next_time = next_finish
             if next_time is None or next_time >= limit:
@@ -695,40 +738,39 @@ class _Engine:
             if destination is not None and not old_pending:
                 self.maybe_end_transition(time)
                 destination, waiting = self.destination, self.waiting
-            while heap and heap[0][0] == time:  # a second round takes the releases an MCR queued
-                due, request = [], None
-                while heap and heap[0][0] == time:
-                    _, phase, _, payload = heappop(heap)
-                    if phase == _PHASE_MCR:
-                        request = payload
-                        break
-                    job, task_id, activation = payload
+            bucket = due.pop(time, None)
+            while bucket is not None:  # a second round takes the releases a request queued
+                heappop(due_times)
+                released = []
+                for job, task_id, activation in bucket:
                     if job is not None and job.remaining > 0:  # each job's deadline is queued once
                         self.job_misses += 1
                         emit((time, job.processor, "deadline-miss", job.task_id, job.index))
                     if task_id is not None and states[task_id].activation == activation:  # not stale
-                        due.append(states[task_id])
-                for state in due:  # after every deadline check of the instant
+                        released.append(states[task_id])
+                for state in released:  # after every deadline check of the instant
                     job = new_job(_Job)
                     job.task_id = task_id = state.task.id
                     job.index = index = state.job_count
                     state.job_count = index + 1
                     job.wcet = job.remaining = state.wcet
-                    job.deadline = deadline = time + state.period
                     job.finish = 0
                     job.processor = p = state.processor
-                    job.key = key = (deadline, task_id, index)
+                    deadline = time + state.period
+                    job.key = key = deadline * n + rank[task_id]
                     emit((time, p, "release", task_id, index))
                     heappush(ready[p], (key, job))
-                    self._seq += 1
-                    if state.offset_index < len(state.offsets):
-                        heappush(heap, (deadline, _PHASE_JOB, self._seq, (job, None, 0)))
+                    offset = state.offset_index < len(state.offsets)
+                    # the next release rides on this job's deadline entry unless an offset places it
+                    entry = (job, None, 0) if offset else (job, task_id, state.activation)
+                    bucket_of(deadline).append(entry)
+                    if offset:
                         self._schedule_release(state)
-                    else:  # the next release rides on this job's deadline entry
-                        heappush(heap, (deadline, _PHASE_JOB, self._seq, (job, task_id, state.activation)))
-                if request is not None:
-                    self.do_mcr(time, request)
+                bucket = None
+                if requests and requests[0][0] == time:
+                    self.do_mcr(time, requests.pop(0)[1])
                     destination, waiting = self.destination, self.waiting
+                    bucket = due.pop(time, None)
             next_finish = None
             for p in processors:
                 queue = ready[p]
@@ -763,7 +805,7 @@ class _Engine:
         if self.horizon > 0:
             self.start()
             for mcr_time, destination in self.scenario.mcr_schedule:
-                self._push(self.scaled(mcr_time), _PHASE_MCR, destination)
+                self._request(self.scaled(mcr_time), destination)
             width = max((state.period for state in self.states.values()), default=self.horizon)
             following: Optional[int] = 0
             while following is not None and following < self.horizon:
@@ -774,23 +816,17 @@ class _Engine:
         return self.trace()
 
     def trace(self) -> SimTrace:
-        """The run's trace; only latencies and transition checks become rationals."""
-        frac = self._frac
+        """The run's trace, in integers: nothing is made a rational here."""
         checks = tuple(
-            TransitionCheck(
-                task_id=record["task_id"],
-                mcr_time=frac(record["mcr"]),
-                absolute_deadline=frac(record["absolute"]),
-                first_completion=None if record["completion"] is None else frac(record["completion"]),
-                ok=self.check_outcome(record, self.horizon, 0),
-            )
+            (record["task_id"], record["mcr"], record["absolute"], record["completion"],
+             self.check_outcome(record, self.horizon, 0))
             for record in self.checks
         )
         return SimTrace(
             rows=tuple(self.events),
             scale=self.scale,
-            observed_latencies=tuple((frac(at), frac(latency)) for at, latency in self.latencies),
-            transition_checks=checks,
+            latencies=tuple(self.latencies),
+            checks=checks,
             job_deadline_misses=self.job_misses,
         )
 
@@ -800,7 +836,7 @@ class _SourceRun(_Engine):
 
     It processes every instant before a grid point's request instant ``t``
     and no more; the point forks it there, and the fork queues its request
-    as an ordinary MCR entry, as ``execute`` queues a scenario's, so instant
+    as ``execute`` queues a scenario's, so instant
     ``t`` runs through the same loop as in the point's own run: its releases
     first, then the request.  Neither this run nor its forks keep rows
     (their ``_emit`` is ``_DISCARD``): a sweep reads the integer fields of a
@@ -872,8 +908,8 @@ class _SourceRun(_Engine):
     its horizon, never missed.  An idle processor meets (a) and (b)
     vacuously.  A fork queues one request, so no check opens later and a
     settled processor stays settled.  Once every processor has settled
-    (``waiting`` empties) the fork stops: settling empties the heap and
-    forgets the next completion, so ``advance`` processes no later instant.
+    (``waiting`` empties) the fork stops: settling empties the calendar
+    and forgets the next completion, so ``advance`` processes no later instant.
 
     A point ``t`` that no fork serves is decided at the request, without a
     fork (``decides``), when all of these hold:
@@ -929,11 +965,13 @@ class _SourceRun(_Engine):
 
     def pending(self, p: int, time: int) -> list[tuple[tuple[int, str, int], int]]:
         """``(key, r)`` of each job pending on ``p`` at ``time``, by deadline:
-        its ``(deadline, task id, index)`` and its remaining work ``r > 0``."""
-        jobs = [(key, job.remaining) for key, job in self.ready[p]]
+        its ``(deadline, task id, index)``, the deadline taken from its EDF
+        key, and its remaining work ``r > 0``."""
+        n = len(self.rank)
+        jobs = [((key // n, job.task_id, job.index), job.remaining) for key, job in self.ready[p]]
         current = self.running[p]
         if current is not None and current.finish > time:
-            jobs.append((current.key, current.finish - time))
+            jobs.append(((current.key // n, current.task_id, current.index), current.finish - time))
         jobs.sort()
         return jobs
 
@@ -1000,9 +1038,10 @@ class _SourceRun(_Engine):
         return True
 
     def stop(self, time: int) -> None:
-        """Settle at instant ``time``: drop every queued entry, so that
-        ``advance`` processes no later instant."""
-        self.heap.clear()
+        """Settle at instant ``time``: drop every bucket and the heap of their
+        instants, so that ``advance`` processes no later instant."""
+        self.due.clear()
+        self.due_times.clear()
 
     def request(
         self, time: int, destination: str, limit: int,
@@ -1023,7 +1062,7 @@ class _SourceRun(_Engine):
             # decided up to the next instant this run processes, if there is one
             return (0, self.job_misses, 0), math.inf if following is None else following, None
         fork = self._fork()
-        fork._push(time, _PHASE_MCR, destination)
+        fork._request(time, destination)
         fork.advance(limit)
         # at load <= 1 every source-mode job meets its deadline, so the
         # transition ends by t plus the source's longest MD period, before
@@ -1046,17 +1085,21 @@ class _SourceRun(_Engine):
     def _fork(self) -> "_SourceRun":
         # Task states and pending jobs, all the suffix can mutate, are copied
         # slot by slot, and every reference to a pending job is re-pointed to
-        # its copy.  Queued releases name their task by id and completed jobs
-        # never change again, so both are shared.  A source run queues no
-        # MCR, so every entry is a job entry.
+        # its copy, in the ready queues and in each bucket.  Queued releases
+        # name their task by id and completed jobs never change again, so
+        # both are shared.  A source run queues no request.
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin.states = {task_id: state.copy() for task_id, state in self.states.items()}
         jobs = {job: job.copy() for job in self.pending_jobs()}
         twin.ready = [[(key, jobs[job]) for key, job in queue] for queue in self.ready]
         twin.running = [jobs.get(job) for job in self.running]
-        twin.heap = [(time, phase, seq, (jobs.get(job, job), task, activation))
-                     for time, phase, seq, (job, task, activation) in self.heap]
+        twin.due = {
+            time: [(jobs.get(job, job), task_id, activation) for job, task_id, activation in bucket]
+            for time, bucket in self.due.items()
+        }
+        twin.due_times = list(self.due_times)
+        twin.requests = []
         twin.old_pending = set()
         twin.latencies = []
         twin.checks = []
@@ -1070,10 +1113,10 @@ def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
     With ``out``, the rows of each window of the run (see
     ``_Engine.execute``) are formatted and written to ``out`` as the window
     ends, so that ``out`` receives ``to_text()`` of the full trace while
-    memory stays bounded by the task set; the trace returned keeps no rows,
-    only its footer data.  A time too long to
-    print is refused once the run has ended, so an error of the run comes
-    first; either way ``out`` may hold part of the text.
+    memory stays bounded by the task set; the footer is the last write, a
+    single one.  The trace returned keeps no rows, only its footer data.  A
+    time too long to print is refused once the run has ended, so an error
+    of the run comes first; either way ``out`` may hold part of the text.
     """
     engine = _Engine(scenario)
     if out is None:
@@ -1153,7 +1196,8 @@ def sweep_mcr(
     ``b`` the lcm of the points' denominators, and its multiples sorted.
     The one source run is built for a request at the unit, so its time base
     holds every point and every point's horizon, and the whole grid is
-    walked in integers on that one base.  The maximum is kept in integers,
+    walked in integers on that one base; a repeat of a point takes its
+    outcome again, with no request.  The maximum is kept in integers,
     at the earliest point that reaches it, and made a ``Fraction`` once, at
     the end; a point whose simulation fails raises at the earliest such
     point.  ``bound`` is the bound in force that sets the horizons: the
@@ -1192,14 +1236,18 @@ def sweep_mcr(
     job_misses = transition_misses = 0
     until = 0  # the end of the last request's window
     fork: Optional[_SourceRun] = None
+    last = -1  # the last point: a repeat of it takes its outcome
     for time in map(step.__mul__, multiples):
-        if time < until:  # inside the last request's window
+        if time == last:
+            pass
+        elif time < until:  # inside the last request's window
             if fork is not None:
                 if fork.waiting:  # not stopped yet: it runs on to this point's horizon
                     fork.advance(time + scaled_reach)
                 outcome = fork.outcome(time, time + scaled_reach)
         else:
             outcome, until, fork = run.request(time, destination, time + scaled_reach)
+        last = time
         latency, misses, missed_checks = outcome
         job_misses += misses
         transition_misses += missed_checks

@@ -141,6 +141,36 @@ def test_mcr_with_no_pending_jobs_is_instant():
     assert enable.time == 5
 
 
+def test_equal_deadlines_go_to_the_smaller_task_id_not_the_first_declared():
+    """The engine declares the MI task ``t9`` before the MD task ``t10``,
+    but ``t10`` sorts first, so of their jobs due at 10 ``t10``'s runs
+    first: in the kept rows and in the streamed text alike."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "t9", "kind": "MI", "wcet": 2, "period": 10, "processor": 1},
+                {"id": "t10", "kind": "MD", "wcet": 3, "period": 10},
+            ],
+            "modes": [{"id": "m", "md_tasks": ["t10"]}],
+            "transitions": [],
+        }
+    )
+    scenario = ms.make_scenario(system, "m", "offline-table", [], horizon=10)
+    assert list(sim._Engine(scenario).states) == ["t9", "t10"]
+    rows = [
+        (0, 1, "enable", "t10", None), (0, 1, "release", "t9", 0), (0, 1, "release", "t10", 0),
+        (0, 1, "start", "t10", 0), (3, 1, "complete", "t10", 0), (3, 1, "start", "t9", 0),
+        (5, 1, "complete", "t9", 0),
+    ]
+    trace = ms.run(scenario)
+    assert trace.scale == 1 and list(trace.rows) == rows
+    streamed = io.StringIO()
+    ms.run(scenario, out=streamed)
+    lines = [f"{time}\t{p}\t{kind}\t{task}\t{'-' if job is None else job}\n" for time, p, kind, task, job in rows]
+    assert streamed.getvalue() == "".join(lines) + "# deadline-misses\t0\n"
+
+
 def test_nested_mcr_rejected(case_study):
     scenario = ms.make_scenario(
         case_study, "mode1", "offline-table",
@@ -1016,6 +1046,18 @@ def test_repeated_and_backward_points_in_one_interval(forks):
         assert ms.sweep_mcr(*args) == per_point_sweep(*args)
         # walked ascending, the fork made at 3 serves every later point
         assert forks == [3]
+
+
+def test_repeats_of_a_point_whose_transition_ends_at_once_fork_once(forks):
+    """At 8 nothing of alpha is pending, so the fork made there ends its
+    transition at the request and serves no later point; the repeats of 8
+    take its outcome, with no fork of their own."""
+    system = backlogged_handover()
+    for allocation_source in ("offline-table", "online-ffd"):
+        forks.clear()
+        args = (system, allocation_source, ("alpha", "beta"), [8, 8, 8])
+        assert ms.sweep_mcr(*args) == per_point_sweep(*args)
+        assert forks == [8]
 
 
 def test_shuffled_grid_walks_one_source_run_and_reports_the_earliest_tie(source_runs):

@@ -119,7 +119,8 @@ MUTANTS = (
     ),
     Mutant(
         "settle-skips-ready", "src/modesched/sim.py",
-        "jobs = [(key, job.remaining) for key, job in self.ready[p]]", "jobs = []",
+        "jobs = [((key // n, job.task_id, job.index), job.remaining) for key, job in self.ready[p]]",
+        "jobs = []",
         "the demand test counts every pending job, ready jobs included",
     ),
     Mutant(
@@ -178,15 +179,26 @@ MUTANTS = (
     ),
     Mutant(
         "release-as-entry-pops", "src/modesched/sim.py",
-        "                        due.append(states[task_id])\n",
-        "                        due.append(states[task_id])\n                        break\n",
-        "an instant's deadline-miss rows precede its release rows",
+        "                        released.append(states[task_id])\n",
+        "                        released.append(states[task_id])\n                        break\n",
+        "an instant's bucket is taken whole: every entry has its deadline checked, and its release"
+        " collected, before the first release",
     ),
     Mutant(
         "stale-release-skips-deadline", "src/modesched/sim.py",
         "if job is not None and job.remaining > 0:",
         "if job is not None and job.remaining > 0 and (task_id is None or states[task_id].activation == activation):",
         "a disabled task's last job still has its deadline checked",
+    ),
+    Mutant(
+        "rank-in-declaration-order", "src/modesched/sim.py",
+        "enumerate(sorted(self.states))", "enumerate(self.states)",
+        "equal absolute deadlines are broken by task id, whatever order the tasks are declared in",
+    ),
+    Mutant(
+        "bucket-newest-first", "src/modesched/sim.py",
+        "bucket_of(deadline).append(entry)", "bucket_of(deadline).insert(0, entry)",
+        "an instant's bucket keeps its entries in queue order, so its miss and release rows keep theirs",
     ),
     Mutant(
         "fork-after-request-instant", "src/modesched/sim.py",
