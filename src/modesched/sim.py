@@ -239,7 +239,7 @@ class SimTrace(NamedTuple):
         buffer = io.StringIO()
         text = _TraceText(self.scale, buffer)
         text.write(self.rows)
-        text.close(self)
+        buffer.write(text.footer(self))
         return buffer.getvalue()
 
 
@@ -300,10 +300,6 @@ class _TraceText:
         if self.refusal is not None:
             raise self.refusal
         return "".join(lines)
-
-    def close(self, trace: SimTrace) -> None:
-        """Write the footer of ``trace`` with one write, or raise the first refusal."""
-        self.out.write(self.footer(trace))
 
 
 class SweepResult(NamedTuple):
@@ -498,14 +494,15 @@ class _TaskState:
 class _Job:
     # built slot by slot at its release in ``_Engine.advance``; ``remaining``
     # is exact only off a processor: a running job's work ends at ``finish``,
-    # set by each dispatch that starts or resumes it.  ``processor`` is pinned
-    # at release; later re-placements do not move it.  ``key`` is the EDF key
-    # ``deadline * n + rank[task_id]`` (see the module docstring)
-    __slots__ = ("task_id", "wcet", "index", "remaining", "finish", "processor", "key")
+    # 0 until the first dispatch and set by each dispatch that starts or
+    # resumes it.  ``processor`` is pinned at release; later re-placements do
+    # not move it.  ``key`` is the EDF key ``deadline * n + rank[task_id]``
+    # (see the module docstring)
+    __slots__ = ("task_id", "index", "remaining", "finish", "processor", "key")
 
     def copy(self) -> "_Job":
         twin = object.__new__(_Job)
-        twin.task_id, twin.wcet, twin.index = self.task_id, self.wcet, self.index
+        twin.task_id, twin.index = self.task_id, self.index
         twin.remaining, twin.finish, twin.processor, twin.key = self.remaining, self.finish, self.processor, self.key
         return twin
 
@@ -607,14 +604,11 @@ class _Engine:
     @staticmethod
     def check_outcome(record: dict, horizon, shift: int) -> Optional[bool]:
         """The verdict of a transition check in a run up to ``horizon``, its
-        absolute deadline moved ``shift`` later; a check a settled fork
-        decided (``_SourceRun.settles``) is met."""
+        absolute deadline moved ``shift`` later."""
         deadline = record["absolute"] + shift
         completion = record["completion"]
         if completion is not None:
             return completion <= deadline
-        if record["met"]:
-            return True
         if deadline < horizon:
             return False  # the deadline passed inside the window without a completion
         return None
@@ -651,7 +645,6 @@ class _Engine:
                     "mcr": self.mcr_time,
                     "absolute": self.mcr_time + transition_deadline,
                     "completion": None,
-                    "met": False,  # decided without its completion by a settled processor
                 }
                 self.checks.append(record)
                 self._check_by_task_job[(task_id, state.job_count)] = record
@@ -753,7 +746,7 @@ class _Engine:
                     job.task_id = task_id = state.task.id
                     job.index = index = state.job_count
                     state.job_count = index + 1
-                    job.wcet = job.remaining = state.wcet
+                    job.remaining = state.wcet
                     job.finish = 0
                     job.processor = p = state.processor
                     deadline = time + state.period
@@ -781,8 +774,8 @@ class _Engine:
                         current.remaining = current.finish - time
                         heappush(queue, (current.key, current))
                     current = heappop(queue)[1]
-                    # a dispatched job runs before any later instant: it has run iff it was dispatched
-                    kind = "resume" if current.remaining < current.wcet else "start"
+                    # ``finish`` is 0 until the first dispatch sets it past 0: every wcet is positive
+                    kind = "resume" if current.finish else "start"
                     emit((time, p, kind, current.task_id, current.index))
                     current.finish = time + current.remaining
                     running[p] = current
@@ -903,13 +896,14 @@ class _SourceRun(_Engine):
     transition end, before the first test.  Under (a) no job there misses
     after ``t``, and each open check's job completes by the check's
     deadline, also moved by any shift a later point the fork serves
-    applies.  The check is recorded as met, with no completion instant: the
-    point's own run finds it met, or undecided if the completion falls past
-    its horizon, never missed.  An idle processor meets (a) and (b)
-    vacuously.  A fork queues one request, so no check opens later and a
-    settled processor stays settled.  Once every processor has settled
-    (``waiting`` empties) the fork stops: settling empties the calendar
-    and forgets the next completion, so ``advance`` processes no later instant.
+    applies.  The check then leaves the fork: the point's own run finds it
+    met, or undecided if the completion falls past its horizon, never
+    missed, and a fork's checks are read only to count the missed ones.  An
+    idle processor meets (a) and (b) vacuously.  A fork queues one request,
+    so no check opens later and a settled processor stays settled.  Once
+    every processor has settled (``waiting`` empties) the fork stops:
+    settling empties the calendar and forgets the next completion, so
+    ``advance`` processes no later instant.
 
     A point ``t`` that no fork serves is decided at the request, without a
     fork (``decides``), when all of these hold:
@@ -929,17 +923,19 @@ class _SourceRun(_Engine):
     the check's: before the horizon, so no check is missed.  The outcome is
     latency 0 and the job misses of this run so far.
 
-    ``request`` returns its outcome with the window of later points over
-    which it holds, so that a sweep needs no request there:
+    ``request`` at a point ``t0`` returns its outcome with the window of
+    points over which it holds, so that a sweep needs no request there.  The
+    window holds ``t0`` itself: it ends at ``t0 + 1`` at the earliest, and
+    on the sweep's time base the next grid point is at least one unit on, so
+    a repeat of ``t0`` takes the outcome again.  Past ``t0`` it holds
       (a) served: the points before the fork's transition end ``E`` or the
-          source mode's next MD release, whichever comes first, an empty
-          window when the latency is 0.  A point ``t`` there has latency
-          ``E - t``, and the fork's job misses and each check's verdict
-          ``check_outcome(record, t + reach, t - t0)`` once the fork has
-          processed up to ``t``'s horizon ``t + reach``.  A fork that has
-          not stopped is advanced there first, so points must come in
-          order; a stopped fork changes no more;
-      (b) decided: the points after a point ``t`` that ``decides`` accepted
+          source mode's next MD release, whichever comes first.  A point
+          ``t`` there has latency ``E - t``, and the fork's job misses and
+          each check's verdict ``check_outcome(record, t + reach, t - t0)``
+          once the fork has processed up to ``t``'s horizon ``t + reach``.
+          A fork that has not stopped is advanced there first, so points
+          must come in order; a stopped fork changes no more;
+      (b) decided: if ``decides`` accepted ``t0``, the points after it
           and before the next instant this run processes, which ``advance``
           returns.  No instant is processed there, so no job is released,
           none completes and no source-mode MD job is pending.  Nor can the
@@ -1000,7 +996,7 @@ class _SourceRun(_Engine):
         """Whether processor ``p`` has settled at instant ``time``, after its
         dispatch: the demand test holds there, and every open check on ``p``
         has a job due by the check's deadline.  Those checks are then
-        decided, met, and no longer open."""
+        decided and leave the fork."""
         if self.running[p] is None:  # idle: the dispatch left no job ready
             return True
         jobs = self.pending(p, time)
@@ -1016,7 +1012,7 @@ class _SourceRun(_Engine):
                         return False  # the check's verdict turns on its job's completion
                     decided.append(key)
             for key in decided:
-                checks.pop(key)["met"] = True
+                self.checks.remove(checks.pop(key))
         return True
 
     def decides(self, time: int, destination: str) -> bool:
@@ -1060,19 +1056,23 @@ class _SourceRun(_Engine):
         self.time = time
         if self.decides(time, destination):
             # decided up to the next instant this run processes, if there is one
-            return (0, self.job_misses, 0), math.inf if following is None else following, None
-        fork = self._fork()
-        fork._request(time, destination)
-        fork.advance(limit)
-        # at load <= 1 every source-mode job meets its deadline, so the
-        # transition ends by t plus the source's longest MD period, before
-        # limit; an engine bug that broke this fails here as an internal error
-        ((_, latency),) = fork.latencies
-        # the fork serves up to its transition end or the source mode's next
-        # MD release strictly after ``time`` (one released at ``time`` is
-        # pending in the fork), whichever comes first
-        releases = ((time // period + 1) * period for period in self.md_periods)
-        return fork.outcome(time, limit), min((time + latency, *releases)), fork
+            outcome, until, fork = (0, self.job_misses, 0), math.inf if following is None else following, None
+        else:
+            fork = self._fork()
+            fork._request(time, destination)
+            fork.advance(limit)
+            # at load <= 1 every source-mode job meets its deadline, so the
+            # transition ends by t plus the source's longest MD period, before
+            # limit; an engine bug that broke this fails here as an internal error
+            ((_, latency),) = fork.latencies
+            # the fork serves up to its transition end or the source mode's next
+            # MD release strictly after ``time`` (one released at ``time`` is
+            # pending in the fork), whichever comes first
+            releases = ((time // period + 1) * period for period in self.md_periods)
+            outcome, until = fork.outcome(time, limit), min((time + latency, *releases))
+        # the window holds its own point, the next grid point being one unit on
+        # at least: a repeat of the point needs no request
+        return outcome, max(until, time + 1), fork
 
     def outcome(self, time: int, limit: int) -> tuple[int, int, int]:
         """The outcome of a request at ``time``, in a run up to ``limit``,
@@ -1123,7 +1123,7 @@ def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
         return engine.execute()
     text = _TraceText(engine.scale, out)
     trace = engine.execute(flush=text.write)
-    text.close(trace)
+    out.write(text.footer(trace))
     return trace
 
 
@@ -1196,11 +1196,11 @@ def sweep_mcr(
     ``b`` the lcm of the points' denominators, and its multiples sorted.
     The one source run is built for a request at the unit, so its time base
     holds every point and every point's horizon, and the whole grid is
-    walked in integers on that one base; a repeat of a point takes its
-    outcome again, with no request.  The maximum is kept in integers,
-    at the earliest point that reaches it, and made a ``Fraction`` once, at
-    the end; a point whose simulation fails raises at the earliest such
-    point.  ``bound`` is the bound in force that sets the horizons: the
+    walked in integers on that one base.  A request's window holds its own
+    point, so a repeat of a point takes its outcome again, with no request.
+    The maximum is kept in integers, at the earliest point that reaches it,
+    and made a ``Fraction`` once, at the end; a point whose simulation fails
+    raises at the earliest such point.  ``bound`` is the bound in force that sets the horizons: the
     source mode's optimal latency under offline-table, its online bound
     (``latency_upper_bound``) under online-ffd.
     """
@@ -1236,18 +1236,14 @@ def sweep_mcr(
     job_misses = transition_misses = 0
     until = 0  # the end of the last request's window
     fork: Optional[_SourceRun] = None
-    last = -1  # the last point: a repeat of it takes its outcome
     for time in map(step.__mul__, multiples):
-        if time == last:
-            pass
-        elif time < until:  # inside the last request's window
+        if time < until:  # inside the last request's window
             if fork is not None:
                 if fork.waiting:  # not stopped yet: it runs on to this point's horizon
                     fork.advance(time + scaled_reach)
                 outcome = fork.outcome(time, time + scaled_reach)
         else:
             outcome, until, fork = run.request(time, destination, time + scaled_reach)
-        last = time
         latency, misses, missed_checks = outcome
         job_misses += misses
         transition_misses += missed_checks

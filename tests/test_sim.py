@@ -593,6 +593,42 @@ def test_one_processor_carry_in_outlasts_the_certified_bound(capsys):
     sweeps_over_the_bound("carry_in_one_proc", (14, 1425, 13))
 
 
+def test_chained_requests_outlast_the_bound_of_the_placement_in_use(capsys):
+    """``samples/chained_requests.json`` with ``_mcrs.json``: a -> b at 3,
+    b -> c at 17/4 and c -> a at 25/4.  Under online-ffd ``c0`` runs beside
+    ``mi0`` on processor 1, whose job released at 0 still has 4 units at
+    25/4, so the c -> a transition takes 27/4, above the bound 6 of that
+    placement, though below mode c's online bound 8 that the online-ffd
+    verdict rests on.  Both analyses pass.  These are facts of the
+    simulator, as in the carry-in samples above."""
+    system_path = str(SAMPLES / "chained_requests.json")
+    system = ms.load_system(system_path)
+    for command in ("analyze-offline", "analyze-online"):
+        assert main([command, system_path]) == 0
+        assert capsys.readouterr().out.endswith("GLOBAL: PASS\n")
+    assert ms.validate_offline_scheme(system).passed and ms.validate_online_scheme(system).passed
+    placement = ms.first_fit_decreasing(system, "c")
+    assert placement.assignment == {"c0": 1}
+    placement_bound = ms.analyze_allocation(system, "c", placement).platform_bound
+    assert (placement_bound, ms.latency_upper_bound(system, "c")) == (6, 8)
+
+    scenario = ms.load_scenario(SAMPLES / "chained_requests_mcrs.json", system)
+    assert main(["simulate", system_path, str(SAMPLES / "chained_requests_mcrs.json")]) == 1
+    assert capsys.readouterr().out.endswith(
+        "# latency\t3\t0\n# latency\t17/4\t7/4\n# latency\t25/4\t27/4\n"
+        "# transition-deadline\tc0\t17/4\t77/4\t13\tok\n# deadline-misses\t5\n"
+    )
+    trace = ms.run(scenario)
+    latencies = [latency for _, latency in trace.observed_latencies]
+    assert latencies == [0, Fraction(7, 4), Fraction(27, 4)] and trace.job_deadline_misses == 5
+    assert latencies[-1] > placement_bound
+
+    static = ms.make_scenario(system, "a", "offline-table", scenario.mcr_schedule, scenario.horizon)
+    trace = ms.run(static)
+    assert [latency for _, latency in trace.observed_latencies] == [0, Fraction(7, 4), Fraction(11, 4)]
+    assert trace.deadline_miss_count == 0
+
+
 def test_transient_overload_can_miss_job_deadlines_but_not_certified_verdicts():
     """Per-mode feasibility does not extend to the transition window itself.
 

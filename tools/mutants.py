@@ -243,6 +243,21 @@ MUTANTS = (
         "self.check_outcome(record, limit, shift)", "self.check_outcome(record, limit, 0)",
         "a point a fork serves has each transition deadline moved by its distance from the fork's request",
     ),
+    Mutant(
+        "window-excludes-own-point", "src/modesched/sim.py",
+        "return outcome, max(until, time + 1), fork", "return outcome, until, fork",
+        "a request's window holds its own point, so a repeat of it takes its outcome with no request",
+    ),
+    Mutant(
+        "settled-check-kept", "src/modesched/sim.py",
+        "self.checks.remove(checks.pop(key))", "checks.pop(key)",
+        "a check a settled fork decides leaves the fork: it can no longer be missed",
+    ),
+    Mutant(
+        "start-never-resumes", "src/modesched/sim.py",
+        'kind = "resume" if current.finish else "start"', 'kind = "start"',
+        "a job dispatched again after a preemption resumes; only its first dispatch starts it",
+    ),
 )
 
 
