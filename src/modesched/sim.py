@@ -45,20 +45,24 @@ and every miss row precedes every release row.  A request whose transition
 ends at once refills the bucket with the destination's releases, which a
 second round takes.
 
-A ready queue is a heap of ``(key, job)``, the key one int, ``deadline * n
-+ rank[task id]`` for ``n`` tasks and ``rank`` a task's position among the
-sorted ids: two pending jobs of one task never share a deadline, so the key
-orders by deadline, then task id, and never needs the job index.
+A pending job is one list whose first item is its EDF key, one int,
+``deadline * n + rank`` for ``n`` tasks and ``rank`` its task's position
+among the sorted ids: two pending jobs of one task never share a deadline,
+so the key orders by deadline, then task id, and never needs the job index.
+A ready queue is a heap of the job lists themselves: their keys differ, so
+the heap compares only keys.  The jobs a request finds pending in the mode
+it disables are marked ``old`` and counted in ``old_count``; each one's
+completion lowers the count, and the transition ends when it reaches 0.
 
 ``_Engine.advance(limit)`` is the one instant loop: each instant runs the
 completions, the transition-end check, the queued entries and one dispatch
 pass over the processors, whose ready queues and running jobs are lists
-indexed by processor number.  A running job carries its completion instant
-(``_Job.finish``), so the clock moves without touching any job: the dispatch
-pass sets ``finish`` when it starts or resumes a job and finds the earliest
-(``next_finish``), which is where the loop stops next.  ``remaining`` is
-exact only for a job off a processor: it is rewritten at a preemption and
-zeroed at the completion.
+indexed by processor number.  A running job carries its completion
+instant (its ``finish`` item), so the clock moves without touching any job:
+the dispatch pass sets ``finish`` when it starts or resumes a job and finds
+the earliest (``next_finish``), which is where the loop stops next.
+``remaining`` is exact only for a job off a processor: it is rewritten at a
+preemption and zeroed at the completion.
 
 A run ends only in ``advance(limit)``, which processes no instant at or past
 its limit.  Releases and deadlines are queued whatever their instant, so what
@@ -248,10 +252,11 @@ class _TraceText:
     written to ``out`` at once, then the footer.
 
     Rows come in time order, so each instant is formatted once, as ``str`` of
-    its reduced fraction, even across batches; the footer's times go through
-    the same ``_stamp``.  An instant too long to print is refused only by
-    ``footer``: a run streaming its rows may still fail later with an error
-    of its own, and that error comes first.
+    its reduced fraction, even across batches: a whole instant directly, the
+    others through ``_stamp``, which the footer's times go through too.  An
+    instant too long to print is refused only by ``footer``: a run streaming
+    its rows may still fail later with an error of its own, and that error
+    comes first.
     """
 
     __slots__ = ("scale", "out", "instant", "stamp", "refusal")
@@ -265,11 +270,15 @@ class _TraceText:
 
     def write(self, rows: Iterable[tuple]) -> None:
         """Format ``rows`` and write them to ``out`` with one call."""
-        instant, stamp = self.instant, self.stamp
+        instant, stamp, scale = self.instant, self.stamp, self.scale
         lines = []
         for time, processor, kind, task, job in rows:
             if time != instant:
-                instant, stamp = time, self._stamp(time)
+                instant = time
+                try:  # a whole instant needs no gcd
+                    stamp = str(time // scale) if time % scale == 0 else self._stamp(time)
+                except ValueError:  # a whole instant too long to print: ``_stamp`` refuses it
+                    stamp = self._stamp(time)
             lines.append(
                 f"{stamp}\t{'-' if processor is None else processor}\t{kind}"
                 f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
@@ -468,12 +477,13 @@ def hyperperiod(tasks) -> Fraction:
 
 class _TaskState:
     __slots__ = (
-        "task", "wcet", "period", "offsets", "processor",
+        "id", "rank", "wcet", "period", "offsets", "processor",
         "activation", "enable_time", "offset_index", "job_count",
     )
 
     def __init__(self, task, wcet: int, period: int, offsets: tuple[int, ...]):
-        self.task = task
+        self.id = task.id
+        self.rank = 0  # the task's position among the sorted ids, for the EDF key; set by the engine
         self.wcet = wcet
         self.period = period
         self.offsets = offsets
@@ -485,26 +495,24 @@ class _TaskState:
 
     def copy(self) -> "_TaskState":
         twin = object.__new__(_TaskState)
-        twin.task, twin.wcet, twin.period, twin.offsets = self.task, self.wcet, self.period, self.offsets
-        twin.processor, twin.activation, twin.enable_time = self.processor, self.activation, self.enable_time
+        twin.id, twin.rank, twin.wcet, twin.period = self.id, self.rank, self.wcet, self.period
+        twin.offsets, twin.processor = self.offsets, self.processor
+        twin.activation, twin.enable_time = self.activation, self.enable_time
         twin.offset_index, twin.job_count = self.offset_index, self.job_count
         return twin
 
 
-class _Job:
-    # built slot by slot at its release in ``_Engine.advance``; ``remaining``
-    # is exact only off a processor: a running job's work ends at ``finish``,
-    # 0 until the first dispatch and set by each dispatch that starts or
-    # resumes it.  ``processor`` is pinned at release; later re-placements do
-    # not move it.  ``key`` is the EDF key ``deadline * n + rank[task_id]``
-    # (see the module docstring)
-    __slots__ = ("task_id", "index", "remaining", "finish", "processor", "key")
-
-    def copy(self) -> "_Job":
-        twin = object.__new__(_Job)
-        twin.task_id, twin.index = self.task_id, self.index
-        twin.remaining, twin.finish, twin.processor, twin.key = self.remaining, self.finish, self.processor, self.key
-        return twin
+# A pending job is one list, ``[key, remaining, finish, task id, index,
+# processor, old]``, built at its release in ``_Engine.advance`` and pushed
+# onto its processor's ready heap itself.  ``key`` is the EDF key ``deadline
+# * n + rank`` (see the module docstring), unique among the jobs pending on
+# one processor, so the heap compares only keys.  ``remaining`` is exact only
+# off a processor: a running job's work ends at ``finish``, 0 until the first
+# dispatch and set by each dispatch that starts or resumes it.  ``processor``
+# is pinned at release; later re-placements do not move it.  ``old`` marks a
+# job that a request found pending in the mode it disabled: the transition
+# ends once the last such job completes.
+_KEY, _REMAINING, _FINISH, _TASK, _INDEX, _PROCESSOR, _OLD = range(7)
 
 
 class _Engine:
@@ -532,16 +540,16 @@ class _Engine:
         # id or None, activation), the job's deadline check, the task's next
         # release or both, in queue order; the heap of the instants that have
         # a bucket; and the requests, (time, destination) in time order
-        self.due: dict[int, list[tuple[Optional[_Job], Optional[str], int]]] = {}
+        self.due: dict[int, list[tuple[Optional[list], Optional[str], int]]] = {}
         self.due_times: list[int] = []
         self.requests: list[tuple[int, str]] = []
-        # each task's position among the sorted ids, for the EDF key
-        self.rank = {task_id: i for i, task_id in enumerate(sorted(self.states))}
+        for rank, task_id in enumerate(sorted(self.states)):
+            self.states[task_id].rank = rank
         # indexed by processor number; slot 0 stays empty
-        self.ready: list[list] = [[] for _ in range(len(self.processors) + 1)]
-        self.running: list[Optional[_Job]] = [None] * (len(self.processors) + 1)
+        self.ready: list[list[list]] = [[] for _ in range(len(self.processors) + 1)]
+        self.running: list[Optional[list]] = [None] * (len(self.processors) + 1)
         self.next_finish: Optional[int] = None  # the earliest ``finish`` of a running job
-        self.old_pending: set[_Job] = set()
+        self.old_count = 0  # the jobs marked old still pending
         self.job_misses = 0
         self.waiting: tuple[int, ...] = ()  # processors yet to settle; only a sweep fork fills it
 
@@ -566,7 +574,7 @@ class _Engine:
     def scaled(self, value: Fraction) -> int:
         return _scaled(value, self.scale)
 
-    def _bucket(self, time: int) -> list[tuple[Optional[_Job], Optional[str], int]]:
+    def _bucket(self, time: int) -> list[tuple[Optional[list], Optional[str], int]]:
         """The bucket of ``time``, opened empty if need be."""
         bucket = self.due.get(time)
         if bucket is None:
@@ -583,11 +591,11 @@ class _Engine:
     def _frac(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
 
-    def pending_jobs(self) -> Iterator[_Job]:
+    def pending_jobs(self) -> Iterator[list]:
         """Every released job not yet complete: the running ones, then the ready queues."""
         yield from (job for job in self.running if job is not None)
         for queue in self.ready:
-            yield from (job for _, job in queue)
+            yield from queue
 
     def allocation_for(self, mode_id: str, time: int) -> Allocation:
         if self.scenario.allocation_source == OFFLINE_TABLE:
@@ -659,7 +667,7 @@ class _Engine:
             state.offset_index += 1
         else:
             time = state.enable_time
-        self._bucket(time).append((None, state.task.id, state.activation))
+        self._bucket(time).append((None, state.id, state.activation))
 
     def do_mcr(self, time: int, destination: str) -> None:
         if self.destination is not None:
@@ -675,11 +683,14 @@ class _Engine:
             state = self.states[task_id]
             state.activation += 1
             self._emit((time, state.processor, "MD-disabled", task_id, None))
-        self.old_pending.update(j for j in self.pending_jobs() if j.task_id in old_ids)
+        for job in self.pending_jobs():
+            if job[_TASK] in old_ids:
+                job[_OLD] = True
+                self.old_count += 1
         self.maybe_end_transition(time)
 
     def maybe_end_transition(self, time: int) -> None:
-        if self.destination is None or self.old_pending:
+        if self.destination is None or self.old_count:
             return
         self._emit((time, None, "transition-end", None, None))
         self.latencies.append((self.mcr_time, time - self.mcr_time))
@@ -701,10 +712,9 @@ class _Engine:
         (``next_finish``).
         """
         due, due_times, requests = self.due, self.due_times, self.requests
-        ready, running, states, rank = self.ready, self.running, self.states, self.rank
-        emit, checks, old_pending = self._emit, self._check_by_task_job, self.old_pending
-        processors, new_job, n = self.processors, object.__new__, len(rank)
-        heappush, heappop, bucket_of = heapq.heappush, heapq.heappop, self._bucket
+        ready, running, states, n = self.ready, self.running, self.states, len(self.states)
+        emit, checks, processors = self._emit, self._check_by_task_job, self.processors
+        heappush, heappop = heapq.heappush, heapq.heappop
         next_finish, destination, waiting = self.next_finish, self.destination, self.waiting
         time = self.time
         count = 0
@@ -719,16 +729,16 @@ class _Engine:
             if time == next_finish:
                 for p in processors:
                     job = running[p]
-                    if job is not None and job.finish == time:
+                    if job is not None and job[_FINISH] == time:
                         running[p] = None
-                        job.remaining = 0
-                        emit((time, p, "complete", job.task_id, job.index))
-                        if old_pending:
-                            old_pending.discard(job)
-                        record = checks.pop((job.task_id, job.index), None) if checks else None
+                        job[_REMAINING] = 0
+                        emit((time, p, "complete", job[_TASK], job[_INDEX]))
+                        if job[_OLD]:
+                            self.old_count -= 1
+                        record = checks.pop((job[_TASK], job[_INDEX]), None) if checks else None
                         if record is not None:  # the first job since an enable: its check's completion
                             record["completion"] = time
-            if destination is not None and not old_pending:
+            if destination is not None and not self.old_count:
                 self.maybe_end_transition(time)
                 destination, waiting = self.destination, self.waiting
             bucket = due.pop(time, None)
@@ -736,29 +746,28 @@ class _Engine:
                 heappop(due_times)
                 released = []
                 for job, task_id, activation in bucket:
-                    if job is not None and job.remaining > 0:  # each job's deadline is queued once
+                    if job is not None and job[_REMAINING] > 0:  # each job's deadline is queued once
                         self.job_misses += 1
-                        emit((time, job.processor, "deadline-miss", job.task_id, job.index))
+                        emit((time, job[_PROCESSOR], "deadline-miss", job[_TASK], job[_INDEX]))
                     if task_id is not None and states[task_id].activation == activation:  # not stale
                         released.append(states[task_id])
                 for state in released:  # after every deadline check of the instant
-                    job = new_job(_Job)
-                    job.task_id = task_id = state.task.id
-                    job.index = index = state.job_count
+                    task_id, index, p = state.id, state.job_count, state.processor
                     state.job_count = index + 1
-                    job.remaining = state.wcet
-                    job.finish = 0
-                    job.processor = p = state.processor
                     deadline = time + state.period
-                    job.key = key = deadline * n + rank[task_id]
+                    job = [deadline * n + state.rank, state.wcet, 0, task_id, index, p, False]
                     emit((time, p, "release", task_id, index))
-                    heappush(ready[p], (key, job))
-                    offset = state.offset_index < len(state.offsets)
+                    heappush(ready[p], job)
+                    entries = due.get(deadline)
+                    if entries is None:
+                        entries = due[deadline] = []
+                        heappush(due_times, deadline)
                     # the next release rides on this job's deadline entry unless an offset places it
-                    entry = (job, None, 0) if offset else (job, task_id, state.activation)
-                    bucket_of(deadline).append(entry)
-                    if offset:
+                    if state.offsets and state.offset_index < len(state.offsets):
+                        entries.append((job, None, 0))
                         self._schedule_release(state)
+                    else:
+                        entries.append((job, task_id, state.activation))
                 bucket = None
                 if requests and requests[0][0] == time:
                     self.do_mcr(time, requests.pop(0)[1])
@@ -768,19 +777,19 @@ class _Engine:
             for p in processors:
                 queue = ready[p]
                 current = running[p]
-                if queue and (current is None or queue[0][0] < current.key):
+                if queue and (current is None or queue[0][_KEY] < current[_KEY]):
                     if current is not None:
-                        emit((time, p, "preempt", current.task_id, current.index))
-                        current.remaining = current.finish - time
-                        heappush(queue, (current.key, current))
-                    current = heappop(queue)[1]
+                        emit((time, p, "preempt", current[_TASK], current[_INDEX]))
+                        current[_REMAINING] = current[_FINISH] - time
+                        heappush(queue, current)
+                    current = heappop(queue)
                     # ``finish`` is 0 until the first dispatch sets it past 0: every wcet is positive
-                    kind = "resume" if current.finish else "start"
-                    emit((time, p, kind, current.task_id, current.index))
-                    current.finish = time + current.remaining
+                    kind = "resume" if current[_FINISH] else "start"
+                    emit((time, p, kind, current[_TASK], current[_INDEX]))
+                    current[_FINISH] = time + current[_REMAINING]
                     running[p] = current
-                if current is not None and (next_finish is None or current.finish < next_finish):
-                    next_finish = current.finish
+                if current is not None and (next_finish is None or current[_FINISH] < next_finish):
+                    next_finish = current[_FINISH]
             if waiting:  # a sweep fork past its transition end (see ``_SourceRun``)
                 waiting = tuple(p for p in waiting if not self.settles(p, time))
                 if not waiting:
@@ -963,11 +972,11 @@ class _SourceRun(_Engine):
         """``(key, r)`` of each job pending on ``p`` at ``time``, by deadline:
         its ``(deadline, task id, index)``, the deadline taken from its EDF
         key, and its remaining work ``r > 0``."""
-        n = len(self.rank)
-        jobs = [((key // n, job.task_id, job.index), job.remaining) for key, job in self.ready[p]]
+        n = len(self.states)
+        jobs = [((job[_KEY] // n, job[_TASK], job[_INDEX]), job[_REMAINING]) for job in self.ready[p]]
         current = self.running[p]
-        if current is not None and current.finish > time:
-            jobs.append(((current.key // n, current.task_id, current.index), current.finish - time))
+        if current is not None and current[_FINISH] > time:
+            jobs.append(((current[_KEY] // n, current[_TASK], current[_INDEX]), current[_FINISH] - time))
         jobs.sort()
         return jobs
 
@@ -979,7 +988,7 @@ class _SourceRun(_Engine):
             states = [self.states[task.id] for task in self.system.mi_on(p)]
             states += (self.states[task_id] for task_id, q, _ in self.plans[mode_id] if q == p)
             lcm = math.lcm(*(state.period for state in states))
-            self.weights[(mode_id, p)] = (lcm, {s.task.id: s.wcet * (lcm // s.period) for s in states})
+            self.weights[(mode_id, p)] = (lcm, {s.id: s.wcet * (lcm // s.period) for s in states})
         lcm, weight = self.weights[(mode_id, p)]
         releases = dict.fromkeys(weight, time)  # each task's next release: its latest pending deadline
         for (deadline, task_id, _), _ in jobs:
@@ -1083,24 +1092,24 @@ class _SourceRun(_Engine):
         return latency - shift, self.job_misses, missed
 
     def _fork(self) -> "_SourceRun":
-        # Task states and pending jobs, all the suffix can mutate, are copied
-        # slot by slot, and every reference to a pending job is re-pointed to
-        # its copy, in the ready queues and in each bucket.  Queued releases
-        # name their task by id and completed jobs never change again, so
-        # both are shared.  A source run queues no request.
+        # Task states and pending jobs, all the suffix can mutate, are copied,
+        # and every reference to a pending job is re-pointed to its copy, in
+        # the ready queues and in each bucket, through a map keyed by the
+        # job's ``id``.  Queued releases name their task by id and completed
+        # jobs never change again, so both are shared.  A source run queues
+        # no request, so it marks no job old and its ``old_count`` stays 0.
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin.states = {task_id: state.copy() for task_id, state in self.states.items()}
-        jobs = {job: job.copy() for job in self.pending_jobs()}
-        twin.ready = [[(key, jobs[job]) for key, job in queue] for queue in self.ready]
-        twin.running = [jobs.get(job) for job in self.running]
+        jobs = {id(job): job[:] for job in self.pending_jobs()}
+        twin.ready = [[jobs[id(job)] for job in queue] for queue in self.ready]
+        twin.running = [jobs.get(id(job)) for job in self.running]
         twin.due = {
-            time: [(jobs.get(job, job), task_id, activation) for job, task_id, activation in bucket]
+            time: [(jobs.get(id(job), job), task_id, activation) for job, task_id, activation in bucket]
             for time, bucket in self.due.items()
         }
         twin.due_times = list(self.due_times)
         twin.requests = []
-        twin.old_pending = set()
         twin.latencies = []
         twin.checks = []
         twin._check_by_task_job = {}

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -254,6 +255,85 @@ def test_rational_timestamps():
     assert trace.deadline_miss_count == 0
     completes = [e for e in trace.events if e.kind == "complete" and e.task == "x"]
     assert completes[0].time == Fraction(5, 6)  # 1/2 + 1/3, after the MI job
+
+
+def test_trace_times_print_as_reduced_fractions_on_a_scaled_time_base(monkeypatch):
+    """On a time base of 12 whole and fractional instants alternate, and a
+    streamed window holds a whole instant right after a fractional one
+    (``3`` after ``7/3``): every time of the kept and the streamed text, rows
+    and footer, is ``str`` of its reduced fraction."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "a", "kind": "MI", "wcet": "0.5", "period": "1.5", "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": "1/3", "period": "2"},
+                {"id": "y", "kind": "MD", "wcet": "0.25", "period": "2.5", "transition_deadline": "1.5"},
+            ],
+            "modes": [{"id": "m", "md_tasks": ["x"]}, {"id": "n", "md_tasks": ["y"]}],
+            "transitions": [["m", "n"]],
+        }
+    )
+    scenario = ms.make_scenario(system, "m", "offline-table", [("2.25", "n")], horizon=10)
+    trace = ms.run(scenario)
+    scale = trace.scale
+    assert scale == 12
+    batches = []
+    write = sim._TraceText.write
+
+    def recording(self, rows):
+        batches.append([row[0] for row in rows])
+        write(self, rows)
+
+    monkeypatch.setattr(sim._TraceText, "write", recording)
+    ms.run(scenario, out=(streamed := io.StringIO()))
+    assert len(batches) > 1
+    assert any(
+        earlier % scale and not later % scale
+        for batch in batches for earlier, later in zip(batch, batch[1:])
+    )
+
+    def shown(time):
+        return str(Fraction(time, scale))
+
+    stamps = [shown(t) for t, *_ in trace.rows]
+    assert {"3", "7/3", "9/4"} <= set(stamps)
+    footer = [f"# latency\t{shown(at)}\t{shown(latency)}" for at, latency in trace.latencies]
+    footer += [
+        f"# transition-deadline\t{task}\t{shown(mcr)}\t{shown(absolute)}\t{shown(done)}\tok"
+        for task, mcr, absolute, done, _ in trace.checks
+    ]
+    assert footer == ["# latency\t9/4\t1/12", "# transition-deadline\ty\t9/4\t15/4\t31/12\tok"]
+    for text in (trace.to_text(), streamed.getvalue()):
+        lines = text.splitlines()
+        assert [line.split("\t", 1)[0] for line in lines if not line.startswith("#")] == stamps
+        assert [line for line in lines if line.startswith("# ")][:-1] == footer
+
+
+def test_whole_trace_time_too_long_to_print_is_refused_once_the_run_ends():
+    """A library caller may pass integers of any length.  ``a``'s second
+    release falls at a whole instant one digit longer than the interpreter
+    prints: the kept and the streamed text refuse it as they refuse a
+    fractional one, once every row is formatted."""
+    limit = sys.get_int_max_str_digits()
+    period = 10 ** limit
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [{"id": "a", "kind": "MI", "wcet": 1, "period": period, "processor": 1}],
+            "modes": [{"id": "m", "md_tasks": []}],
+            "transitions": [],
+        }
+    )
+    scenario = ms.make_scenario(system, "m", "offline-table", [], period + 2)
+    message = f"trace time: a number with more than {limit} digits is too long to print"
+    with pytest.raises(ms.SystemValidationError, match=message):
+        ms.run(scenario).to_text()
+    streamed = io.StringIO()
+    with pytest.raises(ms.SystemValidationError, match=message):
+        ms.run(scenario, out=streamed)
+    # the rows at ``period`` and ``period + 1`` carry ``-`` for their time
+    assert [line.split("\t", 1)[0] for line in streamed.getvalue().splitlines()] == ["0", "0", "1", "-", "-", "-"]
 
 
 # ---------------------------------------------------------------------------
@@ -1072,6 +1152,56 @@ def test_fork_processes_its_request_instant_as_the_points_own_run(monkeypatch, s
     # the source run requests at the grid's unit; the point's own scenario at 6
     own = twin.scenario._replace(mcr_schedule=((Fraction(6), "b"),))
     assert rows == [row for row in ms.run(own).rows if request <= row[0] <= settlements[0]]
+
+
+def held_jobs(engine):
+    """``(where, job)`` for every job list ``engine`` holds: running, ready
+    or in a bucket entry."""
+    held = [("running", job) for job in engine.running if job is not None]
+    held += [("ready", job) for queue in engine.ready for job in queue]
+    held += [("due", job) for bucket in engine.due.values() for job, _, _ in bucket if job is not None]
+    return held
+
+
+def test_fork_copies_every_job_with_work_left_and_shares_completed_ones():
+    """One processor: after the instants 0 and 1, ``a``'s first job has
+    completed (its deadline entry at 4 is still queued), ``b``'s runs and
+    ``x``'s is ready.  A fork made then holds its own copy of every job with
+    work left, wherever it holds it, shares the completed one, and runs its
+    request at 2 without touching the source's jobs."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [
+                {"id": "a", "kind": "MI", "wcet": 1, "period": 4, "processor": 1},
+                {"id": "b", "kind": "MI", "wcet": 2, "period": 8, "processor": 1},
+                {"id": "x", "kind": "MD", "wcet": 3, "period": 12},
+                {"id": "y", "kind": "MD", "wcet": 1, "period": 8},
+            ],
+            "modes": [{"id": "alpha", "md_tasks": ["x"]}, {"id": "beta", "md_tasks": ["y"]}],
+            "transitions": [["alpha", "beta"]],
+        }
+    )
+    source = sim._SourceRun(ms.make_scenario(system, "alpha", "offline-table", [(2, "beta")], 40))
+    source.advance(2)
+    fork = source._fork()
+    remaining = sim._REMAINING
+    held = held_jobs(fork)
+    assert {(where, job[sim._TASK], job[remaining] > 0) for where, job in held} == {
+        ("running", "b", True), ("ready", "x", True),
+        ("due", "a", False), ("due", "b", True), ("due", "x", True),
+    }
+    shared = {id(job) for _, job in held_jobs(source)}
+    for where, job in held:
+        assert (id(job) in shared) == (job[remaining] == 0), (where, job)
+    # each bucket entry of a job with work left points to the copy the fork runs
+    pending = {id(job) for where, job in held if where != "due"}
+    assert all(id(job) in pending for where, job in held if where == "due" and job[remaining])
+    before = [(where, job[:]) for where, job in held_jobs(source)]
+    fork._request(2, "beta")
+    fork.advance(40)
+    assert fork.latencies == [(2, 5)]  # ``x`` is preempted at 4 and completes at 7
+    assert [(where, job[:]) for where, job in held_jobs(source)] == before
 
 
 def test_repeated_and_backward_points_in_one_interval(forks):

@@ -119,7 +119,7 @@ MUTANTS = (
     ),
     Mutant(
         "settle-skips-ready", "src/modesched/sim.py",
-        "jobs = [((key // n, job.task_id, job.index), job.remaining) for key, job in self.ready[p]]",
+        "jobs = [((job[_KEY] // n, job[_TASK], job[_INDEX]), job[_REMAINING]) for job in self.ready[p]]",
         "jobs = []",
         "the demand test counts every pending job, ready jobs included",
     ),
@@ -156,7 +156,7 @@ MUTANTS = (
     ),
     Mutant(
         "preempt-stale-remaining", "src/modesched/sim.py",
-        "current.remaining = current.finish - time", "pass",
+        "current[_REMAINING] = current[_FINISH] - time", "pass",
         "a preempted job keeps only the work it has left, so every job runs exactly its wcet",
     ),
     Mutant(
@@ -167,8 +167,8 @@ MUTANTS = (
     ),
     Mutant(
         "fork-shares-pending-jobs", "src/modesched/sim.py",
-        "jobs = {job: job.copy() for job in self.pending_jobs()}",
-        "jobs = {job: job for job in self.pending_jobs()}",
+        "jobs = {id(job): job[:] for job in self.pending_jobs()}",
+        "jobs = {id(job): job for job in self.pending_jobs()}",
         "a fork's suffix mutates only its own copies",
     ),
     Mutant(
@@ -186,8 +186,8 @@ MUTANTS = (
     ),
     Mutant(
         "stale-release-skips-deadline", "src/modesched/sim.py",
-        "if job is not None and job.remaining > 0:",
-        "if job is not None and job.remaining > 0 and (task_id is None or states[task_id].activation == activation):",
+        "if job is not None and job[_REMAINING] > 0:",
+        "if job is not None and job[_REMAINING] > 0 and (task_id is None or states[task_id].activation == activation):",
         "a disabled task's last job still has its deadline checked",
     ),
     Mutant(
@@ -197,7 +197,7 @@ MUTANTS = (
     ),
     Mutant(
         "bucket-newest-first", "src/modesched/sim.py",
-        "bucket_of(deadline).append(entry)", "bucket_of(deadline).insert(0, entry)",
+        "entries.append((job, task_id, state.activation))", "entries.insert(0, (job, task_id, state.activation))",
         "an instant's bucket keeps its entries in queue order, so its miss and release rows keep theirs",
     ),
     Mutant(
@@ -255,8 +255,18 @@ MUTANTS = (
     ),
     Mutant(
         "start-never-resumes", "src/modesched/sim.py",
-        'kind = "resume" if current.finish else "start"', 'kind = "start"',
+        'kind = "resume" if current[_FINISH] else "start"', 'kind = "start"',
         "a job dispatched again after a preemption resumes; only its first dispatch starts it",
+    ),
+    Mutant(
+        "stamp-whole-test-flipped", "src/modesched/sim.py",
+        "if time % scale == 0 else self._stamp(time)", "if time % scale != 0 else self._stamp(time)",
+        "a trace time is its reduced fraction: only a whole instant prints as an integer",
+    ),
+    Mutant(
+        "old-count-never-drops", "src/modesched/sim.py",
+        "                            self.old_count -= 1\n", "                            pass\n",
+        "a transition ends once the last job it found pending in the disabled mode completes",
     ),
 )
 
