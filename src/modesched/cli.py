@@ -1,15 +1,24 @@
 """Command-line surface: analyze system files, export MILPs, run simulations.
 
 Commands:
-    analyze-offline <system.json> [--report out.json]
-    analyze-online  <system.json> [--report out.json]
-    simulate        <system.json> <scenario.json> [--trace out.tsv]
-    export-milp     <system.json> --mode <id> [--hv <value>] -o <file.lp>
+    modesched analyze-offline <system.json> [--report <out.json>]
+    modesched analyze-online  <system.json> [--report <out.json>]
+    modesched simulate        <system.json> <scenario.json> [--trace <out.tsv>]
+    modesched export-milp     <system.json> --mode <id> [--hv <value>] -o <file.lp>
+    modesched -h | --help
+  Options go anywhere after the command, as --name value or --name=value;
+  -o is short for --output, and a repeated option keeps its last value.
+
+The block above is the usage text.  ``-h`` or ``--help`` anywhere prints it
+to stdout and exits 0.  Any other argument list that it does not accept is a
+usage error: the usage and ``error: <what>`` go to stderr, and the exit code
+is 2.  The parser is the ``_COMMANDS`` table, so no command imports argparse
+or gettext.
 
 Exit codes: 0 analysis passed, 1 analysis failed (deadline, feasibility or
-simulated deadline miss), 2 input or scenario error, 3 internal error.  Any
-exception other than an input or scenario error is a bug in modesched: its
-traceback goes to stderr and the exit code is 3.
+simulated deadline miss), 2 usage, input or scenario error, 3 internal error.
+Any exception other than an input or scenario error is a bug in modesched:
+its traceback goes to stderr and the exit code is 3.
 
 The analyses themselves live in the library (``validate_offline_scheme``,
 ``validate_online_scheme``); this module only serializes their verdicts.
@@ -24,12 +33,12 @@ simulator), so start-up stays a small part of a one-system command.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import stat
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .model import (
@@ -41,6 +50,7 @@ from .model import (
     SchemeVerdict,
     SimulationError,
     SystemValidationError,
+    _quote,
     load_system,
     printable,
 )
@@ -342,33 +352,66 @@ def _cmd_export_milp(args) -> int:
     return PASS
 
 
+# command -> (its positional names, {option: dest}, the dests it requires)
+_COMMANDS = {
+    "analyze-offline": (("system",), {"--report": "report"}, ()),
+    "analyze-online": (("system",), {"--report": "report"}, ()),
+    "simulate": (("system", "scenario"), {"--trace": "trace"}, ()),
+    "export-milp": (
+        ("system",),
+        {"--mode": "mode", "--hv": "hv", "-o": "output", "--output": "output"},
+        ("mode", "output"),
+    ),
+}
+# the docstring's ``Commands:`` block; only its heading under ``python -OO``, which strips docstrings
+_USAGE = "Commands:" + (__doc__ or "").partition("Commands:")[2].partition("\n\n")[0] + "\n"
+
+
+class _UsageError(Exception):
+    """An argument list that ``_COMMANDS`` does not accept."""
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command, its positionals and its options (``None`` when not given)."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError(f"unknown command {_quote(argv[0])}" if argv else "no command given")
+    command, words = argv[0], iter(argv[1:])
+    positionals, options, required = _COMMANDS[command]
+    args = SimpleNamespace(command=command, **dict.fromkeys(options.values()))
+    given = []
+    for word in words:
+        if word == "-" or not word.startswith("-"):
+            given.append(word)
+            continue
+        flag, equals, value = word.partition("=") if word.startswith("--") else (word, "", "")
+        if flag not in options:
+            raise _UsageError(f"{command}: unknown option {_quote(flag)}")
+        if not equals:
+            value = next(words, None)
+            if value is None:
+                raise _UsageError(f"{command}: option {flag} needs a value")
+        setattr(args, options[flag], value)
+    if len(given) > len(positionals):
+        raise _UsageError(f"{command}: unexpected argument {_quote(given[len(positionals)])}")
+    if len(given) < len(positionals):
+        raise _UsageError(f"{command}: missing argument <{positionals[len(given)]}>")
+    for dest in required:
+        if getattr(args, dest) is None:
+            raise _UsageError(f"{command}: missing option --{dest}")
+    vars(args).update(zip(positionals, given))
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="modesched",
-        description="Analysis of multimode partitioned-EDF real-time systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_off = sub.add_parser("analyze-offline", help="optimal static allocation per mode")
-    p_off.add_argument("system")
-    p_off.add_argument("--report", help="write the JSON report here")
-
-    p_on = sub.add_parser("analyze-online", help="certify online First-Fit allocation")
-    p_on.add_argument("system")
-    p_on.add_argument("--report", help="write the JSON report here")
-
-    p_sim = sub.add_parser("simulate", help="run the mode-change protocol simulator")
-    p_sim.add_argument("system")
-    p_sim.add_argument("scenario")
-    p_sim.add_argument("--trace", help="write the event trace here")
-
-    p_lp = sub.add_parser("export-milp", help="write the allocation MILP in LP format")
-    p_lp.add_argument("system")
-    p_lp.add_argument("--mode", required=True)
-    p_lp.add_argument("--hv", help="disjunction big-M constant (default derived from the mode)")
-    p_lp.add_argument("-o", "--output", required=True)
-
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        return PASS
+    try:
+        args = _parse(argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}error: {exc}\n")
+        return INPUT_ERROR
     try:
         if args.command == "analyze-offline":
             return _cmd_analyze(args, build_offline_report)

@@ -253,31 +253,41 @@ class _TraceText:
 
     Rows come in time order, so each instant is formatted once, as ``str`` of
     its reduced fraction, even across batches: a whole instant directly, the
-    others through ``_stamp``, which the footer's times go through too.  An
-    instant too long to print is refused only by ``footer``: a run streaming
-    its rows may still fail later with an error of its own, and that error
-    comes first.
+    others through ``fractions``, which maps ``time % scale`` to the divisor
+    that reduces the instant and its ``"/denominator"`` text, each entry made
+    on first use.  The footer's times go through ``_stamp``.  An instant too
+    long to print is refused only by ``footer``: a run streaming its rows may
+    still fail later with an error of its own, and that error comes first.
     """
 
-    __slots__ = ("scale", "out", "instant", "stamp", "refusal")
+    __slots__ = ("scale", "out", "instant", "stamp", "fractions", "refusal")
 
     def __init__(self, scale: int, out: Optional[TextIO]):
         self.scale = scale
         self.out = out
         self.instant: Optional[int] = None
         self.stamp = ""
+        self.fractions: dict[int, tuple[int, str]] = {}
         self.refusal: Optional[SystemValidationError] = None
 
     def write(self, rows: Iterable[tuple]) -> None:
         """Format ``rows`` and write them to ``out`` with one call."""
-        instant, stamp, scale = self.instant, self.stamp, self.scale
+        instant, stamp, scale, fractions = self.instant, self.stamp, self.scale, self.fractions
         lines = []
         for time, processor, kind, task, job in rows:
             if time != instant:
                 instant = time
-                try:  # a whole instant needs no gcd
-                    stamp = str(time // scale) if time % scale == 0 else self._stamp(time)
-                except ValueError:  # a whole instant too long to print: ``_stamp`` refuses it
+                rest = time % scale
+                try:
+                    if rest:
+                        reduced = fractions.get(rest)
+                        if reduced is None:  # gcd(time, scale) == gcd(rest, scale)
+                            divisor = math.gcd(rest, scale)
+                            reduced = fractions[rest] = divisor, f"/{scale // divisor}"
+                        stamp = f"{time // reduced[0]}{reduced[1]}"
+                    else:
+                        stamp = str(time // scale)
+                except ValueError:  # an instant too long to print: ``_stamp`` refuses it
                     stamp = self._stamp(time)
             lines.append(
                 f"{stamp}\t{'-' if processor is None else processor}\t{kind}"

@@ -5,10 +5,12 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import modesched as ms
+from modesched import cli
 from modesched.cli import main
 from conftest import SAMPLES, case_study_raw, infeasible_mode_raw
 
@@ -878,3 +880,75 @@ def test_long_values_in_input_refusals_are_cut(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "... (" in captured.err
     assert all(len(line) <= 300 for line in captured.err.splitlines())
+
+
+HELP = "help"
+
+
+def _parsed(command, **fields):
+    defaults = {
+        "analyze-offline": {"report": None}, "analyze-online": {"report": None}, "simulate": {"trace": None},
+        "export-milp": {"hv": None},
+    }[command]
+    return {"command": command, **defaults, **fields}
+
+
+# argv -> the namespace it parses to, HELP, or the usage error it exits 2 with
+ARGUMENT_LISTS = [
+    (["analyze-offline", "s.json"], _parsed("analyze-offline", system="s.json")),
+    (["analyze-offline", "--report", "r.json", "s.json"],
+     _parsed("analyze-offline", system="s.json", report="r.json")),
+    (["analyze-online", "s.json", "--report=r=1.json"], _parsed("analyze-online", system="s.json", report="r=1.json")),
+    (["analyze-online", "-", "--report="], _parsed("analyze-online", system="-", report="")),
+    (["analyze-online", "s.json", "--report", "a", "--report=b"],
+     _parsed("analyze-online", system="s.json", report="b")),
+    (["simulate", "s.json", "c.json"], _parsed("simulate", system="s.json", scenario="c.json")),
+    (["simulate", "--trace=t.tsv", "s.json", "c.json"],
+     _parsed("simulate", system="s.json", scenario="c.json", trace="t.tsv")),
+    (["simulate", "s.json", "--trace", "t.tsv", "c.json"],
+     _parsed("simulate", system="s.json", scenario="c.json", trace="t.tsv")),
+    (["export-milp", "s.json", "--mode", "m", "-o", "x.lp"],
+     _parsed("export-milp", system="s.json", mode="m", output="x.lp")),
+    (["export-milp", "--output=x.lp", "--hv", "-5", "--mode=m", "s.json"],
+     _parsed("export-milp", system="s.json", mode="m", output="x.lp", hv="-5")),
+    (["export-milp", "s.json", "--mode", "a", "-o", "x.lp", "--output", "y.lp", "--mode=b"],
+     _parsed("export-milp", system="s.json", mode="b", output="y.lp")),
+    (["-h"], HELP),
+    (["--help"], HELP),
+    (["analyze-online", "s.json", "--help"], HELP),
+    (["bogus", "-h"], HELP),
+    (["export-milp", "--mode", "-h"], HELP),
+    ([], "no command given"),
+    (["bogus"], "unknown command 'bogus'"),
+    (["x" * 100], "unknown command '" + "x" * 59 + "... (100 characters)"),
+    (["--report", "r.json", "analyze-online", "s.json"], "unknown command '--report'"),
+    (["analyze-online"], "analyze-online: missing argument <system>"),
+    (["simulate", "s.json", "--trace", "t.tsv"], "simulate: missing argument <scenario>"),
+    (["simulate", "s.json", "c.json", "extra"], "simulate: unexpected argument 'extra'"),
+    (["analyze-offline", "s.json", "--trace", "t.tsv"], "analyze-offline: unknown option '--trace'"),
+    (["analyze-online", "s.json", "--rep", "r.json"], "analyze-online: unknown option '--rep'"),
+    (["analyze-online", "s.json", "--bogus=1"], "analyze-online: unknown option '--bogus'"),
+    (["analyze-online", "s.json", "-r"], "analyze-online: unknown option '-r'"),
+    (["export-milp", "s.json", "--mode", "m", "-o=x.lp"], "export-milp: unknown option '-o=x.lp'"),
+    (["analyze-online", "s.json", "--report"], "analyze-online: option --report needs a value"),
+    (["export-milp", "s.json", "-o", "x.lp"], "export-milp: missing option --mode"),
+    (["export-milp", "s.json", "--mode", "m"], "export-milp: missing option --output"),
+]
+
+
+@pytest.mark.parametrize("argv, outcome", ARGUMENT_LISTS, ids=[" ".join(argv)[:40] for argv, _ in ARGUMENT_LISTS])
+def test_argument_lists_parse_or_exit_with_the_usage(argv, outcome, capsys):
+    """Options go anywhere after the command, as ``--name value`` or
+    ``--name=value``, and the last of a repeated option counts; ``-h`` or
+    ``--help`` anywhere prints the usage to stdout and exits 0; any other
+    argument list prints the usage and its error to stderr and exits 2."""
+    if isinstance(outcome, dict):
+        assert cli._parse(argv) == SimpleNamespace(**outcome)
+        return
+    code = main(argv)
+    captured = capsys.readouterr()
+    if outcome == HELP:
+        assert (code, captured.out, captured.err) == (0, cli._USAGE, "")
+        assert all(f"    modesched {command} " in captured.out for command in cli._COMMANDS)
+    else:
+        assert (code, captured.out, captured.err) == (2, "", f"{cli._USAGE}error: {outcome}\n")

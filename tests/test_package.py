@@ -55,7 +55,8 @@ codes = [modesched.cli.main(["analyze-online", sys.argv[1]])]
 seen["analyze-online"] = layers() + ["dataclasses"] * ("dataclasses" in sys.modules)
 codes.append(modesched.cli.main(["analyze-offline", sys.argv[1]]))
 seen["analyze-offline"] = layers()
-print(json.dumps({"codes": codes, "seen": seen}))
+parsers = [name for name in ("argparse", "gettext") if name in sys.modules]
+print(json.dumps({"codes": codes, "seen": seen, "parsers": parsers}))
 """
 
 
@@ -71,6 +72,7 @@ def test_commands_import_only_the_layers_they_run():
     assert seen["import"] == []
     assert seen["analyze-online"] == ["modesched.cli", "modesched.latency", "modesched.model", "modesched.online"]
     assert "modesched.sim" not in seen["analyze-offline"] and "modesched.offline" in seen["analyze-offline"]
+    assert result["parsers"] == []  # the CLI parses its commands without argparse, so without gettext
 
 
 OFFLINE_PROBE = """
@@ -79,7 +81,8 @@ import modesched.cli
 codes = [modesched.cli.main(["analyze-offline", sys.argv[1]])]
 seen = sorted(name for name in sys.modules if name.startswith("modesched."))
 codes.append(modesched.cli.main(["export-milp", sys.argv[1], "--mode", "mode1", "-o", sys.argv[2]]))
-print(json.dumps({"codes": codes, "seen": seen}))
+parsers = [name for name in ("argparse", "gettext") if name in sys.modules]
+print(json.dumps({"codes": codes, "seen": seen, "parsers": parsers}))
 """
 
 
@@ -93,6 +96,7 @@ def test_analyze_offline_alone_loads_neither_online_nor_sim(tmp_path):
     # export-milp reads the First-Fit bound, so it loads the online layer itself
     assert result["codes"] == [0, 0]
     assert result["seen"] == ["modesched.cli", "modesched.latency", "modesched.model", "modesched.offline"]
+    assert result["parsers"] == []
 
 
 def test_public_names_resolve_to_their_layer_objects():

@@ -260,13 +260,18 @@ MUTANTS = (
     ),
     Mutant(
         "stamp-whole-test-flipped", "src/modesched/sim.py",
-        "if time % scale == 0 else self._stamp(time)", "if time % scale != 0 else self._stamp(time)",
+        "if rest:", "if not rest:",
         "a trace time is its reduced fraction: only a whole instant prints as an integer",
     ),
     Mutant(
         "old-count-never-drops", "src/modesched/sim.py",
         "                            self.old_count -= 1\n", "                            pass\n",
         "a transition ends once the last job it found pending in the disabled mode completes",
+    ),
+    Mutant(
+        "cli-skips-required-options", "src/modesched/cli.py",
+        "for dest in required:", "for dest in ():",
+        "export-milp refuses an argument list without --mode or --output as a usage error",
     ),
 )
 
