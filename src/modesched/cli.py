@@ -25,7 +25,8 @@ The analyses themselves live in the library (``validate_offline_scheme``,
 
 Reports are deterministic: identical input files produce byte-identical
 output, with every number carried both as an exact fraction string and as a
-clearly marked decimal approximation.
+clearly marked decimal approximation.  ``_json_text`` writes them as
+``json.dumps(report, indent=2)`` does, without its pure-Python encoder.
 
 Each command imports only the layers it runs (``simulate`` alone loads the
 simulator), so start-up stays a small part of a one-system command.
@@ -33,11 +34,11 @@ simulator), so start-up stays a small part of a one-system command.
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -254,9 +255,56 @@ def _cmd_analyze(args, builder) -> int:
     report = builder(system)
     text = render_report(report)
     if args.report:  # a report that cannot be written prints nothing
-        _write_replacing(args.report, lambda handle: handle.write(json.dumps(report, indent=2) + "\n"))
+        _write_replacing(args.report, lambda handle: handle.write(_json_text(report) + "\n"))
     sys.stdout.write(text)
     return PASS if report["passed"] else FAIL
+
+
+def _json_text(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, byte for byte.
+
+    The standard encoder has no C path for indented output, so this writes
+    the text directly.  It takes dicts with string keys, lists, strings,
+    bools, ints, finite floats and None; any other type raises TypeError.
+    """
+    chunks: list[str] = []
+    _put_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _put_json(value, newline: str, put: Callable[[str], None]) -> None:
+    """``put`` the text of ``value``, each of its lines after the first
+    started by ``newline`` (a line break and the current indent)."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        put(float.__repr__(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            put(f"{separator}{encode_basestring_ascii(key)}: ")
+            _put_json(item, inner, put)
+            separator = "," + inner
+        put(newline + "}" if value else "{}")
+    elif isinstance(value, list):
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            put(separator)
+            _put_json(item, inner, put)
+            separator = "," + inner
+        put(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_replacing(path: str, write: Callable):

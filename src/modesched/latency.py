@@ -27,9 +27,10 @@ an integer time base from ``_time_base`` and scales its rationals to it with
 
 from __future__ import annotations
 
+import collections
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     MI,
@@ -41,27 +42,23 @@ from .model import (
 )
 
 
-class ProcessorLatency(NamedTuple):
-    """Per-processor latency bounds.
+class ProcessorLatency(collections.namedtuple("ProcessorLatency", "processor period_bound busy_bound effective")):
+    """Per-processor latency bounds, each a ``Fraction``.
 
-    ``period_bound`` and ``busy_bound`` are both absent for a processor
+    ``period_bound`` and ``busy_bound`` are both absent (None) for a processor
     hosting no MD task (there is nothing to drain) and both present
     otherwise.  ``effective`` is the smaller of the two, or 0 when they are
     absent.
     """
 
-    processor: int
-    period_bound: Optional[Fraction]
-    busy_bound: Optional[Fraction]
-    effective: Fraction
+    __slots__ = ()
 
 
-class LatencyReport(NamedTuple):
-    """Latency bounds for one mode under one allocation, over all processors."""
+class LatencyReport(collections.namedtuple("LatencyReport", "mode_id per_processor platform_bound")):
+    """Latency bounds for one mode under one allocation: a tuple of
+    ``ProcessorLatency`` rows and the ``Fraction`` bound over all processors."""
 
-    mode_id: str
-    per_processor: tuple[ProcessorLatency, ...]
-    platform_bound: Fraction
+    __slots__ = ()
 
 
 def busy_period(md_wcet_sum, mi_tasks: Iterable[Task]) -> Optional[Fraction]:

@@ -15,12 +15,14 @@ Mode transitions follow a directed graph with no self-loops.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 MI = "MI"
 MD = "MD"
@@ -202,28 +204,23 @@ def as_array(value, *, what: str, error: type[ValueError] = SystemValidationErro
     return value
 
 
-class _TaskFields(NamedTuple):
-    id: str
-    kind: str
-    wcet: Fraction
-    period: Fraction
-    transition_deadline: Optional[Fraction] = None
-    home_processor: Optional[int] = None
-
-
-class Task(_TaskFields):
+class Task(collections.namedtuple(
+    "Task", "id kind wcet period transition_deadline home_processor", defaults=(None, None)
+)):
     """One recurrent sporadic task with implicit deadline.
 
     Attributes:
-        id: unique identifier.
+        id: unique identifier, a non-empty string.
         kind: ``"MI"`` (mode-independent) or ``"MD"`` (mode-dependent).
-        wcet: worst-case execution time, > 0.
-        period: minimal interval between successive releases, >= wcet.
-        transition_deadline: for MD tasks only, the relative bound by which the
-            task's first job must complete after a mode-change request entering
-            its mode.  May be omitted, in which case the deadline check is
-            reported as "unchecked".
-        home_processor: for MI tasks only, the 1-based static processor binding.
+        wcet: worst-case execution time, a ``Fraction`` > 0.
+        period: minimal interval between successive releases, a ``Fraction``
+            >= wcet.
+        transition_deadline: for MD tasks only, the relative bound (a
+            ``Fraction``) by which the task's first job must complete after a
+            mode-change request entering its mode.  May be omitted (None), in
+            which case the deadline check is reported as "unchecked".
+        home_processor: for MI tasks only, the 1-based static processor
+            binding, an int; None for MD tasks.
     """
 
     __slots__ = ()
@@ -266,23 +263,22 @@ class Task(_TaskFields):
         return self.wcet / self.period
 
 
-class Mode(NamedTuple):
-    """A mode: an identifier plus the set of MD tasks it runs."""
+class Mode(collections.namedtuple("Mode", "id md_tasks")):
+    """A mode: an identifier plus the set of MD tasks it runs, a tuple of task ids."""
 
-    id: str
-    md_tasks: tuple[str, ...]
+    __slots__ = ()
 
 
-class ModeGraph(NamedTuple):
-    """Directed mode-transition graph.
+class ModeGraph(collections.namedtuple("ModeGraph", "modes edges")):
+    """Directed mode-transition graph: a tuple of ``Mode``s and a tuple of
+    (source, destination) mode-id pairs.
 
     Edge labels (worst-case transition delays) are never stored: the delay of a
     transition depends only on the source mode, so labels are always derived
     from the per-mode latency analysis.
     """
 
-    modes: tuple[Mode, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
     def mode(self, mode_id: str) -> Mode:
         for mode in self.modes:
@@ -298,20 +294,15 @@ class ModeGraph(NamedTuple):
         return tuple(sorted({src for src, dst in self.edges if dst == mode_id}))
 
 
-class _ModeSystemFields(NamedTuple):
-    processor_count: int
-    mi_tasks: tuple[Task, ...]
-    md_tasks: tuple[Task, ...]
-    mode_graph: ModeGraph
-
-
-class ModeSystem(_ModeSystemFields):
+class ModeSystem(collections.namedtuple("ModeSystem", "processor_count mi_tasks md_tasks mode_graph")):
     """A validated multimode system on ``processor_count`` identical processors.
 
+    ``mi_tasks`` and ``md_tasks`` are tuples of ``Task``s, each sorted by id.
     Immutable after construction; every derived accessor is a pure function,
     so instances may be shared freely across threads.  The task index behind
-    ``task()`` is built on first use and kept in the instance dict, outside
-    equality and hash.
+    ``task()`` and the per-processor MI loads behind ``mi_utilization()`` are
+    built on first use and kept in the instance dict, outside equality and
+    hash.
     """
 
     def __setattr__(self, name: str, value) -> None:
@@ -320,6 +311,13 @@ class ModeSystem(_ModeSystemFields):
     @functools.cached_property
     def _by_id(self) -> dict[str, Task]:
         return {t.id: t for t in self.mi_tasks + self.md_tasks}
+
+    @functools.cached_property
+    def _mi_loads(self) -> dict[int, Fraction]:
+        loads = dict.fromkeys(self.processors, Fraction(0))
+        for t in self.mi_tasks:
+            loads[t.home_processor] += t.utilization
+        return loads
 
     @property
     def processors(self) -> range:
@@ -345,67 +343,60 @@ class ModeSystem(_ModeSystemFields):
         return tuple(t for t in self.mi_tasks if t.home_processor == processor)
 
     def mi_utilization(self, processor: int) -> Fraction:
-        return sum((t.utilization for t in self.mi_on(processor)), Fraction(0))
+        return self._mi_loads.get(processor, Fraction(0))
 
 
-class Allocation(NamedTuple):
-    """An assignment of one mode's MD tasks to processors (1-based indices)."""
+class Allocation(collections.namedtuple("Allocation", "mode_id assignment")):
+    """An assignment of one mode's MD tasks to processors: ``assignment``
+    maps each task id to its 1-based processor index."""
 
-    mode_id: str
-    assignment: Mapping[str, int]
+    __slots__ = ()
 
     def tasks_on(self, processor: int) -> tuple[str, ...]:
         return tuple(sorted(tid for tid, p in self.assignment.items() if p == processor))
 
 
-class UtilizationSummary(NamedTuple):
-    """Aggregate utilization figures for one mode (MI tasks plus the mode's MD tasks)."""
+class UtilizationSummary(collections.namedtuple("UtilizationSummary", "mode_id u_sum u_max per_processor_mi")):
+    """Aggregate utilization figures for one mode (MI tasks plus the mode's MD
+    tasks), every one a ``Fraction``; ``per_processor_mi`` is a tuple of the
+    MI loads in processor order."""
 
-    mode_id: str
-    u_sum: Fraction
-    u_max: Fraction
-    per_processor_mi: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-class DeadlineVerdict(NamedTuple):
+class DeadlineVerdict(collections.namedtuple("DeadlineVerdict", "task_id latency passed slack checked")):
     """Outcome of a transition-deadline check for one MD task.
 
-    ``checked`` is False when the task has no transition deadline; such a
-    verdict passes vacuously and carries no slack.
+    ``latency`` and ``slack`` are ``Fraction``s.  ``checked`` is False when
+    the task has no transition deadline; such a verdict passes vacuously and
+    carries no slack (None).
     """
 
-    task_id: str
-    latency: Fraction
-    passed: bool
-    slack: Optional[Fraction]
-    checked: bool
+    __slots__ = ()
 
 
-class ModeVerdict(NamedTuple):
+class ModeVerdict(collections.namedtuple(
+    "ModeVerdict", "mode_id utilization bound feasible evidence entry_latency deadline_checks passed"
+)):
     """One mode's outcome under an allocation scheme.
 
-    ``bound`` is the scheme's transition-latency bound out of the mode (None
+    ``utilization`` is the mode's ``UtilizationSummary``.  ``bound`` is the
+    scheme's transition-latency bound out of the mode (a ``Fraction``, None
     when the mode is infeasible), ``feasible`` whether the scheme can run the
     mode on its own, and ``evidence`` the scheme's record of both.
     ``entry_latency`` is the worst bound over the predecessor modes; it is
     None, with no deadline checks, when some predecessor is infeasible.
+    ``deadline_checks`` is a tuple of ``DeadlineVerdict``s.
     """
 
-    mode_id: str
-    utilization: UtilizationSummary
-    bound: Optional[Fraction]
-    feasible: bool
-    evidence: Any
-    entry_latency: Optional[Fraction]
-    deadline_checks: tuple[DeadlineVerdict, ...]
-    passed: bool
+    __slots__ = ()
 
 
-class SchemeVerdict(NamedTuple):
-    """Per-mode verdicts of one allocation scheme; it passes when every mode does."""
+class SchemeVerdict(collections.namedtuple("SchemeVerdict", "modes passed")):
+    """Per-mode verdicts of one allocation scheme, a tuple of ``ModeVerdict``s;
+    it passes when every mode does."""
 
-    modes: tuple[ModeVerdict, ...]
-    passed: bool
+    __slots__ = ()
 
 
 def _parse_task(raw: Mapping, index: int) -> Task:
@@ -554,10 +545,10 @@ def utilization_summary(system: ModeSystem, mode_id: str) -> UtilizationSummary:
     Active tasks are all MI tasks plus the mode's MD tasks.  An entirely empty
     mode reports ``u_max = 0``.
     """
-    active = system.mi_tasks + system.md_tasks_of(mode_id)
-    u_sum = sum((t.utilization for t in active), Fraction(0))
-    u_max = max((t.utilization for t in active), default=Fraction(0))
-    per_processor = tuple(system.mi_utilization(p) for p in system.processors)
+    utilizations = [t.utilization for t in system.mi_tasks + system.md_tasks_of(mode_id)]
+    u_sum = sum(utilizations, Fraction(0))
+    u_max = max(utilizations, default=Fraction(0))
+    per_processor = tuple(system._mi_loads.values())
     return UtilizationSummary(mode_id=mode_id, u_sum=u_sum, u_max=u_max, per_processor_mi=per_processor)
 
 

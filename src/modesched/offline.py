@@ -27,10 +27,11 @@ solver.  The in-repo search never calls a solver itself.
 
 from __future__ import annotations
 
+import collections
 import decimal
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .model import (
     Allocation,
@@ -47,16 +48,14 @@ from .model import (
 from .latency import LatencyReport, _scaled, _scaled_busy_period, _time_base, analyze_allocation
 
 
-class OptimizationResult(NamedTuple):
-    """Outcome of the exact allocation search for one mode, with the latency
-    bounds of the optimal allocation.  ``explored_nodes`` counts the
+class OptimizationResult(collections.namedtuple(
+    "OptimizationResult", "mode_id best_allocation latency_report explored_nodes proof_of_optimality"
+)):
+    """Outcome of the exact allocation search for one mode: the optimal
+    ``Allocation`` and its ``LatencyReport``.  ``explored_nodes`` counts the
     placements the allocation oracle tried over all of its calls."""
 
-    mode_id: str
-    best_allocation: Allocation
-    latency_report: LatencyReport
-    explored_nodes: int
-    proof_of_optimality: bool
+    __slots__ = ()
 
     @property
     def optimal_latency(self) -> Fraction:
@@ -300,32 +299,29 @@ def validate_offline_scheme(system: ModeSystem) -> SchemeVerdict:
 # MILP document and LP-format export
 # --------------------------------------------------------------------------
 
-class ConstraintRow(NamedTuple):
-    """One linear row: sum of (variable, coefficient) terms, a sense, and a constant."""
+class ConstraintRow(collections.namedtuple("ConstraintRow", "name terms sense rhs")):
+    """One linear row: sum of (variable, coefficient) terms, a sense (``"<="``
+    or ``"="``), and a constant; coefficients and constant are ``Fraction``s."""
 
-    name: str
-    terms: tuple[tuple[str, Fraction], ...]
-    sense: str  # "<=" or "="
-    rhs: Fraction
+    __slots__ = ()
 
 
-class MilpDocument(NamedTuple):
+class MilpDocument(collections.namedtuple(
+    "MilpDocument",
+    "mode_id big_m objective constraints binary_variables integer_variables continuous_variables"
+    " integer_upper_bounds",
+)):
     """The allocation optimization as a mixed-integer linear program.
 
     Variables follow the fixed naming protocol ``y_<processor>_<task>``
     (binary placement), ``p_<processor>`` (binary bound selector),
     ``x_<task>`` (integer job count of an MI task inside the busy period) and
-    ``L`` (the continuous objective).
+    ``L`` (the continuous objective).  ``constraints`` is a tuple of
+    ``ConstraintRow``s, each ``*_variables`` a tuple of names and
+    ``integer_upper_bounds`` a tuple of (name, int) pairs.
     """
 
-    mode_id: str
-    big_m: Fraction
-    objective: str
-    constraints: tuple[ConstraintRow, ...]
-    binary_variables: tuple[str, ...]
-    integer_variables: tuple[str, ...]
-    continuous_variables: tuple[str, ...]
-    integer_upper_bounds: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
     @property
     def constraint_count(self) -> int:

@@ -29,9 +29,10 @@ such ordering reaches void that premise.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .model import (
     Allocation,
@@ -55,50 +56,43 @@ class PlacementError(ValueError):
         self.task_id = task_id
 
 
-class FeasibilityVerdict(NamedTuple):
+class FeasibilityVerdict(collections.namedtuple("FeasibilityVerdict", "mode_id beta bound u_sum feasible margin")):
     """Outcome of the utilization feasibility test for one mode.
 
     ``beta`` is the largest number of maximum-utilization tasks a single
     processor can hold; the guaranteed bound is ``(beta*m + 1) / (beta + 1)``.
-    The comparison is exact, so a mode meeting the bound with zero margin
-    passes.
+    ``bound``, ``u_sum`` and ``margin`` are ``Fraction``s.  The comparison is
+    exact, so a mode meeting the bound with zero margin passes.
     """
 
-    mode_id: str
-    beta: int
-    bound: Fraction
-    u_sum: Fraction
-    feasible: bool
-    margin: Fraction
+    __slots__ = ()
 
 
-class KnapsackResult(NamedTuple):
-    """Worst-case MD-task subset for one processor.
+class KnapsackResult(collections.namedtuple("KnapsackResult", "processor selected packed_wcet capacity")):
+    """Worst-case MD-task subset for one processor: ``selected`` is a tuple of
+    task ids.
 
     ``packed_wcet`` is the maximal summed execution time over subsets of the
-    pool whose summed utilization fits in the processor's spare capacity.
+    pool whose summed utilization fits in the processor's spare capacity;
+    both are ``Fraction``s.
     """
 
-    processor: int
-    selected: tuple[str, ...]
-    packed_wcet: Fraction
-    capacity: Fraction
+    __slots__ = ()
 
 
-class ProcessorBound(NamedTuple):
-    """Knapsack selection and resulting busy-period latency for one processor."""
+class ProcessorBound(collections.namedtuple("ProcessorBound", "processor selection latency")):
+    """Knapsack selection (a ``KnapsackResult``) and resulting busy-period
+    latency (a ``Fraction``) for one processor."""
 
-    processor: int
-    selection: KnapsackResult
-    latency: Fraction
+    __slots__ = ()
 
 
-class OnlineEvidence(NamedTuple):
-    """Why a mode's online verdict holds: the utilization feasibility test and
-    the per-processor worst-case packings behind its latency bound."""
+class OnlineEvidence(collections.namedtuple("OnlineEvidence", "feasibility per_processor")):
+    """Why a mode's online verdict holds: the utilization feasibility test (a
+    ``FeasibilityVerdict``) and the per-processor worst-case packings behind
+    its latency bound (a tuple of ``ProcessorBound``s)."""
 
-    feasibility: FeasibilityVerdict
-    per_processor: tuple[ProcessorBound, ...]
+    __slots__ = ()
 
 
 def lopez_test(system: ModeSystem, mode_id: str) -> FeasibilityVerdict:
@@ -163,10 +157,11 @@ class _Knapsack:
         pool = sorted(pool, key=lambda t: t.id)
         count = len(pool)
         self.time_scale = _time_base(t.wcet for t in pool)
-        self.scale = _time_base(itertools.chain((t.utilization for t in pool), capacities))
+        utils = [t.utilization for t in pool]
+        self.scale = _time_base(itertools.chain(utils, capacities))
         wcets = (_scaled(t.wcet, self.time_scale) for t in pool)
         values = [(wcet << count) - (1 << (count - 1 - i)) for i, wcet in enumerate(wcets)]
-        utils = [_scaled(t.utilization, self.scale) for t in pool]
+        utils = [_scaled(u, self.scale) for u in utils]
         # any order among equal densities gives the same (unique) optimum
         order = sorted(range(count), key=lambda i: Fraction(values[i], utils[i]), reverse=True)
         self.ids = [pool[i].id for i in order]

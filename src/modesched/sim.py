@@ -113,8 +113,9 @@ import io
 import math
 import sys
 from fractions import Fraction
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .model import (
     Allocation,
@@ -143,70 +144,64 @@ ONLINE_FFD = "online-ffd"
 _DISCARD = collections.deque(maxlen=0).append
 
 
-class Scenario(NamedTuple):
-    """One executable simulation scenario.
+class Scenario(collections.namedtuple(
+    "Scenario",
+    "system initial_mode allocation_source mcr_schedule horizon release_offsets static_tables",
+    defaults=(MappingProxyType({}), None),
+)):
+    """One executable simulation scenario on a ``ModeSystem``.
 
-    ``release_offsets`` maps task ids to release instants relative to each
-    enablement of the task (time 0 for MI tasks and the initial mode's MD
-    tasks, the transition end for later modes); consecutive offsets must be at
-    least one period apart.  After the listed releases the task continues
-    strictly periodically.  ``static_tables`` holds the per-mode allocations
-    used when ``allocation_source`` is "offline-table".
+    ``mcr_schedule`` is a tuple of (time, destination mode) pairs, and every
+    time is a ``Fraction``.  ``release_offsets`` maps task ids to tuples of
+    release instants relative to each enablement of the task (time 0 for MI
+    tasks and the initial mode's MD tasks, the transition end for later
+    modes); consecutive offsets must be at least one period apart.  After
+    the listed releases the task continues strictly periodically.
+    ``static_tables`` maps mode ids to the ``Allocation``s used when
+    ``allocation_source`` is "offline-table", and is None otherwise.
     """
 
-    system: ModeSystem
-    initial_mode: str
-    allocation_source: str
-    mcr_schedule: tuple[tuple[Fraction, str], ...]
-    horizon: Fraction
-    release_offsets: Mapping[str, tuple[Fraction, ...]] = MappingProxyType({})
-    static_tables: Optional[Mapping[str, Allocation]] = None
+    __slots__ = ()
 
 
-class SweepSpec(NamedTuple):
-    """Directive to sweep a single MCR over a grid of request times."""
+class SweepSpec(collections.namedtuple("SweepSpec", "from_mode to_mode step allocation_source")):
+    """Directive to sweep a single MCR over a grid of request times, ``step``
+    (a ``Fraction``) apart."""
 
-    from_mode: str
-    to_mode: str
-    step: Fraction
-    allocation_source: str
+    __slots__ = ()
 
 
-class SimEvent(NamedTuple):
-    time: Fraction
-    processor: Optional[int]
-    kind: str
-    task: Optional[str]
-    job: Optional[int]
+class SimEvent(collections.namedtuple("SimEvent", "time processor kind task job")):
+    """One trace row with its time a ``Fraction``; ``processor`` (an int),
+    ``task`` (an id) and ``job`` (an int) may be None."""
+
+    __slots__ = ()
 
 
-class TransitionCheck(NamedTuple):
-    """First-job transition-deadline record for one newly enabled MD task."""
+class TransitionCheck(collections.namedtuple(
+    "TransitionCheck", "task_id mcr_time absolute_deadline first_completion ok"
+)):
+    """First-job transition-deadline record for one newly enabled MD task; its
+    times are ``Fraction``s, ``first_completion`` and ``ok`` None while
+    undecided."""
 
-    task_id: str
-    mcr_time: Fraction
-    absolute_deadline: Fraction
-    first_completion: Optional[Fraction]
-    ok: Optional[bool]
+    __slots__ = ()
 
 
-class SimTrace(NamedTuple):
+class SimTrace(collections.namedtuple("SimTrace", "rows scale latencies checks job_deadline_misses")):
     """One run's trace, in the engine's integers and their time base.
 
     A row is ``(time, processor, kind, task, job)``, a latency ``(request,
     latency)`` and a check ``(task id, request, absolute deadline, first
-    completion or None, verdict)``, every time in units of ``1/scale``.
-    ``events``, ``observed_latencies`` and ``transition_checks``, the same
+    completion or None, verdict)``, every time in units of ``1/scale``;
+    ``rows``, ``latencies`` and ``checks`` are tuples of them, and
+    ``job_deadline_misses`` is an int.  ``events``, ``observed_latencies`` and ``transition_checks``, the same
     as exact rationals, are built anew on each access; ``to_text()`` and
     ``footer()`` format the integers directly.  A run that streamed its text
     (``run(scenario, out=...)``) keeps no rows.
     """
 
-    rows: tuple[tuple[int, Optional[int], str, Optional[str], Optional[int]], ...]
-    scale: int
-    latencies: tuple[tuple[int, int], ...]
-    checks: tuple[tuple[str, int, int, Optional[int], Optional[bool]], ...]
-    job_deadline_misses: int
+    __slots__ = ()
 
     @property
     def events(self) -> tuple[SimEvent, ...]:
@@ -321,13 +316,15 @@ class _TraceText:
         return "".join(lines)
 
 
-class SweepResult(NamedTuple):
-    max_latency: Fraction
-    at_time: Fraction
-    points: int
-    job_misses: int
-    transition_misses: int
-    bound: Fraction  # the bound in force: the source's optimal latency (offline-table) or online bound
+class SweepResult(collections.namedtuple(
+    "SweepResult", "max_latency at_time points job_misses transition_misses bound"
+)):
+    """A sweep's worst latency (a ``Fraction``), the earliest point that
+    reaches it, the point count, the job and transition-deadline misses, and
+    the bound in force: the source's optimal latency (offline-table) or
+    online bound."""
+
+    __slots__ = ()
 
     @property
     def deadline_misses(self) -> int:

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -101,6 +102,47 @@ def test_report_determinism_and_round_trip(case_study_file, tmp_path):
         allocation = ms.Allocation(section["mode"], dict(section["allocation"]))
         replay = ms.analyze_allocation(system, section["mode"], allocation)
         assert str(replay.platform_bound) == section["platform_bound"]["exact"]
+
+
+GOLDEN_REPORTS = sorted((Path(__file__).resolve().parent / "golden").glob("*.analyze-o*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_REPORTS, ids=[path.stem for path in GOLDEN_REPORTS])
+def test_report_writer_matches_json_dumps_on_every_golden_report(path):
+    text = path.read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert cli._json_text(report) == json.dumps(report, indent=2) == text[:-1]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], {"a": {}, "b": [], "c": [{}, []]}, [[[]], {"x": {"y": {}}}],
+        'quote " backslash \\ tab \t bell \x07 non-ASCII é ∞ 😀',
+        {'key "with" \\ \t\x01 é': "v"},
+        [True, 1, False, 0, None], {"t": True, "one": 1}, 2**64 + 1, -(2**70),
+        [0.1, 1e-07, 1e16, -0.0, 1.5, -2.25e300],
+        {"modes": [{"exact": "1/3", "approx": 1 / 3, "passed": False, "slack": None}]},
+    ],
+)
+def test_report_writer_matches_json_dumps_on_a_table_of_values(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_refuses_other_types_and_the_cli_exits_3(case_study_file, tmp_path, monkeypatch, capsys):
+    for value in ({1, 2}, [frozenset()], {"a": (1, 2)}, {1: "int key"}, Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+    built = cli.build_online_report
+
+    def with_a_set(system):
+        return {**built(system), "extra": {"a set"}}
+
+    monkeypatch.setattr(cli, "build_online_report", with_a_set)
+    report = tmp_path / "r.json"
+    assert main(["analyze-online", case_study_file, "--report", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "TypeError" in captured.err and not report.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze-offline", "analyze-online"])

@@ -17,6 +17,7 @@ def test_case_study_structure(case_study):
     assert case_study.mode("mode2").md_tasks == ("tau10",)
     assert case_study.mi_utilization(1) == Fraction(2, 3)
     assert case_study.mi_utilization(2) == Fraction(11, 30)
+    assert case_study.mi_utilization(3) == 0  # no processor 3, so no MI load on it
     assert case_study.task("tau5").utilization == Fraction(7, 40)
 
 
@@ -335,7 +336,56 @@ def test_tasks_are_immutable(case_study):
         "KnapsackResult", "ProcessorBound", "OnlineEvidence", "Scenario", "SweepSpec", "SimEvent",
         "TransitionCheck", "SimTrace", "SweepResult",
     ]
+    # each record's fields, in order, and its defaults: a dropped, renamed or
+    # reordered field changes what a record unpacks to
+    assert {type(record).__name__: (record._fields, record._field_defaults) for record in records} == {
+        "Task": (
+            ("id", "kind", "wcet", "period", "transition_deadline", "home_processor"),
+            {"transition_deadline": None, "home_processor": None},
+        ),
+        "Mode": (("id", "md_tasks"), {}),
+        "ModeGraph": (("modes", "edges"), {}),
+        "ModeSystem": (("processor_count", "mi_tasks", "md_tasks", "mode_graph"), {}),
+        "Allocation": (("mode_id", "assignment"), {}),
+        "UtilizationSummary": (("mode_id", "u_sum", "u_max", "per_processor_mi"), {}),
+        "DeadlineVerdict": (("task_id", "latency", "passed", "slack", "checked"), {}),
+        "ModeVerdict": (
+            ("mode_id", "utilization", "bound", "feasible", "evidence", "entry_latency", "deadline_checks",
+             "passed"),
+            {},
+        ),
+        "SchemeVerdict": (("modes", "passed"), {}),
+        "ProcessorLatency": (("processor", "period_bound", "busy_bound", "effective"), {}),
+        "LatencyReport": (("mode_id", "per_processor", "platform_bound"), {}),
+        "OptimizationResult": (
+            ("mode_id", "best_allocation", "latency_report", "explored_nodes", "proof_of_optimality"), {}
+        ),
+        "ConstraintRow": (("name", "terms", "sense", "rhs"), {}),
+        "MilpDocument": (
+            ("mode_id", "big_m", "objective", "constraints", "binary_variables", "integer_variables",
+             "continuous_variables", "integer_upper_bounds"),
+            {},
+        ),
+        "FeasibilityVerdict": (("mode_id", "beta", "bound", "u_sum", "feasible", "margin"), {}),
+        "KnapsackResult": (("processor", "selected", "packed_wcet", "capacity"), {}),
+        "ProcessorBound": (("processor", "selection", "latency"), {}),
+        "OnlineEvidence": (("feasibility", "per_processor"), {}),
+        "Scenario": (
+            ("system", "initial_mode", "allocation_source", "mcr_schedule", "horizon", "release_offsets",
+             "static_tables"),
+            {"release_offsets": {}, "static_tables": None},
+        ),
+        "SweepSpec": (("from_mode", "to_mode", "step", "allocation_source"), {}),
+        "SimEvent": (("time", "processor", "kind", "task", "job"), {}),
+        "TransitionCheck": (("task_id", "mcr_time", "absolute_deadline", "first_completion", "ok"), {}),
+        "SimTrace": (("rows", "scale", "latencies", "checks", "job_deadline_misses"), {}),
+        "SweepResult": (
+            ("max_latency", "at_time", "points", "job_misses", "transition_misses", "bound"), {}
+        ),
+    }
     for record in records:
+        # only ModeSystem keeps an instance dict, for its cached task index and MI loads
+        assert isinstance(record, tuple) and hasattr(record, "__dict__") == (record is case_study)
         for field in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, None)

@@ -673,6 +673,23 @@ def test_one_processor_carry_in_outlasts_the_certified_bound(capsys):
     sweeps_over_the_bound("carry_in_one_proc", (14, 1425, 13))
 
 
+def test_one_processor_carry_in_past_mi7_outlasts_the_certified_bound(capsys):
+    """``samples/carry_in_mi7.json``, from seeded draws of one-processor
+    systems (the smallest such finding so far): beside ``mi`` (3, 7), both
+    analyses pass with alpha bounded by 7, yet the step-1 sweep over alpha's
+    hyperperiod (399 points) reaches 8 at 3 under both sources."""
+    system_path = str(SAMPLES / "carry_in_mi7.json")
+    for command in ("analyze-offline", "analyze-online"):
+        assert main([command, system_path]) == 0
+        out = capsys.readouterr().out
+        assert "platform latency bound L = 7\n" in out and out.endswith("GLOBAL: PASS\n")
+    assert main(["simulate", system_path, str(SAMPLES / "carry_in_mi7_sweep.json")]) == 0
+    assert capsys.readouterr().out == (
+        "# sweep\talpha\tbeta\tstep\t1\tpoints\t399\n# max-latency\t8\tat\t3\n# deadline-misses\t0\n"
+    )
+    sweeps_over_the_bound("carry_in_mi7", (8, 3, 7))
+
+
 def test_chained_requests_outlast_the_bound_of_the_placement_in_use(capsys):
     """``samples/chained_requests.json`` with ``_mcrs.json``: a -> b at 3,
     b -> c at 17/4 and c -> a at 25/4.  Under online-ffd ``c0`` runs beside

@@ -269,6 +269,17 @@ MUTANTS = (
         "a transition ends once the last job it found pending in the disabled mode completes",
     ),
     Mutant(
+        "report-booleans-swapped", "src/modesched/cli.py",
+        'put("true")\n    elif value is False:\n        put("false")',
+        'put("false")\n    elif value is False:\n        put("true")',
+        "the report writer prints a bool as json.dumps does: True as true, False as false",
+    ),
+    Mutant(
+        "mi-load-keeps-last-task", "src/modesched/model.py",
+        "loads[t.home_processor] += t.utilization", "loads[t.home_processor] = t.utilization",
+        "a processor's MI load is the sum over every MI task bound to it",
+    ),
+    Mutant(
         "cli-skips-required-options", "src/modesched/cli.py",
         "for dest in required:", "for dest in ():",
         "export-milp refuses an argument list without --mode or --output as a usage error",
