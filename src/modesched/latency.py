@@ -97,11 +97,13 @@ def _scaled(value: Fraction, scale: int) -> int:
     return value.numerator * (scale // value.denominator)
 
 
-def _scaled_busy_period(z: int, mi: Sequence[tuple[int, int]]) -> int:
+def _scaled_busy_period(z: int, mi: Sequence[tuple[int, int]], limit: Optional[int] = None) -> int:
     """``busy_period`` on an integer time base: ``mi`` holds (wcet, period) pairs.
 
     Iteration starts at ``L = z`` and ends on exact equality; the caller
-    guarantees convergence (MI utilization below 1, or ``z = 0``).
+    guarantees convergence (MI utilization below 1, or ``z = 0``).  A caller
+    that knows an upper bound on the fixed point passes it as ``limit``: an
+    iterate past it raises ``RuntimeError`` instead of iterating on.
     """
     current = z
     while True:
@@ -110,6 +112,8 @@ def _scaled_busy_period(z: int, mi: Sequence[tuple[int, int]]) -> int:
             nxt += -(-current // period) * wcet
         if nxt == current:
             return current
+        if limit is not None and nxt > limit:
+            raise RuntimeError(f"busy period passed its bound {limit}")
         current = nxt
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import collections
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -44,7 +45,7 @@ from .model import (
     certify_modes,
     utilization_summary,
 )
-from .latency import _scaled, _time_base, busy_period
+from .latency import _scaled, _scaled_busy_period, _time_base
 
 
 class PlacementError(ValueError):
@@ -221,10 +222,19 @@ def transition_bound_detail(system: ModeSystem, mode_id: str) -> tuple[Processor
     The selection pool on every processor is the mode's full MD set, which is
     what makes the resulting bound valid for any runtime placement.  The pool
     is put on its integer base once, and solved once per distinct spare
-    capacity: processors with equal capacity get the same selection.
+    capacity: processors with equal capacity get the same selection.  Each
+    latency is ``busy_period`` of the packed execution time and the
+    processor's MI tasks, run on one integer base for the whole mode with
+    the MI tasks grouped and scaled once.  Its recurrence is bounded through
+    the cached MI load, so a load that does not match the MI tasks raises
+    ``RuntimeError`` instead of iterating forever.
     """
     capacities = {p: 1 - system.mi_utilization(p) for p in system.processors}
     knapsack = _Knapsack(system.md_tasks_of(mode_id), capacities.values())
+    scale = math.lcm(knapsack.time_scale, _time_base(v for t in system.mi_tasks for v in (t.wcet, t.period)))
+    mi_sets: dict[int, list[tuple[int, int]]] = {p: [] for p in capacities}
+    for t in system.mi_tasks:
+        mi_sets[t.home_processor].append((_scaled(t.wcet, scale), _scaled(t.period, scale)))
     solved: dict[Fraction, tuple[tuple[str, ...], Fraction]] = {}
     rows = []
     for p, capacity in capacities.items():
@@ -232,8 +242,11 @@ def transition_bound_detail(system: ModeSystem, mode_id: str) -> tuple[Processor
             solved[capacity] = knapsack.solve(capacity)
         selected, packed = solved[capacity]
         selection = KnapsackResult(processor=p, selected=selected, packed_wcet=packed, capacity=capacity)
-        # never None: MI load 1 leaves capacity 0, so nothing is packed
-        latency = busy_period(packed, system.mi_on(p))
+        # L = z + sum ceil(L/T)C <= z + sum C + (1 - capacity) L bounds L; past it, the cached
+        # MI load is not the tasks'.  Capacity 0 packs nothing, and the recurrence stays at 0.
+        z = _scaled(packed, scale)
+        limit = (z + sum(c for c, _ in mi_sets[p])) * capacity.denominator // capacity.numerator if capacity else 0
+        latency = Fraction(_scaled_busy_period(z, mi_sets[p], limit), scale)
         rows.append(ProcessorBound(processor=p, selection=selection, latency=latency))
     return tuple(rows)
 

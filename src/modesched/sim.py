@@ -23,7 +23,9 @@ C-level bound method that takes one row tuple:
     is bounded by the task set, not the horizon;
   * none: a sweep's ``_SourceRun`` and its forks append to ``_DISCARD``, a
     deque of length 0, and read the engine's integer fields.
-Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``.
+Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``,
+which looks up the texts of a row's processor and job index in tables instead
+of formatting them on every row.
 
 The queue is a calendar (Brown, "Calendar queues", CACM 1988): ``due``
 maps each instant to its bucket, the list of its job entries in queue order,
@@ -143,6 +145,9 @@ ONLINE_FFD = "online-ffd"
 # the row sink of sweep runs, which keep no rows
 _DISCARD = collections.deque(maxlen=0).append
 
+# how many job indices, from 0, ``_TraceText`` keeps a ready text for
+_JOB_TEXTS = 1 << 14
+
 
 class Scenario(collections.namedtuple(
     "Scenario",
@@ -253,9 +258,20 @@ class _TraceText:
     on first use.  The footer's times go through ``_stamp``.  An instant too
     long to print is refused only by ``footer``: a run streaming its rows may
     still fail later with an error of its own, and that error comes first.
+
+    The integer columns come from two lists of ready texts: ``heads[p]`` is
+    ``"\\t{p}\\t"`` for processor ``p`` and ``tails[j]`` is ``"\\t{j}\\n"`` for
+    job index ``j``, so a row is ``f"{stamp}{head}{kind}\\t{task}{tail}"``.
+    Both grow only when a row's number is past their end: ``heads`` up to
+    that processor, ``tails`` to at least twice its length, never past
+    ``_JOB_TEXTS`` entries, so a run of any horizon keeps at most that many
+    job texts; a job index at or past ``_JOB_TEXTS`` is formatted in the row,
+    and a ``None`` column is ``-``.  ``write`` moves its bound on ``tails``
+    with each growth, since one batch (all of ``to_text``) may grow it many
+    times.
     """
 
-    __slots__ = ("scale", "out", "instant", "stamp", "fractions", "refusal")
+    __slots__ = ("scale", "out", "instant", "stamp", "fractions", "heads", "tails", "refusal")
 
     def __init__(self, scale: int, out: Optional[TextIO]):
         self.scale = scale
@@ -263,11 +279,15 @@ class _TraceText:
         self.instant: Optional[int] = None
         self.stamp = ""
         self.fractions: dict[int, tuple[int, str]] = {}
+        self.heads: list[str] = []
+        self.tails: list[str] = []
         self.refusal: Optional[SystemValidationError] = None
 
     def write(self, rows: Iterable[tuple]) -> None:
         """Format ``rows`` and write them to ``out`` with one call."""
         instant, stamp, scale, fractions = self.instant, self.stamp, self.scale, self.fractions
+        heads, tails = self.heads, self.tails
+        covered = len(tails)
         lines = []
         for time, processor, kind, task, job in rows:
             if time != instant:
@@ -284,10 +304,25 @@ class _TraceText:
                         stamp = str(time // scale)
                 except ValueError:  # an instant too long to print: ``_stamp`` refuses it
                     stamp = self._stamp(time)
-            lines.append(
-                f"{stamp}\t{'-' if processor is None else processor}\t{kind}"
-                f"\t{'-' if task is None else task}\t{'-' if job is None else job}\n"
-            )
+            if processor is None:
+                head = "\t-\t"
+            else:
+                try:
+                    head = heads[processor]
+                except IndexError:
+                    heads.extend(f"\t{p}\t" for p in range(len(heads), processor + 1))
+                    head = heads[processor]
+            if job is None:
+                tail = "\t-\n"
+            elif job < covered:
+                tail = tails[job]
+            elif job < _JOB_TEXTS:
+                covered = min(_JOB_TEXTS, max(job + 1, 2 * covered))
+                tails.extend(f"\t{j}\n" for j in range(len(tails), covered))
+                tail = tails[job]
+            else:
+                tail = f"\t{job}\n"
+            lines.append(f"{stamp}{head}{kind}\t{'-' if task is None else task}{tail}")
         self.instant, self.stamp = instant, stamp
         self.out.write("".join(lines))
 

@@ -186,6 +186,26 @@ def test_processor_saturated_by_mi_tasks_bounds_latency_at_zero():
     assert ms.latency_upper_bound(system, "m") == 1
 
 
+def test_mi_load_that_disagrees_with_the_mi_tasks_fails_instead_of_hanging():
+    """The busy periods take the MI load from the system's cache; a cache that
+    says 1/2 on a processor whose MI tasks load it fully must not spin."""
+    raw = {
+        "processors": 1,
+        "tasks": [
+            {"id": "a", "kind": "MI", "wcet": 1, "period": 2, "processor": 1},
+            {"id": "b", "kind": "MI", "wcet": 1, "period": 2, "processor": 1},
+            {"id": "x", "kind": "MD", "wcet": 1, "period": 4},
+        ],
+        "modes": [{"id": "m", "md_tasks": ["x"]}],
+        "transitions": [],
+    }
+    system = ms.build_system(raw)
+    assert ms.transition_bound_detail(system, "m")[0].latency == 0
+    system.__dict__["_mi_loads"] = {1: Fraction(1, 2)}
+    with pytest.raises(RuntimeError, match="busy period passed its bound"):
+        ms.transition_bound_detail(system, "m")
+
+
 def test_worst_case_selection_tie_prefers_excluding_earlier_ids():
     raw = {
         "processors": 1,

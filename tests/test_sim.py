@@ -336,6 +336,70 @@ def test_whole_trace_time_too_long_to_print_is_refused_once_the_run_ends():
     assert [line.split("\t", 1)[0] for line in streamed.getvalue().splitlines()] == ["0", "0", "1", "-", "-", "-"]
 
 
+def plain_lines(rows, scale):
+    """Trace rows as text, each column formatted on its own: ``-`` for None."""
+    return "".join(
+        "\t".join("-" if value is None else str(value) for value in (Fraction(time, scale), *rest)) + "\n"
+        for time, *rest in rows
+    )
+
+
+def test_trace_text_matches_a_plain_formatter_within_and_across_batches():
+    """The writer's processor and job texts come from tables grown on demand
+    up to ``_JOB_TEXTS`` entries.  Its lines equal a column-by-column
+    formatter for None columns, job indices on both sides of the cap and
+    far past it, a processor past the table after the job table grew, and a
+    fractional instant right after a whole one, whether the rows come in
+    one batch, one by one or in two uneven batches."""
+    cap = sim._JOB_TEXTS
+    rows = [
+        (0, 1, "release", "a", 0),
+        (0, None, "MCR", "n", None),
+        (0, 2, "release", "b", 3),
+        (4, 2, "start", "b", 1),
+        (4, 3, "enable", "c", None),
+        (5, 1, "start", "a", cap - 1),
+        (5, 2, "complete", "b", cap),
+        (6, None, "transition-end", None, None),
+        (8, 1, "release", "a", cap + 1),
+        (8, 5, "release", "c", 2),
+        (9, 2, "release", "b", 10 ** 6),
+        (9, 1, "complete", "a", cap - 1),
+        (10, 4, "release", "d", 5),
+        (12, 2, "deadline-miss", "b", cap + 1),
+    ]
+    expected = plain_lines(rows, 4)
+    for batches in ([rows], [[row] for row in rows], [rows[:5], rows[5:]]):
+        out = io.StringIO()
+        text = sim._TraceText(4, out)
+        for batch in batches:
+            text.write(batch)
+        assert out.getvalue() == expected
+        assert len(text.tails) == cap
+
+
+def test_streamed_text_of_job_indices_past_the_text_table():
+    """A period-1 task releases more jobs than the writer keeps texts for:
+    the streamed text equals ``to_text()``, whose rows equal a plain
+    formatter's.  Lines are compared as lists: a failing text comparison
+    of this size would spend minutes in pytest's line diff."""
+    system = ms.build_system(
+        {
+            "processors": 1,
+            "tasks": [{"id": "a", "kind": "MI", "wcet": "1/2", "period": 1, "processor": 1}],
+            "modes": [{"id": "m", "md_tasks": []}],
+            "transitions": [],
+        }
+    )
+    scenario = ms.make_scenario(system, "m", "offline-table", [], sim._JOB_TEXTS + 3)
+    trace = ms.run(scenario)
+    assert trace.rows[-1][4] > sim._JOB_TEXTS
+    lines = trace.to_text().splitlines()
+    assert lines == (plain_lines(trace.rows, trace.scale) + trace.footer()).splitlines()
+    ms.run(scenario, out=(streamed := io.StringIO()))
+    assert streamed.getvalue().splitlines() == lines
+
+
 # ---------------------------------------------------------------------------
 # scenario validation
 # ---------------------------------------------------------------------------

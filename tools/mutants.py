@@ -264,6 +264,16 @@ MUTANTS = (
         "a trace time is its reduced fraction: only a whole instant prints as an integer",
     ),
     Mutant(
+        "text-tail-past-cap-as-head", "src/modesched/sim.py",
+        'tail = f"\\t{job}\\n"', 'tail = f"\\t{job}\\t"',
+        "a trace row past the job-text table still ends with its job index and a newline",
+    ),
+    Mutant(
+        "text-table-grows-one-short", "src/modesched/sim.py",
+        'for j in range(len(tails), covered))', 'for j in range(len(tails), covered - 1))',
+        "the job-text table holds a text for every index below its bound",
+    ),
+    Mutant(
         "old-count-never-drops", "src/modesched/sim.py",
         "                            self.old_count -= 1\n", "                            pass\n",
         "a transition ends once the last job it found pending in the disabled mode completes",
