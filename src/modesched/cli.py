@@ -12,8 +12,11 @@ Commands:
 The block above is the usage text.  ``-h`` or ``--help`` anywhere prints it
 to stdout and exits 0.  Any other argument list that it does not accept is a
 usage error: the usage and ``error: <what>`` go to stderr, and the exit code
-is 2.  The parser is the ``_COMMANDS`` table, so no command imports argparse
-or gettext.
+is 2.  The ``_COMMANDS`` table both parses and dispatches, so no command
+imports argparse or gettext.
+
+Every output file (``--report``, ``--trace``, the LP of ``-o``) is written
+by ``_write_replacing``: a failed command leaves an existing file as it was.
 
 Exit codes: 0 analysis passed, 1 analysis failed (deadline, feasibility or
 simulated deadline miss), 2 usage, input or scenario error, 3 internal error.
@@ -391,8 +394,7 @@ def _cmd_export_milp(args) -> int:
     system = load_system(args.system)
     document = export_milp(system, args.mode, big_m=args.hv)
     text = document.to_lp()
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_replacing(args.output, lambda handle: handle.write(text))
     sys.stdout.write(
         f"wrote {args.output}: {document.constraint_count} constraints, "
         f"{document.binary_count} binaries, {len(document.integer_variables)} integers\n"
@@ -400,15 +402,21 @@ def _cmd_export_milp(args) -> int:
     return PASS
 
 
-# command -> (its positional names, {option: dest}, the dests it requires)
+# command -> (its positional names, {option: dest}, the dests it requires, its handler);
+# the analysis handlers look their report builder up when called, so that a replaced module attribute takes effect
 _COMMANDS = {
-    "analyze-offline": (("system",), {"--report": "report"}, ()),
-    "analyze-online": (("system",), {"--report": "report"}, ()),
-    "simulate": (("system", "scenario"), {"--trace": "trace"}, ()),
+    "analyze-offline": (
+        ("system",), {"--report": "report"}, (), lambda args: _cmd_analyze(args, build_offline_report)
+    ),
+    "analyze-online": (
+        ("system",), {"--report": "report"}, (), lambda args: _cmd_analyze(args, build_online_report)
+    ),
+    "simulate": (("system", "scenario"), {"--trace": "trace"}, (), _cmd_simulate),
     "export-milp": (
         ("system",),
         {"--mode": "mode", "--hv": "hv", "-o": "output", "--output": "output"},
         ("mode", "output"),
+        _cmd_export_milp,
     ),
 }
 # the docstring's ``Commands:`` block; only its heading under ``python -OO``, which strips docstrings
@@ -424,7 +432,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     if not argv or argv[0] not in _COMMANDS:
         raise _UsageError(f"unknown command {_quote(argv[0])}" if argv else "no command given")
     command, words = argv[0], iter(argv[1:])
-    positionals, options, required = _COMMANDS[command]
+    positionals, options, required, _ = _COMMANDS[command]
     args = SimpleNamespace(command=command, **dict.fromkeys(options.values()))
     given = []
     for word in words:
@@ -461,13 +469,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"{_USAGE}error: {exc}\n")
         return INPUT_ERROR
     try:
-        if args.command == "analyze-offline":
-            return _cmd_analyze(args, build_offline_report)
-        if args.command == "analyze-online":
-            return _cmd_analyze(args, build_online_report)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_export_milp(args)
+        return _COMMANDS[args.command][-1](args)
     except (
         SystemValidationError, InfeasibleModeError, BigMError, ScenarioError, SimulationError, OSError
     ) as exc:

@@ -14,13 +14,15 @@ of the horizon, the task parameters, the MCR times and the release offsets)
 and simulates in integers.
 
 One engine, three outputs, chosen by the row sink ``_Engine._emit``, a
-C-level bound method that takes one row tuple:
-  * rows: ``run(scenario)`` appends each row to ``events`` and keeps them in
-    its ``SimTrace``; only ``SimTrace.events`` turns them back into rationals;
-  * text: ``run(scenario, out=handle)`` appends to ``events`` too, but runs
-    in windows one longest period wide (``execute``) and formats each
-    window's rows into ``handle`` with one write, then drops them, so memory
-    is bounded by the task set, not the horizon;
+C-level bound method that takes one row tuple.  ``run`` advances in windows
+one longest period wide (``execute``) whatever its output; the outputs
+differ in what becomes of a window's rows:
+  * rows: ``run(scenario)`` appends each row to ``events`` and keeps them all
+    in its ``SimTrace``; only ``SimTrace.events`` turns them back into
+    rationals;
+  * text: ``run(scenario, out=handle)`` appends to ``events`` too, and after
+    each window formats its rows into ``handle`` with one write, then drops
+    them, so memory is bounded by the task set, not the horizon;
   * none: a sweep's ``_SourceRun`` and its forks append to ``_DISCARD``, a
     deque of length 0, and read the engine's integer fields.
 Both text paths, streamed and ``SimTrace.to_text``, go through ``_TraceText``,
@@ -78,33 +80,10 @@ Deterministic tie rules (they fix the trace byte-for-byte):
   * simultaneous trace events are ordered completion, transition bookkeeping,
     deadline check, release, MCR, then scheduler switches.
 
-An MCR sweep (``sweep_mcr``) simulates the source mode once and forks it at
-request instants: the source run processes every instant before a request,
-and the fork queues the request as a scenario's is queued, so the request
-instant runs through the same loop as in the point's own run, its releases
-first.  A request stops only the source mode's MD releases: MI tasks keep
-releasing and pending jobs keep running.  So a fork made at ``t0`` serves
-every later point before the source mode's next MD release after ``t0`` and
-before its own transition end: a request there leaves the same jobs pending,
-the same transition end and the same suffix schedule.  A request that finds
-nothing pending ends its transition at once, with latency 0; such a point
-is decided at the request, without a fork, wherever the processor-demand
-test (Baruah, Rosier & Howell 1990, with carry-in as in Spuri 1996) shows
-there that EDF meets every later deadline and each transition check's job
-is due by the check's deadline; otherwise it gets its own fork.  A fork
-stops once EDF can no longer change its outcome: its transition has ended
-and every processor has settled, at an instant at which the demand test
-held there and each transition check still open there had a job due by the
-check's deadline.  A sweep simulates only allocations that load no
-processor above 1 (an optimal table or a First-Fit placement), which the
-test's argument needs: see ``_SourceRun``.  One request gives the outcome
-of a whole window of later points, which take a few integer operations
-each: up to its fork's end, settled or not, the fork first run on to each
-point's horizon while it has not stopped; or, after a decided point, up to
-the next instant the source run processes.  Settling thus decides only
-when a fork stops simulating.  Every grid, a step sweep's (``run_sweep``)
-or any other, is walked in ascending integers on one time base that holds
-every point, by one source run.
+An MCR sweep (``sweep_mcr``) gives each grid point the outcome of its own
+scenario without simulating each point on its own: one source-mode run is
+forked at request instants, and one request gives the outcome of a window of
+later points.  ``_SourceRun`` states how, and why that is exact.
 """
 
 from __future__ import annotations
@@ -980,10 +959,12 @@ class _SourceRun(_Engine):
     on the sweep's time base the next grid point is at least one unit on, so
     a repeat of ``t0`` takes the outcome again.  Past ``t0`` it holds
       (a) served: the points before the fork's transition end ``E`` or the
-          source mode's next MD release, whichever comes first.  A point
-          ``t`` there has latency ``E - t``, and the fork's job misses and
-          each check's verdict ``check_outcome(record, t + reach, t - t0)``
-          once the fork has processed up to ``t``'s horizon ``t + reach``.
+          source mode's next MD release, whichever comes first, whether the
+          fork has settled or not: settling decides only when it stops
+          simulating.  A point ``t`` there has latency ``E - t``, and the
+          fork's job misses and each check's verdict
+          ``check_outcome(record, t + reach, t - t0)`` once the fork has
+          processed up to ``t``'s horizon ``t + reach``.
           A fork that has not stopped is advanced there first, so points
           must come in order; a stopped fork changes no more;
       (b) decided: if ``decides`` accepted ``t0``, the points after it
@@ -1198,46 +1179,15 @@ def sweep_mcr(
     """Request the transition source -> destination once per grid point and
     report the maximum observed transition latency and where it occurred.
 
-    Every point's outcome is that of its own scenario, a single MCR from the
-    source mode simulated from time 0 up to a horizon derived from the
-    applicable analytical bound, with margin.  The horizon lies past the
-    transition end: every allocation loads no processor above 1, so each
-    source-mode job pending at the request meets its deadline, at most the
-    source's longest MD period after it.  The source mode is simulated
-    once, in ascending order of the points, up to each request instant and
-    forked there; the fork's request is an ordinary queued MCR, processed
-    after the releases of its instant, with no second copy of the instant
-    loop.  A fork made at ``t0`` serves each later point ``t`` before both
-    the source mode's next MD release after ``t0`` and the fork's transition
-    end (see ``_SourceRun``), not one suffix per point: a request stops only MD
-    releases, so until then the two runs differ in nothing.  The fork
-    advances to ``t``'s horizon, which it stops short of as ``t``'s own run
-    would: the latency is the transition end less ``t``, and each
-    transition deadline moves ``t - t0`` later.  A point with no
-    source-mode job pending has latency 0, since its destination mode
-    starts at ``t`` itself.  It is decided at the request, without a fork,
-    where the processor-demand test (Baruah, Rosier & Howell 1990, with
-    Spuri's carry-in) shows on every processor that EDF meets each later
-    deadline and each transition check's job is due by the check's
-    deadline; otherwise it gets its own fork.  Job deadline misses before
-    the request count at every point, as they would in the point's own
-    scenario.  A fork stops early once EDF can no longer change its outcome
-    (see ``_SourceRun``): what it would simulate up to a later horizon
-    holds no job miss and no new transition-check verdict.
-
-    One request gives the outcome of a whole window of points (see
-    ``_SourceRun.request``), which later points inside it read with a few
-    integer operations each, with no request, no source advance and no fork
-    of their own:
-      * served: the points before the fork's end, settled or not.  A fork
-        that has not stopped, whose job misses and check completions can
-        still change with the horizon, is first advanced to the point's
-        horizon; settling only decides when it stops simulating;
-      * decided: the points after one that the demand test decided and
-        before the next instant the source run processes.  No job changes
-        there but the running ones, whose remaining work shrinks as fast as
-        the time left to every pending deadline, and the destination's
-        carry terms shrink too, so the test still holds.
+    Every point's outcome is that of its own scenario: a single MCR from the
+    source mode at the point ``t``, simulated from time 0 up to ``t + reach``,
+    ``reach`` being ``bound`` plus the largest period of the MI tasks and both
+    modes' MD tasks, plus 1.  That horizon lies past the transition end:
+    every allocation loads no processor above 1, so each source-mode job
+    pending at the request meets its deadline, at most the source's longest
+    MD period after it.  The points are not simulated one by one: one source
+    run is forked at request instants, and one request gives the outcome of
+    a window of later points (see ``_SourceRun``).
 
     The grid may be any iterable, in any order and with repeats, and the
     result does not depend on its order.  Before any point is simulated it
@@ -1247,13 +1197,19 @@ def sweep_mcr(
     ``b`` the lcm of the points' denominators, and its multiples sorted.
     The one source run is built for a request at the unit, so its time base
     holds every point and every point's horizon, and the whole grid is
-    walked in integers on that one base.  A request's window holds its own
-    point, so a repeat of a point takes its outcome again, with no request.
-    The maximum is kept in integers, at the earliest point that reaches it,
-    and made a ``Fraction`` once, at the end; a point whose simulation fails
-    raises at the earliest such point.  ``bound`` is the bound in force that sets the horizons: the
+    walked in integers on that one base.  The maximum is kept in integers,
+    at the earliest point that reaches it, and made a ``Fraction`` once, at
+    the end; the job misses and missed transition checks are summed over the
+    points.  ``bound`` is the bound in force that sets the horizons: the
     source mode's optimal latency under offline-table, its online bound
     (``latency_upper_bound``) under online-ffd.
+
+    Before anything is simulated, a pair that is no transition, an unknown
+    allocation source or an empty grid raises ``ScenarioError``, an invalid
+    point ``SystemValidationError``, and under offline-table a mode with no
+    feasible allocation ``InfeasibleModeError``.  Otherwise a sweep raises
+    the error of the earliest point whose simulation fails, such as the
+    ``SimulationError`` of a First-Fit placement that fails.
     """
     _check_allocation_source(allocation_source)
     source, destination = mode_pair

@@ -225,6 +225,42 @@ def test_simulate_scenario_error_exit(case_study_file, tmp_path, capsys):
     assert "outside the horizon" in err
 
 
+def storm_files(tmp_path, allocation):
+    """``calm`` -> ``storm``, whose one MD task ``md1`` (utilization 1) fits
+    beside neither MI task: a First-Fit placement fails and no allocation of
+    ``storm`` is feasible."""
+    system = {
+        "processors": 2,
+        "tasks": [
+            {"id": "mi1", "kind": "MI", "wcet": 3, "period": 10, "processor": 1},
+            {"id": "mi2", "kind": "MI", "wcet": 2, "period": 12, "processor": 2},
+            {"id": "md1", "kind": "MD", "wcet": 10, "period": 10},
+        ],
+        "modes": [{"id": "calm", "md_tasks": []}, {"id": "storm", "md_tasks": ["md1"]}],
+        "transitions": [["calm", "storm"]],
+    }
+    scenario = {"allocation": allocation, "sweep": {"from_mode": "calm", "to_mode": "storm", "step": 5}}
+    return write_json(tmp_path / "s.json", system), write_json(tmp_path / "sc.json", scenario)
+
+
+@pytest.mark.parametrize(
+    "allocation, message",
+    [
+        ("online-ffd", "error: online placement failed at time 0: mode storm: task md1 fits on no processor\n"),
+        ("offline-table", "error: mode storm: no feasible allocation; search stuck placing task md1\n"),
+    ],
+    ids=["online-ffd", "offline-table"],
+)
+def test_failed_sweep_exits_2_and_leaves_an_existing_trace_file_as_it_was(allocation, message, tmp_path, capsys):
+    trace = tmp_path / "t.tsv"
+    trace.write_bytes(b"an earlier trace\n")
+    code = main(["simulate", *storm_files(tmp_path, allocation), "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == message
+    assert trace.read_bytes() == b"an earlier trace\n"
+    assert sorted(os.listdir(tmp_path)) == ["s.json", "sc.json", "t.tsv"]  # no partial file is left
+
+
 def test_export_milp_cli(case_study_file, tmp_path, capsys):
     out_path = tmp_path / "mode1.lp"
     code = main(["export-milp", case_study_file, "--mode", "mode1", "-o", str(out_path)])
@@ -240,6 +276,17 @@ def test_export_milp_custom_hv(case_study_file, tmp_path):
     out_path = tmp_path / "m.lp"
     assert main(["export-milp", case_study_file, "--mode", "mode2", "--hv", "500", "-o", str(out_path)]) == 0
     assert "HV = 500" in out_path.read_text()
+
+
+def test_export_milp_replaces_the_file_and_other_hard_links_keep_the_old_program(case_study_file, tmp_path, capsys):
+    lp = tmp_path / "m1.lp"
+    assert main(["export-milp", case_study_file, "--mode", "mode1", "-o", str(lp)]) == 0
+    mode1 = lp.read_text(encoding="utf-8")
+    os.link(lp, tmp_path / "other.lp")
+    assert main(["export-milp", case_study_file, "--mode", "mode2", "-o", str(lp)]) == 0
+    assert "mode mode2" in lp.read_text(encoding="utf-8")
+    assert (tmp_path / "other.lp").read_text(encoding="utf-8") == mode1
+    assert sorted(os.listdir(tmp_path)) == ["m1.lp", "other.lp", "system.json"]
 
 
 def test_export_milp_unknown_mode(case_study_file, tmp_path, capsys):
@@ -285,9 +332,13 @@ def test_offline_report_marks_infeasible_mode(tmp_path, capsys):
 
 
 def test_export_milp_small_big_m_exit_2(case_study_file, tmp_path, capsys):
-    code = main(["export-milp", case_study_file, "--mode", "mode1", "--hv", "50", "-o", str(tmp_path / "x.lp")])
-    assert code == 2
-    assert "does not strictly dominate" in capsys.readouterr().err
+    lp = tmp_path / "x.lp"
+    lp.write_bytes(b"an earlier program\n")
+    code = main(["export-milp", case_study_file, "--mode", "mode1", "--hv", "50", "-o", str(lp)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "does not strictly dominate" in captured.err
+    assert lp.read_bytes() == b"an earlier program\n"  # a failed export leaves an existing file as it was
+    assert sorted(os.listdir(tmp_path)) == ["system.json", "x.lp"]
 
 
 def test_internal_error_is_not_an_input_error(monkeypatch, tmp_path, capsys):

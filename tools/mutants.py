@@ -294,6 +294,12 @@ MUTANTS = (
         "for dest in required:", "for dest in ():",
         "export-milp refuses an argument list without --mode or --output as a usage error",
     ),
+    Mutant(
+        "export-writes-in-place", "src/modesched/cli.py",
+        "_write_replacing(args.output, lambda handle: handle.write(text))",
+        'open(args.output, "w", encoding="utf-8").write(text)',
+        "export-milp replaces its LP file: other hard links keep the old program",
+    ),
 )
 
 
