@@ -317,15 +317,18 @@ def _write_replacing(path: str, write: Callable):
     gets the same permission bits, and takes those of a file it replaces.  A
     path that is there but no regular file (a device, a pipe, ``/dev/fd/N``)
     is written directly; otherwise a link is followed and its target
-    replaced."""
+    replaced.  A new file that cannot be opened is reported under ``path``."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
             return write(handle)
-    path = os.path.realpath(path)
+    given, path = path, os.path.realpath(path)
     directory, name = os.path.split(path)
     # at most 48 characters of the name keep the new name within 255 bytes
     partial = os.path.join(directory, f".{name[:48]}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    handle = open(partial, "x", encoding="utf-8")
+    try:
+        handle = open(partial, "x", encoding="utf-8")
+    except OSError as exc:  # the user named ``given``, not the new file
+        raise OSError(exc.errno, exc.strerror, given) from None
     try:
         with handle:
             result = write(handle)

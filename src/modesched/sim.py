@@ -81,9 +81,10 @@ Deterministic tie rules (they fix the trace byte-for-byte):
     deadline check, release, MCR, then scheduler switches.
 
 An MCR sweep (``sweep_mcr``) gives each grid point the outcome of its own
-scenario without simulating each point on its own: one source-mode run is
-forked at request instants, and one request gives the outcome of a window of
-later points.  ``_SourceRun`` states how, and why that is exact.
+scenario without simulating each point on its own: one source-mode run
+decides a request from its state there, or is forked where it cannot, and
+one request gives the outcome of a window of later points.  ``_SourceRun``
+states how, and why that is exact.
 """
 
 from __future__ import annotations
@@ -858,8 +859,8 @@ class _SourceRun(_Engine):
     """The one source-mode simulation of a sweep, with no MCR of its own.
 
     It processes every instant before a grid point's request instant ``t``
-    and no more; the point forks it there, and the fork queues its request
-    as ``execute`` queues a scenario's, so instant
+    and no more; a point it cannot decide there (below) forks it, and the
+    fork queues its request as ``execute`` queues a scenario's, so instant
     ``t`` runs through the same loop as in the point's own run: its releases
     first, then the request.  Neither this run nor its forks keep rows
     (their ``_emit`` is ``_DISCARD``): a sweep reads the integer fields of a
@@ -894,18 +895,21 @@ class _SourceRun(_Engine):
     Rosier & Howell 1990, with the carry-in of pending jobs as in Spuri,
     INRIA RR-2772, 1996).  It takes a processor ``p`` at an instant ``t``,
     the tasks ``K`` there (the MI tasks on ``p`` and the mode's MD tasks
-    placed there) and the jobs pending there, each with remaining work
-    ``r > 0`` and absolute deadline ``d``.  For a task ``k`` let ``n_k`` be
-    the latest deadline of its pending jobs, or ``t`` if it has none.  The
-    test holds when, at every pending deadline ``D``,
+    placed there) and the jobs pending there, of tasks in ``K`` or not, each
+    with remaining work ``r > 0`` and absolute deadline ``d``.  For a task
+    ``k`` in ``K`` let ``n_k`` be the latest deadline of its pending jobs,
+    or ``t`` if it has none; at a request decided without a fork (below)
+    the destination's MD tasks have ``n_k = E`` instead.  The test holds
+    when, at every pending deadline ``D``,
         sum(r_j for d_j <= D) + sum(C_k / T_k * max(0, D - n_k)) <= D - t;
     it is evaluated in integers, scaled by the lcm of the periods on ``p``
     (``weights``, built once per mode and processor and shared with forks).
     If it holds, EDF misses no deadline on ``p`` after ``t``:
       * deadlines are implicit and a sweep has no release offsets, so task
         ``k`` releases next at ``n_k`` or later, and its jobs released from
-        then on and due by ``D`` need at most ``C_k / T_k * (D - n_k)``:
-        the left side bounds all work due by ``D``;
+        then on and due by ``D`` need at most ``C_k / T_k * (D - n_k)``; a
+        task outside ``K`` releases no more: the left side bounds all work
+        due by ``D``;
       * between pending deadlines the left side grows at most at the load,
         at most 1, so no faster than the right side, and before the first
         one it is at most the load times ``D - t``: testing at the pending
@@ -913,9 +917,10 @@ class _SourceRun(_Engine):
       * a busy window that begins after ``t`` holds only jobs released in
         it, whose demand is at most the load times its length.
     A job due at ``t`` or earlier with work left fails the test at its own
-    deadline.  The test holds wherever every pending job is on its fluid
-    share, ``r * T <= C * (d - t)``: each task then has at most one
-    pending job, due at ``n_k``, and contributes at most ``C / T * (D - t)``.
+    deadline.  The test holds wherever every pending job is of a task in
+    ``K`` and on its fluid share, ``r * T <= C * (d - t)``: each task then
+    has at most one pending job, due at ``n_k``, and contributes at most
+    ``C / T * (D - t)``.
 
     A fork's processor settles (``settles``) at an instant ``t`` after the
     transition end, after the dispatch pass, once both hold:
@@ -936,22 +941,43 @@ class _SourceRun(_Engine):
     ``advance`` processes no later instant.
 
     A point ``t`` that no fork serves is decided at the request, without a
-    fork (``decides``), when all of these hold:
-      1. no source-mode MD job is pending at ``t``: none running or ready,
-         and none released at ``t``;
-      2. a fork has already placed the destination mode: the test needs
+    fork (``decides``), from its own run's transition end ``E``, which
+    ``drain`` computes from this run's state at ``t`` (ROADMAP direction
+    20).  On a processor ``p`` take the jobs pending at ``t``, those
+    released at ``t`` included; a sweep has no release offsets, so those
+    releases fall on multiples of the period.  The request stops every
+    later source-mode MD release and no destination job is released before
+    ``E``, so until ``E`` only these jobs and later MI releases run on
+    ``p``.  Let ``J*`` be the old (source-mode) job there with the largest
+    EDF key ``k* = (deadline, task id)``.  While ``J*`` is pending EDF runs
+    no job with a larger key and never idles, so ``J*``, and with it every
+    old job on ``p``, completes at the end of the level-``k*`` busy window
+    from ``t``, the least fixed point ``x`` of
+        x - t = W0 + sum over MI tasks j on p of C_j * #{releases s of j in (t, x) with key(s + T_j) < k*},
+    ``W0`` the remaining work of the jobs there with key at most ``k*``,
+    pending MI work included.  The count stops growing once ``s + T_j``
+    passes ``J*``'s deadline, so the fixed point exists whatever the load.
+    ``E`` is the latest such end over the processors, or ``t`` if no old
+    job is pending anywhere.  The point is decided when all of these hold:
+      1. a fork has already placed the destination mode: the test needs
          the placement, and a fork makes it, and raises any online-ffd
          placement error, at the instant the point's own run would;
-      3. each destination task with a transition deadline has a period of
-         at most that deadline;
-      4. the demand test holds on every processor, with the destination's
-         MD tasks released at ``t`` (``n_k = t``) and a running job's ``r``
-         its ``finish - t``.
-    The point's own run then ends its transition at ``t``, misses no
-    deadline from ``t`` on (a job due at ``t`` with work left fails 4), and
-    each check's job, released at ``t``, completes by its deadline, at most
-    the check's: before the horizon, so no check is missed.  The outcome is
-    latency 0 and the job misses of this run so far.
+      2. each destination task ``k`` with a transition deadline ``TD_k``
+         has ``E - t + T_k <= TD_k``;
+      3. the demand test holds on every processor over the jobs pending
+         at ``t``, those released at ``t`` included and a running job's
+         ``r`` its ``finish - t``, with ``K`` the MI tasks and the
+         destination's MD tasks, these first released at ``E`` (``n_k =
+         E``); the source mode's tasks release no more and have no weight.
+    The test stays sound: the tasks with weight, the MI tasks and the
+    destination's MD tasks, load ``p`` at most 1, and a destination task
+    released first at ``E`` has at most ``C_k / T_k * (D - E)`` due by
+    ``D``.  The point's own run then ends its transition at ``E``, misses
+    no deadline from ``t`` on (a job due at ``t`` with work left fails 3),
+    and each check's job, released at ``E``, completes by ``E + T_k``, at
+    most the check's deadline ``t + TD_k``: met, or undecided if that falls
+    past the horizon, never missed.  The outcome is latency ``E - t``, the
+    job misses of this run so far and no missed check.
 
     ``request`` at a point ``t0`` returns its outcome with the window of
     points over which it holds, so that a sweep needs no request there.  The
@@ -967,7 +993,12 @@ class _SourceRun(_Engine):
           processed up to ``t``'s horizon ``t + reach``.
           A fork that has not stopped is advanced there first, so points
           must come in order; a stopped fork changes no more;
-      (b) decided: if ``decides`` accepted ``t0``, the points after it
+      (b) decided with old jobs pending (``E > t0``): the points of (a),
+          before ``E`` or the source mode's next MD release.  By (a)'s
+          argument each has ``t0``'s run from the request on, so latency
+          ``E - t``, the same job misses, none after ``t0``, and each check
+          ``t - t0`` later, still not missed (``_Decided``);
+      (c) decided with none pending (``E = t0``): the points after it
           and before the next instant this run processes, which ``advance``
           returns.  No instant is processed there, so no job is released,
           none completes and no source-mode MD job is pending.  Nor can the
@@ -983,8 +1014,15 @@ class _SourceRun(_Engine):
         self.md_periods = tuple(self.states[task_id].period for task_id in self.md_ids[scenario.initial_mode])
         # by (mode, processor), shared with forks: the lcm L of the periods
         # there and each task's weight C * L / T
-        self.weights: dict[tuple[str, int], tuple[int, dict[str, int]]] = {}
+        self.weights: dict[tuple[str, int], tuple[int, dict[str, int], list[str]]] = {}
         self.start()
+        # by processor: the MI tasks and the source mode's MD tasks placed
+        # there, each released at the multiples of its period
+        self.releasing = {
+            p: [task.id for task in self.system.mi_on(p)]
+            + [task_id for task_id in self.md_ids[scenario.initial_mode] if self.states[task_id].processor == p]
+            for p in self.processors
+        }
 
     def enable_mode(self, mode_id: str, time: int) -> None:
         super().enable_mode(mode_id, time)
@@ -1003,23 +1041,33 @@ class _SourceRun(_Engine):
         jobs.sort()
         return jobs
 
-    def meets_deadlines(self, p: int, time: int, mode_id: str, jobs: list[tuple[tuple[int, str, int], int]]) -> bool:
+    def meets_deadlines(
+        self, p: int, time: int, mode_id: str, jobs: list[tuple[tuple[int, str, int], int]],
+        start: Optional[int] = None,
+    ) -> bool:
         """The processor-demand test on ``p`` at ``time`` over its pending
-        ``jobs``, with the MI tasks and ``mode_id``'s MD tasks placed there
-        (see the class docstring)."""
+        ``jobs``, with the MI tasks and ``mode_id``'s MD tasks placed there,
+        the latter first released at ``start`` if given (see the class
+        docstring)."""
         if (mode_id, p) not in self.weights:
-            states = [self.states[task.id] for task in self.system.mi_on(p)]
-            states += (self.states[task_id] for task_id, q, _ in self.plans[mode_id] if q == p)
-            lcm = math.lcm(*(state.period for state in states))
-            self.weights[(mode_id, p)] = (lcm, {s.id: s.wcet * (lcm // s.period) for s in states})
-        lcm, weight = self.weights[(mode_id, p)]
+            mi = [self.states[task.id] for task in self.system.mi_on(p)]
+            md = [self.states[task_id] for task_id, q, _ in self.plans[mode_id] if q == p]
+            lcm = math.lcm(*(state.period for state in mi + md))
+            self.weights[(mode_id, p)] = (lcm, {s.id: s.wcet * (lcm // s.period) for s in mi + md}, [s.id for s in md])
+        lcm, weight, md_ids = self.weights[(mode_id, p)]
         releases = dict.fromkeys(weight, time)  # each task's next release: its latest pending deadline
+        if start is not None:
+            releases.update(dict.fromkeys(md_ids, start))
         for (deadline, task_id, _), _ in jobs:
-            releases[task_id] = deadline
+            if task_id in weight:  # an old job's task releases no more
+                releases[task_id] = deadline
         demand = 0
         for (deadline, _, _), remaining in jobs:
             demand += remaining * lcm
-            carry = sum(weight[k] * (deadline - n) for k, n in releases.items() if n < deadline)
+            carry = 0
+            for task_id, n in releases.items():
+                if n < deadline:
+                    carry += weight[task_id] * (deadline - n)
             if demand + carry > lcm * (deadline - time):
                 return False
         return True
@@ -1047,23 +1095,61 @@ class _SourceRun(_Engine):
                 self.checks.remove(checks.pop(key))
         return True
 
-    def decides(self, time: int, destination: str) -> bool:
-        """Whether a request at ``time`` finds no source-mode job pending and
-        the demand test, with the destination mode released at ``time``,
-        holds on every processor (see the class docstring)."""
-        plan = self.plans.get(destination)
-        if plan is None or any(time % period == 0 for period in self.md_periods):
-            return False  # no placement yet, or a source-mode MD job released at ``time``
-        if any(deadline is not None and self.states[task_id].period > deadline for task_id, _, deadline in plan):
-            return False
-        old_ids = self.md_ids[self.current_mode]
+    def drain(self, time: int) -> tuple[int, list[list[tuple[tuple[int, str, int], int]]]]:
+        """The transition end ``E`` of a request at ``time``, in closed form,
+        and by processor the jobs pending at the request, those released at
+        ``time`` included, by deadline (see the class docstring)."""
+        old_ids, states, end, queues = self.md_ids[self.current_mode], self.states, time, []
         for p in self.processors:
             jobs = self.pending(p, time)
-            if any(task_id in old_ids for (_, task_id, _), _ in jobs):
-                return False
-            if not self.meets_deadlines(p, time, destination, jobs):
-                return False
-        return True
+            released = [
+                ((time + s.period, s.id, s.job_count), s.wcet)
+                for s in map(states.get, self.releasing[p]) if time % s.period == 0
+            ]
+            if released:
+                jobs = sorted(jobs + released)
+            queues.append(jobs)
+            star, done = None, 0
+            for (deadline, task_id, _), r in jobs:
+                done += r
+                if task_id in old_ids:  # the latest old job so far, and W0 if it is J*
+                    star, work = (deadline, task_id), done
+            if star is None:
+                continue
+            # J*: while it is pending no later job runs; each MI task's last
+            # release after ``time`` whose job comes before it
+            deadline, star_id = star
+            caps = [
+                (s.wcet, s.period, deadline - s.period if s.id < star_id else deadline - s.period - 1)
+                for s in map(states.get, self.releasing[p]) if s.id not in old_ids
+            ]
+            length, previous = work, None
+            while length != previous:  # the least fixed point: the level-k* busy window from ``time``
+                previous, length = length, work
+                for wcet, period, cap in caps:
+                    releases = min((time + previous - 1) // period, cap // period) - time // period
+                    if releases > 0:
+                        length += wcet * releases
+            end = max(end, time + length)
+        return end, queues
+
+    def decides(self, time: int, destination: str) -> Optional[int]:
+        """The latency of a request for ``destination`` at ``time`` decided
+        without a fork, or None if it needs one: the placement is known, each
+        transition check's job is due by the check's deadline, and the demand
+        test holds on every processor (see the class docstring, conditions 1
+        to 3)."""
+        plan = self.plans.get(destination)
+        if plan is None:
+            return None  # no placement yet
+        end, queues = self.drain(time)
+        for task_id, _, deadline in plan:
+            if deadline is not None and end - time + self.states[task_id].period > deadline:
+                return None  # the check's job, released at ``end``, may complete after the check
+        for p, jobs in zip(self.processors, queues):
+            if jobs and not self.meets_deadlines(p, time, destination, jobs, end):
+                return None
+        return end - time
 
     def stop(self, time: int) -> None:
         """Settle at instant ``time``: drop every bucket and the heap of their
@@ -1073,33 +1159,40 @@ class _SourceRun(_Engine):
 
     def request(
         self, time: int, destination: str, limit: int,
-    ) -> tuple[tuple[int, int, int], Union[int, float], Optional["_SourceRun"]]:
+    ) -> tuple[tuple[int, int, int], Union[int, float], Union["_SourceRun", "_Decided", None]]:
         """The outcome of a request for ``destination`` at instant ``time`` in
         a run up to ``limit`` (its latency, job misses and missed transition
-        checks), the end of the window of later points it gives, and the fork
-        that gives them, if any.  This run first processes every instant
-        before ``time``; the outcome is decided there, or read from a fork
-        that requested at ``time`` (see the class docstring).
+        checks), the end of the window of later points it gives, and what
+        gives them: the fork, a ``_Decided`` if the request is decided with
+        old jobs pending, or None if every later point there has this
+        outcome.  This run first processes every instant before ``time``;
+        the outcome is decided there (``decides``), or read from a fork that
+        requested at ``time`` (see the class docstring: the windows (a) to
+        (c)).
 
-        A later point before the window's end needs no request: with no fork
+        A later point before the window's end needs no request: with None
         its outcome is this one, else ``fork.outcome(point, its horizon)``,
         once the fork, if it has not stopped, is advanced to that horizon."""
         following = self.advance(time)
         self.time = time
-        if self.decides(time, destination):
+        latency = self.decides(time, destination)
+        if latency == 0:
             # decided up to the next instant this run processes, if there is one
             outcome, until, fork = (0, self.job_misses, 0), math.inf if following is None else following, None
         else:
-            fork = self._fork()
-            fork._request(time, destination)
-            fork.advance(limit)
-            # at load <= 1 every source-mode job meets its deadline, so the
-            # transition ends by t plus the source's longest MD period, before
-            # limit; an engine bug that broke this fails here as an internal error
-            ((_, latency),) = fork.latencies
-            # the fork serves up to its transition end or the source mode's next
-            # MD release strictly after ``time`` (one released at ``time`` is
-            # pending in the fork), whichever comes first
+            if latency is None:
+                fork = self._fork()
+                fork._request(time, destination)
+                fork.advance(limit)
+                # at load <= 1 every source-mode job meets its deadline, so the
+                # transition ends by t plus the source's longest MD period, before
+                # limit; an engine bug that broke this fails here as an internal error
+                ((_, latency),) = fork.latencies
+            else:
+                fork = _Decided(time + latency, self.job_misses)
+            # served up to the transition end or the source mode's next MD
+            # release strictly after ``time`` (one released at ``time`` is
+            # pending at the request), whichever comes first
             releases = ((time // period + 1) * period for period in self.md_periods)
             outcome, until = fork.outcome(time, limit), min((time + latency, *releases))
         # the window holds its own point, the next grid point being one unit on
@@ -1137,6 +1230,19 @@ class _SourceRun(_Engine):
         twin.checks = []
         twin._check_by_task_job = {}
         return twin
+
+
+class _Decided(collections.namedtuple("_Decided", "end job_misses")):
+    """The window of a request with old jobs pending decided without a fork
+    (see ``_SourceRun``): each point ``t`` there ends its transition at
+    ``end`` and has ``job_misses`` and no missed transition check.  Like a
+    stopped fork, it has nothing ``waiting``."""
+
+    __slots__ = ()
+    waiting = ()
+
+    def outcome(self, time: int, limit: int) -> tuple[int, int, int]:
+        return self.end - time, self.job_misses, 0
 
 
 def run(scenario: Scenario, out: Optional[TextIO] = None) -> SimTrace:
@@ -1242,7 +1348,7 @@ def sweep_mcr(
     top = at = -1  # the maximum latency and its earliest point
     job_misses = transition_misses = 0
     until = 0  # the end of the last request's window
-    fork: Optional[_SourceRun] = None
+    fork: Union[_SourceRun, _Decided, None] = None  # what gives the last request's window, if not its outcome
     for time in map(step.__mul__, multiples):
         if time < until:  # inside the last request's window
             if fork is not None:

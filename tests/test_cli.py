@@ -289,6 +289,27 @@ def test_export_milp_replaces_the_file_and_other_hard_links_keep_the_old_program
     assert sorted(os.listdir(tmp_path)) == ["m1.lp", "other.lp", "system.json"]
 
 
+def test_output_file_in_a_missing_directory_is_reported_under_the_path_given(
+    case_study_file, tmp_path, capsys, monkeypatch
+):
+    """The LP of ``-o``, ``--report`` and ``--trace`` each exit 2 naming the
+    path on the command line, not the new file written beside it, and
+    nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    commands = {
+        "nodir/m1.lp": ["export-milp", case_study_file, "--mode", "mode1", "-o"],
+        "nodir/report.json": ["analyze-offline", case_study_file, "--report"],
+        "nodir/t.tsv": ["simulate", str(SAMPLES / "two_proc_handover.json"), str(SAMPLES / "handover_mcr7.json"),
+                        "--trace"],
+    }
+    for path, argv in commands.items():
+        assert main([*argv, path]) == 2, path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert os.listdir(tmp_path) == ["system.json"]
+
+
 def test_export_milp_unknown_mode(case_study_file, tmp_path, capsys):
     code = main(["export-milp", case_study_file, "--mode", "nope", "-o", str(tmp_path / "x.lp")])
     assert code == 2

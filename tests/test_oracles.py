@@ -1,11 +1,11 @@
 """``tools/oracles.py``: the ``sweep-vs-bound`` check finds the committed
-carry-in reproducer, and ``sweep-vs-points`` passes a tiny corpus and
-reports a mismatch with a reproducer.
+carry-in reproducer, and ``sweep-vs-points`` and ``sweep-vs-drain`` pass a
+tiny corpus and report a mismatch with a reproducer.
 
-The full corpora take about 15 s each and stay a tool; this runs
+The full corpora take seconds to minutes each and stay a tool; this runs
 ``sweep-vs-bound`` on ``samples/carry_in.json`` alone, whose c -> b sweep
 observes a latency of 13 against the bound 11 of both analyses (ROADMAP
-direction 9), and ``sweep-vs-points`` on a dozen draws.
+direction 9), and the other two checks on a dozen draws.
 """
 
 import importlib.util
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import modesched as ms
+from modesched import sim
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "oracles.py"
@@ -77,3 +78,35 @@ def test_sweep_vs_points_reports_a_mismatch_with_its_reproducer(capsys, monkeypa
         grid = [Fraction(t) for t in reproducer["grid"]]
         args = (system, reproducer["allocation"], tuple(reproducer["pair"]), grid)
         assert verdict == f"{tool.shown(off_by_one(*args))} != {tool.shown(tool.per_point_sweep(*args))}"
+
+
+def test_sweep_vs_drain_passes_a_tiny_corpus(capsys):
+    tool = load_tool()
+    assert tool.main(["sweep-vs-drain", "--seeds", "1", "--systems", "12"]) == 0
+    (summary,) = capsys.readouterr().out.splitlines()
+    check, swept, requests, found, _ = summary.split("\t")
+    assert (check, swept, found) == ("sweep-vs-drain", "12 swept", "0 found") and requests != "0 requests"
+
+
+def test_sweep_vs_drain_reports_a_mismatch_with_its_reproducer(capsys, monkeypatch):
+    """A closed form one unit late is found at every request, and each
+    reproducer rebuilds the draw and names a grid point."""
+    tool = load_tool()
+    drain = sim._SourceRun.drain
+
+    def late(self, time):
+        end, queues = drain(self, time)
+        return end + 1, queues
+
+    monkeypatch.setattr(sim._SourceRun, "drain", late)
+    assert tool.main(["sweep-vs-drain", "--seeds", "1", "--systems", "3"]) == 1
+    *found, summary = capsys.readouterr().out.splitlines()
+    assert found and summary.startswith(f"sweep-vs-drain\t3 swept\t{len(found)} requests\t{len(found)} found\t")
+    for line in found:
+        tag, check, verdict, reproducer = line.split("\t")
+        assert (tag, check) == ("FOUND", "sweep-vs-drain")
+        reproducer = json.loads(reproducer)
+        ms.build_system(reproducer["system"])
+        assert reproducer["request"] in reproducer["grid"]
+        closed_form, fork_end = verdict.split(" != ")
+        assert Fraction(closed_form) > Fraction(fork_end)  # one unit of the source run's time base

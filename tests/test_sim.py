@@ -1324,7 +1324,7 @@ def test_shuffled_grid_walks_one_source_run_and_reports_the_earliest_tie(source_
 def test_committed_sweep_forks_only_where_no_fork_serves_and_the_demand_test_fails(case_study, forks):
     result = ms.run_sweep(case_study, ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study))
     assert (result.points, result.max_latency, result.at_time) == (1800, 35, 80)
-    assert len(forks) == 216
+    assert len(forks) == 25
 
 
 def draining_handover():
@@ -1501,6 +1501,76 @@ def test_check_due_after_its_transition_deadline_gets_a_fork(forks):
         assert forks == [0, 4]
 
 
+@contextlib.contextmanager
+def drains_against_forks():
+    """While open, each request a sweep makes of its source run is checked
+    once it returns: the closed-form transition end (``_SourceRun.drain``)
+    against that of a fork requested at the same instant, the request's own
+    fork if it made one, else a new fork advanced just past the closed form.
+    Yields a list that gets ``(scale, request, closed form, the fork's
+    transition end or None, decided without a fork)`` per request, its
+    times in units of ``1 / scale``."""
+    seen = []
+    request = sim._SourceRun.request
+
+    def checking(self, time, destination, limit):
+        answer = request(self, time, destination, limit)
+        end, _ = self.drain(time)
+        fork = answer[2]
+        decided = not isinstance(fork, sim._SourceRun)
+        if decided:
+            fork = self._fork()
+            fork._request(time, destination)
+            fork.advance(end + 1)
+        ends = [requested + latency for requested, latency in fork.latencies]
+        seen.append((self.scale, time, end, ends[0] if ends else None, decided))
+        return answer
+
+    sim._SourceRun.request = checking
+    try:
+        yield seen
+    finally:
+        sim._SourceRun.request = request
+
+
+def committed_sweeps():
+    """``(system, spec)`` of each committed sweep: the case study's both ways
+    and those of the finding samples (ROADMAP direction 17), the chained
+    requests' along each of its transitions at a step of 1/4."""
+    case_study = ms.load_system(SAMPLES / "case_study.json")
+    yield case_study, ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
+    yield case_study, ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
+    yield ms.load_system(SAMPLES / "carry_in.json"), ms.SweepSpec("c", "b", Fraction(1), "offline-table")
+    for name in ("carry_in_seed2_draw57", "carry_in_one_proc", "carry_in_mi7"):
+        system = ms.load_system(SAMPLES / f"{name}.json")
+        yield system, ms.load_scenario(SAMPLES / f"{name}_sweep.json", system)
+    chained = ms.load_system(SAMPLES / "chained_requests.json")
+    for source, destination in chained.mode_graph.edges:
+        yield chained, ms.SweepSpec(source, destination, Fraction(1, 4), "offline-table")
+
+
+def test_closed_form_transition_end_equals_a_forks_at_every_committed_request():
+    """Direction 20's closed form, the end of the level-k* busy window from
+    the request, is the engine's transition end at every request of the
+    committed sweeps under both sources: where the demand test fails and
+    the request forks, and where it holds, with old jobs pending or none.
+    On one processor First-Fit places every task as the optimal table
+    does, so such a sweep is one run under both sources, checked once."""
+    with drains_against_forks() as seen:
+        for system, spec in committed_sweeps():
+            for allocation_source in ("offline-table", "online-ffd"):
+                if allocation_source == "online-ffd" and system.processor_count == 1:
+                    for mode_id in system.mode_ids():
+                        placement = ms.first_fit_decreasing(system, mode_id).assignment
+                        assert placement == ms.solve_optimal(system, mode_id).best_allocation.assignment
+                    continue
+                ms.run_sweep(system, spec._replace(allocation_source=allocation_source))
+    assert [entry for entry in seen if entry[2] != entry[3]] == []
+    forked = sum(not decided for *_, decided in seen)
+    pending = sum(decided and end > time for _, time, end, _, decided in seen)
+    assert len(seen) == 10324 and forked > 0 and pending > 0, (len(seen), forked, pending)
+
+
 def test_interval_sweep_matches_per_point_runs_randomized():
     rng = random.Random(9001)
     steps = (Fraction(1), Fraction(1, 2), Fraction(1, 5), Fraction(3, 4), Fraction(7, 3))
@@ -1572,8 +1642,8 @@ def test_sweep_instant_totals(case_study, forks, instants, settlements, requests
     """A count of the simulated instants, not a timing, bounds the sweep cost."""
     committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     assert ms.run_sweep(case_study, committed).points == 1800
-    assert instants() <= 1173
-    assert len(forks) == len(settlements) == 216
+    assert instants() <= 122
+    assert len(forks) == len(settlements) == 25
     assert len(requests) == 396
     committed_instants = instants()
     forks.clear()
@@ -1581,8 +1651,8 @@ def test_sweep_instant_totals(case_study, forks, instants, settlements, requests
     requests.clear()
     spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     assert ms.run_sweep(case_study, spec).points == 900
-    assert instants() - committed_instants <= 225
-    assert len(forks) == len(settlements) == 36
+    assert instants() - committed_instants <= 165
+    assert len(forks) == len(settlements) == 28
     assert len(requests) == 117
 
 

@@ -139,15 +139,27 @@ MUTANTS = (
         "a settled processor decides an open check only if its job is due by the check's deadline",
     ),
     Mutant(
-        "request-ignores-md-release-at-t", "src/modesched/sim.py",
-        "if plan is None or any(time % period == 0 for period in self.md_periods):", "if plan is None:",
-        "a source-mode MD job released at the request instant is pending, so the point needs a fork",
+        "drain-w0-skips-mi-work", "src/modesched/sim.py",
+        "                done += r\n", "                done += r if task_id in old_ids else 0\n",
+        "the work ahead of the last old job at a request counts the pending MI jobs too, the carry-in"
+        " that the paper's recurrence leaves out",
     ),
     Mutant(
-        "request-ignores-check-due", "src/modesched/sim.py",
-        "if any(deadline is not None and self.states[task_id].period > deadline for task_id, _, deadline in plan):",
-        "if False:",
-        "a point is decided without a fork only if each transition check's job is due by its deadline",
+        "drain-skips-releases-at-t", "src/modesched/sim.py",
+        "if time % s.period == 0", "if False",
+        "a job released at the request instant counts as pending: the transition waits for an old one,"
+        " and its work counts in the closed form and the demand test",
+    ),
+    Mutant(
+        "drain-mi-tie-flipped", "src/modesched/sim.py",
+        "if s.id < star_id else", "if s.id > star_id else",
+        "an MI job whose deadline equals that of the last old job runs first only if its task id is smaller",
+    ),
+    Mutant(
+        "decides-ignores-check-due", "src/modesched/sim.py",
+        "if deadline is not None and end - time + self.states[task_id].period > deadline:", "if False:",
+        "a request is decided without a fork only if each transition check's job, released at the"
+        " transition end, is due by the check's deadline",
     ),
     Mutant(
         "advance-past-limit", "src/modesched/sim.py",

@@ -36,9 +36,19 @@ last line sums the run up.  The checks:
     python3 tools/oracles.py sweep-vs-points                     # seeds 1-3, 300 systems each
     python3 tools/oracles.py sweep-vs-points --seeds 4 --systems 50
 
+  * ``sweep-vs-drain``: at every request an MCR sweep makes, the closed-form
+    transition end of ``_SourceRun.drain`` (ROADMAP direction 20), from
+    which the sweep decides requests with old jobs pending, is the
+    transition end of a fork requested there
+    (``tests/test_sim.py::drains_against_forks``).  The corpus is
+    ``sweep-vs-points``'; a sweep that fails is checked up to its failure.
+
+    python3 tools/oracles.py sweep-vs-drain                      # seeds 1-3, 300 systems each
+    python3 tools/oracles.py sweep-vs-drain --seeds 4 --systems 50
+
 A violation is a finding: never shrink or re-seed a corpus so that one does
 not show.  Stdlib, ``modesched``, ``tests/conftest.py`` and the per-point
-reference and generators of ``tests/test_sim.py`` only.
+reference, the drain check and generators of ``tests/test_sim.py`` only.
 """
 
 from __future__ import annotations
@@ -58,7 +68,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import modesched as ms  # noqa: E402
 from conftest import random_system  # noqa: E402
 from test_sim import (  # noqa: E402
-    exactly_saturated, per_point_sweep, rescaled, saturated_handover, sweep_outcome, with_transition_deadlines,
+    drains_against_forks, exactly_saturated, per_point_sweep, rescaled, saturated_handover, sweep_outcome,
+    with_transition_deadlines,
 )
 
 SOURCES = ("offline-table", "online-ffd")
@@ -202,9 +213,36 @@ def check_points(cases) -> tuple[int, int]:
     return swept, found
 
 
+def check_drains(cases) -> tuple[int, int, int]:
+    """Run ``sweep-vs-drain`` over ``cases``; return the sweeps made, the
+    requests checked and those found wrong."""
+    swept = checked = found = 0
+    for origin, system, allocation_source, pair, grid in cases:
+        swept += 1
+        with drains_against_forks() as seen:
+            sweep_outcome(ms.sweep_mcr, system, allocation_source, pair, grid)
+        checked += len(seen)
+        for scale, request, end, fork_end, _ in seen:
+            if end == fork_end:
+                continue
+            found += 1
+            reproducer = {
+                "origin": origin,
+                "system": system_json(system),
+                "allocation": allocation_source,
+                "pair": list(pair),
+                "grid": [str(t) for t in grid],
+                "request": str(Fraction(request, scale)),
+            }
+            shown_end = "none" if fork_end is None else Fraction(fork_end, scale)
+            print(f"FOUND\tsweep-vs-drain\t{Fraction(end, scale)} != {shown_end}"
+                  f"\t{json.dumps(reproducer, sort_keys=True)}", flush=True)
+    return swept, checked, found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("check", choices=("sweep-vs-bound", "sweep-vs-points"))
+    parser.add_argument("check", choices=("sweep-vs-bound", "sweep-vs-points", "sweep-vs-drain"))
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--systems", type=int, default=300, help="draws per seed")
     parser.add_argument("--system", help="sweep-vs-bound: check one system file instead of the corpus")
@@ -214,11 +252,14 @@ def main(argv=None) -> int:
         parser.error("--system and --pair go together")
 
     started = time.perf_counter()
+    if args.check in ("sweep-vs-points", "sweep-vs-drain") and args.system is not None:
+        parser.error("--system is for sweep-vs-bound")
     if args.check == "sweep-vs-points":
-        if args.system is not None:
-            parser.error("--system is for sweep-vs-bound")
         swept, found = check_points(points_corpus(args.seeds, args.systems))
         tally = f"{swept} swept\t{found} found"
+    elif args.check == "sweep-vs-drain":
+        swept, checked, found = check_drains(points_corpus(args.seeds, args.systems))
+        tally = f"{swept} swept\t{checked} requests\t{found} found"
     else:
         if args.system is not None:
             cases = [({"file": args.system}, ms.load_system(args.system), *args.pair)]
