@@ -573,7 +573,6 @@ class _Engine:
         self.next_finish: Optional[int] = None  # the earliest ``finish`` of a running job
         self.old_count = 0  # the jobs marked old still pending
         self.job_misses = 0
-        self.waiting: tuple[int, ...] = ()  # processors yet to settle; only a sweep fork fills it
 
         # by mode, fixed for the run, so forks share them: the MD ids sorted
         # (dict keys), and from the mode's first enable on, one (task id,
@@ -588,7 +587,7 @@ class _Engine:
         self._emit = self.events.append  # takes one row
         self.latencies: list[tuple[int, int]] = []
         self.checks: list[dict] = []
-        # the checks still waiting for their job's completion
+        # the checks whose job has not completed yet
         self._check_by_task_job: dict[tuple[str, int], dict] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -737,7 +736,7 @@ class _Engine:
         ready, running, states, n = self.ready, self.running, self.states, len(self.states)
         emit, checks, processors = self._emit, self._check_by_task_job, self.processors
         heappush, heappop = heapq.heappush, heapq.heappop
-        next_finish, destination, waiting = self.next_finish, self.destination, self.waiting
+        next_finish, destination = self.next_finish, self.destination
         time = self.time
         count = 0
         while True:
@@ -762,7 +761,7 @@ class _Engine:
                             record["completion"] = time
             if destination is not None and not self.old_count:
                 self.maybe_end_transition(time)
-                destination, waiting = self.destination, self.waiting
+                destination = self.destination
             bucket = due.pop(time, None)
             while bucket is not None:  # a second round takes the releases a request queued
                 heappop(due_times)
@@ -793,7 +792,7 @@ class _Engine:
                 bucket = None
                 if requests and requests[0][0] == time:
                     self.do_mcr(time, requests.pop(0)[1])
-                    destination, waiting = self.destination, self.waiting
+                    destination = self.destination
                     bucket = due.pop(time, None)
             next_finish = None
             for p in processors:
@@ -812,12 +811,7 @@ class _Engine:
                     running[p] = current
                 if current is not None and (next_finish is None or current[_FINISH] < next_finish):
                     next_finish = current[_FINISH]
-            if waiting:  # a sweep fork past its transition end (see ``_SourceRun``)
-                waiting = tuple(p for p in waiting if not self.settles(p, time))
-                if not waiting:
-                    self.stop(time)
-                    next_finish = None
-        self.time, self.next_finish, self.waiting = time, next_finish, waiting
+        self.time, self.next_finish = time, next_finish
         self.instants += count
         return next_time
 
@@ -922,24 +916,6 @@ class _SourceRun(_Engine):
     has at most one pending job, due at ``n_k``, and contributes at most
     ``C / T * (D - t)``.
 
-    A fork's processor settles (``settles``) at an instant ``t`` after the
-    transition end, after the dispatch pass, once both hold:
-      (a) the demand test holds there;
-      (b) each transition check still open there has a job due by the
-          check's deadline.
-    A sweep has no release offsets, so each check's job is released at the
-    transition end, before the first test.  Under (a) no job there misses
-    after ``t``, and each open check's job completes by the check's
-    deadline, also moved by any shift a later point the fork serves
-    applies.  The check then leaves the fork: the point's own run finds it
-    met, or undecided if the completion falls past its horizon, never
-    missed, and a fork's checks are read only to count the missed ones.  An
-    idle processor meets (a) and (b) vacuously.  A fork queues one request,
-    so no check opens later and a settled processor stays settled.  Once
-    every processor has settled (``waiting`` empties) the fork stops:
-    settling empties the calendar and forgets the next completion, so
-    ``advance`` processes no later instant.
-
     A point ``t`` that no fork serves is decided at the request, without a
     fork (``decides``), from its own run's transition end ``E``, which
     ``drain`` computes from this run's state at ``t`` (ROADMAP direction
@@ -985,14 +961,12 @@ class _SourceRun(_Engine):
     on the sweep's time base the next grid point is at least one unit on, so
     a repeat of ``t0`` takes the outcome again.  Past ``t0`` it holds
       (a) served: the points before the fork's transition end ``E`` or the
-          source mode's next MD release, whichever comes first, whether the
-          fork has settled or not: settling decides only when it stops
-          simulating.  A point ``t`` there has latency ``E - t``, and the
-          fork's job misses and each check's verdict
-          ``check_outcome(record, t + reach, t - t0)`` once the fork has
-          processed up to ``t``'s horizon ``t + reach``.
-          A fork that has not stopped is advanced there first, so points
-          must come in order; a stopped fork changes no more;
+          source mode's next MD release, whichever comes first.  A point
+          ``t`` there has latency ``E - t``, and the fork's job misses and
+          each check's verdict ``check_outcome(record, t + reach, t - t0)``
+          once the fork has processed up to ``t``'s horizon ``t + reach``.
+          ``outcome`` advances the fork there first, so points must come
+          in order;
       (b) decided with old jobs pending (``E > t0``): the points of (a),
           before ``E`` or the source mode's next MD release.  By (a)'s
           argument each has ``t0``'s run from the request on, so latency
@@ -1023,11 +997,6 @@ class _SourceRun(_Engine):
             + [task_id for task_id in self.md_ids[scenario.initial_mode] if self.states[task_id].processor == p]
             for p in self.processors
         }
-
-    def enable_mode(self, mode_id: str, time: int) -> None:
-        super().enable_mode(mode_id, time)
-        if self.destination is not None:
-            self.waiting = tuple(self.processors)
 
     def pending(self, p: int, time: int) -> list[tuple[tuple[int, str, int], int]]:
         """``(key, r)`` of each job pending on ``p`` at ``time``, by deadline:
@@ -1070,29 +1039,6 @@ class _SourceRun(_Engine):
                     carry += weight[task_id] * (deadline - n)
             if demand + carry > lcm * (deadline - time):
                 return False
-        return True
-
-    def settles(self, p: int, time: int) -> bool:
-        """Whether processor ``p`` has settled at instant ``time``, after its
-        dispatch: the demand test holds there, and every open check on ``p``
-        has a job due by the check's deadline.  Those checks are then
-        decided and leave the fork."""
-        if self.running[p] is None:  # idle: the dispatch left no job ready
-            return True
-        jobs = self.pending(p, time)
-        if not self.meets_deadlines(p, time, self.current_mode, jobs):
-            return False
-        checks = self._check_by_task_job
-        if checks:
-            decided = []
-            for (deadline, task_id, index), _ in jobs:
-                key = (task_id, index)
-                if key in checks:
-                    if deadline > checks[key]["absolute"]:
-                        return False  # the check's verdict turns on its job's completion
-                    decided.append(key)
-            for key in decided:
-                self.checks.remove(checks.pop(key))
         return True
 
     def drain(self, time: int) -> tuple[int, list[list[tuple[tuple[int, str, int], int]]]]:
@@ -1151,12 +1097,6 @@ class _SourceRun(_Engine):
                 return None
         return end - time
 
-    def stop(self, time: int) -> None:
-        """Settle at instant ``time``: drop every bucket and the heap of their
-        instants, so that ``advance`` processes no later instant."""
-        self.due.clear()
-        self.due_times.clear()
-
     def request(
         self, time: int, destination: str, limit: int,
     ) -> tuple[tuple[int, int, int], Union[int, float], Union["_SourceRun", "_Decided", None]]:
@@ -1172,7 +1112,7 @@ class _SourceRun(_Engine):
 
         A later point before the window's end needs no request: with None
         its outcome is this one, else ``fork.outcome(point, its horizon)``,
-        once the fork, if it has not stopped, is advanced to that horizon."""
+        which advances a fork to that horizon first."""
         following = self.advance(time)
         self.time = time
         latency = self.decides(time, destination)
@@ -1183,25 +1123,26 @@ class _SourceRun(_Engine):
             if latency is None:
                 fork = self._fork()
                 fork._request(time, destination)
-                fork.advance(limit)
-                # at load <= 1 every source-mode job meets its deadline, so the
-                # transition ends by t plus the source's longest MD period, before
-                # limit; an engine bug that broke this fails here as an internal error
-                ((_, latency),) = fork.latencies
             else:
                 fork = _Decided(time + latency, self.job_misses)
+            outcome = fork.outcome(time, limit)
             # served up to the transition end or the source mode's next MD
             # release strictly after ``time`` (one released at ``time`` is
             # pending at the request), whichever comes first
             releases = ((time // period + 1) * period for period in self.md_periods)
-            outcome, until = fork.outcome(time, limit), min((time + latency, *releases))
+            until = min((time + outcome[0], *releases))
         # the window holds its own point, the next grid point being one unit on
         # at least: a repeat of the point needs no request
         return outcome, max(until, time + 1), fork
 
     def outcome(self, time: int, limit: int) -> tuple[int, int, int]:
         """The outcome of a request at ``time``, in a run up to ``limit``,
-        that this fork, advanced up to ``limit``, serves."""
+        that this fork serves, once it is advanced up to ``limit``."""
+        self.advance(limit)
+        # at load <= 1 every source-mode job meets its deadline, so the
+        # transition ends by the request plus the source's longest MD period,
+        # before limit; an engine bug that broke this fails here as an
+        # internal error
         ((requested, latency),) = self.latencies
         shift = time - requested  # the fork may serve an earlier point too
         missed = sum(1 for record in self.checks if self.check_outcome(record, limit, shift) is False)
@@ -1235,11 +1176,9 @@ class _SourceRun(_Engine):
 class _Decided(collections.namedtuple("_Decided", "end job_misses")):
     """The window of a request with old jobs pending decided without a fork
     (see ``_SourceRun``): each point ``t`` there ends its transition at
-    ``end`` and has ``job_misses`` and no missed transition check.  Like a
-    stopped fork, it has nothing ``waiting``."""
+    ``end`` and has ``job_misses`` and no missed transition check."""
 
     __slots__ = ()
-    waiting = ()
 
     def outcome(self, time: int, limit: int) -> tuple[int, int, int]:
         return self.end - time, self.job_misses, 0
@@ -1352,8 +1291,6 @@ def sweep_mcr(
     for time in map(step.__mul__, multiples):
         if time < until:  # inside the last request's window
             if fork is not None:
-                if fork.waiting:  # not stopped yet: it runs on to this point's horizon
-                    fork.advance(time + scaled_reach)
                 outcome = fork.outcome(time, time + scaled_reach)
         else:
             outcome, until, fork = run.request(time, destination, time + scaled_reach)

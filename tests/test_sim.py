@@ -754,6 +754,23 @@ def test_one_processor_carry_in_past_mi7_outlasts_the_certified_bound(capsys):
     sweeps_over_the_bound("carry_in_mi7", (8, 3, 7))
 
 
+def test_one_processor_carry_in_of_two_mi_tasks_outlasts_the_certified_bound(capsys):
+    """``samples/carry_in_two_mi.json``, from seeded draws of one-processor
+    systems: beside ``mi0`` (1, 5) and ``mi1`` (3, 7), both analyses pass
+    with alpha bounded by 7, yet the step-1 sweep over alpha's hyperperiod
+    (1,260 points) reaches 8 at 4 under both sources."""
+    system_path = str(SAMPLES / "carry_in_two_mi.json")
+    for command in ("analyze-offline", "analyze-online"):
+        assert main([command, system_path]) == 0
+        out = capsys.readouterr().out
+        assert "platform latency bound L = 7\n" in out and out.endswith("GLOBAL: PASS\n")
+    assert main(["simulate", system_path, str(SAMPLES / "carry_in_two_mi_sweep.json")]) == 0
+    assert capsys.readouterr().out == (
+        "# sweep\talpha\tbeta\tstep\t1\tpoints\t1260\n# max-latency\t8\tat\t4\n# deadline-misses\t0\n"
+    )
+    sweeps_over_the_bound("carry_in_two_mi", (8, 4, 7))
+
+
 def test_chained_requests_outlast_the_bound_of_the_placement_in_use(capsys):
     """``samples/chained_requests.json`` with ``_mcrs.json``: a -> b at 3,
     b -> c at 17/4 and c -> a at 25/4.  Under online-ffd ``c0`` runs beside
@@ -1206,11 +1223,11 @@ def test_request_with_nothing_pending_gets_its_own_fork(forks):
         assert forks == [7, 8, 9]
 
 
-def test_fork_processes_its_request_instant_as_the_points_own_run(monkeypatch, settlements):
-    """A fork's rows, from its request instant on, are those of the point's
-    own run.  In ``samples/carry_in.json`` the job of ``c0`` released at 6
-    comes before the request at 6, so it counts as pending and the
-    transition waits for it."""
+def test_fork_processes_its_request_instant_as_the_points_own_run(monkeypatch):
+    """A fork's rows, from its request instant up to the point's horizon,
+    are those of the point's own run.  In ``samples/carry_in.json`` the job
+    of ``c0`` released at 6 comes before the request at 6, so it counts as
+    pending and the transition waits for it."""
     system = ms.load_system(SAMPLES / "carry_in.json")
     made = []
     fork = sim._SourceRun._fork
@@ -1226,13 +1243,10 @@ def test_fork_processes_its_request_instant_as_the_points_own_run(monkeypatch, s
     ((twin, rows),) = made
     request = twin.scaled(Fraction(6))
     assert rows[:2] == [(request, 1, "release", "c0", 1), (request, None, "MCR", "b", None)]
-    # not at the transition end 19: ``b0``'s first job is due at 21, after its
-    # transition deadline 19, so the check stays open until the job completes
-    # at 20 and the processor idles
-    assert settlements == [twin.scaled(Fraction(20))]
-    # the source run requests at the grid's unit; the point's own scenario at 6
-    own = twin.scenario._replace(mcr_schedule=((Fraction(6), "b"),))
-    assert rows == [row for row in ms.run(own).rows if request <= row[0] <= settlements[0]]
+    # the source run requests at the grid's unit 1 and runs up to 1 + reach;
+    # the point's own scenario requests at 6 and runs up to 6 + reach
+    own = twin.scenario._replace(mcr_schedule=((Fraction(6), "b"),), horizon=twin.scenario.horizon + 5)
+    assert rows == [row for row in ms.run(own).rows if row[0] >= request]
 
 
 def held_jobs(engine):
@@ -1541,7 +1555,7 @@ def committed_sweeps():
     yield case_study, ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     yield case_study, ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     yield ms.load_system(SAMPLES / "carry_in.json"), ms.SweepSpec("c", "b", Fraction(1), "offline-table")
-    for name in ("carry_in_seed2_draw57", "carry_in_one_proc", "carry_in_mi7"):
+    for name in ("carry_in_seed2_draw57", "carry_in_one_proc", "carry_in_mi7", "carry_in_two_mi"):
         system = ms.load_system(SAMPLES / f"{name}.json")
         yield system, ms.load_scenario(SAMPLES / f"{name}_sweep.json", system)
     chained = ms.load_system(SAMPLES / "chained_requests.json")
@@ -1568,7 +1582,86 @@ def test_closed_form_transition_end_equals_a_forks_at_every_committed_request():
     assert [entry for entry in seen if entry[2] != entry[3]] == []
     forked = sum(not decided for *_, decided in seen)
     pending = sum(decided and end > time for _, time, end, _, decided in seen)
-    assert len(seen) == 10324 and forked > 0 and pending > 0, (len(seen), forked, pending)
+    assert len(seen) == 11280 and forked > 0 and pending > 0, (len(seen), forked, pending)
+
+
+def closed_form_against_runs(system, allocation_source, mode_pair, grid):
+    """``(point, closed form, run)`` at each point of ``grid``, ascending:
+    the latency ``drain(t) - t`` of one source run advanced to the point, as
+    a request advances it, and that of the point's own ``ms.run``, which
+    shares no state with the source run."""
+    source, destination = mode_pair
+    tables = None
+    if allocation_source == "offline-table":
+        tables = {mode_id: ms.solve_optimal(system, mode_id).best_allocation for mode_id in mode_pair}
+    active = system.mi_tasks + system.md_tasks_of(source) + system.md_tasks_of(destination)
+    # a source-mode job pending at ``t`` is due by ``t`` plus its period, and meets that deadline
+    margin = max(t.period for t in active) + 1
+    unit = Fraction(1, math.lcm(*(Fraction(point).denominator for point in grid)))
+    run = sim._SourceRun(ms.make_scenario(
+        system, source, allocation_source, [(unit, destination)], max(grid) + margin, static_tables=tables,
+    ))
+    seen = []
+    for point in sorted(grid):
+        time = run.scaled(point)
+        run.advance(time)
+        run.time = time
+        end, _ = run.drain(time)
+        own = ms.make_scenario(
+            system, source, allocation_source, [(point, destination)], point + margin, static_tables=tables,
+        )
+        ((_, latency),) = ms.run(own).observed_latencies
+        seen.append((point, Fraction(end - time, run.scale), latency))
+    return seen
+
+
+def test_closed_form_transition_end_equals_each_points_own_run():
+    """Direction 20's closed form against one plain run per point: on a
+    seeded corpus (saturated, mixed denominators, both sources and mode
+    pairs), and on the finding samples over the points one longest source
+    MD period either side of each maximum."""
+    checked = []
+    findings = (
+        ("carry_in", ("c", "b"), Fraction(1), 6),
+        ("carry_in_seed2_draw57", ("alpha", "beta"), Fraction(1, 2), 2),
+        ("carry_in_one_proc", ("alpha", "beta"), Fraction(1), 1425),
+        ("carry_in_mi7", ("alpha", "beta"), Fraction(1), 3),
+        ("carry_in_two_mi", ("alpha", "beta"), Fraction(1), 4),
+    )
+    for name, mode_pair, step, at in findings:
+        system = ms.load_system(SAMPLES / f"{name}.json")
+        longest = max(t.period for t in system.md_tasks_of(mode_pair[0]))
+        first, stop = max(0, math.ceil((at - longest) / step)), math.ceil((at + longest) / step)
+        grid = [k * step for k in range(first, stop)]
+        seen = closed_form_against_runs(system, "offline-table", mode_pair, grid)
+        assert max(run for _, _, run in seen) > ms.solve_optimal(system, mode_pair[0]).optimal_latency, name
+        checked += seen
+    rng = random.Random(2020)
+    for draw in range(60):
+        if draw % 3 == 0:
+            system = exactly_saturated(rng)
+        elif draw % 3 == 1:
+            system = saturated_handover(rng)
+        else:
+            system = random_system(rng, max_tasks=6, md_heavy=draw % 2 == 0)
+        if draw % 4 == 3:  # mixed denominators
+            system = rescaled(rng, system)
+        mode_pair = rng.choice((("alpha", "beta"), ("beta", "alpha")))
+        allocation_source = rng.choice(("offline-table", "online-ffd"))
+        step = rng.choice((Fraction(1), Fraction(1, 2), Fraction(3, 4)))
+        grid = [k * step for k in range(rng.randint(10, 30))]
+        try:
+            for mode_id in mode_pair:
+                if allocation_source == "offline-table":
+                    ms.solve_optimal(system, mode_id)
+                else:
+                    ms.first_fit_decreasing(system, mode_id)
+        except (ms.InfeasibleModeError, ms.PlacementError):
+            continue
+        checked += closed_form_against_runs(system, allocation_source, mode_pair, grid)
+    assert [entry for entry in checked if entry[1] != entry[2]] == []
+    pending = sum(run > 0 for _, _, run in checked)
+    assert len(checked) == 1257 and pending >= 900, (len(checked), pending)
 
 
 def test_interval_sweep_matches_per_point_runs_randomized():
@@ -1605,7 +1698,7 @@ def test_interval_sweep_matches_per_point_runs_randomized():
 
 
 # ---------------------------------------------------------------------------
-# a fork stops once EDF can no longer change its outcome
+# a fork runs on to the horizon of each point it serves
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -1624,35 +1717,20 @@ def instants(monkeypatch):
     return lambda: sum(twin.instants - forked for twin, forked in made)
 
 
-@pytest.fixture
-def settlements(monkeypatch):
-    """The instant at which each settled fork stopped, in order."""
-    settled = []
-    stop = sim._SourceRun.stop
-
-    def recording(self, time):
-        settled.append(time)
-        stop(self, time)
-
-    monkeypatch.setattr(sim._SourceRun, "stop", recording)
-    return settled
-
-
-def test_sweep_instant_totals(case_study, forks, instants, settlements, requests):
+def test_sweep_instant_totals(case_study, forks, instants, requests):
     """A count of the simulated instants, not a timing, bounds the sweep cost."""
     committed = ms.load_scenario(SAMPLES / "case_study_sweep.json", case_study)
     assert ms.run_sweep(case_study, committed).points == 1800
-    assert instants() <= 122
-    assert len(forks) == len(settlements) == 25
+    assert instants() == 496
+    assert len(forks) == 25
     assert len(requests) == 396
     committed_instants = instants()
     forks.clear()
-    settlements.clear()
     requests.clear()
     spec = ms.SweepSpec("mode2", "mode1", Fraction(1), "online-ffd")
     assert ms.run_sweep(case_study, spec).points == 900
-    assert instants() - committed_instants <= 165
-    assert len(forks) == len(settlements) == 28
+    assert instants() - committed_instants == 2198
+    assert len(forks) == 28
     assert len(requests) == 117
 
 
@@ -1676,26 +1754,20 @@ def idling_handover():
     )
 
 
-def test_settled_fork_serves_later_points_of_its_interval(forks, instants, settlements):
-    """The fork made at 3 stops at 12 and still gives the points 4 and 5
-    their own outcomes: the transition deadline, 8 after each request, is
-    missed at 3 (12 > 11) and met at 4 and 5."""
+def test_fork_serves_later_points_of_its_interval(forks):
+    """The fork made at 3 gives the points 4 and 5 their own outcomes: the
+    transition deadline, 8 after each request, is missed at 3 (12 > 11) and
+    met at 4 and 5."""
     system = idling_handover()
     grid = [3, 4, 5]
     points = one_point_each(system, grid)
     assert [r.transition_misses for r in points] == [1, 0, 0]
     assert [r.max_latency for r in points] == [5, 4, 3]
     args = (system, "offline-table", ("alpha", "beta"), grid)
-    expected = per_point_sweep(*args)
-    ms.sweep_mcr(system, "offline-table", ("alpha", "beta"), [3])
-    alone = instants()
-    forks.clear()
-    settlements.clear()
     result = ms.sweep_mcr(*args)
-    assert instants() - alone == alone  # the later points process no instant
-    assert result == expected
+    assert result == per_point_sweep(*args)
     assert (result.max_latency, result.at_time, result.transition_misses) == (5, 3, 1)
-    assert forks == [3] and settlements == [12]
+    assert forks == [3]
 
 
 def test_demand_test_holds_at_every_pending_deadline():
@@ -1752,22 +1824,20 @@ def lagging_handover():
     )
 
 
-def test_fork_settles_where_a_job_is_behind_its_fluid_share_but_demand_fits(forks, settlements):
-    """The fork settles at the transition end 4; waiting for every pending
-    job to be on its fluid share would run it on to 9, where the processor
-    idles after ``m`` (4-8) and ``y`` (8-9)."""
+def test_job_behind_its_fluid_share_at_the_transition_end_still_meets_its_deadline(forks):
+    """The transition ends at 4 with ``m``'s job behind its fluid share, yet
+    nothing misses: ``m`` runs 4-8 and ``y`` 8-9, then the processor idles."""
     system = lagging_handover()
     for allocation_source in ("offline-table", "online-ffd"):
         forks.clear()
-        settlements.clear()
         args = (system, allocation_source, ("alpha", "beta"), [0])
         result = ms.sweep_mcr(*args)
         assert result == per_point_sweep(*args)
         assert (result.max_latency, result.job_misses) == (4, 0)
-        assert forks == [0] and settlements == [4]
+        assert forks == [0]
 
 
-def test_fork_does_not_settle_while_a_ready_job_is_behind(settlements):
+def test_ready_job_behind_its_fluid_share_at_the_transition_end_misses_for_good():
     """Alpha's job of ``a`` wins the tie at deadline 12 against the MI job of
     ``m`` released at 6, so the transition ends at 9.  There ``u``'s first job
     runs on its fluid share (1 unit, 2 to its deadline, at rate 1/2), but
@@ -1790,15 +1860,14 @@ def test_fork_does_not_settle_while_a_ready_job_is_behind(settlements):
     result = ms.sweep_mcr(*args)
     assert result == per_point_sweep(*args)
     assert (result.max_latency, result.job_misses) == (9, 5)
-    assert settlements == []
 
 
-def test_open_check_due_after_its_job_keeps_the_fork_running(forks, settlements):
+def test_check_due_before_its_jobs_deadline_is_read_from_the_completion(forks):
     """The fork made at 0 serves the points 0 to 3: the transition ends at 4
     and ``y``'s first job runs 4 to 6, on its fluid share, but its deadline 8
-    falls after the transition deadline 4 after the request.  The check is
-    missed at 0 and 1 (6 > 4, 6 > 5) and met at 2 and 3, so the fork runs on
-    until the job completes at 6, where the processor idles."""
+    falls after the transition deadline 4 after the request.  The check
+    turns on the completion at 6: missed at 0 and 1 (6 > 4, 6 > 5) and met
+    at 2 and 3."""
     system = ms.build_system(
         {
             "processors": 1,
@@ -1816,29 +1885,28 @@ def test_open_check_due_after_its_job_keeps_the_fork_running(forks, settlements)
     result = ms.sweep_mcr(*args)
     assert result == per_point_sweep(*args)
     assert (result.max_latency, result.transition_misses) == (4, 2)
-    assert forks == [0] and settlements == [6]
+    assert forks == [0]
 
 
-def test_fork_does_not_settle_while_a_job_is_past_its_deadline(settlements):
+def test_job_past_its_deadline_after_the_transition_end_misses_again():
     """A request at 4 ends the transition at 8; ``y``'s first job misses its
     deadline 12 and is still pending there, when the new jobs of ``a`` and
     ``y``, both just released, run on their fluid shares.  The backlog makes
     ``y`` miss again at 24, before the horizon 25, and its first job
-    completes at 13, after the transition deadline 12: a job due by the
-    check's deadline decides the check only while no job is behind."""
+    completes at 13, after the transition deadline 12."""
     system = backlogged_handover()
     args = (system, "offline-table", ("alpha", "beta"), [4])
     result = ms.sweep_mcr(*args)
     assert result == per_point_sweep(*args)
     assert (result.job_misses, result.transition_misses) == (2, 1)
-    assert settlements == []
 
 
 def test_overloaded_destination_never_settles():
     """A hand-made allocation loads the processor to 1/2 + 3/5.  Beta starts
     at the request at 5; the processor idles at 8, yet ``y`` misses its
-    deadline 20, so settling at an idle processor needs the load premise
-    that ``test_sweeps_simulate_only_utilization_feasible_allocations`` checks."""
+    deadline 20: an idle processor shows no missing to come only under the
+    load premise, which the demand test of ``_SourceRun.decides`` rests on
+    and ``test_sweeps_simulate_only_utilization_feasible_allocations`` checks."""
     system = ms.build_system(
         {
             "processors": 1,
@@ -1894,10 +1962,11 @@ def exactly_saturated(rng):
     )
 
 
-def settling_sweep_draws():
-    """The 200 seeded sweeps of the settling tests: ``(case, args)`` with
-    ``args`` the arguments of ``sweep_mcr``.  Case ``% 4 == 0`` is
-    ``exactly_saturated``, ``== 1`` is ``saturated_handover``."""
+def hyperperiod_sweep_draws():
+    """200 seeded sweeps, each of runs of consecutive grid points spread over
+    a source hyperperiod: ``(case, args)`` with ``args`` the arguments of
+    ``sweep_mcr``.  Case ``% 4 == 0`` is ``exactly_saturated``, ``== 1`` is
+    ``saturated_handover``."""
     rng = random.Random(5150)
     steps = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3))
     for case in range(200):
@@ -1924,15 +1993,13 @@ def settling_sweep_draws():
         yield case, (system, allocation_source, mode_pair, grid)
 
 
-def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(settlements):
+def test_sweep_matches_per_point_runs_over_a_hyperperiod_randomized():
     """Runs of consecutive grid points spread over the whole source
-    hyperperiod, so forks settle and serve later points across it."""
-    errors = job_missing = transition_missing = saturated_missing = settling = 0
-    for case, args in settling_sweep_draws():
-        settlements.clear()
+    hyperperiod, so forks serve later points across it."""
+    errors = job_missing = transition_missing = saturated_missing = 0
+    for case, args in hyperperiod_sweep_draws():
         expected = sweep_outcome(per_point_sweep, *args)
         assert sweep_outcome(ms.sweep_mcr, *args) == expected, (case, args[3])
-        settling += bool(settlements)
         if isinstance(expected, ms.SweepResult):
             job_missing += expected.job_misses > 0
             transition_missing += expected.transition_misses > 0
@@ -1946,21 +2013,20 @@ def test_settling_sweep_matches_per_point_runs_over_a_hyperperiod_randomized(set
             assert expected.max_latency <= longest, (case, expected, longest)
         else:
             errors += 1
-    # the draws reach every kind of outcome, and many have forks that settle
+    # the draws reach every kind of outcome
     assert errors >= 30 and job_missing >= 15 and transition_missing >= 30, (
         errors, job_missing, transition_missing,
     )
-    assert saturated_missing >= 5 and settling >= 60, (saturated_missing, settling)
+    assert saturated_missing >= 5, saturated_missing
 
 
 def test_sweeps_simulate_only_utilization_feasible_allocations(monkeypatch):
-    """A fork settles a processor once no pending job is behind its fluid
-    share, without checking the destination load: the premise, under which
-    EDF meets every deadline the fluid schedule meets, is that every
-    allocation a sweep's source run or forks use loads no processor above 1.
-    Each one passes ``validate_allocation``
-    over the settling corpus, both allocation sources and the saturated
-    systems (load exactly 1) included."""
+    """The demand test that decides a request without a fork
+    (``_SourceRun.decides``) does not check the destination load: its
+    premise is that every allocation a sweep's source run or forks use loads
+    no processor above 1.  Each one passes ``validate_allocation`` over the
+    hyperperiod corpus, both allocation sources and the saturated systems
+    (load exactly 1) included."""
     used = []
     allocation_for = sim._SourceRun.allocation_for
 
@@ -1971,7 +2037,7 @@ def test_sweeps_simulate_only_utilization_feasible_allocations(monkeypatch):
     monkeypatch.setattr(sim._SourceRun, "allocation_for", recording)
     sources = set()
     saturated = set()  # cases with a processor loaded to exactly 1
-    for case, args in settling_sweep_draws():
+    for case, args in hyperperiod_sweep_draws():
         del used[:]
         sweep_outcome(ms.sweep_mcr, *args)
         system, source = args[:2]
@@ -1997,11 +2063,11 @@ def quarters(first, stop):
 
 
 def test_quarter_step_grid_reads_points_between_source_instants_from_one_request(requests):
-    """In ``idling_handover`` the fork made at 13/4 stops at 12 and serves
-    every point before its transition end 8; at 33/4 the demand test decides
-    the point, and the points up to alpha's next instant 10 with it.  Only
-    the first point of each stretch is requested (8 is itself an instant of
-    alpha, so its stretch is empty)."""
+    """In ``idling_handover`` the fork made at 13/4 serves every point
+    before its transition end 8; at 33/4 the demand test decides the point,
+    and the points up to alpha's next instant 10 with it.  Only the first
+    point of each stretch is requested (8 is itself an instant of alpha, so
+    its stretch is empty)."""
     system = idling_handover()
     grid = quarters(13, 44)
     for allocation_source in ("offline-table", "online-ffd"):
@@ -2053,10 +2119,10 @@ def test_points_after_a_failed_demand_test_are_requested_each(requests):
 
 
 def test_unsettled_fork_serves_its_window_run_on_to_each_horizon(forks, requests):
-    """In ``backlogged_handover`` the fork made at 3 never settles: ``y``
-    misses a deadline at 24, inside the horizon of the request at 4 but not
-    of the one at 3.  The fork serves every point up to its transition end
-    8 without a request, and runs on to each point's horizon."""
+    """In ``backlogged_handover`` the backlog never clears: ``y`` misses a
+    deadline at 24, inside the horizon of the request at 4 but not of the
+    one at 3.  The fork serves every point up to its transition end 8
+    without a request, and runs on to each point's horizon."""
     system = backlogged_handover()
     grid = [3, 4, 5, 6, 7]
     points = one_point_each(system, grid)
@@ -2067,7 +2133,7 @@ def test_unsettled_fork_serves_its_window_run_on_to_each_horizon(forks, requests
 
 
 def test_check_flips_from_miss_to_met_inside_a_served_stretch(forks, requests):
-    """The fork made at 13/4 stops at 12 and serves the points up to 8.
+    """The fork made at 13/4 serves the points up to 8.
     ``y``'s first job completes at 12: its transition deadline, 8 after the
     request, is missed up to 15/4 and met from 4 on."""
     system = idling_handover()

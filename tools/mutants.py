@@ -56,7 +56,7 @@ MUTANTS = (
     Mutant(
         "ffd-overfill", "src/modesched/online.py",
         "if loads[p] + task.utilization <= 1:", "if loads[p] + task.utilization <= 2:",
-        "a First-Fit placement loads no processor above 1 (the premise of fork settlement)",
+        "a First-Fit placement loads no processor above 1 (the premise of the demand test in ``decides``)",
     ),
     Mutant(
         "check-completion-strict", "src/modesched/sim.py",
@@ -108,20 +108,16 @@ MUTANTS = (
         "a processor's latency bound is the smaller of its two bounds",
     ),
     Mutant(
-        "settle-early", "src/modesched/sim.py",
-        "waiting = tuple(p for p in waiting if not self.settles(p, time))", "waiting = ()",
-        "a sweep fork settles only once every processor has settled since the transition end",
-    ),
-    Mutant(
-        "settle-lag-flipped", "src/modesched/sim.py",
+        "demand-lag-flipped", "src/modesched/sim.py",
         "if demand + carry > lcm * (deadline - time):", "if demand + carry < lcm * (deadline - time):",
-        "the demand test passes only where no pending deadline's demand exceeds the time left to it",
+        "``decides`` decides a request without a fork only where no pending deadline's demand exceeds"
+        " the time left to it",
     ),
     Mutant(
-        "settle-skips-ready", "src/modesched/sim.py",
+        "demand-skips-ready", "src/modesched/sim.py",
         "jobs = [((job[_KEY] // n, job[_TASK], job[_INDEX]), job[_REMAINING]) for job in self.ready[p]]",
         "jobs = []",
-        "the demand test counts every pending job, ready jobs included",
+        "the demand test of ``decides`` counts every pending job, ready jobs included",
     ),
     Mutant(
         "demand-drops-carry", "src/modesched/sim.py",
@@ -132,11 +128,6 @@ MUTANTS = (
         "demand-first-deadline-only", "src/modesched/sim.py",
         "for (deadline, _, _), remaining in jobs:", "for (deadline, _, _), remaining in jobs[:1]:",
         "the demand test holds at every pending deadline, not just the first",
-    ),
-    Mutant(
-        "settle-decides-any-check", "src/modesched/sim.py",
-        'if deadline > checks[key]["absolute"]:', "if False:",
-        "a settled processor decides an open check only if its job is due by the check's deadline",
     ),
     Mutant(
         "drain-w0-skips-mi-work", "src/modesched/sim.py",
@@ -170,12 +161,6 @@ MUTANTS = (
         "preempt-stale-remaining", "src/modesched/sim.py",
         "current[_REMAINING] = current[_FINISH] - time", "pass",
         "a preempted job keeps only the work it has left, so every job runs exactly its wcet",
-    ),
-    Mutant(
-        "settled-fork-stale-finish", "src/modesched/sim.py",
-        "self.stop(time)\n                    next_finish = None\n",
-        "self.stop(time)\n",
-        "a settled fork has nothing left to complete, so it processes no further instant",
     ),
     Mutant(
         "fork-shares-pending-jobs", "src/modesched/sim.py",
@@ -220,7 +205,7 @@ MUTANTS = (
     ),
     Mutant(
         "serve-past-transition-end", "src/modesched/sim.py",
-        "min((time + latency, *releases))", "min((math.inf, *releases))",
+        "min((time + outcome[0], *releases))", "min((math.inf, *releases))",
         "a point at or after a fork's transition end has nothing pending and gets its own fork",
     ),
     Mutant(
@@ -230,10 +215,15 @@ MUTANTS = (
         " MD release after its request, a decided one before the source run's next instant",
     ),
     Mutant(
+        "fork-outcome-skips-advance", "src/modesched/sim.py",
+        "        self.advance(limit)\n", "",
+        "a fork's outcome is read once the fork has run up to the point's horizon",
+    ),
+    Mutant(
         "served-point-skips-advance", "src/modesched/sim.py",
-        "fork.advance(time + scaled_reach)", "pass",
-        "a fork that has not stopped runs on to the horizon of each point it serves: its job misses"
-        " and check completions still change with the horizon",
+        "self.advance(limit)", "self.latencies or self.advance(limit)",
+        "a fork runs on to the horizon of each point it serves: its job misses and check completions"
+        " still change with the horizon",
     ),
     Mutant(
         "walk-keeps-grid-order", "src/modesched/sim.py",
@@ -259,11 +249,6 @@ MUTANTS = (
         "window-excludes-own-point", "src/modesched/sim.py",
         "return outcome, max(until, time + 1), fork", "return outcome, until, fork",
         "a request's window holds its own point, so a repeat of it takes its outcome with no request",
-    ),
-    Mutant(
-        "settled-check-kept", "src/modesched/sim.py",
-        "self.checks.remove(checks.pop(key))", "checks.pop(key)",
-        "a check a settled fork decides leaves the fork: it can no longer be missed",
     ),
     Mutant(
         "start-never-resumes", "src/modesched/sim.py",
